@@ -39,7 +39,7 @@ from .membership import (
     harmonic_membership,
     stable_family_check,
 )
-from .series import AnalyticSeries, eval_array
+from .series import AnalyticSeries
 from .specfun import HypergeomParams
 
 EXIT_MEMBER = 0

@@ -22,7 +22,7 @@ from .membership import (
     HarmonicMap,
     MembershipReport,
     Verdict,
-    _golden_max,
+    _circle_extremum,
     harmonic_membership,
     paired_boundary_sup,
     zeta_family_sup,
@@ -33,9 +33,9 @@ from .series import (
     combine_with_zeta,
     derivative,
     eval_array,
-    eval_series,
     hadamard,
     linear_combination,
+    scan_angles,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -105,7 +105,7 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams,
     |z| - lam |z|^2 and |z| + lam |z|^2, and the derivative pair must obey
     1 - 2 lam |z| <= |h'| - |g'| together with |h'| + |g'| <= 1 + 2 lam |z|.
     """
-    angles = max(grid.boundary_angles, 64 * max(1, f.degree))
+    angles = max(grid.boundary_angles, scan_angles(f.degree))
     rep = harmonic_membership(f, params, angles=angles)
     if rep.verdict is Verdict.NON_MEMBER:
         raise NonMemberError("envelope audit needs a class member")
@@ -158,46 +158,28 @@ def _ring_min(F: AnalyticSeries, Fp: AnalyticSeries, Fpp: AnalyticSeries,
               ) -> tuple[float, float]:
     """Minimum of the ring functional over |z| = radius, refined.
 
-    A denominator zero on the ring (a zero of F, or of F' for the convex
-    test) fails the whole ring: the functional is reported as -inf there.
+    The minimum is taken as the circle maximum of the negated functional.
+    A denominator zero on the ring grid (a zero of F, or of F' for the
+    convex test) fails the whole ring: the functional is reported as -inf
+    at the first such grid angle.
     """
-    thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
-    zs = radius * np.exp(1j * thetas)
     if kind is RadiusKind.STARLIKE:
-        den = eval_array(F, zs)
-        num = zs * eval_array(Fp, zs)
-        offset = 0.0
+        num, den, offset = Fp, F, 0.0
     else:
-        den = eval_array(Fp, zs)
-        num = zs * eval_array(Fpp, zs)
-        offset = 1.0
-    bad = np.abs(den) < _ZERO_GUARD
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        return -math.inf, float(thetas[k])
-    vals = offset + np.real(num / den)
-    k = int(np.argmin(vals))
-    step = _TWO_PI / angles
+        num, den, offset = Fpp, Fp, 1.0
 
-    def neg_functional(t: float) -> float:
-        z = radius * cmath.exp(1j * t)
-        if kind is RadiusKind.STARLIKE:
-            d = eval_series(F, z)
-            n = z * eval_series(Fp, z)
-            off = 0.0
-        else:
-            d = eval_series(Fp, z)
-            n = z * eval_series(Fpp, z)
-            off = 1.0
-        if abs(d) < _ZERO_GUARD:
-            return math.inf
-        return -(off + (n / d).real)
+    def neg_functional(ev, z):
+        d = ev(den, z)
+        # The zero rule runs on the grid only: +inf there is a maximum the
+        # polish cannot beat, so the ring reports -inf at that grid angle.
+        if isinstance(d, np.ndarray):
+            zero = np.abs(d) < _ZERO_GUARD
+            if zero.any():
+                return np.where(zero, math.inf, -math.inf)
+        return -(offset + (z * ev(num, z) / d).real)
 
-    x, neg = _golden_max(neg_functional, thetas[k] - step, thetas[k] + step,
-                         width_tol=1e-9, max_iter=50)
-    if -neg < vals[k]:
-        return float(-neg), float(x % _TWO_PI)
-    return float(vals[k]), float(thetas[k])
+    neg, angle = _circle_extremum(neg_functional, angles, radius)
+    return -neg, angle
 
 
 def _denominator_root_cap(F: AnalyticSeries, Fp: AnalyticSeries,
@@ -237,7 +219,7 @@ def radius_certify(F: AnalyticSeries, kind: RadiusKind,
         raise ParameterError("tol must lie in (0, 0.5)")
     Fp = derivative(F)
     Fpp = derivative(Fp)
-    angles = max(256, 64 * max(1, F.degree))
+    angles = scan_angles(F.degree)
 
     def ring(r: float) -> tuple[float, float]:
         return _ring_min(F, Fp, Fpp, kind, r, angles)
@@ -414,15 +396,24 @@ def convex_combination(fs, weights, params: ClassParams
 
 
 def _min_nonadjacent_gap(pts: np.ndarray) -> float:
+    """Smallest distance between two samples that are not curve neighbours.
+
+    Sweep over the samples sorted by real part: the pairs k places apart in
+    that order are compared for k = 1, 2, ... until every such pair is at
+    least the best gap apart in the real part alone, after which no later
+    pair can be closer.
+    """
     n = len(pts)
+    order = np.argsort(pts.real, kind="stable")
+    p = pts[order]
+    x = p.real
     best = math.inf
-    chunk = max(1, (1 << 21) // n)
-    idx = np.arange(n)
-    for start in range(0, n, chunk):
-        block = pts[start:start + chunk, None]
-        d = np.abs(block - pts[None, :])
-        sep = (idx[start:start + chunk, None] - idx[None, :]) % n
-        d[(sep <= 1) | (sep >= n - 1)] = math.inf
+    for k in range(1, n):
+        if float(np.min(x[k:] - x[:-k])) >= best:
+            break
+        d = np.abs(p[k:] - p[:-k])
+        sep = np.abs(order[k:] - order[:-k])
+        d[(sep == 1) | (sep == n - 1)] = math.inf
         best = min(best, float(d.min()))
     return best
 
@@ -432,9 +423,12 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
     """Sample the boundary image curve and audit length and Lipschitz data.
 
     The polygonal length of the closed image curve is bounded by
-    (1 + 2 lam) 2 pi for members, the same constant bounds the difference
-    quotient between boundary points, and the minimum gap between
-    non-adjacent samples is a desk-scale injectivity proxy.
+    (1 + 2 lam) 2 pi for members.  The Lipschitz ratio is the circle
+    maximum of |h'| + |g'|: that sum is subharmonic, so its boundary
+    maximum bounds the difference quotient between any two points of the
+    closed disk, boundary chords included, and members keep it at most
+    1 + 2 lam.  The minimum gap between non-adjacent samples is a
+    desk-scale injectivity proxy.
     """
     if samples < 512:
         raise ParameterError("need at least 512 samples")
@@ -442,20 +436,13 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
     if rep.verdict is Verdict.NON_MEMBER:
         raise NonMemberError("curve audit needs a class member")
     thetas = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-    ring = np.exp(1j * thetas)
-    pts = f.eval_array(ring)
-    seg_img = np.abs(np.diff(pts, append=pts[:1]))
-    seg_dom = np.abs(np.diff(ring, append=ring[:1]))
-    ratios = [float(np.max(seg_img / seg_dom))]
-    rng = np.random.default_rng(7)
-    i = rng.integers(0, samples, size=1000)
-    j = (i + rng.integers(2, samples - 1, size=1000)) % samples
-    ratios.append(float(np.max(np.abs(pts[i] - pts[j]) / np.abs(ring[i] - ring[j]))))
+    pts = f.eval_array(np.exp(1j * thetas))
+    lipschitz, _ = paired_boundary_sup(derivative(f.h), derivative(f.g))
     return CurveAudit(
         thetas=thetas,
         points=pts,
-        polygonal_length=float(np.sum(seg_img)),
-        max_lipschitz_ratio=max(ratios),
+        polygonal_length=float(np.sum(np.abs(np.diff(pts, append=pts[:1])))),
+        max_lipschitz_ratio=lipschitz,
         min_pairwise_gap=_min_nonadjacent_gap(pts),
         max_modulus=float(np.max(np.abs(pts))),
     )

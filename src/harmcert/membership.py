@@ -21,12 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    NonMemberError,
-    NormalizationError,
-    ParameterError,
-)
+from .errors import ConsistencyError, NormalizationError, ParameterError
 from .series import (
     COEFF_TOL,
     AnalyticSeries,
@@ -34,10 +29,19 @@ from .series import (
     deficiency,
     eval_array,
     eval_series,
+    scan_angles,
 )
 
 _TWO_PI = 2.0 * math.pi
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Every golden-section polish over a circle angle stops once its bracket
+# is this narrow.
+_POLISH_WIDTH = 1e-9
+# The polish over the zeta phase stops earlier.  The section supremum falls
+# off at most like min(|A|, |B|) dphi^2 / 2 around its maximum, so this
+# width under-reads by at most 5e-11 of the supremum, while every step
+# costs a full boundary scan.
+_PHASE_WIDTH = 1e-5
 
 _ANALYTIC_JUSTIFICATION = (
     "deficiency image vanishes at the origin, so its open-disk supremum is "
@@ -68,8 +72,10 @@ class ClassParams:
     boundary_band: float = 1e-6
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ParameterError(f"lam must be positive, got {self.lam!r}")
+        if not (self.lam > 0.0 and math.isfinite(self.lam)):
+            raise ParameterError(
+                f"lam must be positive and finite, got {self.lam!r}"
+            )
         if not (self.sup_tolerance > 0.0 and self.boundary_band > 0.0):
             raise ParameterError("tolerances must be positive")
 
@@ -97,9 +103,6 @@ class HarmonicMap:
     def degree(self) -> int:
         return max(self.h.degree, self.g.degree)
 
-    def eval(self, z: complex) -> complex:
-        return eval_series(self.h, z) + eval_series(self.g, z).conjugate()
-
     def eval_array(self, zs: np.ndarray) -> np.ndarray:
         return eval_array(self.h, zs) + np.conj(eval_array(self.g, zs))
 
@@ -113,8 +116,8 @@ class MembershipReport:
     justification: str
 
 
-def _golden_max(fn, lo: float, hi: float, width_tol: float = 1e-12,
-                max_iter: int = 90) -> tuple[float, float]:
+def _golden_max(fn, lo: float, hi: float, width: float = _POLISH_WIDTH
+                ) -> tuple[float, float]:
     """Golden-section maximization of a scalar function on [lo, hi]."""
     a, b = float(lo), float(hi)
     c = b - _INV_PHI * (b - a)
@@ -124,8 +127,7 @@ def _golden_max(fn, lo: float, hi: float, width_tol: float = 1e-12,
         best_x, best_v = c, fc
     else:
         best_x, best_v = d, fd
-    it = 0
-    while (b - a) > width_tol and it < max_iter:
+    while (b - a) > width:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -138,33 +140,39 @@ def _golden_max(fn, lo: float, hi: float, width_tol: float = 1e-12,
             fd = fn(d)
             if fd > best_v:
                 best_x, best_v = d, fd
-        it += 1
     return best_x, best_v
 
 
-def _circle_grid(angles: int) -> tuple[np.ndarray, np.ndarray]:
-    thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
-    return thetas, np.exp(1j * thetas)
-
-
 def _resolve_angles(angles: int | None, degree: int) -> int:
-    floor = 64 * degree
     if angles is None:
-        return max(256, floor)
-    if angles < max(1, floor):
+        return scan_angles(degree)
+    floor = max(1, 64 * degree)
+    if angles < floor:
         raise ParameterError(
-            f"need at least {max(1, floor)} angles for degree {degree}, "
-            f"got {angles}"
+            f"need at least {floor} angles for degree {degree}, got {angles}"
         )
     return angles
 
 
-def _refine_circle_max(objective, thetas: np.ndarray, vals: np.ndarray
-                       ) -> tuple[float, float]:
-    """Grid argmax (first index wins ties) plus golden-section polish."""
+def _circle_extremum(objective, angles: int, radius: float = 1.0
+                     ) -> tuple[float, float]:
+    """Maximum of a real objective over |z| = radius and the angle attaining it.
+
+    ``objective(ev, z)`` is written once for both evaluation routes: the
+    grid of ``angles`` equispaced points is scanned with ``ev = eval_array``
+    on an array of points, then the grid argmax (the first index wins ties,
+    so ties resolve to the smallest angle) is polished over its two
+    neighbouring cells by golden section with ``ev = eval_series`` at
+    single points.
+    """
+    thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
+    vals = objective(eval_array, radius * np.exp(1j * thetas))
     k = int(np.argmax(vals))
-    step = _TWO_PI / len(thetas)
-    x, v = _golden_max(objective, thetas[k] - step, thetas[k] + step)
+    step = _TWO_PI / angles
+    x, v = _golden_max(
+        lambda t: objective(eval_series, radius * cmath.exp(1j * t)),
+        thetas[k] - step, thetas[k] + step,
+    )
     if v > vals[k]:
         return float(v), float(x % _TWO_PI)
     return float(vals[k]), float(thetas[k])
@@ -178,28 +186,18 @@ def boundary_sup(F: AnalyticSeries, angles: int | None = None
     the best cell with a golden-section search.  Ties on the grid resolve
     to the smallest angle.
     """
-    n = _resolve_angles(angles, F.degree)
-    thetas, ring = _circle_grid(n)
-    vals = np.abs(eval_array(F, ring))
-
-    def objective(t: float) -> float:
-        return abs(eval_series(F, cmath.exp(1j * t)))
-
-    return _refine_circle_max(objective, thetas, vals)
+    return _circle_extremum(
+        lambda ev, z: abs(ev(F, z)), _resolve_angles(angles, F.degree)
+    )
 
 
 def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries,
                         angles: int | None = None) -> tuple[float, float]:
     """Maximum of |F1| + |F2| over the unit circle, refined as boundary_sup."""
-    n = _resolve_angles(angles, max(F1.degree, F2.degree))
-    thetas, ring = _circle_grid(n)
-    vals = np.abs(eval_array(F1, ring)) + np.abs(eval_array(F2, ring))
-
-    def objective(t: float) -> float:
-        z = cmath.exp(1j * t)
-        return abs(eval_series(F1, z)) + abs(eval_series(F2, z))
-
-    return _refine_circle_max(objective, thetas, vals)
+    return _circle_extremum(
+        lambda ev, z: abs(ev(F1, z)) + abs(ev(F2, z)),
+        _resolve_angles(angles, max(F1.degree, F2.degree)),
+    )
 
 
 def _classify(measured_sup: float, params: ClassParams) -> Verdict:
@@ -261,7 +259,8 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int,
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
     n = _resolve_angles(angles, max(A.degree, B.degree))
-    thetas, ring = _circle_grid(n)
+    thetas = np.linspace(0.0, _TWO_PI, n, endpoint=False)
+    ring = np.exp(1j * thetas)
     va = eval_array(A, ring)
     vb = eval_array(B, ring)
     phases = _TWO_PI * np.arange(zeta_samples) / zeta_samples
@@ -270,28 +269,28 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int,
     starts = thetas[np.argmax(grid, axis=1)]
     step = _TWO_PI / n
 
-    ca = np.asarray(A.coeffs, dtype=complex)[::-1]
-    cb = np.asarray(B.coeffs, dtype=complex)[::-1]
-
+    # One golden section per zeta row, run in lockstep: every bracket has
+    # the same width, so one scalar tracks the stopping rule for all rows.
     def batch(ts: np.ndarray) -> np.ndarray:
         zs = np.exp(1j * ts)
-        return np.abs(np.polyval(ca, zs) + zetas * np.polyval(cb, zs))
+        return np.abs(eval_array(A, zs) + zetas * eval_array(B, zs))
 
     lo = starts - step
     hi = starts + step
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = batch(c), batch(d)
-    best = np.max(grid, axis=1)
-    for _ in range(60):
+    sups = np.maximum(np.max(grid, axis=1), np.maximum(fc, fd))
+    width = 2.0 * step
+    while width > _POLISH_WIDTH:
         left = fc >= fd
         hi = np.where(left, d, hi)
         lo = np.where(left, lo, c)
         c = hi - _INV_PHI * (hi - lo)
         d = lo + _INV_PHI * (hi - lo)
         fc, fd = batch(c), batch(d)
-        best = np.maximum(best, np.maximum(fc, fd))
-    sups = best
+        sups = np.maximum(sups, np.maximum(fc, fd))
+        width *= _INV_PHI
 
     k = int(np.argmax(sups))
     phase_step = _TWO_PI / zeta_samples
@@ -302,7 +301,7 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int,
 
     phi, refined = _golden_max(
         sup_at_phase, phases[k] - phase_step, phases[k] + phase_step,
-        width_tol=1e-5, max_iter=40,
+        width=_PHASE_WIDTH,
     )
     if refined > sups[k]:
         max_sup, witness = float(refined), float(phi % _TWO_PI)
@@ -353,8 +352,8 @@ class CoefficientSufficiency:
     """Outcome of the coefficient-mass test.
 
     The test is sufficient, not necessary: sharp members carry total mass
-    exactly lam yet still belong to the class, so a failed test is reported
-    as inconclusive rather than as a rejection.
+    exactly lam yet still belong to the class, so a failed test returns
+    ``sufficient=False``, which decides nothing, rather than a rejection.
     """
 
     sufficient: bool

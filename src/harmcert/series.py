@@ -8,9 +8,10 @@ O(N).  Values are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,13 +26,19 @@ class AnalyticSeries:
 
     Trailing zero coefficients are stripped on construction, so ``degree``
     is always the index of the last stored coefficient.  The zero series is
-    stored as the single coefficient (0,).
+    stored as the single coefficient (0,).  Non-finite coefficients are
+    rejected, so no downstream scan ever sees NaN or infinity.
     """
 
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
         cs = tuple(complex(c) for c in self.coeffs)
+        if not all(map(cmath.isfinite, cs)):
+            n = next(n for n, c in enumerate(cs) if not cmath.isfinite(c))
+            raise ParameterError(
+                f"coefficients must be finite, got {cs[n]!r} at index {n}"
+            )
         while len(cs) > 1 and cs[-1] == 0:
             cs = cs[:-1]
         if not cs:
@@ -55,6 +62,11 @@ class AnalyticSeries:
 
 ZERO = AnalyticSeries((0j,))
 IDENTITY = AnalyticSeries((0j, 1.0 + 0j))
+
+
+def scan_angles(degree: int) -> int:
+    """Default angle count of a circle scan: 64 per degree, at least 256."""
+    return max(256, 64 * degree)
 
 
 def eval_series(F: AnalyticSeries, z: complex) -> complex:
@@ -170,5 +182,5 @@ def default_grid(
     return EvalGrid(
         radii=radii,
         angles_per_ring=angles_per_ring,
-        boundary_angles=max(256, 64 * max(1, max_degree)),
+        boundary_angles=scan_angles(max_degree),
     )

@@ -140,6 +140,23 @@ class TestCheckCommand:
         assert main(["check", path]) == EXIT_INPUT_ERROR
         assert "co-analytic linear term" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ('"h_coeffs": [\n    [0, 0],\n    [1, 0]',
+         '"h_coeffs": [\n    [0, 0],\n    [1, 0],\n    [NaN, 0]',
+         "coefficients must be finite"),
+        ('"h_coeffs": [\n    [0, 0],\n    [1, 0]',
+         '"h_coeffs": [\n    [0, 0],\n    [1, 0],\n    [Infinity, 0]',
+         "coefficients must be finite"),
+        ('"lambda": 1', '"lambda": Infinity', "lam must be positive and finite"),
+    ])
+    def test_non_finite_input_exits_three(self, tmp_path, capsys, old, new,
+                                          message):
+        path = write(tmp_path, "bad.json", IDENTITY_TEXT.replace(old, new))
+        assert main(["check", path, "--json"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_missing_file_exits_three(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR
 

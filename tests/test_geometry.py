@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from harmcert.catalog import CatalogParams, make_example
 from harmcert.errors import (
     NonMemberError,
     NormalizationError,
@@ -10,6 +11,8 @@ from harmcert.errors import (
 )
 from harmcert.geometry import (
     RadiusKind,
+    _min_nonadjacent_gap,
+    _ring_min,
     boundary_curve_audit,
     convex_combination,
     convolve_members,
@@ -27,13 +30,28 @@ from harmcert.membership import (
     harmonic_membership,
     random_member,
 )
-from harmcert.series import AnalyticSeries, default_grid, eval_array
+from harmcert.series import AnalyticSeries, default_grid, derivative, eval_array
 
 
 def make_map(h_coeffs, g_coeffs=(0,)):
     return HarmonicMap(
         h=AnalyticSeries(tuple(h_coeffs)), g=AnalyticSeries(tuple(g_coeffs))
     )
+
+
+def brute_force_nonadjacent_gap(pts):
+    """Oracle: all O(n^2) sample pairs, cyclic neighbours excluded."""
+    n = len(pts)
+    best = math.inf
+    chunk = max(1, (1 << 21) // n)
+    idx = np.arange(n)
+    for start in range(0, n, chunk):
+        block = pts[start:start + chunk, None]
+        d = np.abs(block - pts[None, :])
+        sep = (idx[start:start + chunk, None] - idx[None, :]) % n
+        d[(sep <= 1) | (sep >= n - 1)] = math.inf
+        best = min(best, float(d.min()))
+    return best
 
 
 def brute_force_radius(F, kind, r_steps=400, t_steps=720):
@@ -64,7 +82,7 @@ class TestGrowthEnvelope:
         # Equality holds along the positive real axis, which the grid hits.
         assert audit.tightness["growth_upper"] <= 1e-9
         z = 0.5
-        assert abs(f3.eval(z)) == pytest.approx(abs(z) + lam * abs(z) ** 2, abs=1e-14)
+        assert abs(f3.eval_array(z)) == pytest.approx(abs(z) + lam * abs(z) ** 2, abs=1e-14)
 
     def test_identity_strictly_inside(self):
         audit = growth_envelope_check(
@@ -154,6 +172,17 @@ class TestRadiusCertify:
             c = radius_certify(F, RadiusKind.CONVEX)
             assert s.radius == pytest.approx(1 / (2 * lam), abs=1e-4)
             assert c.radius == pytest.approx(1 / (4 * lam), abs=1e-4)
+
+    def test_ring_through_denominator_zero_fails(self):
+        # z + z^2 vanishes at -1, and its derivative at -1/2; both points
+        # lie on the grid of their ring at the angle pi.
+        F = AnalyticSeries((0, 1, 1))
+        Fp = derivative(F)
+        Fpp = derivative(Fp)
+        for kind, radius in ((RadiusKind.STARLIKE, 1.0), (RadiusKind.CONVEX, 0.5)):
+            assert _ring_min(F, Fp, Fpp, kind, radius, 256) == (-math.inf, math.pi)
+        value, _ = _ring_min(F, Fp, Fpp, RadiusKind.STARLIKE, 0.5, 256)
+        assert math.isfinite(value)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ParameterError):
@@ -332,6 +361,38 @@ class TestBoundaryCurve:
         assert audit.polygonal_length <= (1 + 2 * lam) * 2 * math.pi + 1e-3
         assert audit.max_lipschitz_ratio <= 1 + 2 * lam + 1e-6
         assert audit.max_modulus <= 2.0 + 1e-9
+
+    def test_lipschitz_bound_covers_every_chord(self):
+        rng = np.random.default_rng(43)
+        for lam in (0.5, 1.0, 2.0):
+            params = ClassParams(lam=lam)
+            f3 = make_example(CatalogParams(name="f3", lam=lam, eta=1j))
+            audits = [boundary_curve_audit(f, params, 512) for f in
+                      (f3, random_member(int(rng.integers(2, 12)), params, rng))]
+            assert audits[0].max_lipschitz_ratio == pytest.approx(1 + 2 * lam, abs=1e-12)
+            for audit in audits:
+                chord = np.abs(audit.points[:, None] - audit.points[None, :])
+                ring = np.exp(1j * audit.thetas)
+                base = np.abs(ring[:, None] - ring[None, :])
+                np.fill_diagonal(base, 1.0)
+                assert np.max(chord / base) <= audit.max_lipschitz_ratio * (1 + 1e-12)
+
+    def test_gap_sweep_matches_brute_force(self):
+        rng = np.random.default_rng(47)
+        params = ClassParams(lam=1.0)
+        curves = [
+            boundary_curve_audit(make_map((0, 1)), params, 512).points,
+            boundary_curve_audit(make_map((0, 1), (0, 0, -1.0)), params, 1024).points,
+        ]
+        for _ in range(8):
+            f = random_member(int(rng.integers(2, 16)), params, rng)
+            curves.append(boundary_curve_audit(f, params, 512).points)
+        # Repeated points and a vertical run of equal real parts.
+        curves.append(np.array([0, 1, 0, 1j, 2j, 3j, 1 + 1j, 0.5], dtype=complex))
+        curves.append(rng.integers(0, 4, 64) + 1j * rng.integers(0, 4, 64))
+        curves.append(np.array([0, 1, 2], dtype=complex))
+        for pts in curves:
+            assert _min_nonadjacent_gap(pts) == brute_force_nonadjacent_gap(pts)
 
     def test_sharp_coanalytic(self):
         audit = boundary_curve_audit(

@@ -41,6 +41,12 @@ class TestBoundarySup:
     def test_zero_series(self):
         assert boundary_sup(AnalyticSeries((0,))) == (0.0, 0.0)
 
+    def test_grid_ties_go_to_smallest_angle(self):
+        # |1 - z^2| reaches 2 exactly at the grid angles pi/2 and 3 pi/2.
+        F = AnalyticSeries((1, 0, -1))
+        assert boundary_sup(F) == (2.0, math.pi / 2)
+        assert paired_boundary_sup(F, AnalyticSeries((0,))) == (2.0, math.pi / 2)
+
     def test_cubic_deficiency_image(self):
         # |z^2 (1+z)| / 2 on the circle peaks at z = 1 with value 1.
         F = AnalyticSeries((0, 0, -0.5, -0.5))

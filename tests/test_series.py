@@ -57,6 +57,11 @@ class TestConstruction:
         assert AnalyticSeries((0, 0, 0)).degree == 0
         assert AnalyticSeries((0,)).is_zero()
 
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf, complex(0, -math.inf)):
+            with pytest.raises(ParameterError):
+                AnalyticSeries((0, 1, bad))
+
     def test_normalization_predicate(self):
         assert AnalyticSeries((0, 1, 5)).is_normalized()
         assert not AnalyticSeries((0.1, 1)).is_normalized()
