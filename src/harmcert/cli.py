@@ -113,8 +113,9 @@ def _parse_coeffs(raw, key: str) -> tuple[complex, ...]:
         raise FunctionFileError(f"{key}: expected a list of [re, im] pairs")
     out = []
     for i, pair in enumerate(raw):
+        # Exact types: JSON true/false parse as bool, a subclass of int.
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+                or not all(type(v) in (int, float) for v in pair)):
             raise FunctionFileError(f"{key}[{i}]: expected a [re, im] pair")
         out.append(complex(float(pair[0]), float(pair[1])))
     return tuple(out)
@@ -137,7 +138,7 @@ def parse_function_file(text: str) -> FunctionFile:
     if missing:
         raise FunctionFileError(f"missing fields: {', '.join(missing)}")
     lam = obj["lambda"]
-    if not isinstance(lam, (int, float)) or not lam > 0:
+    if type(lam) not in (int, float) or not lam > 0:
         raise FunctionFileError("lambda: must be a positive number")
     h = _parse_coeffs(obj["h_coeffs"], "h_coeffs")
     if len(h) < 2:
@@ -272,7 +273,7 @@ def _cmd_check(args) -> int:
         "justification": rep.justification,
     }
     if args.zeta_samples is not None:
-        scan = stable_family_check(f, params, zeta_samples=args.zeta_samples)
+        scan = stable_family_check(f, params, args.zeta_samples, args.angles)
         payload["zeta_family_max"] = scan.scan.max_sup
         payload["zeta_family_gap"] = scan.gap
     _print_report(payload, args.json)

@@ -61,7 +61,6 @@ class AnalyticSeries:
 
 
 ZERO = AnalyticSeries((0j,))
-IDENTITY = AnalyticSeries((0j, 1.0 + 0j))
 
 
 def scan_angles(degree: int) -> int:

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import harmcert.cli
 from harmcert.cli import (
     EXIT_BOUNDARY_SHARP,
     EXIT_INPUT_ERROR,
@@ -156,6 +157,36 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"lambda": 1', '"lambda": true', "lambda: must be a positive number"),
+        ('"h_coeffs": [\n    [0, 0],\n    [1, 0]',
+         '"h_coeffs": [\n    [0, 0],\n    [true, false]',
+         "h_coeffs[1]: expected a [re, im] pair"),
+    ])
+    def test_boolean_numbers_exit_three(self, tmp_path, capsys, old, new,
+                                        message):
+        text = IDENTITY_TEXT.replace(old, new)
+        assert text != IDENTITY_TEXT
+        path = write(tmp_path, "bad.json", text)
+        assert main(["check", path, "--json"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_family_check_uses_angles(self, tmp_path, monkeypatch):
+        seen = []
+        original = harmcert.cli.stable_family_check
+
+        def spy(f, params, zeta_samples=256, angles=None):
+            seen.append(angles)
+            return original(f, params, zeta_samples, angles)
+
+        monkeypatch.setattr(harmcert.cli, "stable_family_check", spy)
+        path = write(tmp_path, "id.json", IDENTITY_TEXT)
+        code = main(["check", path, "--angles", "4096", "--zeta-samples", "64"])
+        assert code == EXIT_MEMBER
+        assert seen == [4096]
 
     def test_missing_file_exits_three(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR

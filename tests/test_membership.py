@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,14 @@ from harmcert.membership import (
     paired_boundary_sup,
     random_member,
     stable_family_check,
+    zeta_family_sup,
 )
-from harmcert.series import AnalyticSeries, deficiency, eval_array
+from harmcert.series import (
+    AnalyticSeries,
+    combine_with_zeta,
+    deficiency,
+    eval_array,
+)
 
 
 def dense_scan_max(F, n=200_001):
@@ -192,6 +199,35 @@ class TestStableFamily:
             f = random_member(int(rng.integers(2, 9)), params, rng)
             rep = stable_family_check(f, params, zeta_samples=256)
             assert rep.gap <= 1e-6
+
+
+class TestZetaFamilySweep:
+    def test_sections_match_rebuilt_section_scans(self):
+        # Reference: rebuild every section A + zeta B and scan it on its own.
+        rng = np.random.default_rng(71)
+        for i in range(12):
+            params = ClassParams(lam=float(rng.uniform(0.2, 6.0)))
+            f = random_member(int(rng.integers(2, 65)), params, rng)
+            A, B = deficiency(f.h), deficiency(f.g)
+            scan = zeta_family_sup(A, B, (8, 16, 24)[i % 3])
+            zetas = np.exp(1j * scan.phases)
+            for sup, zeta in zip(scan.sups, zetas):
+                ref, _ = boundary_sup(combine_with_zeta(A, B, zeta))
+                assert abs(sup - ref) <= 1e-12 * max(1.0, ref)
+            assert scan.max_sup >= np.max(scan.sups)
+
+    def test_memory_stays_below_the_zeta_angle_matrix(self):
+        # The full 256 x 16384 complex grid alone would take 64 MiB.
+        params = ClassParams(lam=1.0)
+        f = random_member(256, params, np.random.default_rng(5))
+        A, B = deficiency(f.h), deficiency(f.g)
+        tracemalloc.start()
+        try:
+            zeta_family_sup(A, B, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCoefficientSufficient:
