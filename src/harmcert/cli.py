@@ -332,6 +332,19 @@ def _cmd_radius(args) -> int:
     except NonMemberError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_MEMBER
+    if args.json:
+        witness = None
+        if cert.outer_witness is not None:
+            r, ang = cert.outer_witness
+            witness = {"radius": r, "angle": ang}
+        print(json.dumps({
+            "kind": cert.kind.value,
+            "radius": cert.radius,
+            "inner_margin": cert.inner_margin,
+            "outer_witness": witness,
+            "rings": cert.rings,
+        }, allow_nan=False))
+        return EXIT_MEMBER
     print(f"kind: {cert.kind.value}")
     print(f"radius: {cert.radius}")
     print(f"inner_margin: {cert.inner_margin}")
@@ -422,6 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     radius.add_argument("--lambda", dest="lam", type=float, default=None)
     radius.add_argument("--zeta-samples", dest="zeta_samples", type=int,
                         default=16)
+    radius.add_argument("--json", action="store_true")
     radius.set_defaults(func=_cmd_radius)
 
     curve = sub.add_parser("curve", help="boundary image curve audit and export")

@@ -1,15 +1,17 @@
 """Geometric audits: envelopes, certified radii, closure, boundary curves.
 
-Radii are certified by bisection on rings |z| = r.  The ring functional is
-Re(z F'/F) for starlikeness and Re(1 + z F''/F') for convexity; on a ring
-free of zeros of the denominator the minimum over the closed sub-disk is
-attained on the ring, so a positive ring minimum certifies the property up
-to that radius.
+Radii are certified by one bisection on rings |z| = r for every section
+F = h + zeta g at once.  The ring functional is Re(z F'/F) for
+starlikeness and Re(1 + z F''/F') for convexity.  Each ring counts the
+zeros of the denominator (F, or F') inside it by the argument principle
+from the ring values already computed; when F has only its zero at the
+origin, or F' none, the functional is the real part of a function analytic
+on the closed sub-disk, so by the minimum principle a positive ring
+minimum certifies the property up to that radius.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,15 +24,15 @@ from .membership import (
     HarmonicMap,
     MembershipReport,
     Verdict,
-    _circle_extremum,
+    _golden_max_rows,
     harmonic_membership,
     paired_boundary_sup,
     zeta_family_sup,
 )
 from .series import (
+    ZERO,
     AnalyticSeries,
     EvalGrid,
-    combine_with_zeta,
     derivative,
     eval_array,
     hadamard,
@@ -39,7 +41,6 @@ from .series import (
 )
 
 _TWO_PI = 2.0 * math.pi
-_ZERO_GUARD = 1e-12
 
 
 class RadiusKind(Enum):
@@ -49,18 +50,21 @@ class RadiusKind(Enum):
 
 @dataclass(frozen=True)
 class RadiusCertificate:
-    """Largest ring radius at which the test functional stayed positive.
+    """Largest ring radius at which the ring test passed.
 
     ``inner_margin`` is the functional minimum one step inside the
     certified radius and must be positive; when the radius is below 1 the
-    ``outer_witness`` records a ring at most one step outside on which the
-    functional dropped to zero or below.
+    ``outer_witness`` records a ring at most one step outside, and an angle
+    on it, where the functional dropped to zero or below or the zero count
+    of its denominator was not the one allowed.  ``rings`` is the number of
+    rings evaluated.
     """
 
     kind: RadiusKind
     radius: float
     inner_margin: float
     outer_witness: tuple[float, float] | None
+    rings: int
 
 
 @dataclass(frozen=True)
@@ -153,89 +157,104 @@ def jacobian_bound_check(f: HarmonicMap, params: ClassParams,
     )
 
 
-def _ring_min(F: AnalyticSeries, Fp: AnalyticSeries, Fpp: AnalyticSeries,
-              kind: RadiusKind, radius: float, angles: int
-              ) -> tuple[float, float]:
-    """Minimum of the ring functional over |z| = radius, refined.
+def _section_rings(a: AnalyticSeries, b: AnalyticSeries, zetas: np.ndarray,
+                   kind: RadiusKind, angles: int):
+    """Ring test of every section h + zeta g at once, as ``ring(r)``.
 
-    The minimum is taken as the circle maximum of the negated functional.
-    A denominator zero on the ring grid (a zero of F, or of F' for the
-    convex test) fails the whole ring: the functional is reported as -inf
-    at the first such grid angle.
+    The denominators are D = a + zeta b for STARLIKE and D = a' + zeta b'
+    for CONVEX; the functional is offset + Re(z D'/D) with offset 0 or 1.
+    ``ring(r)`` returns the minimum of the functional over all sections on
+    |z| = r and the angle attaining it.  It returns -inf when the zero count
+    of some denominator inside the ring is not proven to be 1 (STARLIKE) or
+    0 (CONVEX), at the grid angle where that denominator is smallest.
     """
     if kind is RadiusKind.STARLIKE:
-        num, den, offset = Fp, F, 0.0
+        da, db, offset, zeros = a, b, 0.0, 1
     else:
-        num, den, offset = Fpp, Fp, 1.0
-
-    def neg_functional(ev, z):
-        d = ev(den, z)
-        # The zero rule runs on the grid only: +inf there is a maximum the
-        # polish cannot beat, so the ring reports -inf at that grid angle.
-        if isinstance(d, np.ndarray):
-            zero = np.abs(d) < _ZERO_GUARD
-            if zero.any():
-                return np.where(zero, math.inf, -math.inf)
-        return -(offset + (z * ev(num, z) / d).real)
-
-    neg, angle = _circle_extremum(neg_functional, angles, radius)
-    return -neg, angle
-
-
-def _denominator_root_cap(F: AnalyticSeries, Fp: AnalyticSeries,
-                          kind: RadiusKind) -> tuple[float, float]:
-    """Modulus and angle of the smallest denominator zero away from 0.
-
-    The ring functional is the real part of a function analytic wherever
-    its denominator (F away from the origin, or F') has no zeros, so its
-    ring minimum is non-increasing in the radius up to the first zero.
-    Bisection brackets are capped there to stay on the monotone stretch.
-    """
-    if kind is RadiusKind.STARLIKE:
-        # Zeros of F other than the mandatory one at the origin.
-        poly = np.asarray(F.coeffs, dtype=complex)[:0:-1]
-    else:
-        poly = np.asarray(Fp.coeffs, dtype=complex)[::-1]
-    if len(poly) < 2:
-        return math.inf, 0.0
-    roots = np.roots(poly)
-    if len(roots) == 0:
-        return math.inf, 0.0
-    k = int(np.argmin(np.abs(roots)))
-    return float(np.abs(roots[k])), float(np.angle(roots[k]) % _TWO_PI)
-
-
-def radius_certify(F: AnalyticSeries, kind: RadiusKind,
-                   tol: float = 1e-4) -> RadiusCertificate:
-    """Bisect for the largest ring radius with a positive test functional.
-
-    A radius of 1 is returned capped when the functional stays positive on
-    the ring at 1 - tol.  A denominator zero strictly inside the disk
-    bounds the search from above: the property fails from that modulus on.
-    """
-    if not F.is_normalized():
-        raise ParameterError("radius certification needs a normalized series")
-    if not 0.0 < tol < 0.5:
-        raise ParameterError("tol must lie in (0, 0.5)")
-    Fp = derivative(F)
-    Fpp = derivative(Fp)
-    angles = scan_angles(F.degree)
+        da, db, offset, zeros = derivative(a), derivative(b), 1.0, 0
+    series = (da, db, derivative(da), derivative(db))
+    m = max(len(da.coeffs), len(db.coeffs))
+    powers = np.arange(m)
+    # Column per series, for the polish's power-matrix product.
+    coeffs = np.zeros((m, 4), dtype=complex)
+    for j, F in enumerate(series):
+        coeffs[:len(F.coeffs), j] = F.coeffs
+    # M1(r) = slope . r^powers bounds |D'| on |z| = r for every section.
+    slope = np.abs(coeffs[:, 2]) + np.abs(coeffs[:, 3])
+    thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
+    unit = np.exp(1j * thetas)
+    step = _TWO_PI / angles
+    rows = max(1, 2**14 // angles)
 
     def ring(r: float) -> tuple[float, float]:
-        return _ring_min(F, Fp, Fpp, kind, r, angles)
+        z = r * unit
+        va, vb, na, nb = (eval_array(F, z) for F in series)
+        # D moves by at most delta along one grid cell.  If delta stays
+        # below pi (|D(z_k)| - delta) on every cell, D has no zero on the
+        # ring and each cell turns arg D by the principal angle of
+        # D(z_{k+1}) / D(z_k), so their sum counts the zeros inside.
+        delta = r * step * float(slope @ r ** powers)
+        ks, grid = [], []
+        for start in range(0, len(zetas), rows):
+            zb = zetas[start:start + rows, None]
+            D = va + zb * vb
+            mod = np.abs(D)
+            j = int(np.argmin(mod))
+            if delta >= math.pi * (mod.flat[j] - delta):
+                return -math.inf, float(thetas[j % angles])
+            turn = np.angle(np.roll(D, -1, axis=1) * np.conj(D)).sum(axis=1)
+            bad = np.flatnonzero(np.rint(turn / _TWO_PI) != zeros)
+            if bad.size:
+                return -math.inf, float(thetas[np.argmin(mod[bad[0]])])
+            neg = -(offset + (z * (na + zb * nb) / D).real)
+            k = np.argmax(neg, axis=1)
+            ks.append(k)
+            grid.append(neg[np.arange(len(k)), k])
+        ks, grid = np.concatenate(ks), np.concatenate(grid)
+        i = int(np.argmax(grid))
+        if grid[i] >= 0.0:
+            # A grid point already fails the ring; polishing only lowers it.
+            return -float(grid[i]), float(thetas[ks[i]])
+        rk = r ** powers
+
+        def batch(ts: np.ndarray) -> np.ndarray:
+            zs = r * np.exp(1j * ts)
+            v = (np.exp(1j * np.outer(ts, powers)) * rk) @ coeffs
+            d = v[:, 0] + zetas * v[:, 1]
+            n = v[:, 2] + zetas * v[:, 3]
+            return -(offset + (zs * n / d).real)
+
+        xs, polished = _golden_max_rows(batch, thetas[ks], step)
+        worst = np.maximum(grid, polished)
+        i = int(np.argmax(worst))
+        angle = xs[i] % _TWO_PI if polished[i] > grid[i] else thetas[ks[i]]
+        return -float(worst[i]), float(angle)
+
+    return ring
+
+
+def _certify(a: AnalyticSeries, b: AnalyticSeries, zetas: np.ndarray,
+             kind: RadiusKind, tol: float) -> RadiusCertificate:
+    """One bisection over r for all sections a + zeta b together."""
+    if not 0.0 < tol < 0.5:
+        raise ParameterError("tol must lie in (0, 0.5)")
+    section_rings = _section_rings(a, b, zetas, kind,
+                                   scan_angles(max(a.degree, b.degree)))
+    rings = 0
+
+    def ring(r: float) -> tuple[float, float]:
+        nonlocal rings
+        rings += 1
+        return section_rings(r)
 
     probe = 1.0 - tol
-    cap, cap_angle = _denominator_root_cap(F, Fp, kind)
-    if cap <= probe:
-        hi, hi_ang = cap, cap_angle
-    else:
-        m_probe, ang_probe = ring(probe)
-        if m_probe > 0.0:
-            return RadiusCertificate(
-                kind=kind, radius=1.0, inner_margin=m_probe,
-                outer_witness=None,
-            )
-        hi, hi_ang = probe, ang_probe
+    m_probe, ang_probe = ring(probe)
+    if m_probe > 0.0:
+        return RadiusCertificate(
+            kind=kind, radius=1.0, inner_margin=m_probe,
+            outer_witness=None, rings=rings,
+        )
+    hi, hi_ang = probe, ang_probe
     lo = hi / 2.0
     m_lo, _ = ring(lo)
     halvings = 0
@@ -262,40 +281,52 @@ def radius_certify(F: AnalyticSeries, kind: RadiusKind,
         )
     return RadiusCertificate(
         kind=kind, radius=lo, inner_margin=inner_margin,
-        outer_witness=(hi, hi_ang),
+        outer_witness=(hi, hi_ang), rings=rings,
     )
+
+
+def radius_certify(F: AnalyticSeries, kind: RadiusKind,
+                   tol: float = 1e-4) -> RadiusCertificate:
+    """Bisect for the largest ring radius on which the test proves positive.
+
+    A ring passes when the zero count of the denominator inside it is the
+    one allowed (F only at the origin, F' nowhere) and the polished ring
+    minimum of the functional is positive; by the minimum principle the
+    functional is then positive on the whole closed sub-disk.  A radius of
+    1 is returned capped when the ring at 1 - tol passes.
+    """
+    if not F.is_normalized():
+        raise ParameterError("radius certification needs a normalized series")
+    return _certify(F, ZERO, np.ones(1, dtype=complex), kind, tol)
 
 
 def harmonic_radius_certify(f: HarmonicMap, params: ClassParams,
                             kind: RadiusKind, tol: float = 1e-4,
                             zeta_samples: int = 16) -> RadiusCertificate:
-    """Stable-family radius: the worst certified radius over sampled sections.
+    """Stable-family radius: one bisection over all sampled sections h + zeta g.
 
-    For a certified member the result must reach the class floor, 1/(2 lam)
-    for starlikeness and 1/(4 lam) for convexity, both capped at 1; falling
-    short raises ConsistencyError.
+    A ring passes only when it passes for every section, so the result is
+    the worst section's radius up to ``tol``.  For a certified member it
+    must reach the class floor, 1/(2 lam) for starlikeness and 1/(4 lam)
+    for convexity, both capped at 1; falling short raises ConsistencyError.
     """
     if zeta_samples < 1:
         raise ParameterError("need at least one zeta sample")
     rep = harmonic_membership(f, params)
     if rep.verdict is Verdict.NON_MEMBER:
         raise NonMemberError("radius certification needs a class member")
-    best: RadiusCertificate | None = None
-    for k in range(zeta_samples):
-        zeta = cmath.exp(2j * math.pi * k / zeta_samples)
-        cert = radius_certify(combine_with_zeta(f.h, f.g, zeta), kind, tol)
-        if best is None or cert.radius < best.radius:
-            best = cert
+    zetas = np.exp(_TWO_PI * 1j * np.arange(zeta_samples) / zeta_samples)
+    cert = _certify(f.h, f.g, zetas, kind, tol)
     if kind is RadiusKind.STARLIKE:
         floor = min(1.0, 1.0 / (2.0 * params.lam))
     else:
         floor = min(1.0, 1.0 / (4.0 * params.lam))
-    if best.radius < floor - tol:
+    if cert.radius < floor - tol:
         raise ConsistencyError(
-            f"certified {kind.value} radius {best.radius!r} fell below the "
+            f"certified {kind.value} radius {cert.radius!r} fell below the "
             f"class floor {floor!r}"
         )
-    return best
+    return cert
 
 
 def _second_derivative(F: AnalyticSeries) -> AnalyticSeries:

@@ -143,6 +143,40 @@ def _golden_max(fn, lo: float, hi: float, width: float = _POLISH_WIDTH
     return best_x, best_v
 
 
+def _golden_max_rows(batch, centers: np.ndarray, step: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization over [center - step, center + step], one
+    bracket per row, run in lockstep down to ``_POLISH_WIDTH``.
+
+    ``batch(ts)`` evaluates row j's objective at ``ts[j]``.  Every bracket
+    has the same width, so one scalar tracks the stopping rule for all rows.
+    As in _golden_max, each step evaluates one new point per row.  Returns
+    the best point and value seen in each row; the caller compares them
+    with the grid value at the centre, which the search never evaluates.
+    """
+    lo = centers - step
+    hi = centers + step
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = batch(c), batch(d)
+    best_x = np.where(fc >= fd, c, d)
+    best_v = np.maximum(fc, fd)
+    width = 2.0 * step
+    while width > _POLISH_WIDTH:
+        left = fc >= fd
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        c, d = (np.where(left, hi - _INV_PHI * (hi - lo), d),
+                np.where(left, c, lo + _INV_PHI * (hi - lo)))
+        x = np.where(left, c, d)
+        fnew = batch(x)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
+        best_x = np.where(fnew > best_v, x, best_x)
+        best_v = np.maximum(best_v, fnew)
+        width *= _INV_PHI
+    return best_x, best_v
+
+
 def _resolve_angles(angles: int | None, degree: int) -> int:
     if angles is None:
         return scan_angles(degree)
@@ -279,30 +313,12 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int,
     ])
     step = _TWO_PI / n
 
-    # One golden section per zeta row, run in lockstep: every bracket has
-    # the same width, so one scalar tracks the stopping rule for all rows.
-    # As in _golden_max, each step evaluates one new point per row.
     def batch(ts: np.ndarray) -> np.ndarray:
         zs = np.exp(1j * ts)
         return np.abs(eval_array(A, zs) + zetas * eval_array(B, zs))
 
-    lo = thetas[ks] - step
-    hi = thetas[ks] + step
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = batch(c), batch(d)
-    sups = np.maximum(np.abs(va[ks] + zetas * vb[ks]), np.maximum(fc, fd))
-    width = 2.0 * step
-    while width > _POLISH_WIDTH:
-        left = fc >= fd
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        c, d = (np.where(left, hi - _INV_PHI * (hi - lo), d),
-                np.where(left, c, lo + _INV_PHI * (hi - lo)))
-        fnew = batch(np.where(left, c, d))
-        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
-        sups = np.maximum(sups, fnew)
-        width *= _INV_PHI
+    _, polished = _golden_max_rows(batch, thetas[ks], step)
+    sups = np.maximum(np.abs(va[ks] + zetas * vb[ks]), polished)
 
     k = int(np.argmax(sups))
     phase_step = _TWO_PI / zeta_samples

@@ -264,6 +264,32 @@ class TestRadiusCommand:
         main(["example", "f_a", "--lambda", "1", "--out", out])
         assert main(["radius", out, "--lambda", "0.4"]) == EXIT_NON_MEMBER
 
+    def test_json_matches_certificate(self, tmp_path, capsys):
+        out = str(tmp_path / "f3.json")
+        main(["example", "f3", "--lambda", "1", "--out", out])
+        capsys.readouterr()
+        assert main(["radius", out, "--kind", "convex", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=pytest.fail)
+        assert set(payload) == {"kind", "radius", "inner_margin",
+                                "outer_witness", "rings"}
+        assert payload["kind"] == "Convex"
+        assert payload["radius"] == pytest.approx(0.25, abs=1e-4)
+        assert payload["inner_margin"] > 0.0
+        witness = payload["outer_witness"]
+        assert payload["radius"] < witness["radius"] <= payload["radius"] + 1e-4
+        assert 0.0 <= witness["angle"] < 2 * math.pi
+        assert isinstance(payload["rings"], int) and payload["rings"] > 2
+
+    def test_json_capped_witness_is_null(self, tmp_path, capsys):
+        path = write(tmp_path, "id.json", IDENTITY_TEXT)
+        assert main(["radius", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=pytest.fail)
+        assert payload["radius"] == 1.0
+        assert payload["outer_witness"] is None
+        assert payload["rings"] == 1
+
 
 class TestCurveCommand:
     def test_identity_circle_outputs(self, tmp_path, capsys):

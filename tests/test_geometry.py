@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from harmcert.errors import (
 from harmcert.geometry import (
     RadiusKind,
     _min_nonadjacent_gap,
-    _ring_min,
+    _section_rings,
     boundary_curve_audit,
     convex_combination,
     convolve_members,
@@ -30,7 +31,14 @@ from harmcert.membership import (
     harmonic_membership,
     random_member,
 )
-from harmcert.series import AnalyticSeries, default_grid, derivative, eval_array
+from harmcert.series import (
+    ZERO,
+    AnalyticSeries,
+    combine_with_zeta,
+    default_grid,
+    derivative,
+    eval_array,
+)
 
 
 def make_map(h_coeffs, g_coeffs=(0,)):
@@ -177,16 +185,60 @@ class TestRadiusCertify:
         # z + z^2 vanishes at -1, and its derivative at -1/2; both points
         # lie on the grid of their ring at the angle pi.
         F = AnalyticSeries((0, 1, 1))
-        Fp = derivative(F)
-        Fpp = derivative(Fp)
+        one = np.ones(1, dtype=complex)
         for kind, radius in ((RadiusKind.STARLIKE, 1.0), (RadiusKind.CONVEX, 0.5)):
-            assert _ring_min(F, Fp, Fpp, kind, radius, 256) == (-math.inf, math.pi)
-        value, _ = _ring_min(F, Fp, Fpp, RadiusKind.STARLIKE, 0.5, 256)
+            ring = _section_rings(F, ZERO, one, kind, 256)
+            assert ring(radius) == (-math.inf, math.pi)
+        value, _ = _section_rings(F, ZERO, one, RadiusKind.STARLIKE, 256)(0.5)
         assert math.isfinite(value)
+
+    def test_ring_minimum_is_polished_off_grid(self):
+        # For z + w z^2 with |w| = 1 the starlike functional on |z| = r is
+        # Re((1 + 2 w z) / (1 + w z)), least at w z = -r.  Rotating by a
+        # third of a grid cell puts that minimum between grid angles.
+        r, phi = 0.3, 2 * math.pi / 256 / 3
+        F = AnalyticSeries((0, 1, np.exp(1j * phi)))
+        ring = _section_rings(F, ZERO, np.ones(1, dtype=complex),
+                              RadiusKind.STARLIKE, 256)
+        value, angle = ring(r)
+        assert value == pytest.approx((1 - 2 * r) / (1 - r), abs=1e-13)
+        assert angle == pytest.approx(math.pi - phi, abs=1e-7)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ParameterError):
             radius_certify(AnalyticSeries((0, 2, 1)), RadiusKind.STARLIKE)
+
+    def test_interior_zero_under_positive_probe_ring(self):
+        # z + 10 z^2 vanishes at -0.1, yet the functional is positive on the
+        # ring at 1 - tol: only the zero count stops a capped radius of 1.
+        F = AnalyticSeries((0, 1, 10))
+        s = radius_certify(F, RadiusKind.STARLIKE)
+        c = radius_certify(F, RadiusKind.CONVEX)
+        assert s.radius == pytest.approx(0.05, abs=1e-4)
+        assert c.radius == pytest.approx(0.025, abs=1e-4)
+
+    def test_radius_stays_below_denominator_zeros(self):
+        # Oracle: the certified disk holds no zero of F but the origin, and
+        # no zero of F'.  A capped radius of 1 claims only |z| <= 1 - tol.
+        rng = np.random.default_rng(2718)
+        tol = 1e-4
+        for _ in range(30):
+            d = int(rng.integers(2, 21))
+            c = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
+            c *= rng.uniform(0.0, 3.0) / np.max(np.abs(c))
+            F = AnalyticSeries((0, 1) + tuple(c))
+            for kind in RadiusKind:
+                if kind is RadiusKind.STARLIKE:
+                    poly = np.asarray(F.coeffs)[:0:-1]
+                else:
+                    poly = np.asarray(derivative(F).coeffs)[::-1]
+                roots = np.abs(np.roots(poly))
+                nearest = float(roots[roots > 0].min())
+                cert = radius_certify(F, kind, tol)
+                if cert.radius == 1.0:
+                    assert nearest > 1.0 - tol
+                else:
+                    assert cert.radius < nearest
 
 
 class TestHarmonicRadius:
@@ -231,6 +283,34 @@ class TestHarmonicRadius:
             harmonic_radius_certify(
                 f, ClassParams(lam=1.0), RadiusKind.STARLIKE, zeta_samples=8
             )
+
+    def test_matches_worst_section(self):
+        rng = np.random.default_rng(79)
+        tol = 1e-4
+        for j in range(8):
+            params = ClassParams(lam=float(rng.uniform(0.5, 3.0)))
+            f = random_member(int(rng.integers(2, 9)), params, rng)
+            kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
+            cert = harmonic_radius_certify(f, params, kind, tol, zeta_samples=8)
+            worst = min(
+                radius_certify(
+                    combine_with_zeta(f.h, f.g, np.exp(2j * np.pi * k / 8)),
+                    kind, tol,
+                ).radius
+                for k in range(8)
+            )
+            assert cert.radius == pytest.approx(worst, abs=tol)
+
+    def test_degree_256_memory(self):
+        params = ClassParams(lam=1.0)
+        f = random_member(256, params, np.random.default_rng(20240613), fill=0.8)
+        tracemalloc.start()
+        try:
+            harmonic_radius_certify(f, params, RadiusKind.STARLIKE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSecondDerivativeTest:
