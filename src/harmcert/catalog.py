@@ -9,16 +9,14 @@ Catalog keys:
   f4     integrated Gauss tail       g_n = eta t_{n-2}/(n-1)
   f5     shifted Gauss tail          g_n = eta t_{n-1}
   f6     plain Gauss tail            g_n = eta t_{n-2}
-  p1/p2/p3  terminating polynomial forms of f4/f5/f6 at a = b = -s
+  p1/p2/p3  f4/f5/f6 at a = b = -s, where t_k = 0 for k > s
 
-with t_k = (a)_k (b)_k / (k! (c)_k).  Tail coefficients are computed in
-exact rational arithmetic and rounded once, so the polynomial families
-reproduce the terminating tail families bit for bit.
-
-Conditions 213-215 compare the Gauss-value expressions against
-lam / |eta|; 216-218 are their a = b = -s specializations written with
-Gamma quotients, with the same right-hand side.  All comparisons are
-strict: equality is reported as not holding, with a flag.
+with t_k = (a)_k (b)_k / (k! (c)_k), computed in exact rational arithmetic
+and rounded once.  Conditions 213-215 compare the Gauss-value expressions
+against lam / |eta|; 216-218 are the same code at a = b = -s, exact finite
+sums whose closed forms are the paper's Gamma quotients (Chu-Vandermonde).
+All comparisons are strict: equality is reported as not holding, with a
+flag.
 """
 
 from __future__ import annotations
@@ -30,12 +28,20 @@ from fractions import Fraction
 from .errors import ParameterError
 from .membership import HarmonicMap
 from .series import AnalyticSeries
-from .specfun import HypergeomParams, gamma, gauss_value, weighted_gauss_value
+from .specfun import HypergeomParams, gauss_value, weighted_gauss_value
 
 CATALOG_NAMES = ("eq13", "f_a", "f_b", "f3", "f4", "f5", "f6", "p1", "p2", "p3")
 
 HYPER_CONDITIONS = ("c213", "c214", "c215")
 POLY_CONDITIONS = ("c216", "c217", "c218")
+
+# The tail family behind each tail, polynomial and condition name, and the
+# least c - a - b at which that family's series converges at z = 1.
+_FAMILY = dict(zip(
+    ("f4", "f5", "f6", "p1", "p2", "p3", *HYPER_CONDITIONS, *POLY_CONDITIONS),
+    ("f4", "f5", "f6") * 4,
+))
+_MIN_GAP = {"f4": 0.0, "f5": 1.0, "f6": 1.0}
 
 
 @dataclass(frozen=True)
@@ -54,17 +60,21 @@ class CatalogParams:
     def __post_init__(self):
         if self.name not in CATALOG_NAMES:
             raise ParameterError(f"unknown catalog name {self.name!r}")
-        if not self.lam > 0.0:
-            raise ParameterError("lam must be positive")
+        _require_lam(self.lam)
         if self.truncation < 2:
             raise ParameterError("truncation must be at least 2")
         object.__setattr__(self, "eta", complex(self.eta))
 
 
+def _require_lam(lam: float) -> None:
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ParameterError("lam must be positive and finite")
+
+
 def _require_eta(eta: complex) -> complex:
     if eta == 0:
         raise ParameterError("eta must be nonzero")
-    if abs(eta) > 1.0 + 1e-12:
+    if not abs(eta) <= 1.0 + 1e-12:
         raise ParameterError("eta must lie in the closed unit disk")
     return eta
 
@@ -73,6 +83,28 @@ def _require_index(n: int) -> int:
     if n < 2:
         raise ParameterError("coefficient index n must be at least 2")
     return n
+
+
+def _require_tail(name: str, hp: HypergeomParams) -> HypergeomParams:
+    """Domain of f4-f6 and 213-215: positive a, b, c and a large enough gap."""
+    if not (hp.a > 0.0 and hp.b > 0.0 and hp.c > 0.0):
+        raise ParameterError(f"{name} needs positive a, b, c")
+    gap = hp.c - hp.a - hp.b
+    least = _MIN_GAP[_FAMILY[name]]
+    if not gap > least:
+        raise ParameterError(
+            f"{name} needs c - a - b > {least:g}, got {gap!r}"
+        )
+    return hp
+
+
+def _terminating(s: int, c: float) -> HypergeomParams:
+    """(a, b, c) = (-s, -s, c) of p1-p3 and 216-218."""
+    if s < 0:
+        raise ParameterError("s must be a non-negative integer")
+    if not c > 0.0:
+        raise ParameterError("c must be positive")
+    return HypergeomParams(-s, -s, c)
 
 
 def _rational_terms(a: float, b: float, c: float, count: int) -> list[Fraction]:
@@ -107,44 +139,13 @@ def hyper_family_coeffs(kind: str, a: float, b: float, c: float,
 
 def poly_family_coeffs(kind: str, s: int, c: float,
                        eta: complex) -> list[complex]:
-    """Co-analytic coefficients b_2.. of p1, p2 or p3, exact finite sums.
-
-    The building block is B_m = C(s, m) (s-m+1)_m / (c)_m; p1 places
-    B_m/(m+1) on z^{m+2}, p3 places B_m on z^{m+2}, and p2 places B_m on
-    z^{m+1} starting at m = 1 so no mass lands on the conjugate-linear
-    coefficient.
-    """
+    """Co-analytic coefficients b_2.. of p1, p2 or p3: f4, f5 or f6 at
+    a = b = -s up to z^{s+2}, less p2's last entry eta t_{s+1} = 0."""
     if kind not in ("p1", "p2", "p3"):
         raise ParameterError(f"not a polynomial family: {kind!r}")
-    if s < 0:
-        raise ParameterError("s must be a non-negative integer")
-    fc = Fraction(c)
-    weights = []
-    for m in range(s + 1):
-        num = math.comb(s, m) * math.prod(range(s - m + 1, s + 1))
-        den = Fraction(1)
-        for k in range(m):
-            den *= fc + k
-        weights.append(Fraction(num) / den)
-    if kind == "p2":
-        degree = s + 1
-    else:
-        degree = s + 2
-    out = [0j] * max(0, degree - 1)
-
-    def place(index: int, frac: Fraction) -> None:
-        out[index - 2] = eta * float(frac)
-
-    if kind == "p1":
-        for m in range(s + 1):
-            place(m + 2, weights[m] / (m + 1))
-    elif kind == "p2":
-        for m in range(1, s + 1):
-            place(m + 1, weights[m])
-    else:
-        for m in range(s + 1):
-            place(m + 2, weights[m])
-    return out
+    hp = _terminating(s, c)
+    coeffs = hyper_family_coeffs(_FAMILY[kind], hp.a, hp.b, hp.c, eta, s + 2)
+    return coeffs[:-1] if kind == "p2" else coeffs
 
 
 def _map_from_g(coeffs: list[complex]) -> HarmonicMap:
@@ -152,20 +153,6 @@ def _map_from_g(coeffs: list[complex]) -> HarmonicMap:
         h=AnalyticSeries((0, 1)),
         g=AnalyticSeries((0j, 0j) + tuple(coeffs)),
     )
-
-
-def _require_hyper(params: CatalogParams, min_gap: float) -> HypergeomParams:
-    hp = params.hyper
-    if hp is None:
-        raise ParameterError(f"{params.name} needs hypergeometric parameters")
-    if not (hp.a > 0.0 and hp.b > 0.0 and hp.c > 0.0):
-        raise ParameterError(f"{params.name} needs positive a, b, c")
-    if not hp.c - hp.a - hp.b > min_gap:
-        raise ParameterError(
-            f"{params.name} needs c - a - b > {min_gap}, got "
-            f"{hp.c - hp.a - hp.b!r}"
-        )
-    return hp
 
 
 def make_example(params: CatalogParams) -> HarmonicMap:
@@ -190,23 +177,20 @@ def make_example(params: CatalogParams) -> HarmonicMap:
         coeffs[n] = -lam / (n - 1)
         return HarmonicMap(h=AnalyticSeries((0, 1)),
                            g=AnalyticSeries(tuple(coeffs)))
+    eta = _require_eta(params.eta)
     if name == "f3":
-        eta = _require_eta(params.eta)
         return HarmonicMap(h=AnalyticSeries((0, 1, lam * eta)),
                            g=AnalyticSeries((0j,)))
     if name in ("f4", "f5", "f6"):
-        eta = _require_eta(params.eta)
-        hp = _require_hyper(params, 0.0 if name == "f4" else 1.0)
-        coeffs = hyper_family_coeffs(
+        if params.hyper is None:
+            raise ParameterError(f"{name} needs hypergeometric parameters")
+        hp = _require_tail(name, params.hyper)
+        return _map_from_g(hyper_family_coeffs(
             name, hp.a, hp.b, hp.c, eta, params.truncation
-        )
-        return _map_from_g(coeffs)
+        ))
     # p1 / p2 / p3
-    eta = _require_eta(params.eta)
     if params.s is None or params.c is None:
         raise ParameterError(f"{name} needs s and c")
-    if not params.c > 0.0:
-        raise ParameterError("c must be positive")
     return _map_from_g(poly_family_coeffs(name, params.s, params.c, eta))
 
 
@@ -216,6 +200,20 @@ class ConditionReport:
     lhs: float
     rhs: float
     at_equality: bool
+
+
+def _tail_lhs(which: str, hp: HypergeomParams) -> float:
+    """Left-hand side of a condition on f4 (Gauss value), f5 (scaled by
+    ab/(c-a-b-1); 0 at a = b = 0, whatever c) or f6 (first moment)."""
+    family = _FAMILY[which]
+    if family == "f4":
+        return gauss_value(hp)
+    if family == "f5":
+        ab = hp.a * hp.b
+        if ab == 0.0:
+            return 0.0
+        return (ab / (hp.c - hp.a - hp.b - 1.0)) * gauss_value(hp)
+    return weighted_gauss_value(hp)
 
 
 def _compare(lhs: float, lam: float, eta: complex) -> ConditionReport:
@@ -239,51 +237,22 @@ def hyper_condition(which: str, hyper: HypergeomParams, eta: complex,
     if which not in HYPER_CONDITIONS:
         raise ParameterError(f"unknown condition {which!r}")
     eta = _require_eta(complex(eta))
-    if not lam > 0.0:
-        raise ParameterError("lam must be positive")
-    if not (hyper.a > 0.0 and hyper.b > 0.0 and hyper.c > 0.0):
-        raise ParameterError("conditions need positive a, b, c")
-    gap1 = hyper.c - hyper.a - hyper.b - 1.0
-    if which == "c213":
-        if not hyper.c - hyper.a - hyper.b > 0.0:
-            raise ParameterError("c213 needs c - a - b > 0")
-        lhs = gauss_value(hyper)
-    elif which == "c214":
-        if not gap1 > 0.0:
-            raise ParameterError("c214 needs c - a - b - 1 > 0")
-        lhs = (hyper.a * hyper.b / gap1) * gauss_value(hyper)
-    else:
-        if not gap1 > 0.0:
-            raise ParameterError("c215 needs c - a - b - 1 > 0")
-        lhs = weighted_gauss_value(hyper)
-    return _compare(lhs, lam, eta)
+    _require_lam(lam)
+    return _compare(_tail_lhs(which, _require_tail(which, hyper)), lam, eta)
 
 
 def poly_condition(which: str, s: int, c: float, eta: complex,
                    lam: float) -> ConditionReport:
-    """Gamma-quotient thresholds for the polynomial families.
+    """Membership thresholds for the polynomial families, against lam/|eta|.
 
-    The base quotient is Gamma(c) Gamma(c+2s) / Gamma(c+s)^2; c217 scales
-    it by s^2/(c+2s-1) and c218 by (c+s^2+2s-1)/(c+2s-1), all against
-    lam/|eta|.
+    c216, c217 and c218 are c213, c214 and c215 at a = b = -s, where the
+    Gauss series terminates: each left-hand side is an exact finite sum.
+    Their closed forms (Chu-Vandermonde) are Gamma(c) Gamma(c+2s) /
+    Gamma(c+s)^2, times s^2/(c+2s-1) for c217 and (c+s^2+2s-1)/(c+2s-1)
+    for c218; the sums stay finite where those Gamma values overflow.
     """
     if which not in POLY_CONDITIONS:
         raise ParameterError(f"unknown condition {which!r}")
     eta = _require_eta(complex(eta))
-    if not lam > 0.0:
-        raise ParameterError("lam must be positive")
-    if s < 0:
-        raise ParameterError("s must be a non-negative integer")
-    if not c > 0.0:
-        raise ParameterError("c must be positive")
-    base = gamma(c) * gamma(c + 2.0 * s) / gamma(c + s) ** 2
-    if which == "c216":
-        lhs = base
-    elif which == "c217":
-        lhs = 0.0 if s == 0 else (s * s / (c + 2.0 * s - 1.0)) * base
-    else:
-        if s == 0:
-            lhs = base
-        else:
-            lhs = ((c + s * s + 2.0 * s - 1.0) / (c + 2.0 * s - 1.0)) * base
-    return _compare(lhs, lam, eta)
+    _require_lam(lam)
+    return _compare(_tail_lhs(which, _terminating(s, c)), lam, eta)

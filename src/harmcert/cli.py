@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,8 +174,14 @@ def load_function_file(path: str) -> FunctionFile:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-harmcert-")
+    """Write through a temporary file in the same directory, then rename.
+
+    os.replace keeps the temporary file's mode, so it is created with
+    0o666 less the umask, as a plain open(path, "w") would create path.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".tmp-harmcert-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

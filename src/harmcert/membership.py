@@ -241,6 +241,8 @@ def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries,
 
 
 def _classify(measured_sup: float, params: ClassParams) -> Verdict:
+    if not math.isfinite(measured_sup):
+        raise ParameterError("boundary values overflow")
     if measured_sup > params.lam + params.boundary_band:
         return Verdict.NON_MEMBER
     if measured_sup < params.lam - params.boundary_band:

@@ -79,8 +79,9 @@ def _terminating_index(x: float) -> int | None:
 class HypergeomParams:
     """Parameter triple (a, b, c) of the Gauss series.
 
-    c must not be zero or a negative integer; convergence guards for the
-    point z = 1 are checked by the operations that need them.
+    a, b, c must be finite, and c must not be zero or a negative integer;
+    convergence guards for the point z = 1 are checked by the operations
+    that need them.
     """
 
     a: float
@@ -88,9 +89,11 @@ class HypergeomParams:
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
+        for name in ("a", "b", "c"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if _terminating_index(self.c) is not None:
             raise ParameterError(
                 f"c must not be zero or a negative integer, got {self.c!r}"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +89,12 @@ class TestMakeExample:
             make_example(CatalogParams(name="p1", lam=1.0, s=2))
         with pytest.raises(ParameterError):
             CatalogParams(name="nope", lam=1.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="finite"):
+                CatalogParams(name="f3", lam=lam)
+        with pytest.raises(ParameterError, match="unit disk"):
+            make_example(CatalogParams(name="f3", lam=1.0,
+                                       eta=complex(math.nan, 0.0)))
 
     def test_f4_accepts_unit_gap(self):
         # Gap c - a - b = 1 is enough for the integrated tail family.
@@ -175,6 +182,11 @@ class TestHyperCondition:
             hyper_condition("c213", HypergeomParams(1, 1, 3), 0.0, 1.0)
         with pytest.raises(ParameterError):
             hyper_condition("c999", HypergeomParams(1, 1, 3), 1.0, 1.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="finite"):
+                hyper_condition("c213", HypergeomParams(1, 1, 3), 1.0, lam)
+        with pytest.raises(ParameterError, match="unit disk"):
+            hyper_condition("c213", HypergeomParams(1, 1, 3), math.nan, 1.0)
 
 
 class TestPolyCondition:
@@ -210,6 +222,57 @@ class TestPolyCondition:
             poly_condition("c216", -1, 1.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
             poly_condition("c216", 1, 0.0, 1.0, 1.0)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="finite"):
+                poly_condition("c216", 1, 1.0, 1.0, lam)
+        with pytest.raises(ParameterError, match="finite"):
+            poly_condition("c216", 1, math.inf, 1.0, 1.0)
+
+
+class TestPaperClosedForms:
+    """The paper's closed forms for p1-p3 and 216-218, computed here directly,
+    not through the tail-family code the catalog shares with f4-f6."""
+
+    def test_polynomial_coefficients_match_weights(self):
+        # B_m = C(s, m) (s-m+1)_m / (c)_m, with (s-m+1)_m = s!/(s-m)!.
+        # p1 puts B_m/(m+1) on z^{m+2}, p3 puts B_m on z^{m+2}, and p2 puts
+        # B_m on z^{m+1} from m = 1.
+        eta = 0.6 - 0.3j
+        for s in range(9):
+            for c in (0.3, 0.5, 1.0, 1.7, 3.0, 7.25):
+                weights = []
+                for m in range(s + 1):
+                    w = Fraction(math.comb(s, m) * math.perm(s, m))
+                    for k in range(m):
+                        w /= Fraction(c) + k
+                    weights.append(w)
+                want = {
+                    "p1": [eta * float(w / (m + 1))
+                           for m, w in enumerate(weights)],
+                    "p2": [eta * float(w) for w in weights[1:]],
+                    "p3": [eta * float(w) for w in weights],
+                }
+                for kind, coeffs in want.items():
+                    assert poly_family_coeffs(kind, s, c, eta) == coeffs
+
+    def test_conditions_match_log_gamma_quotient(self):
+        # Gamma(c) Gamma(c+2s) / Gamma(c+s)^2, scaled by s^2/(c+2s-1) (c217)
+        # and (c+s^2+2s-1)/(c+2s-1) (c218); through lgamma it stays finite
+        # for every s here, while the Gamma values overflow from s ~ 67.
+        for s in (0, 1, 2, 5, 17, 66, 67, 71, 100, 150, 229, 300):
+            for c in (0.3, 1.0, 1.5, 4.0, 10.0):
+                base = math.exp(math.lgamma(c) + math.lgamma(c + 2 * s)
+                                - 2 * math.lgamma(c + s))
+                if s == 0:
+                    want = {"c216": base, "c217": 0.0, "c218": base}
+                else:
+                    d = c + 2 * s - 1
+                    want = {"c216": base, "c217": s * s / d * base,
+                            "c218": (c + s * s + 2 * s - 1) / d * base}
+                for which, value in want.items():
+                    lhs = poly_condition(which, s, c, 1.0, 1.0).lhs
+                    assert math.isfinite(lhs)
+                    assert lhs == pytest.approx(value, rel=1e-11, abs=0.0)
 
 
 class TestThresholdMembershipChain:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 import harmcert.cli
@@ -191,6 +192,22 @@ class TestCheckCommand:
     def test_missing_file_exits_three(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("command", [
+        ["check", "--json"], ["radius"], ["curve"],
+    ])
+    def test_overflowing_boundary_exits_three(self, tmp_path, capsys, command):
+        # h = z + 5e306 (z^2 + ... + z^20): finite coefficients, overflowing
+        # boundary values.
+        text = IDENTITY_TEXT.replace(
+            "[1, 0]", "[1, 0]" + ",\n    [5e306, 0]" * 19)
+        path = write(tmp_path, "big.json", text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([command[0], path, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert "boundary values overflow" in captured.err
+
 
 class TestExampleCommand:
     def test_cubic_showcase_coefficients(self, tmp_path):
@@ -211,6 +228,20 @@ class TestExampleCommand:
               "--out", out])
         ff = parse_function_file(open(out).read())
         assert ff.g[2] == 0.5
+
+    def test_out_file_mode_matches_plain_open(self, tmp_path):
+        # The file is renamed into place from a temporary file; it must get
+        # the mode a plain open() gives, not the temporary file's 0600.
+        old_umask = os.umask(0o022)
+        try:
+            out = tmp_path / "eq13.json"
+            assert main(["example", "eq13", "--out", str(out)]) == EXIT_MEMBER
+            plain = tmp_path / "plain.txt"
+            with open(plain, "w"):
+                pass
+        finally:
+            os.umask(old_umask)
+        assert out.stat().st_mode == plain.stat().st_mode
 
     def test_stdout_when_no_out(self, capsys):
         assert main(["example", "eq13", "--lambda", "2"]) == 0
@@ -367,6 +398,33 @@ class TestHyperCommand:
 
     def test_missing_parameters(self, capsys):
         assert main(["hyper", "--which", "216"]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--lambda", "inf"], "lam must be positive and finite"),
+        (["--eta=nan"], "eta must lie in the closed unit disk"),
+        (["--c", "inf"], "c must be finite"),
+    ])
+    def test_non_finite_input_exits_three(self, capsys, extra, message):
+        argv = ["hyper", "--which", "213", "--a", "1", "--b", "1", "--c", "3"]
+        assert main(argv + extra) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("factor, expected", [
+        (1.01, EXIT_MEMBER), (0.99, EXIT_NON_MEMBER),
+    ])
+    def test_large_degree_polynomial_condition(self, capsys, factor, expected):
+        # Gamma(1.5) Gamma(201.5) / Gamma(101.5)^2 is about 1.1e58; the Gamma
+        # values themselves overflow a double.
+        s, c = 100, 1.5
+        oracle = math.exp(math.lgamma(c) + math.lgamma(c + 2 * s)
+                          - 2 * math.lgamma(c + s))
+        code = main(["hyper", "--which", "216", "--s", str(s), "--c", str(c),
+                     "--lambda", repr(factor * oracle)])
+        assert code == expected
+        lhs = float(capsys.readouterr().out.split("lhs: ")[1].splitlines()[0])
+        assert lhs == pytest.approx(oracle, rel=1e-11)
 
 
 class TestExitCodeTotality:

@@ -168,6 +168,16 @@ class TestHarmonicMembership:
             assert rep.verdict is Verdict.MEMBER
             assert rep.margin == pytest.approx(lam / 2, abs=1e-9)
 
+    def test_overflowing_boundary_gets_no_verdict(self):
+        # Finite coefficients whose boundary values overflow: the measured
+        # supremum is not finite, so no band, sharp or otherwise, applies.
+        f = make_map((0, 1) + (5e306,) * 19)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ParameterError, match="overflow"):
+                harmonic_membership(f, ClassParams(lam=1.0))
+            with pytest.raises(ParameterError, match="overflow"):
+                analytic_membership(f.h, ClassParams(lam=1.0))
+
 
 class TestStableFamily:
     def test_constant_modulus_sections(self):

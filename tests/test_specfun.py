@@ -100,6 +100,14 @@ class TestHypergeomParams:
     def test_allows_negative_non_integer_c(self):
         HypergeomParams(1.0, 1.0, -0.5)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_rejects_non_finite(self, slot, bad):
+        args = [1.0, 1.0, 3.0]
+        args[slot] = bad
+        with pytest.raises(ParameterError, match="must be finite"):
+            HypergeomParams(*args)
+
     def test_terminating_index(self):
         assert HypergeomParams(-3, 1, 2).terminating_index() == 3
         assert HypergeomParams(-3, -1, 2).terminating_index() == 1
