@@ -45,7 +45,7 @@ print("stable-family radius of a genuinely harmonic member")
 params = ClassParams(lam=1.0)
 f = HarmonicMap(h=AnalyticSeries((0, 1, 0.3)), g=AnalyticSeries((0, 0, 0.25)))
 for kind in RadiusKind:
-    cert = harmonic_radius_certify(f, params, kind, zeta_samples=16)
+    cert = harmonic_radius_certify(f, params, kind)
     print(f"  {kind.value:>8}: {cert.radius:.5f}")
 
 print()

@@ -217,14 +217,17 @@ def _tail_lhs(which: str, hp: HypergeomParams) -> float:
 
 
 def _compare(lhs: float, lam: float, eta: complex) -> ConditionReport:
+    """Whether lhs < lam/|eta| holds strictly, with equality decided between
+    finite values only.  An overflowed rhs exceeds every finite lhs, and an
+    lhs of +inf (positive terms past the double range) every finite rhs;
+    any other non-finite pair raises ParameterError."""
     rhs = lam / abs(eta)
-    at_equality = abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-    return ConditionReport(
-        holds=lhs < rhs and not at_equality,
-        lhs=lhs,
-        rhs=rhs,
-        at_equality=at_equality,
-    )
+    if not (math.isfinite(lhs) or (lhs == math.inf and math.isfinite(rhs))):
+        raise ParameterError(f"cannot compare lhs {lhs!r} with rhs {rhs!r}")
+    at_equality = (math.isfinite(rhs)
+                   and abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)))
+    return ConditionReport(holds=lhs < rhs and not at_equality, lhs=lhs,
+                           rhs=rhs, at_equality=at_equality)
 
 
 def hyper_condition(which: str, hyper: HypergeomParams, eta: complex,

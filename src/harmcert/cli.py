@@ -331,8 +331,7 @@ def _cmd_radius(args) -> int:
     kind = RadiusKind.STARLIKE if args.kind == "starlike" else RadiusKind.CONVEX
     try:
         cert = harmonic_radius_certify(
-            to_harmonic_map(ff), ClassParams(lam=lam), kind,
-            tol=args.tol, zeta_samples=args.zeta_samples,
+            to_harmonic_map(ff), ClassParams(lam=lam), kind, tol=args.tol
         )
     except NonMemberError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -438,8 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="starlike")
     radius.add_argument("--tol", type=float, default=1e-4)
     radius.add_argument("--lambda", dest="lam", type=float, default=None)
-    radius.add_argument("--zeta-samples", dest="zeta_samples", type=int,
-                        default=16)
     radius.add_argument("--json", action="store_true")
     radius.set_defaults(func=_cmd_radius)
 

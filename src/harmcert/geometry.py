@@ -1,10 +1,11 @@
 """Geometric audits: envelopes, certified radii, closure, boundary curves.
 
 Radii are certified by one bisection on rings |z| = r for every section
-F = h + zeta g at once.  The ring functional is Re(z F'/F) for
-starlikeness and Re(1 + z F''/F') for convexity.  Each ring counts the
-zeros of the denominator (F, or F') inside it by the argument principle
-from the ring values already computed; when F has only its zero at the
+F = h + zeta g, |zeta| = 1, at once (the stable family of Hernandez and
+Martin, 2013): the functional, Re(z F'/F) for starlikeness and
+Re(1 + z F''/F') for convexity, is bounded below over every zeta in
+closed form.  Each ring counts the zeros of the denominator (F, or F') of the section zeta = 1
+inside it by the argument principle; when F has only its zero at the
 origin, or F' none, the functional is the real part of a function analytic
 on the closed sub-disk, so by the minimum principle a positive ring
 minimum certifies the property up to that radius.
@@ -27,7 +28,6 @@ from .membership import (
     _golden_max_rows,
     harmonic_membership,
     paired_boundary_sup,
-    zeta_family_sup,
 )
 from .series import (
     ZERO,
@@ -52,12 +52,12 @@ class RadiusKind(Enum):
 class RadiusCertificate:
     """Largest ring radius at which the ring test passed.
 
-    ``inner_margin`` is the functional minimum one step inside the
-    certified radius and must be positive; when the radius is below 1 the
-    ``outer_witness`` records a ring at most one step outside, and an angle
-    on it, where the functional dropped to zero or below or the zero count
-    of its denominator was not the one allowed.  ``rings`` is the number of
-    rings evaluated.
+    ``inner_margin`` is the ring minimum one step inside the certified
+    radius and must be positive (for g != 0 a lower bound on every
+    section's functional); when the radius is below 1 the ``outer_witness``
+    records a ring at most one step outside, and an angle on it, where that
+    minimum dropped to zero or below or the zero count of the denominator
+    was not the one allowed.  ``rings`` is the number of rings evaluated.
     """
 
     kind: RadiusKind
@@ -157,23 +157,43 @@ def jacobian_bound_check(f: HarmonicMap, params: ClassParams,
     )
 
 
-def _section_rings(a: AnalyticSeries, b: AnalyticSeries, zetas: np.ndarray,
-                   kind: RadiusKind, angles: int):
+def _ring_objective(z, p, q, dp, dq, offset: float):
+    """Least numerator over unimodular zeta, over (|p| + |q|)^2.
+
+    At z the functional of D = p + zeta q is offset + Re(z D'/D), with
+    D' = dp + zeta dq: its numerator Re((u + zeta v) conj(D)), where
+    u = z dp + offset p and v = z dq + offset q, over |D|^2.  That numerator
+    is alpha + Re(zeta gamma), alpha = Re(u conj(p) + v conj(q)) and
+    gamma = v conj(p) + conj(u) q, so its least value is alpha - |gamma|.
+    As |D| <= |p| + |q|, a positive result bounds every section's
+    functional from below; for q = 0 it is the functional.
+    """
+    u = z * dp + offset * p
+    v = z * dq + offset * q
+    alpha = (u * np.conj(p) + v * np.conj(q)).real
+    gamma = v * np.conj(p) + np.conj(u) * q
+    return (alpha - np.abs(gamma)) / (np.abs(p) + np.abs(q)) ** 2
+
+
+def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
+                   angles: int):
     """Ring test of every section h + zeta g at once, as ``ring(r)``.
 
-    The denominators are D = a + zeta b for STARLIKE and D = a' + zeta b'
-    for CONVEX; the functional is offset + Re(z D'/D) with offset 0 or 1.
-    ``ring(r)`` returns the minimum of the functional over all sections on
-    |z| = r and the angle attaining it.  It returns -inf when the zero count
-    of some denominator inside the ring is not proven to be 1 (STARLIKE) or
-    0 (CONVEX), at the grid angle where that denominator is smallest.
+    The denominators are D = p + zeta q, with p, q = a, b for STARLIKE and
+    a', b' for CONVEX, and the functional is offset + Re(z D'/D) with
+    offset 0 or 1.  Where _ring_objective is positive no section vanishes,
+    so the zero count inside the ring, the same for every zeta, is taken
+    once, on p + q.  ``ring(r)`` returns the minimum of the objective on
+    |z| = r and the angle attaining it, or -inf when that count is not
+    proven to be 1 (STARLIKE) or 0 (CONVEX), at the grid angle where
+    |p + q| is smallest.
     """
     if kind is RadiusKind.STARLIKE:
-        da, db, offset, zeros = a, b, 0.0, 1
+        p, q, offset, zeros = a, b, 0.0, 1
     else:
-        da, db, offset, zeros = derivative(a), derivative(b), 1.0, 0
-    series = (da, db, derivative(da), derivative(db))
-    m = max(len(da.coeffs), len(db.coeffs))
+        p, q, offset, zeros = derivative(a), derivative(b), 1.0, 0
+    series = (p, q, derivative(p), derivative(q))
+    m = max(len(p.coeffs), len(q.coeffs))
     powers = np.arange(m)
     # Column per series, for the polish's power-matrix product.
     coeffs = np.zeros((m, 4), dtype=complex)
@@ -184,61 +204,50 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, zetas: np.ndarray,
     thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
     unit = np.exp(1j * thetas)
     step = _TWO_PI / angles
-    rows = max(1, 2**14 // angles)
 
     def ring(r: float) -> tuple[float, float]:
         z = r * unit
-        va, vb, na, nb = (eval_array(F, z) for F in series)
+        vals = [eval_array(F, z) for F in series]
         # D moves by at most delta along one grid cell.  If delta stays
         # below pi (|D(z_k)| - delta) on every cell, D has no zero on the
         # ring and each cell turns arg D by the principal angle of
         # D(z_{k+1}) / D(z_k), so their sum counts the zeros inside.
         delta = r * step * float(slope @ r ** powers)
-        ks, grid = [], []
-        for start in range(0, len(zetas), rows):
-            zb = zetas[start:start + rows, None]
-            D = va + zb * vb
-            mod = np.abs(D)
-            j = int(np.argmin(mod))
-            if delta >= math.pi * (mod.flat[j] - delta):
-                return -math.inf, float(thetas[j % angles])
-            turn = np.angle(np.roll(D, -1, axis=1) * np.conj(D)).sum(axis=1)
-            bad = np.flatnonzero(np.rint(turn / _TWO_PI) != zeros)
-            if bad.size:
-                return -math.inf, float(thetas[np.argmin(mod[bad[0]])])
-            neg = -(offset + (z * (na + zb * nb) / D).real)
-            k = np.argmax(neg, axis=1)
-            ks.append(k)
-            grid.append(neg[np.arange(len(k)), k])
-        ks, grid = np.concatenate(ks), np.concatenate(grid)
-        i = int(np.argmax(grid))
-        if grid[i] >= 0.0:
+        D = vals[0] + vals[1]
+        mod = np.abs(D)
+        j = int(np.argmin(mod))
+        if delta >= math.pi * (mod[j] - delta):
+            return -math.inf, float(thetas[j])
+        turn = float(np.angle(np.roll(D, -1) * np.conj(D)).sum())
+        if round(turn / _TWO_PI) != zeros:
+            return -math.inf, float(thetas[j])
+        grid = _ring_objective(z, *vals, offset)
+        k = int(np.argmin(grid))
+        if not grid[k] > 0.0:
             # A grid point already fails the ring; polishing only lowers it.
-            return -float(grid[i]), float(thetas[ks[i]])
+            return float(grid[k]), float(thetas[k])
         rk = r ** powers
 
         def batch(ts: np.ndarray) -> np.ndarray:
-            zs = r * np.exp(1j * ts)
-            v = (np.exp(1j * np.outer(ts, powers)) * rk) @ coeffs
-            d = v[:, 0] + zetas * v[:, 1]
-            n = v[:, 2] + zetas * v[:, 3]
-            return -(offset + (zs * n / d).real)
+            # One row: the objective runs on scalars, not length-1 arrays.
+            w = np.exp(1j * ts[0])
+            v = (np.exp(1j * ts[0] * powers) * rk) @ coeffs
+            return np.array([-_ring_objective(r * w, *v, offset)])
 
-        xs, polished = _golden_max_rows(batch, thetas[ks], step)
-        worst = np.maximum(grid, polished)
-        i = int(np.argmax(worst))
-        angle = xs[i] % _TWO_PI if polished[i] > grid[i] else thetas[ks[i]]
-        return -float(worst[i]), float(angle)
+        xs, polished = _golden_max_rows(batch, thetas[k:k + 1], step)
+        if -polished[0] < grid[k]:
+            return -float(polished[0]), float(xs[0] % _TWO_PI)
+        return float(grid[k]), float(thetas[k])
 
     return ring
 
 
-def _certify(a: AnalyticSeries, b: AnalyticSeries, zetas: np.ndarray,
-             kind: RadiusKind, tol: float) -> RadiusCertificate:
-    """One bisection over r for all sections a + zeta b together."""
+def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
+             tol: float) -> RadiusCertificate:
+    """One bisection over r for every section a + zeta b together."""
     if not 0.0 < tol < 0.5:
         raise ParameterError("tol must lie in (0, 0.5)")
-    section_rings = _section_rings(a, b, zetas, kind,
+    section_rings = _section_rings(a, b, kind,
                                    scan_angles(max(a.degree, b.degree)))
     rings = 0
 
@@ -275,7 +284,7 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, zetas: np.ndarray,
             hi, hi_ang = mid, ang_mid
     inner_r = lo - tol if lo > tol else 0.5 * lo
     inner_margin, _ = ring(inner_r)
-    if inner_margin <= 0.0:
+    if not inner_margin > 0.0:
         raise ConsistencyError(
             f"certificate failed: functional non-positive at {inner_r!r}"
         )
@@ -297,30 +306,26 @@ def radius_certify(F: AnalyticSeries, kind: RadiusKind,
     """
     if not F.is_normalized():
         raise ParameterError("radius certification needs a normalized series")
-    return _certify(F, ZERO, np.ones(1, dtype=complex), kind, tol)
+    return _certify(F, ZERO, kind, tol)
 
 
 def harmonic_radius_certify(f: HarmonicMap, params: ClassParams,
-                            kind: RadiusKind, tol: float = 1e-4,
-                            zeta_samples: int = 16) -> RadiusCertificate:
-    """Stable-family radius: one bisection over all sampled sections h + zeta g.
+                            kind: RadiusKind, tol: float = 1e-4
+                            ) -> RadiusCertificate:
+    """Stable-family radius: one bisection over every section h + zeta g.
 
-    A ring passes only when it passes for every section, so the result is
-    the worst section's radius up to ``tol``.  For a certified member it
-    must reach the class floor, 1/(2 lam) for starlikeness and 1/(4 lam)
-    for convexity, both capped at 1; falling short raises ConsistencyError.
+    A ring passes only when its least functional over every unimodular
+    zeta is positive, so the result is at most the worst section's radius
+    up to ``tol``.  For a certified member it must reach the class floor,
+    1/(2 lam) for starlikeness and 1/(4 lam) for convexity, both capped at
+    1; falling short raises ConsistencyError.
     """
-    if zeta_samples < 1:
-        raise ParameterError("need at least one zeta sample")
     rep = harmonic_membership(f, params)
     if rep.verdict is Verdict.NON_MEMBER:
         raise NonMemberError("radius certification needs a class member")
-    zetas = np.exp(_TWO_PI * 1j * np.arange(zeta_samples) / zeta_samples)
-    cert = _certify(f.h, f.g, zetas, kind, tol)
-    if kind is RadiusKind.STARLIKE:
-        floor = min(1.0, 1.0 / (2.0 * params.lam))
-    else:
-        floor = min(1.0, 1.0 / (4.0 * params.lam))
+    cert = _certify(f.h, f.g, kind, tol)
+    per_lam = 2.0 if kind is RadiusKind.STARLIKE else 4.0
+    floor = min(1.0, 1.0 / (per_lam * params.lam))
     if cert.radius < floor - tol:
         raise ConsistencyError(
             f"certified {kind.value} radius {cert.radius!r} fell below the "
@@ -339,18 +344,12 @@ def _euler_image(F: AnalyticSeries) -> AnalyticSeries:
 
 
 def _differential_test(h: AnalyticSeries, g: AnalyticSeries,
-                       params: ClassParams, zeta_samples: int,
-                       image, threshold: float) -> DifferentialTestResult:
+                       params: ClassParams, image,
+                       threshold: float) -> DifferentialTestResult:
+    """Boundary sup of |image(h)| + |image(g)|, which is the family sup of
+    |image(h) + zeta image(g)| over unimodular zeta, against ``threshold``."""
     f = HarmonicMap(h=h, g=g)
-    A = image(h)
-    B = image(g)
-    measured, _ = paired_boundary_sup(A, B)
-    scan = zeta_family_sup(A, B, zeta_samples)
-    if abs(scan.max_sup - measured) > 1e-9 * max(1.0, measured):
-        raise ConsistencyError(
-            f"family scan {scan.max_sup!r} disagrees with direct scan "
-            f"{measured!r}"
-        )
+    measured, _ = paired_boundary_sup(image(h), image(g))
     passes = measured <= threshold + params.sup_tolerance
     rep = harmonic_membership(f, params)
     if passes and rep.verdict is Verdict.NON_MEMBER:
@@ -364,25 +363,20 @@ def _differential_test(h: AnalyticSeries, g: AnalyticSeries,
 
 
 def second_derivative_test(h: AnalyticSeries, g: AnalyticSeries,
-                           params: ClassParams,
-                           zeta_samples: int = 64) -> DifferentialTestResult:
+                           params: ClassParams) -> DifferentialTestResult:
     """Sufficient test: family supremum of |h'' + zeta g''| at most 2 lam.
 
     Passing implies membership; the threshold is attained by the quadratic
     member with top coefficient lam, so no smaller constant works.
     """
-    return _differential_test(
-        h, g, params, zeta_samples, _second_derivative, 2.0 * params.lam
-    )
+    return _differential_test(h, g, params, _second_derivative,
+                              2.0 * params.lam)
 
 
 def euler_operator_test(h: AnalyticSeries, g: AnalyticSeries,
-                        params: ClassParams,
-                        zeta_samples: int = 64) -> DifferentialTestResult:
+                        params: ClassParams) -> DifferentialTestResult:
     """Sufficient test via z^2 F'' + z F' - F, threshold 3 lam, same contract."""
-    return _differential_test(
-        h, g, params, zeta_samples, _euler_image, 3.0 * params.lam
-    )
+    return _differential_test(h, g, params, _euler_image, 3.0 * params.lam)
 
 
 def convolve_members(f1: HarmonicMap, f2: HarmonicMap, params: ClassParams

@@ -195,10 +195,12 @@ def _circle_extremum(objective, angles: int, radius: float = 1.0
     ``objective(ev, z)`` is written once for both evaluation routes: the
     grid of ``angles`` equispaced points is scanned with ``ev = eval_array``
     on an array of points, then ``_polish_argmax`` polishes the grid argmax.
+    Overflow is silent; _classify rejects a non-finite maximum.
     """
     thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
-    vals = objective(eval_array, radius * np.exp(1j * thetas))
-    return _polish_argmax(objective, thetas, vals, radius)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = objective(eval_array, radius * np.exp(1j * thetas))
+        return _polish_argmax(objective, thetas, vals, radius)
 
 
 def _polish_argmax(objective, thetas: np.ndarray, vals: np.ndarray,

@@ -134,12 +134,13 @@ def hyper_coefficients(p: HypergeomParams, N: int) -> np.ndarray:
 def gauss_value(p: HypergeomParams) -> float:
     """The series value at z = 1.
 
-    Terminating cases sum the finitely many nonzero terms exactly;
+    Terminating cases sum the nonzero terms exactly (overflowing silently);
     otherwise the Gamma closed form applies and c - a - b > 0 is required.
     """
     s = p.terminating_index()
     if s is not None:
-        return float(np.sum(hyper_coefficients(p, s)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(hyper_coefficients(p, s)))
     gap = p.c - p.a - p.b
     if not gap > 0.0:
         raise ParameterError(
@@ -156,8 +157,9 @@ def weighted_gauss_value(p: HypergeomParams) -> float:
     """
     s = p.terminating_index()
     if s is not None:
-        terms = hyper_coefficients(p, s)
-        return float(np.sum((np.arange(s + 1) + 1.0) * terms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = hyper_coefficients(p, s)
+            return float(np.sum((np.arange(s + 1) + 1.0) * terms))
     gap = p.c - p.a - p.b - 1.0
     if not gap > 0.0:
         raise ParameterError(

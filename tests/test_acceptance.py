@@ -215,10 +215,8 @@ def test_criterion_5_radii():
     worst_s, worst_c = 1.0, 1.0
     for _ in range(50):
         f = random_member(int(rng.integers(2, 7)), params, rng)
-        s = harmonic_radius_certify(f, params, RadiusKind.STARLIKE,
-                                    zeta_samples=8)
-        c = harmonic_radius_certify(f, params, RadiusKind.CONVEX,
-                                    zeta_samples=8)
+        s = harmonic_radius_certify(f, params, RadiusKind.STARLIKE)
+        c = harmonic_radius_certify(f, params, RadiusKind.CONVEX)
         worst_s = min(worst_s, s.radius)
         worst_c = min(worst_c, c.radius)
     ok &= worst_s >= 0.5 - 1e-4 and worst_c >= 0.25 - 1e-4

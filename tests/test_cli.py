@@ -2,7 +2,6 @@ import json
 import math
 import os
 
-import numpy as np
 import pytest
 
 import harmcert.cli
@@ -192,20 +191,21 @@ class TestCheckCommand:
     def test_missing_file_exits_three(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", [
         ["check", "--json"], ["radius"], ["curve"],
     ])
     def test_overflowing_boundary_exits_three(self, tmp_path, capsys, command):
         # h = z + 5e306 (z^2 + ... + z^20): finite coefficients, overflowing
-        # boundary values.
+        # boundary values.  No numpy warning comes before the error line.
         text = IDENTITY_TEXT.replace(
             "[1, 0]", "[1, 0]" + ",\n    [5e306, 0]" * 19)
         path = write(tmp_path, "big.json", text)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main([command[0], path, *command[1:]])
+        code = main([command[0], path, *command[1:]])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT_ERROR
         assert captured.out == ""
+        assert captured.err.startswith("error:")
         assert "boundary values overflow" in captured.err
 
 
@@ -425,6 +425,36 @@ class TestHyperCommand:
         assert code == expected
         lhs = float(capsys.readouterr().out.split("lhs: ")[1].splitlines()[0])
         assert lhs == pytest.approx(oracle, rel=1e-11)
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_rhs_holds(self, capsys):
+        # lam / |eta| = 1e310 overflows; lhs 2 is below every double.
+        code = main(["hyper", "--which", "213", "--a", "1", "--b", "1",
+                     "--c", "3", "--eta=1e-300", "--lambda", "1e10"])
+        out = capsys.readouterr().out
+        assert code == EXIT_MEMBER
+        assert "rhs: inf" in out and "holds: True" in out
+        assert "equals" not in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_lhs_fails(self, capsys):
+        # The terminating sum of positive terms passes the double range.
+        code = main(["hyper", "--which", "216", "--s", "600", "--c", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NON_MEMBER
+        assert "lhs: inf" in captured.out and "holds: False" in captured.out
+        assert "equals" not in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_both_sides_overflowed_exit_three(self, capsys):
+        code = main(["hyper", "--which", "216", "--s", "600", "--c", "1",
+                     "--eta=1e-300", "--lambda", "1e10"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 class TestExitCodeTotality:
