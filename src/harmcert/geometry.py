@@ -25,7 +25,7 @@ from .membership import (
     HarmonicMap,
     MembershipReport,
     Verdict,
-    _golden_max_rows,
+    _polish_argmax,
     harmonic_membership,
     paired_boundary_sup,
 )
@@ -186,7 +186,9 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
     once, on p + q.  ``ring(r)`` returns the minimum of the objective on
     |z| = r and the angle attaining it, or -inf when that count is not
     proven to be 1 (STARLIKE) or 0 (CONVEX), at the grid angle where
-    |p + q| is smallest.
+    |p + q| is smallest.  A positive grid minimum is polished by
+    _polish_argmax on the negated objective, each point of it one
+    power-matrix product of the four series.
     """
     if kind is RadiusKind.STARLIKE:
         p, q, offset, zeros = a, b, 0.0, 1
@@ -228,16 +230,13 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
             return float(grid[k]), float(thetas[k])
         rk = r ** powers
 
-        def batch(ts: np.ndarray) -> np.ndarray:
-            # One row: the objective runs on scalars, not length-1 arrays.
-            w = np.exp(1j * ts[0])
-            v = (np.exp(1j * ts[0] * powers) * rk) @ coeffs
-            return np.array([-_ring_objective(r * w, *v, offset)])
+        def at(t: float) -> float:
+            # The negated objective at one angle, from one power-matrix row.
+            v = (np.exp(1j * t * powers) * rk) @ coeffs
+            return -_ring_objective(r * np.exp(1j * t), *v, offset)
 
-        xs, polished = _golden_max_rows(batch, thetas[k:k + 1], step)
-        if -polished[0] < grid[k]:
-            return -float(polished[0]), float(xs[0] % _TWO_PI)
-        return float(grid[k]), float(thetas[k])
+        least, angle = _polish_argmax(at, thetas, -grid)
+        return -least, angle
 
     return ring
 

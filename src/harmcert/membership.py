@@ -36,12 +36,6 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Every golden-section polish over a circle angle stops once its bracket
 # is this narrow.
 _POLISH_WIDTH = 1e-9
-# The polish over the zeta phase stops earlier.  The section supremum falls
-# off at most like min(|A|, |B|) dphi^2 / 2 around its maximum, so this
-# width under-reads by at most 5e-11 of it.  Polishing the phase to
-# _POLISH_WIDTH takes ~19 more steps, each a full scalar angle polish, and
-# raised scan-generic's latency p50 from 6.9 to 7.8 ms.
-_PHASE_WIDTH = 1e-5
 
 _ANALYTIC_JUSTIFICATION = (
     "deficiency image vanishes at the origin, so its open-disk supremum is "
@@ -116,51 +110,24 @@ class MembershipReport:
     justification: str
 
 
-def _golden_max(fn, lo: float, hi: float, width: float = _POLISH_WIDTH
-                ) -> tuple[float, float]:
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    if fc >= fd:
-        best_x, best_v = c, fc
-    else:
-        best_x, best_v = d, fd
-    while (b - a) > width:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-            if fc > best_v:
-                best_x, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-            if fd > best_v:
-                best_x, best_v = d, fd
-    return best_x, best_v
-
-
-def _golden_max_rows(batch, centers: np.ndarray, step: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def _golden_max_rows(batch, centers: np.ndarray, step: float) -> np.ndarray:
     """Golden-section maximization over [center - step, center + step], one
     bracket per row, run in lockstep down to ``_POLISH_WIDTH``.
 
-    ``batch(ts)`` evaluates row j's objective at ``ts[j]``.  Every bracket
-    has the same width, so one scalar tracks the stopping rule for all rows.
-    As in _golden_max, each step evaluates one new point per row.  Returns
-    the best point and value seen in each row; the caller compares them
-    with the grid value at the centre, which the search never evaluates.
+    The per-zeta rows of zeta_family_sup use it; a single cell goes through
+    _polish_argmax.  ``batch(ts)`` evaluates row j's objective at ``ts[j]``.
+    Every bracket has the same width, so one scalar tracks the stopping
+    rule for all rows.  As in _polish_argmax, each step evaluates one new
+    point per row and keeps the better interior point, so the better of the
+    two it holds at the end is the best value seen in that row.  The caller
+    compares it with the grid value at the centre, which the search never
+    evaluates.
     """
     lo = centers - step
     hi = centers + step
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = batch(c), batch(d)
-    best_x = np.where(fc >= fd, c, d)
-    best_v = np.maximum(fc, fd)
     width = 2.0 * step
     while width > _POLISH_WIDTH:
         left = fc >= fd
@@ -168,13 +135,10 @@ def _golden_max_rows(batch, centers: np.ndarray, step: float
         lo = np.where(left, lo, c)
         c, d = (np.where(left, hi - _INV_PHI * (hi - lo), d),
                 np.where(left, c, lo + _INV_PHI * (hi - lo)))
-        x = np.where(left, c, d)
-        fnew = batch(x)
+        fnew = batch(np.where(left, c, d))
         fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
-        best_x = np.where(fnew > best_v, x, best_x)
-        best_v = np.maximum(best_v, fnew)
         width *= _INV_PHI
-    return best_x, best_v
+    return np.maximum(fc, fd)
 
 
 def _resolve_angles(angles: int | None, degree: int) -> int:
@@ -188,33 +152,51 @@ def _resolve_angles(angles: int | None, degree: int) -> int:
     return angles
 
 
-def _circle_extremum(objective, angles: int, radius: float = 1.0
-                     ) -> tuple[float, float]:
-    """Maximum of a real objective over |z| = radius and the angle attaining it.
+def _circle_extremum(objective, angles: int) -> tuple[float, float]:
+    """Maximum of a real objective over the unit circle and the angle
+    attaining it.
 
     ``objective(ev, z)`` is written once for both evaluation routes: the
     grid of ``angles`` equispaced points is scanned with ``ev = eval_array``
-    on an array of points, then ``_polish_argmax`` polishes the grid argmax.
-    Overflow is silent; _classify rejects a non-finite maximum.
+    on an array of points, then _polish_argmax polishes the grid argmax
+    with ``ev = eval_series`` at single points.  Overflow is silent;
+    _classify rejects a non-finite maximum.
     """
     thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = objective(eval_array, radius * np.exp(1j * thetas))
-        return _polish_argmax(objective, thetas, vals, radius)
+        vals = objective(eval_array, np.exp(1j * thetas))
+        return _polish_argmax(
+            lambda t: objective(eval_series, cmath.exp(1j * t)), thetas, vals
+        )
 
 
-def _polish_argmax(objective, thetas: np.ndarray, vals: np.ndarray,
-                   radius: float = 1.0) -> tuple[float, float]:
-    """Golden-section polish of the grid argmax over its two neighbouring
-    cells, with ``ev = eval_series`` at single points.  The first index wins
-    ties, so ties resolve to the smallest angle.
+def _polish_argmax(fn, thetas: np.ndarray, vals: np.ndarray
+                   ) -> tuple[float, float]:
+    """Golden-section polish of ``fn(t)``, a scalar objective of the angle,
+    over the two grid cells around the argmax of its grid values ``vals``
+    on ``thetas``, down to ``_POLISH_WIDTH``: the one single-cell polish.
+    The first index wins ties, so ties resolve to the smallest angle.
     """
     k = int(np.argmax(vals))
     step = _TWO_PI / len(thetas)
-    x, v = _golden_max(
-        lambda t: objective(eval_series, radius * cmath.exp(1j * t)),
-        thetas[k] - step, thetas[k] + step,
-    )
+    a, b = float(thetas[k] - step), float(thetas[k] + step)
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    x, v = (c, fc) if fc >= fd else (d, fd)
+    while (b - a) > _POLISH_WIDTH:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = fn(c)
+            if fc > v:
+                x, v = c, fc
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = fn(d)
+            if fd > v:
+                x, v = d, fd
     if v > vals[k]:
         return float(v), float(x % _TWO_PI)
     return float(vals[k]), float(thetas[k])
@@ -284,7 +266,11 @@ def harmonic_membership(f: HarmonicMap, params: ClassParams,
 
 @dataclass(frozen=True)
 class ZetaFamilyScan:
-    """Boundary suprema of the sections A + zeta B over sampled zeta."""
+    """Boundary suprema of the sections A + zeta B over sampled zeta.
+
+    ``max_sup`` is the sup over every phase in the best sample's cell,
+    ``phases[k] +- 2 pi / len(phases)``, attained at ``witness_phase``.
+    """
 
     phases: np.ndarray
     sups: np.ndarray
@@ -297,8 +283,12 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int,
     """Max over unimodular zeta of the boundary sup of A + zeta B.
 
     Sections are read as |va + zeta vb| from one grid evaluation each of A
-    and B.  Per-zeta suprema are polished over the angle in lockstep, then
-    the best zeta cell over the phase, each step with the kernel's polish.
+    and B, and the per-zeta suprema are polished over the angle in
+    lockstep.  The best zeta cell, phases[k] +- 2 pi / zeta_samples, is
+    then refined exactly: at each angle the best phase in the cell has a
+    closed form, so its family sup is one circle extremum, scanned on the
+    same two arrays and polished by _polish_argmax.  The witness phase is
+    the cell's best phase at the polished angle.
     """
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
@@ -321,25 +311,29 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int,
         zs = np.exp(1j * ts)
         return np.abs(eval_array(A, zs) + zetas * eval_array(B, zs))
 
-    _, polished = _golden_max_rows(batch, thetas[ks], step)
+    polished = _golden_max_rows(batch, thetas[ks], step)
     sups = np.maximum(np.abs(va[ks] + zetas * vb[ks]), polished)
 
     k = int(np.argmax(sups))
-    phase_step = _TWO_PI / zeta_samples
+    center, half = phases[k], _TWO_PI / zeta_samples
 
-    def sup_at_phase(phi: float) -> float:
-        zeta = cmath.exp(1j * phi)
-        return _polish_argmax(
-            lambda ev, z: abs(ev(A, z) + zeta * ev(B, z)),
-            thetas, np.abs(va + zeta * vb),
-        )[0]
+    def section(a, b):
+        # |a + e^{i phi} b|^2 = |a|^2 + |b|^2 + 2|a||b| cos(phi - arg(a/b))
+        # peaks at phi = arg a - arg b; over the cell, at that phase taken
+        # within pi of the centre and clipped to the cell.
+        off = (np.angle(a) - np.angle(b) - center + math.pi) % _TWO_PI
+        phi = center + np.clip(off - math.pi, -half, half)
+        return np.abs(a + np.exp(1j * phi) * b), phi
 
-    phi, refined = _golden_max(
-        sup_at_phase, phases[k] - phase_step, phases[k] + phase_step,
-        width=_PHASE_WIDTH,
+    def at(t: float):
+        z = cmath.exp(1j * t)
+        return section(eval_series(A, z), eval_series(B, z))
+
+    refined, angle = _polish_argmax(
+        lambda t: at(t)[0], thetas, section(va, vb)[0]
     )
     if refined > sups[k]:
-        max_sup, witness = float(refined), float(phi % _TWO_PI)
+        max_sup, witness = refined, float(at(angle)[1] % _TWO_PI)
     else:
         max_sup, witness = float(sups[k]), float(phases[k])
     return ZetaFamilyScan(

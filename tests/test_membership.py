@@ -226,6 +226,50 @@ class TestZetaFamilySweep:
                 assert abs(sup - ref) <= 1e-12 * max(1.0, ref)
             assert scan.max_sup >= np.max(scan.sups)
 
+    def test_best_cell_is_refined_exactly(self):
+        # Pointwise the best phase is arg A - arg B, where the section reads
+        # |A| + |B|.  When that phase at the harmonic argmax lies in the best
+        # sampled cell, the refined cell sup is the harmonic sup.
+        rng = np.random.default_rng(2024)
+        for i in range(30):
+            f = random_member(int(rng.integers(2, 65)), ClassParams(lam=1.0),
+                              rng)
+            A, B = deficiency(f.h), deficiency(f.g)
+            samples = (8, 64, 256)[i % 3]
+            scan = zeta_family_sup(A, B, samples)
+            sup, angle = paired_boundary_sup(A, B)
+            half = 2.0 * math.pi / samples
+            center = scan.phases[np.argmax(scan.sups)]
+            z = cmath.exp(1j * angle)
+            best = cmath.phase(eval_array(A, z) / eval_array(B, z))
+            assert scan.max_sup <= sup + 1e-14 * max(1.0, sup)
+            if abs(cmath.phase(cmath.exp(1j * (best - center)))) <= half:
+                assert scan.max_sup >= sup - 1e-14 * max(1.0, sup)
+            gap = cmath.phase(cmath.exp(1j * (scan.witness_phase - center)))
+            assert abs(gap) <= half + 1e-15
+            zeta = cmath.exp(1j * scan.witness_phase)
+            ref, _ = boundary_sup(combine_with_zeta(A, B, zeta))
+            assert abs(ref - scan.max_sup) <= 1e-12
+
+    def test_cell_refinement_makes_one_scalar_polish(self, monkeypatch):
+        # One single-cell polish: about 40 points, two evaluations each.
+        import harmcert.membership as membership
+
+        calls = []
+        original = membership.eval_series
+
+        def counting(F, z):
+            calls.append(z)
+            return original(F, z)
+
+        monkeypatch.setattr(membership, "eval_series", counting)
+        for degree in (3, 64):
+            f = random_member(degree, ClassParams(lam=1.0),
+                              np.random.default_rng(degree))
+            calls.clear()
+            zeta_family_sup(deficiency(f.h), deficiency(f.g), 256)
+            assert 0 < len(calls) <= 100
+
     def test_memory_stays_below_the_zeta_angle_matrix(self):
         # The full 256 x 16384 complex grid alone would take 64 MiB.
         params = ClassParams(lam=1.0)
