@@ -50,7 +50,7 @@ for kind in RadiusKind:
 
 print()
 print("envelope audit on a polar grid (8 rings x 128 angles)")
-grid = default_grid(6)
+grid = default_grid()
 f3 = HarmonicMap(h=AnalyticSeries((0, 1, 1.0)), g=AnalyticSeries((0,)))
 env = growth_envelope_check(f3, params, grid)
 jac = jacobian_bound_check(f3, params, grid)

@@ -268,7 +268,7 @@ def _cmd_check(args) -> int:
     lam = args.lam if args.lam is not None else ff.lam
     params = ClassParams(lam=lam)
     f = to_harmonic_map(ff)
-    rep = harmonic_membership(f, params, angles=args.angles)
+    rep = harmonic_membership(f, params)
     payload = {
         "verdict": rep.verdict.value,
         "measured_sup": rep.measured_sup,
@@ -278,7 +278,7 @@ def _cmd_check(args) -> int:
         "justification": rep.justification,
     }
     if args.zeta_samples is not None:
-        scan = stable_family_check(f, params, args.zeta_samples, args.angles)
+        scan = stable_family_check(f, params, args.zeta_samples)
         payload["zeta_family_max"] = scan.scan.max_sup
         payload["zeta_family_gap"] = scan.gap
     _print_report(payload, args.json)
@@ -415,7 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true")
     check.add_argument("--zeta-samples", dest="zeta_samples", type=int,
                        default=None)
-    check.add_argument("--angles", type=int, default=None)
     check.set_defaults(func=_cmd_check)
 
     example = sub.add_parser("example", help="write a catalog function file")

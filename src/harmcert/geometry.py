@@ -109,8 +109,7 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams,
     |z| - lam |z|^2 and |z| + lam |z|^2, and the derivative pair must obey
     1 - 2 lam |z| <= |h'| - |g'| together with |h'| + |g'| <= 1 + 2 lam |z|.
     """
-    angles = max(grid.boundary_angles, scan_angles(f.degree))
-    rep = harmonic_membership(f, params, angles=angles)
+    rep = harmonic_membership(f, params)
     if rep.verdict is Verdict.NON_MEMBER:
         raise NonMemberError("envelope audit needs a class member")
     lam = params.lam
@@ -175,9 +174,9 @@ def _ring_objective(z, p, q, dp, dq, offset: float):
     return (alpha - np.abs(gamma)) / (np.abs(p) + np.abs(q)) ** 2
 
 
-def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
-                   angles: int):
-    """Ring test of every section h + zeta g at once, as ``ring(r)``.
+def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
+    """Ring test of every section h + zeta g at once, as ``ring(r)``, on
+    scan_angles(max(a.degree, b.degree)) equispaced angles per ring.
 
     The denominators are D = p + zeta q, with p, q = a, b for STARLIKE and
     a', b' for CONVEX, and the functional is offset + Re(z D'/D) with
@@ -203,6 +202,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
         coeffs[:len(F.coeffs), j] = F.coeffs
     # M1(r) = slope . r^powers bounds |D'| on |z| = r for every section.
     slope = np.abs(coeffs[:, 2]) + np.abs(coeffs[:, 3])
+    angles = scan_angles(max(a.degree, b.degree))
     thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
     unit = np.exp(1j * thetas)
     step = _TWO_PI / angles
@@ -246,8 +246,7 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
     """One bisection over r for every section a + zeta b together."""
     if not 0.0 < tol < 0.5:
         raise ParameterError("tol must lie in (0, 0.5)")
-    section_rings = _section_rings(a, b, kind,
-                                   scan_angles(max(a.degree, b.degree)))
+    section_rings = _section_rings(a, b, kind)
     rings = 0
 
     def ring(r: float) -> tuple[float, float]:

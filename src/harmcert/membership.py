@@ -141,28 +141,17 @@ def _golden_max_rows(batch, centers: np.ndarray, step: float) -> np.ndarray:
     return np.maximum(fc, fd)
 
 
-def _resolve_angles(angles: int | None, degree: int) -> int:
-    if angles is None:
-        return scan_angles(degree)
-    floor = max(1, 64 * degree)
-    if angles < floor:
-        raise ParameterError(
-            f"need at least {floor} angles for degree {degree}, got {angles}"
-        )
-    return angles
-
-
-def _circle_extremum(objective, angles: int) -> tuple[float, float]:
+def _circle_extremum(objective, degree: int) -> tuple[float, float]:
     """Maximum of a real objective over the unit circle and the angle
-    attaining it.
+    attaining it, for series of degree at most ``degree``.
 
     ``objective(ev, z)`` is written once for both evaluation routes: the
-    grid of ``angles`` equispaced points is scanned with ``ev = eval_array``
-    on an array of points, then _polish_argmax polishes the grid argmax
-    with ``ev = eval_series`` at single points.  Overflow is silent;
-    _classify rejects a non-finite maximum.
+    grid of scan_angles(degree) equispaced points is scanned with
+    ``ev = eval_array`` on an array of points, then _polish_argmax polishes
+    the grid argmax with ``ev = eval_series`` at single points.  Overflow
+    is silent; _classify rejects a non-finite maximum.
     """
-    thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
+    thetas = np.linspace(0.0, _TWO_PI, scan_angles(degree), endpoint=False)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = objective(eval_array, np.exp(1j * thetas))
         return _polish_argmax(
@@ -202,25 +191,22 @@ def _polish_argmax(fn, thetas: np.ndarray, vals: np.ndarray
     return float(vals[k]), float(thetas[k])
 
 
-def boundary_sup(F: AnalyticSeries, angles: int | None = None
-                 ) -> tuple[float, float]:
+def boundary_sup(F: AnalyticSeries) -> tuple[float, float]:
     """Maximum of |F| over the unit circle and the angle attaining it.
 
-    Scans an equispaced grid of at least 64 x degree angles, then polishes
+    Scans an equispaced grid of scan_angles(degree) angles, then polishes
     the best cell with a golden-section search.  Ties on the grid resolve
     to the smallest angle.
     """
-    return _circle_extremum(
-        lambda ev, z: abs(ev(F, z)), _resolve_angles(angles, F.degree)
-    )
+    return _circle_extremum(lambda ev, z: abs(ev(F, z)), F.degree)
 
 
-def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries,
-                        angles: int | None = None) -> tuple[float, float]:
+def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
+                        ) -> tuple[float, float]:
     """Maximum of |F1| + |F2| over the unit circle, refined as boundary_sup."""
     return _circle_extremum(
         lambda ev, z: abs(ev(F1, z)) + abs(ev(F2, z)),
-        _resolve_angles(angles, max(F1.degree, F2.degree)),
+        max(F1.degree, F2.degree),
     )
 
 
@@ -234,12 +220,12 @@ def _classify(measured_sup: float, params: ClassParams) -> Verdict:
     return Verdict.BOUNDARY_SHARP
 
 
-def analytic_membership(F: AnalyticSeries, params: ClassParams,
-                        angles: int | None = None) -> MembershipReport:
+def analytic_membership(F: AnalyticSeries, params: ClassParams
+                        ) -> MembershipReport:
     """Three-way membership verdict for a normalized series."""
     if not F.is_normalized():
         raise NormalizationError("membership needs a normalized series")
-    sup, angle = boundary_sup(deficiency(F), angles)
+    sup, angle = boundary_sup(deficiency(F))
     return MembershipReport(
         verdict=_classify(sup, params),
         measured_sup=sup,
@@ -249,12 +235,10 @@ def analytic_membership(F: AnalyticSeries, params: ClassParams,
     )
 
 
-def harmonic_membership(f: HarmonicMap, params: ClassParams,
-                        angles: int | None = None) -> MembershipReport:
+def harmonic_membership(f: HarmonicMap, params: ClassParams
+                        ) -> MembershipReport:
     """Three-way membership verdict for a harmonic map."""
-    sup, angle = paired_boundary_sup(
-        deficiency(f.h), deficiency(f.g), angles
-    )
+    sup, angle = paired_boundary_sup(deficiency(f.h), deficiency(f.g))
     return MembershipReport(
         verdict=_classify(sup, params),
         measured_sup=sup,
@@ -278,8 +262,8 @@ class ZetaFamilyScan:
     witness_phase: float
 
 
-def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int,
-                    angles: int | None = None) -> ZetaFamilyScan:
+def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
+                    ) -> ZetaFamilyScan:
     """Max over unimodular zeta of the boundary sup of A + zeta B.
 
     Sections are read as |va + zeta vb| from one grid evaluation each of A
@@ -292,7 +276,7 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int,
     """
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
-    n = _resolve_angles(angles, max(A.degree, B.degree))
+    n = scan_angles(max(A.degree, B.degree))
     thetas = np.linspace(0.0, _TWO_PI, n, endpoint=False)
     ring = np.exp(1j * thetas)
     va = eval_array(A, ring)
@@ -350,8 +334,7 @@ class StableFamilyReport:
 
 
 def stable_family_check(f: HarmonicMap, params: ClassParams,
-                        zeta_samples: int = 256,
-                        angles: int | None = None) -> StableFamilyReport:
+                        zeta_samples: int = 256) -> StableFamilyReport:
     """Cross-check the family of analytic sections against the harmonic scan.
 
     For every unimodular zeta the section h + zeta g must obey the analytic
@@ -362,8 +345,8 @@ def stable_family_check(f: HarmonicMap, params: ClassParams,
     """
     A = deficiency(f.h)
     B = deficiency(f.g)
-    scan = zeta_family_sup(A, B, zeta_samples, angles)
-    harmonic_sup, _ = paired_boundary_sup(A, B, angles)
+    scan = zeta_family_sup(A, B, zeta_samples)
+    harmonic_sup, _ = paired_boundary_sup(A, B)
     gap = abs(scan.max_sup - harmonic_sup)
     checked = zeta_samples % (4 * (f.degree + 1)) == 0
     if checked and gap > params.sup_tolerance:

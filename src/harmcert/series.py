@@ -64,7 +64,11 @@ ZERO = AnalyticSeries((0j,))
 
 
 def scan_angles(degree: int) -> int:
-    """Default angle count of a circle scan: 64 per degree, at least 256."""
+    """Angle count of every circle scan: 64 per degree, at least 256.
+
+    Boundary suprema, the zeta sweep and the radius rings all take their
+    grid from here; no caller chooses another count.
+    """
     return max(256, 64 * degree)
 
 
@@ -143,16 +147,11 @@ def all_ones(degree: int) -> AnalyticSeries:
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Polar sample grid strictly inside the unit disk.
-
-    ``boundary_angles`` is the floor used when a boundary scan is driven
-    from this grid; it must be at least 64 times the largest degree the
-    scan will see.
-    """
+    """Polar sample grid strictly inside the unit disk, for the interior
+    audits; boundary scans take their angle count from scan_angles."""
 
     radii: tuple[float, ...]
     angles_per_ring: int
-    boundary_angles: int
 
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
@@ -162,8 +161,8 @@ class EvalGrid:
             raise ParameterError("grid radii must lie in [0, 1)")
         if any(b < a for a, b in zip(radii, radii[1:])):
             raise ParameterError("grid radii must be sorted")
-        if self.angles_per_ring < 1 or self.boundary_angles < 1:
-            raise ParameterError("angle counts must be positive")
+        if self.angles_per_ring < 1:
+            raise ParameterError("angles_per_ring must be positive")
         object.__setattr__(self, "radii", radii)
 
     def points(self) -> np.ndarray:
@@ -173,13 +172,7 @@ class EvalGrid:
         return np.concatenate([r * ring for r in self.radii])
 
 
-def default_grid(
-    max_degree: int, rings: int = 8, angles_per_ring: int = 128
-) -> EvalGrid:
-    """Evenly spaced rings up to radius 0.96 with the boundary-angle floor."""
+def default_grid(*, rings: int = 8, angles_per_ring: int = 128) -> EvalGrid:
+    """Evenly spaced rings up to radius 0.96."""
     radii = tuple((k + 1) * 0.96 / rings for k in range(rings))
-    return EvalGrid(
-        radii=radii,
-        angles_per_ring=angles_per_ring,
-        boundary_angles=scan_angles(max_degree),
-    )
+    return EvalGrid(radii=radii, angles_per_ring=angles_per_ring)

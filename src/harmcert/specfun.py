@@ -1,12 +1,14 @@
 """Real special-function kernel: Gamma, Pochhammer, Gauss sums.
 
 Only positive real Gamma arguments are needed anywhere in this package, so
-the implementation stays on that branch and rejects the rest.  The Gauss
-value F(a,b;c;1) is computed from the Gamma closed form
+``gamma`` stays on that branch and rejects the rest.  The Gauss value
+F(a,b;c;1) is computed from the Gamma closed form
 
     F(a,b;c;1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)),
 
-valid for c-a-b > 0, with an exact finite summation whenever a or b is a
+valid for c-a-b > 0, as the exponential of a sum of math.lgamma values, so
+it stays finite where the Gamma values themselves overflow (past about
+171); an exact finite summation replaces it whenever a or b is a
 non-positive integer (terminating series).
 """
 
@@ -21,36 +23,13 @@ from .errors import ParameterError
 
 _INT_TOL = 1e-12
 
-# Lanczos approximation, g = 7, nine coefficients.  Relative error on the
-# positive real axis is a few 1e-14, comfortably inside the 1e-12 budget.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def gamma(x: float) -> float:
-    """Gamma on the positive real axis via the Lanczos rational form."""
+    """Gamma on the positive real axis (math.gamma)."""
     x = float(x)
     if not x > 0.0:
         raise ParameterError(f"gamma needs a positive argument, got {x!r}")
-    if x < 0.5:
-        # One recurrence step keeps the core approximation on x >= 0.5.
-        return gamma(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -146,7 +125,13 @@ def gauss_value(p: HypergeomParams) -> float:
         raise ParameterError(
             f"divergent at z = 1: need c - a - b > 0, got {gap!r}"
         )
-    return gamma(p.c) * gamma(gap) / (gamma(p.c - p.a) * gamma(p.c - p.b))
+    args = (p.c, p.c - p.a, p.c - p.b)
+    if not min(args) > 0.0:
+        raise ParameterError(
+            f"need positive c, c - a and c - b, got {args!r}"
+        )
+    return math.exp(math.lgamma(p.c) - math.lgamma(p.c - p.a)
+                    + math.lgamma(gap) - math.lgamma(p.c - p.b))
 
 
 def weighted_gauss_value(p: HypergeomParams) -> float:

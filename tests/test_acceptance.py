@@ -229,7 +229,6 @@ def test_criterion_6_envelopes():
     grid = EvalGrid(
         radii=tuple((k + 1) * 0.95 / 8 for k in range(8)),
         angles_per_ring=125,
-        boundary_angles=1024,
     )
     worst = 0.0
     for i in range(100):

@@ -4,7 +4,6 @@ import os
 
 import pytest
 
-import harmcert.cli
 from harmcert.cli import (
     EXIT_BOUNDARY_SHARP,
     EXIT_INPUT_ERROR,
@@ -174,19 +173,10 @@ class TestCheckCommand:
         assert captured.out == ""
         assert message in captured.err
 
-    def test_family_check_uses_angles(self, tmp_path, monkeypatch):
-        seen = []
-        original = harmcert.cli.stable_family_check
-
-        def spy(f, params, zeta_samples=256, angles=None):
-            seen.append(angles)
-            return original(f, params, zeta_samples, angles)
-
-        monkeypatch.setattr(harmcert.cli, "stable_family_check", spy)
+    def test_angles_flag_is_rejected(self, tmp_path):
+        # Every circle scan takes its angle count from scan_angles.
         path = write(tmp_path, "id.json", IDENTITY_TEXT)
-        code = main(["check", path, "--angles", "4096", "--zeta-samples", "64"])
-        assert code == EXIT_MEMBER
-        assert seen == [4096]
+        assert main(["check", path, "--angles", "4096"]) == EXIT_INPUT_ERROR
 
     def test_missing_file_exits_three(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR
@@ -426,6 +416,17 @@ class TestHyperCommand:
         lhs = float(capsys.readouterr().out.split("lhs: ")[1].splitlines()[0])
         assert lhs == pytest.approx(oracle, rel=1e-11)
 
+
+    @pytest.mark.parametrize("extra, expected", [
+        ([], EXIT_NON_MEMBER), (["--lambda", "2"], EXIT_MEMBER),
+    ])
+    def test_gauss_value_past_gamma_overflow(self, capsys, extra, expected):
+        # Gamma(300) overflows a double; F(1, 1; 300; 1) = 299/298.
+        code = main(["hyper", "--which", "213", "--a", "1", "--b", "1",
+                     "--c", "300"] + extra)
+        lhs = float(capsys.readouterr().out.split("lhs: ")[1].splitlines()[0])
+        assert abs(lhs - 299 / 298) <= 1e-12
+        assert code == expected
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_rhs_holds(self, capsys):

@@ -85,7 +85,7 @@ class TestGrowthEnvelope:
     def test_sharp_quadratic_attains_upper(self):
         lam = 1.0
         f3 = make_map((0, 1, lam))
-        grid = default_grid(2)
+        grid = default_grid()
         audit = growth_envelope_check(f3, ClassParams(lam=lam), grid)
         assert audit.max_violation <= 1e-12
         # Equality holds along the positive real axis, which the grid hits.
@@ -95,7 +95,7 @@ class TestGrowthEnvelope:
 
     def test_identity_strictly_inside(self):
         audit = growth_envelope_check(
-            make_map((0, 1)), ClassParams(lam=1.0), default_grid(1)
+            make_map((0, 1)), ClassParams(lam=1.0), default_grid()
         )
         assert audit.max_violation == 0.0
         assert audit.tightness["growth_upper"] > 0.0
@@ -103,7 +103,7 @@ class TestGrowthEnvelope:
     def test_random_members_clean(self):
         rng = np.random.default_rng(71)
         params = ClassParams(lam=1.0)
-        grid = default_grid(8)
+        grid = default_grid()
         for _ in range(20):
             f = random_member(int(rng.integers(2, 9)), params, rng)
             audit = growth_envelope_check(f, params, grid)
@@ -112,14 +112,14 @@ class TestGrowthEnvelope:
     def test_rejects_non_member(self):
         f = make_map((0, 1, 1.9))
         with pytest.raises(NonMemberError):
-            growth_envelope_check(f, ClassParams(lam=1.0), default_grid(2))
+            growth_envelope_check(f, ClassParams(lam=1.0), default_grid())
 
 
 class TestJacobianBound:
     def test_sharp_quadratic_attains_bound(self):
         lam = 1.0
         f3 = make_map((0, 1, lam))
-        audit = jacobian_bound_check(f3, ClassParams(lam=lam), default_grid(2))
+        audit = jacobian_bound_check(f3, ClassParams(lam=lam), default_grid())
         assert audit.max_violation <= 1e-12
         assert audit.max_ratio == pytest.approx(1.0, abs=1e-9)
         assert audit.sense_preserving
@@ -129,14 +129,14 @@ class TestJacobianBound:
 
     def test_identity(self):
         audit = jacobian_bound_check(
-            make_map((0, 1)), ClassParams(lam=1.0), default_grid(1)
+            make_map((0, 1)), ClassParams(lam=1.0), default_grid()
         )
         assert audit.max_violation == 0.0
         assert audit.sense_preserving
 
     def test_small_coanalytic(self):
         f = make_map((0, 1), (0, 0, 0.2))
-        grid = default_grid(2)
+        grid = default_grid()
         audit = jacobian_bound_check(f, ClassParams(lam=1.0), grid)
         assert audit.max_violation == 0.0
         assert audit.sense_preserving
@@ -187,9 +187,9 @@ class TestRadiusCertify:
         # lie on the grid of their ring at the angle pi.
         F = AnalyticSeries((0, 1, 1))
         for kind, radius in ((RadiusKind.STARLIKE, 1.0), (RadiusKind.CONVEX, 0.5)):
-            ring = _section_rings(F, ZERO, kind, 256)
+            ring = _section_rings(F, ZERO, kind)
             assert ring(radius) == (-math.inf, math.pi)
-        value, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE, 256)(0.5)
+        value, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE)(0.5)
         assert math.isfinite(value)
 
     def test_ring_minimum_is_polished_off_grid(self):
@@ -198,7 +198,7 @@ class TestRadiusCertify:
         # third of a grid cell puts that minimum between grid angles.
         r, phi = 0.3, 2 * math.pi / 256 / 3
         F = AnalyticSeries((0, 1, np.exp(1j * phi)))
-        ring = _section_rings(F, ZERO, RadiusKind.STARLIKE, 256)
+        ring = _section_rings(F, ZERO, RadiusKind.STARLIKE)
         value, angle = ring(r)
         assert value == pytest.approx((1 - 2 * r) / (1 - r), abs=1e-13)
         assert angle == pytest.approx(math.pi - phi, abs=1e-7)

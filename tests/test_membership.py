@@ -73,11 +73,6 @@ class TestBoundarySup:
             val, _ = boundary_sup(F)
             assert val == pytest.approx(dense_scan_max(F), abs=1e-8)
 
-    def test_angle_floor_enforced(self):
-        F = AnalyticSeries((0, 0, 1, 0, 0, 1))
-        with pytest.raises(ParameterError):
-            boundary_sup(F, angles=16)
-
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(37)
         for _ in range(10):

@@ -256,20 +256,21 @@ class TestCombineWithZeta:
 
 class TestEvalGrid:
     def test_points_stay_inside(self):
-        grid = default_grid(4)
+        grid = default_grid()
         assert np.all(np.abs(grid.points()) < 1.0)
 
-    def test_boundary_floor(self):
-        assert default_grid(10).boundary_angles >= 64 * 10
+    def test_grid_shape_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            default_grid(6)
 
     def test_rejects_radius_one(self):
         with pytest.raises(ParameterError):
-            EvalGrid(radii=(0.5, 1.0), angles_per_ring=8, boundary_angles=64)
+            EvalGrid(radii=(0.5, 1.0), angles_per_ring=8)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ParameterError):
-            EvalGrid(radii=(0.5, 0.2), angles_per_ring=8, boundary_angles=64)
+            EvalGrid(radii=(0.5, 0.2), angles_per_ring=8)
 
     def test_point_count(self):
-        grid = EvalGrid(radii=(0.25, 0.5), angles_per_ring=16, boundary_angles=64)
+        grid = EvalGrid(radii=(0.25, 0.5), angles_per_ring=16)
         assert len(grid.points()) == 32

@@ -174,6 +174,18 @@ class TestGaussValue:
         with pytest.raises(ParameterError):
             gauss_value(HypergeomParams(2.0, 2.0, 3.0))
 
+    def test_against_mpmath_past_gamma_overflow(self):
+        # Gamma(c) overflows a double from c ~ 171.6; the closed form holds
+        # its 1e-12 relative budget up to c = 300.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            a, b = rng.uniform(0.05, 20.0, size=2)
+            c = rng.uniform(a + b + 0.05, 300.0)
+            want = float(mpmath.hyp2f1(a, b, c, 1))
+            got = gauss_value(HypergeomParams(a, b, c))
+            assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestWeightedGaussValue:
     def test_closed_form_value(self):
