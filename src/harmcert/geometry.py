@@ -33,6 +33,7 @@ from .series import (
     ZERO,
     AnalyticSeries,
     EvalGrid,
+    circle_values,
     derivative,
     eval_array,
     hadamard,
@@ -185,9 +186,10 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     once, on p + q.  ``ring(r)`` returns the minimum of the objective on
     |z| = r and the angle attaining it, or -inf when that count is not
     proven to be 1 (STARLIKE) or 0 (CONVEX), at the grid angle where
-    |p + q| is smallest.  A positive grid minimum is polished by
-    _polish_argmax on the negated objective, each point of it one
-    power-matrix product of the four series.
+    |p + q| is smallest.  Each ring's grid values of p, q, p' and q' come
+    from one 4-column circle_values transform.  A positive grid minimum is
+    polished by _polish_argmax on the negated objective, each point of it
+    one power-matrix product of the four series.
     """
     if kind is RadiusKind.STARLIKE:
         p, q, offset, zeros = a, b, 0.0, 1
@@ -196,7 +198,8 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     series = (p, q, derivative(p), derivative(q))
     m = max(len(p.coeffs), len(q.coeffs))
     powers = np.arange(m)
-    # Column per series, for the polish's power-matrix product.
+    # Column per series, for the ring transform and the polish's
+    # power-matrix product.
     coeffs = np.zeros((m, 4), dtype=complex)
     for j, F in enumerate(series):
         coeffs[:len(F.coeffs), j] = F.coeffs
@@ -209,7 +212,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
 
     def ring(r: float) -> tuple[float, float]:
         z = r * unit
-        vals = [eval_array(F, z) for F in series]
+        vals = circle_values(coeffs, angles, r).T
         # D moves by at most delta along one grid cell.  If delta stays
         # below pi (|D(z_k)| - delta) on every cell, D has no zero on the
         # ring and each cell turns arg D by the principal angle of
@@ -451,7 +454,8 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
     maximum bounds the difference quotient between any two points of the
     closed disk, boundary chords included, and members keep it at most
     1 + 2 lam.  The minimum gap between non-adjacent samples is a
-    desk-scale injectivity proxy.
+    desk-scale injectivity proxy.  The samples are equispaced, so h and g
+    are evaluated on them by circle_values.
     """
     if samples < 512:
         raise ParameterError("need at least 512 samples")
@@ -459,7 +463,8 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
     if rep.verdict is Verdict.NON_MEMBER:
         raise NonMemberError("curve audit needs a class member")
     thetas = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-    pts = f.eval_array(np.exp(1j * thetas))
+    pts = (circle_values(f.h.coeffs, samples)
+           + np.conj(circle_values(f.g.coeffs, samples)))
     lipschitz, _ = paired_boundary_sup(derivative(f.h), derivative(f.g))
     return CurveAudit(
         thetas=thetas,

@@ -25,6 +25,7 @@ from .errors import ConsistencyError, NormalizationError, ParameterError
 from .series import (
     COEFF_TOL,
     AnalyticSeries,
+    circle_values,
     deficiency,
     eval_array,
     eval_series,
@@ -266,27 +267,38 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
                     ) -> ZetaFamilyScan:
     """Max over unimodular zeta of the boundary sup of A + zeta B.
 
-    Sections are read as |va + zeta vb| from one grid evaluation each of A
-    and B, and the per-zeta suprema are polished over the angle in
-    lockstep.  The best zeta cell, phases[k] +- 2 pi / zeta_samples, is
-    then refined exactly: at each angle the best phase in the cell has a
-    closed form, so its family sup is one circle extremum, scanned on the
-    same two arrays and polished by _polish_argmax.  The witness phase is
-    the cell's best phase at the polished angle.
+    Sections are read as |va + zeta vb| from one circle_values transform
+    each of A and B; each zeta row's grid argmax comes from a real rank-3
+    product, and the per-zeta suprema are polished over the angle in
+    lockstep with eval_array, off the grid.  The best zeta cell,
+    phases[k] +- 2 pi / zeta_samples, is then refined exactly: at each
+    angle the best phase in the cell has a closed form, so its family sup
+    is one circle extremum, scanned on the same two arrays and polished by
+    _polish_argmax.  The witness phase is the cell's best phase at the
+    polished angle.
     """
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
     n = scan_angles(max(A.degree, B.degree))
     thetas = np.linspace(0.0, _TWO_PI, n, endpoint=False)
-    ring = np.exp(1j * thetas)
-    va = eval_array(A, ring)
-    vb = eval_array(B, ring)
+    va = circle_values(A.coeffs, n)
+    vb = circle_values(B.coeffs, n)
     phases = _TWO_PI * np.arange(zeta_samples) / zeta_samples
     zetas = np.exp(1j * phases)
-    # Grid argmax per zeta row, in blocks of about 2**16 grid values.
+    # |a + e^{i phi} b|^2 = |a|^2 + |b|^2 + 2 Re(e^{i phi} b conj(a)): each
+    # zeta row's grid argmax is that of a real rank-3 product, taken in
+    # blocks of about 2**16 grid values.  Scaling by the largest modulus
+    # keeps the squares finite wherever the moduli are.
+    s = float(max(np.max(np.abs(va)), np.max(np.abs(vb)))) or 1.0
+    a, b = va / s, vb / s
+    w = b * np.conj(a)
+    quad = np.stack([a.real**2 + a.imag**2 + b.real**2 + b.imag**2,
+                     2.0 * w.real, -2.0 * w.imag])
+    trig = np.stack([np.ones(zeta_samples), np.cos(phases), np.sin(phases)],
+                    axis=1)
     rows = max(1, 2**16 // n)
     ks = np.concatenate([
-        np.argmax(np.abs(va + zetas[r:r + rows, None] * vb), axis=1)
+        np.argmax(trig[r:r + rows] @ quad, axis=1)
         for r in range(0, zeta_samples, rows)
     ])
     step = _TWO_PI / n

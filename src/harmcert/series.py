@@ -81,8 +81,30 @@ def eval_series(F: AnalyticSeries, z: complex) -> complex:
 
 
 def eval_array(F: AnalyticSeries, zs: np.ndarray) -> np.ndarray:
-    """Vectorized Horner evaluation on an array of points."""
+    """Vectorized Horner evaluation on an array of points.
+
+    For arbitrary points: polish steps, interior grids and the membership
+    scan.  Values on a whole equispaced circle come from circle_values.
+    """
     return np.polyval(np.asarray(F.coeffs, dtype=complex)[::-1], zs)
+
+
+def circle_values(coeffs, n: int, r: float = 1.0) -> np.ndarray:
+    """Values of sum c_k z^k at z = r e^{2 pi i j / n}, j = 0..n-1.
+
+    One inverse FFT of the r-scaled coefficients, unnormalized
+    (``norm="forward"``), so O(n log n) against Horner's O(n d).  A 2-D
+    ``coeffs`` gives one column of values per coefficient column.  With
+    more coefficients than points, the scaled coefficients of equal index
+    modulo n are summed first: the n-th roots of unity repeat with period n.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    scale = float(r) ** np.arange(len(c))
+    c = c * scale.reshape((-1,) + (1,) * (c.ndim - 1))
+    if len(c) > n:
+        c = np.concatenate([c, np.zeros((-len(c) % n,) + c.shape[1:])])
+        c = c.reshape((-1, n) + c.shape[1:]).sum(axis=0)
+    return np.fft.ifft(c, n, axis=0, norm="forward")
 
 
 def derivative(F: AnalyticSeries) -> AnalyticSeries:

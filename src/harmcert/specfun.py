@@ -32,8 +32,20 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or +inf where it passes the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def pochhammer(x: float, n: int) -> float:
-    """Rising factorial x (x+1) ... (x+n-1), with the empty product 1."""
+    """Rising factorial x (x+1) ... (x+n-1), with the empty product 1.
+
+    Past 64 factors with x > 0 it is exp(lgamma(x + n) - lgamma(x)), which
+    is +inf only where the rising factorial itself passes the double range.
+    """
     if n < 0:
         raise ParameterError("pochhammer order must be non-negative")
     if n <= 64 or x <= 0.0:
@@ -41,7 +53,7 @@ def pochhammer(x: float, n: int) -> float:
         for k in range(n):
             acc *= x + k
         return acc
-    return gamma(x + n) / gamma(x)
+    return _exp_or_inf(math.lgamma(x + n) - math.lgamma(x))
 
 
 def _terminating_index(x: float) -> int | None:
@@ -115,6 +127,7 @@ def gauss_value(p: HypergeomParams) -> float:
 
     Terminating cases sum the nonzero terms exactly (overflowing silently);
     otherwise the Gamma closed form applies and c - a - b > 0 is required.
+    A value past the double range is +inf in both cases.
     """
     s = p.terminating_index()
     if s is not None:
@@ -130,8 +143,8 @@ def gauss_value(p: HypergeomParams) -> float:
         raise ParameterError(
             f"need positive c, c - a and c - b, got {args!r}"
         )
-    return math.exp(math.lgamma(p.c) - math.lgamma(p.c - p.a)
-                    + math.lgamma(gap) - math.lgamma(p.c - p.b))
+    return _exp_or_inf(math.lgamma(p.c) - math.lgamma(p.c - p.a)
+                       + math.lgamma(gap) - math.lgamma(p.c - p.b))
 
 
 def weighted_gauss_value(p: HypergeomParams) -> float:

@@ -131,6 +131,27 @@ class TestCheckCommand:
         assert code == EXIT_BOUNDARY_SHARP
         assert payload["zeta_family_gap"] <= 1e-6
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zeta_samples_at_extreme_scale(self, tmp_path, capsys):
+        # Coefficients near 1e200: squared moduli would overflow unscaled.
+        text = IDENTITY_TEXT.replace(
+            '"h_coeffs": [\n    [0, 0],\n    [1, 0]',
+            '"h_coeffs": [\n    [0, 0],\n    [1, 0],\n    [1e200, 0],\n'
+            '    [0, -5e199],\n    [3e199, 1e199],\n    [0, 2e199]',
+        ).replace(
+            '"g_coeffs": [\n    [0, 0],\n    [0, 0]',
+            '"g_coeffs": [\n    [0, 0],\n    [0, 0],\n    [2e199, 0],\n'
+            '    [0, 0],\n    [0, -1e199],\n    [4e199, 0]',
+        )
+        path = write(tmp_path, "huge.json", text)
+        code = main(["check", path, "--zeta-samples", "64", "--json"])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert code == EXIT_NON_MEMBER
+        assert math.isfinite(payload["zeta_family_max"])
+        assert payload["zeta_family_max"] > 1e199
+        assert captured.err == ""
+
     def test_bad_file_exits_three(self, tmp_path, capsys):
         bad = IDENTITY_TEXT.replace(
             '"g_coeffs": [\n    [0, 0],\n    [0, 0]',
@@ -446,6 +467,17 @@ class TestHyperCommand:
         assert code == EXIT_NON_MEMBER
         assert "lhs: inf" in captured.out and "holds: False" in captured.out
         assert "equals" not in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_gauss_value_fails(self, capsys):
+        # F(1000, 1000; 2000.5; 1) is about 1e600: the Gamma quotient passes
+        # the double range, and an lhs of +inf fails every finite rhs.
+        code = main(["hyper", "--which", "213", "--a", "1000", "--b", "1000",
+                     "--c", "2000.5"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NON_MEMBER
+        assert "lhs: inf" in captured.out and "holds: False" in captured.out
         assert captured.err == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

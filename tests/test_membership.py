@@ -265,6 +265,20 @@ class TestZetaFamilySweep:
             zeta_family_sup(deficiency(f.h), deficiency(f.g), 256)
             assert 0 < len(calls) <= 100
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scale(self, scale):
+        # The grid argmax squares moduli; scaled by the largest one, those
+        # squares stay finite and normal at either end of the double range.
+        rng = np.random.default_rng(200)
+        for degree in (2, 5, 12, 40):
+            f0 = random_member(degree, ClassParams(lam=1.0), rng)
+            f = make_map((0, 1) + tuple(scale * c for c in f0.h.coeffs[2:]),
+                         tuple(scale * c for c in f0.g.coeffs))
+            rep = stable_family_check(f, ClassParams(lam=1.0), 64)
+            sup, _ = paired_boundary_sup(deficiency(f.h), deficiency(f.g))
+            assert abs(rep.scan.max_sup - sup) <= 1e-14 * sup
+
     def test_memory_stays_below_the_zeta_angle_matrix(self):
         # The full 256 x 16384 complex grid alone would take 64 MiB.
         params = ClassParams(lam=1.0)

@@ -11,6 +11,7 @@ from harmcert.series import (
     AnalyticSeries,
     EvalGrid,
     all_ones,
+    circle_values,
     combine_with_zeta,
     default_grid,
     deficiency,
@@ -95,6 +96,46 @@ class TestEval:
         out = eval_array(F, zs)
         for z, v in zip(zs, out):
             assert v == pytest.approx(eval_series(F, complex(z)), abs=1e-14)
+
+
+def assert_matches_horner(coeffs, got, r):
+    """circle_values output ``got`` against eval_array on the same grid,
+    within 1e-13 of sum |c_k| r^k, the largest the sum can be there."""
+    n = len(got)
+    zs = r * np.exp(2j * math.pi * np.arange(n) / n)
+    want = eval_array(AnalyticSeries(tuple(coeffs)), zs)
+    mass = float(np.sum(np.abs(coeffs) * r ** np.arange(len(coeffs))))
+    assert np.max(np.abs(got - want)) <= 1e-13 * mass
+
+
+class TestCircleValues:
+    @pytest.mark.parametrize("degree", [0, 3, 64, 300])
+    @pytest.mark.parametrize("r", [1.0, 0.7, 2.0**-30])
+    def test_matches_horner_on_the_grid(self, degree, r):
+        rng = np.random.default_rng(degree)
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(
+            degree + 1)
+        n = max(256, 64 * degree)
+        assert_matches_horner(coeffs, circle_values(coeffs, n, r), r)
+
+    @pytest.mark.parametrize("r", [1.0, 0.7])
+    def test_four_column_batch(self, r):
+        # One column of values per coefficient column, as the radius rings
+        # transform p, q, p' and q' together.
+        rng = np.random.default_rng(4)
+        coeffs = rng.standard_normal((33, 4)) + 1j * rng.standard_normal(
+            (33, 4))
+        got = circle_values(coeffs, 2048, r)
+        assert got.shape == (2048, 4)
+        for j in range(4):
+            assert_matches_horner(coeffs[:, j], got[:, j], r)
+
+    @pytest.mark.parametrize("r", [1.0, 0.7])
+    def test_folds_past_the_point_count(self, r):
+        # 601 coefficients on 512 points: z^k = z^(k mod 512) on the grid.
+        rng = np.random.default_rng(600)
+        coeffs = rng.standard_normal(601) + 1j * rng.standard_normal(601)
+        assert_matches_horner(coeffs, circle_values(coeffs, 512, r), r)
 
 
 class TestDerivative:

@@ -90,6 +90,41 @@ class TestPochhammer:
         with pytest.raises(ParameterError):
             pochhammer(1.0, -1)
 
+    def test_long_products_match_the_loop(self):
+        # Past 64 factors the lgamma difference is used; it must agree with
+        # the plain product, also where x + n passes Gamma's range (~171.6).
+        rng = np.random.default_rng(65)
+        for _ in range(300):
+            x = float(rng.uniform(1e-2, 150.0))
+            n = int(rng.integers(65, 300))
+            acc = 1.0
+            for k in range(n):
+                acc *= x + k
+            got = pochhammer(x, n)
+            if math.isinf(acc):
+                assert got == math.inf
+            else:
+                assert abs(got - acc) <= 1e-12 * acc
+
+    def test_past_gamma_range_stays_finite(self):
+        # Gamma(215) overflows a double; (150)_65 is about 5.66e146.
+        assert pochhammer(150.0, 65) == pytest.approx(5.664898802873e146,
+                                                      rel=1e-12)
+        assert pochhammer(150.0, 400) == math.inf
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(66)
+        for _ in range(100):
+            x = float(rng.uniform(1e-2, 500.0))
+            n = int(rng.integers(65, 200))
+            want = float(mpmath.rf(x, n))
+            got = pochhammer(x, n)
+            if math.isinf(want):
+                assert got == math.inf
+            else:
+                assert abs(got - want) <= 1e-12 * want
+
 
 class TestHypergeomParams:
     def test_rejects_nonpositive_integer_c(self):
@@ -173,6 +208,11 @@ class TestGaussValue:
     def test_divergent_raises(self):
         with pytest.raises(ParameterError):
             gauss_value(HypergeomParams(2.0, 2.0, 3.0))
+
+    def test_value_past_the_double_range_is_inf(self):
+        # F(1000, 1000; 2000.5; 1) = Gamma(2000.5) Gamma(0.5) / Gamma(1000.5)^2
+        # is about 1e600.
+        assert gauss_value(HypergeomParams(1000.0, 1000.0, 2000.5)) == math.inf
 
     def test_against_mpmath_past_gamma_overflow(self):
         # Gamma(c) overflows a double from c ~ 171.6; the closed form holds
