@@ -53,6 +53,11 @@ _VERDICT_EXIT = {
     Verdict.INCONCLUSIVE: EXIT_INPUT_ERROR,
 }
 
+# curve_svg draws the images of these inner circles, each from this many
+# equispaced points.
+_SVG_RINGS = (0.25, 0.5, 0.75)
+_SVG_RING_SAMPLES = 256
+
 
 class FunctionFileError(ParameterError):
     """A function file failed to parse or validate."""
@@ -211,12 +216,11 @@ def _svg_path(points, closed: bool = True) -> str:
     return " ".join(parts)
 
 
-def curve_svg(f: HarmonicMap, audit, rings=(0.25, 0.5, 0.75),
-              ring_samples: int = 256) -> str:
+def curve_svg(f: HarmonicMap, audit) -> str:
     """Closed polyline of the boundary image plus images of inner circles."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, ring_samples, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * math.pi, _SVG_RING_SAMPLES, endpoint=False)
     circle = np.exp(1j * thetas)
-    ring_paths = [f.eval_array(r * circle) for r in rings]
+    ring_paths = [f.eval_array(r * circle) for r in _SVG_RINGS]
     all_pts = np.concatenate([audit.points] + ring_paths)
     x = np.concatenate([all_pts.real, [0.0]])
     y = np.concatenate([-all_pts.imag, [0.0]])
