@@ -61,7 +61,7 @@ print("=" * 72)
 print("3. The family of analytic sections tells the same story")
 print("=" * 72)
 scan = stable_family_check(f, params, zeta_samples=64)
-print(f"per-zeta boundary sups: min {scan.scan.sups.min():.6f}, "
+print(f"per-zeta grid maxima:  min {scan.scan.sups.min():.6f}, "
       f"max {scan.scan.sups.max():.6f}")
 print(f"family maximum:  {scan.scan.max_sup:.12f}  (the harmonic sup)")
 print(f"gap:             {scan.gap:.2e}")
@@ -69,8 +69,10 @@ print()
 print("Every section h + zeta g obeys the analytic inequality exactly when")
 print("the harmonic map obeys its own.  Pointwise the best zeta turns")
 print("|A + zeta B| into |A| + |B|, so the maximum over every section is")
-print("the harmonic sup; no sampled section may exceed it, and the gap is")
-print("their excess over it, zero up to rounding.")
+print("the harmonic sup.  Each sampled section reports its maximum on an")
+print("n-angle grid, below its own sup by at most M2 pi^2 / (2 n^2) with")
+print("M2 = sum k^2 (|A_k| + |B_k|); none may exceed the harmonic sup, and")
+print("the gap is their excess over it, zero up to rounding.")
 
 print()
 print("=" * 72)

@@ -111,37 +111,6 @@ class MembershipReport:
     justification: str
 
 
-def _golden_max_rows(batch, centers: np.ndarray, step: float) -> np.ndarray:
-    """Golden-section maximization over [center - step, center + step], one
-    bracket per row, run in lockstep down to ``_POLISH_WIDTH``.
-
-    The per-zeta rows of zeta_family_sup use it; a single cell goes through
-    _polish_argmax.  ``batch(ts)`` evaluates row j's objective at ``ts[j]``.
-    Every bracket has the same width, so one scalar tracks the stopping
-    rule for all rows.  As in _polish_argmax, each step evaluates one new
-    point per row and keeps the better interior point, so the better of the
-    two it holds at the end is the best value seen in that row.  The caller
-    compares it with the grid value at the centre, which the search never
-    evaluates.
-    """
-    lo = centers - step
-    hi = centers + step
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = batch(c), batch(d)
-    width = 2.0 * step
-    while width > _POLISH_WIDTH:
-        left = fc >= fd
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        c, d = (np.where(left, hi - _INV_PHI * (hi - lo), d),
-                np.where(left, c, lo + _INV_PHI * (hi - lo)))
-        fnew = batch(np.where(left, c, d))
-        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
-        width *= _INV_PHI
-    return np.maximum(fc, fd)
-
-
 def _circle_extremum(objective, degree: int) -> tuple[float, float]:
     """Maximum of a real objective over the unit circle and the angle
     attaining it, for series of degree at most ``degree``.
@@ -164,7 +133,7 @@ def _polish_argmax(fn, thetas: np.ndarray, vals: np.ndarray
                    ) -> tuple[float, float]:
     """Golden-section polish of ``fn(t)``, a scalar objective of the angle,
     over the two grid cells around the argmax of its grid values ``vals``
-    on ``thetas``, down to ``_POLISH_WIDTH``: the one single-cell polish.
+    on ``thetas``, down to ``_POLISH_WIDTH``: the only golden search.
     The first index wins ties, so ties resolve to the smallest angle.
     """
     k = int(np.argmax(vals))
@@ -212,11 +181,14 @@ def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
 
 
 def _classify(measured_sup: float, params: ClassParams) -> Verdict:
+    """The band around lam is absolute, widened to ``sup_tolerance * lam``
+    once the rounding of a sup near a large lam outgrows it."""
     if not math.isfinite(measured_sup):
         raise ParameterError("boundary values overflow")
-    if measured_sup > params.lam + params.boundary_band:
+    band = max(params.boundary_band, params.sup_tolerance * params.lam)
+    if measured_sup > params.lam + band:
         return Verdict.NON_MEMBER
-    if measured_sup < params.lam - params.boundary_band:
+    if measured_sup < params.lam - band:
         return Verdict.MEMBER
     return Verdict.BOUNDARY_SHARP
 
@@ -253,9 +225,10 @@ def harmonic_membership(f: HarmonicMap, params: ClassParams
 class ZetaFamilyScan:
     """Boundary suprema of the sections A + zeta B over sampled zeta.
 
-    ``sups[k]`` is the section sup at ``phases[k]``, a sampled lower bound
-    on ``max_sup``, the sup over every unimodular zeta, which the section
-    with phase ``witness_phase`` attains.
+    ``sups[k]`` is the grid maximum of the section at ``phases[k]``, within
+    a proven bound below its sup (see zeta_family_sup), so a sampled lower
+    bound on ``max_sup``, the sup over every unimodular zeta, which the
+    section with phase ``witness_phase`` attains.
     """
 
     phases: np.ndarray
@@ -268,19 +241,28 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
                     ) -> ZetaFamilyScan:
     """Max over unimodular zeta of the boundary sup of A + zeta B.
 
+    The maximum over every zeta has a closed form: pointwise, max over
+    zeta of |A + zeta B| is |A| + |B|, reached at
+    zeta = e^{i(arg A - arg B)}, so ``max_sup`` is paired_boundary_sup(A, B)
+    and the witness phase is arg A - arg B at its angle.  A non-finite
+    ``max_sup`` raises ParameterError before any transform runs.
+
     Sections are read as |va + zeta vb| from one circle_values transform
-    each of A and B; each zeta row's grid argmax comes from a real rank-3
-    product, and the per-zeta suprema are polished over the angle in
-    lockstep with eval_array, off the grid.  The maximum over every zeta
-    has a closed form: pointwise, max over zeta of |A + zeta B| is
-    |A| + |B|, reached at zeta = e^{i(arg A - arg B)}, so ``max_sup`` is
-    paired_boundary_sup(A, B) and the witness phase is arg A - arg B at
-    its angle.
+    each of A and B on n = scan_angles(degree) angles; each zeta row's
+    grid argmax comes from a real rank-3 product, and ``sups`` holds the
+    grid maximum itself.  With M2 = sum k^2 (|A_k| + |B_k|), every section
+    F = A + zeta B has |F''(theta)| <= M2.  Its true maximiser lies within
+    pi/n of a grid angle, and there F is orthogonal to F' (|F| has zero
+    slope), so up to rounding
+
+        sups[k] <= sup |A + zeta_k B| <= sups[k] + M2 pi^2 / (2 n^2).
     """
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
+    max_sup, angle = paired_boundary_sup(A, B)
+    if not math.isfinite(max_sup):
+        raise ParameterError("boundary values overflow")
     n = scan_angles(max(A.degree, B.degree))
-    thetas = np.linspace(0.0, _TWO_PI, n, endpoint=False)
     va = circle_values(A.coeffs, n)
     vb = circle_values(B.coeffs, n)
     phases = _TWO_PI * np.arange(zeta_samples) / zeta_samples
@@ -301,16 +283,8 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
         np.argmax(trig[r:r + rows] @ quad, axis=1)
         for r in range(0, zeta_samples, rows)
     ])
-    step = _TWO_PI / n
+    sups = np.abs(va[ks] + zetas * vb[ks])
 
-    def batch(ts: np.ndarray) -> np.ndarray:
-        zs = np.exp(1j * ts)
-        return np.abs(eval_array(A, zs) + zetas * eval_array(B, zs))
-
-    polished = _golden_max_rows(batch, thetas[ks], step)
-    sups = np.maximum(np.abs(va[ks] + zetas * vb[ks]), polished)
-
-    max_sup, angle = paired_boundary_sup(A, B)
     z = cmath.exp(1j * angle)
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = eval_series(A, z), eval_series(B, z)

@@ -79,7 +79,7 @@ def _scaled_tail_map(f: HarmonicMap, scale: float) -> HarmonicMap:
     return HarmonicMap(h=h, g=g)
 
 
-def test_criterion_1_sharp_membership():
+def test_criterion_1_sharp_membership(tmp_path, capsys):
     worst = 0.0
     ok = True
     for lam in LEVELS:
@@ -99,6 +99,20 @@ def test_criterion_1_sharp_membership():
         rep = harmonic_membership(half, params)
         ok &= rep.verdict is Verdict.MEMBER
         ok &= abs(rep.margin - lam / 2) <= 1e-6
+    # At large lam the rounding of a sup near lam outgrows the absolute
+    # band, so the band scales with lam there.
+    for lam in (3e9, 1e10, 1e12):
+        params = ClassParams(lam=lam)
+        cases = [make_example(CatalogParams(name=name, lam=lam))
+                 for name in ("eq13", "f3")]
+        cases += [make_example(CatalogParams(name=name, lam=lam, n=5))
+                  for name in ("f_a", "f_b")]
+        for f in cases:
+            ok &= harmonic_membership(f, params).verdict is Verdict.BOUNDARY_SHARP
+    path = tmp_path / "f3_1e10.json"
+    ok &= main(["example", "f3", "--lambda", "1e10", "--out", str(path)]) == EXIT_MEMBER
+    ok &= main(["check", str(path)]) == EXIT_BOUNDARY_SHARP
+    capsys.readouterr()
     _report("criterion 1: sharp membership suite", ok, f"worst |sup-lam| {worst:.2e}")
 
 

@@ -30,6 +30,7 @@ from harmcert.series import (
     combine_with_zeta,
     deficiency,
     eval_array,
+    scan_angles,
 )
 
 
@@ -222,6 +223,14 @@ class TestStableFamily:
             rep = stable_family_check(f, ClassParams(lam=1.0), 64)
             assert rep.gap <= 1e-14 * rep.harmonic_sup
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_map_is_rejected(self):
+        # The same map gets ParameterError from harmonic_membership; the
+        # family check must not report NaN sups for it.
+        f = make_map((0, 1) + (5e306,) * 19)
+        with pytest.raises(ParameterError, match="overflow"):
+            stable_family_check(f, ClassParams(lam=1.0), 64)
+
     def test_cross_check_fires_on_a_low_harmonic_sup(self, monkeypatch):
         # A harmonic sup read 1 % low leaves sampled sections above it.  The
         # benchmark's classifier must parse the message with the section
@@ -255,16 +264,23 @@ class TestStableFamily:
 class TestZetaFamilySweep:
     def test_sections_match_rebuilt_section_scans(self):
         # Reference: rebuild every section A + zeta B and scan it on its own.
+        # A row is a grid maximum, so it lies below the section sup by at
+        # most the curvature bound M2 pi^2 / (2 n^2).
         rng = np.random.default_rng(71)
         for i in range(12):
             params = ClassParams(lam=float(rng.uniform(0.2, 6.0)))
             f = random_member(int(rng.integers(2, 65)), params, rng)
             A, B = deficiency(f.h), deficiency(f.g)
             scan = zeta_family_sup(A, B, (8, 16, 24)[i % 3])
+            n = scan_angles(max(A.degree, B.degree))
+            m2 = sum(k * k * (abs(A.coeff(k)) + abs(B.coeff(k)))
+                     for k in range(max(A.degree, B.degree) + 1))
+            bound = m2 * math.pi**2 / (2 * n * n)
             zetas = np.exp(1j * scan.phases)
             for sup, zeta in zip(scan.sups, zetas):
                 ref, _ = boundary_sup(combine_with_zeta(A, B, zeta))
-                assert abs(sup - ref) <= 1e-12 * max(1.0, ref)
+                assert ref - bound - 1e-12 * max(1.0, ref) <= sup
+                assert sup <= ref * (1.0 + 1e-12)
             assert scan.max_sup >= np.max(scan.sups)
 
     def test_family_max_is_the_paired_sup(self):
@@ -326,6 +342,26 @@ class TestZetaFamilySweep:
             calls.clear()
             zeta_family_sup(deficiency(f.h), deficiency(f.g), 256)
             assert 0 < len(calls) <= 100
+
+    def test_rows_make_no_evaluation_beyond_the_paired_scan(self, monkeypatch):
+        # Rows are read off the two FFT grids; the only eval_array calls
+        # are the paired scan's two, one per series.
+        import harmcert.membership as membership
+
+        calls = []
+        original = membership.eval_array
+
+        def counting(F, zs):
+            calls.append(F)
+            return original(F, zs)
+
+        monkeypatch.setattr(membership, "eval_array", counting)
+        for degree in (3, 64):
+            f = random_member(degree, ClassParams(lam=1.0),
+                              np.random.default_rng(degree))
+            calls.clear()
+            zeta_family_sup(deficiency(f.h), deficiency(f.g), 256)
+            assert len(calls) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
