@@ -53,12 +53,15 @@ class RadiusKind(Enum):
 class RadiusCertificate:
     """Largest ring radius at which the ring test passed.
 
-    ``inner_margin`` is the ring minimum one step inside the certified
-    radius and must be positive (for g != 0 a lower bound on every
-    section's functional); when the radius is below 1 the ``outer_witness``
+    ``inner_margin`` is the polished ring minimum one step inside the
+    certified radius and must be positive (for g != 0 a lower bound on
+    every section's functional), or that of the ring at 1 - tol for a
+    capped radius; when the radius is below 1 the ``outer_witness``
     records a ring at most one step outside, and an angle on it, where that
     minimum dropped to zero or below or the zero count of the denominator
     was not the one allowed.  ``rings`` is the number of rings evaluated.
+    Each passing ring is proven positive between its grid angles by a
+    first-order bound, or else polished there (_section_rings).
     """
 
     kind: RadiusKind
@@ -157,27 +160,30 @@ def jacobian_bound_check(f: HarmonicMap, params: ClassParams,
     )
 
 
-def _ring_objective(z, p, q, dp, dq, offset: float):
-    """Least numerator over unimodular zeta, over (|p| + |q|)^2.
+def _ring_numerator(p, q, u, v):
+    """Least numerator over unimodular zeta of a section's functional.
 
-    At z the functional of D = p + zeta q is offset + Re(z D'/D), with
-    D' = dp + zeta dq: its numerator Re((u + zeta v) conj(D)), where
-    u = z dp + offset p and v = z dq + offset q, over |D|^2.  That numerator
-    is alpha + Re(zeta gamma), alpha = Re(u conj(p) + v conj(q)) and
+    At z the functional of D = p + zeta q is offset + Re(z D'/D): its
+    numerator Re((u + zeta v) conj(D)), where u = z p' + offset p and
+    v = z q' + offset q, over |D|^2.  That numerator is
+    alpha + Re(zeta gamma), alpha = Re(u conj(p) + v conj(q)) and
     gamma = v conj(p) + conj(u) q, so its least value is alpha - |gamma|.
-    As |D| <= |p| + |q|, a positive result bounds every section's
-    functional from below; for q = 0 it is the functional.
+    Arrays and Python complex numbers alike have the methods used here.
     """
-    u = z * dp + offset * p
-    v = z * dq + offset * q
-    alpha = (u * np.conj(p) + v * np.conj(q)).real
-    gamma = v * np.conj(p) + np.conj(u) * q
-    return (alpha - np.abs(gamma)) / (np.abs(p) + np.abs(q)) ** 2
+    alpha = (u * p.conjugate() + v * q.conjugate()).real
+    return alpha - abs(v * p.conjugate() + u.conjugate() * q)
+
+
+def _ring_objective(p, q, u, v):
+    """_ring_numerator over (|p| + |q|)^2.  As |D| <= |p| + |q|, a positive
+    result bounds every section's functional from below; for q = 0 it is
+    the functional."""
+    return _ring_numerator(p, q, u, v) / (abs(p) + abs(q)) ** 2
 
 
 def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     """Ring test of every section h + zeta g at once, as ``ring(r)``, on
-    scan_angles(max(a.degree, b.degree)) equispaced angles per ring.
+    n = scan_angles(max(a.degree, b.degree)) equispaced angles per ring.
 
     The denominators are D = p + zeta q, with p, q = a, b for STARLIKE and
     a', b' for CONVEX, and the functional is offset + Re(z D'/D) with
@@ -186,38 +192,61 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     once, on p + q.  ``ring(r)`` returns the minimum of the objective on
     |z| = r and the angle attaining it, or -inf when that count is not
     proven to be 1 (STARLIKE) or 0 (CONVEX), at the grid angle where
-    |p + q| is smallest.  Each ring's grid values of p, q, p' and q' come
-    from one 4-column circle_values transform.  A positive grid minimum is
-    polished by _polish_argmax on the negated objective, each point of it
-    one power-matrix product of the four series.
+    |p + q| is smallest.  u = z p' + offset p and v = z q' + offset q are
+    series too, with coefficients (k + offset) p_k and (k + offset) q_k, so
+    each ring's grid values of p, q, u and v come from one 4-column
+    circle_values transform.  A positive grid minimum is polished by
+    _polish_argmax on the negated objective, each point of it one
+    power-matrix product of the four series.
+
+    ``ring(r, polish=False)`` skips the polish where a first-order bound
+    proves the ring positive, and then returns the grid minimum.  With
+    P_k = |p_k| + |q_k|, U_k = |u_k| + |v_k| and Sm(X) = sum k^m X_k r^k,
+    N = alpha - |gamma| (_ring_numerator) has |N'(theta)| <= B1 =
+    S1(U) S0(P) + S0(U) S1(P), as |j - k| <= j + k in each of its four
+    double sums, and every angle lies within pi/n of a grid angle.  A
+    transform's 2-norm error is at most about 8 u log2(n) of its output's
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 24, taken
+    with ceil(log2 n) for mixed radices; u = 2^-53), whose 2-norm is at
+    most sqrt(n) S0(X); so each grid value of X is off by at most
+    eps S0(X), eps = 8 u ceil(log2 n) sqrt(n) >= 1024 u, and N, four
+    products of such values with a few u of rounding each, by at most
+    3 eps S0(U) S0(P), about 1e-12 of it.  The factor 1 + eps covers the
+    rounding of the coefficients and of the sums Sm.  So a grid minimum
+    of N above (B1 pi/n + 3 eps S0(U) S0(P)) (1 + eps) proves N > 0 on
+    the whole ring, and with it every section's functional.
     """
     if kind is RadiusKind.STARLIKE:
         p, q, offset, zeros = a, b, 0.0, 1
     else:
         p, q, offset, zeros = derivative(a), derivative(b), 1.0, 0
-    series = (p, q, derivative(p), derivative(q))
     m = max(len(p.coeffs), len(q.coeffs))
     powers = np.arange(m)
-    # Column per series, for the ring transform and the polish's
+    # Columns p, q, u, v, for the ring transform and the polish's
     # power-matrix product.
     coeffs = np.zeros((m, 4), dtype=complex)
-    for j, F in enumerate(series):
-        coeffs[:len(F.coeffs), j] = F.coeffs
-    # M1(r) = slope . r^powers bounds |D'| on |z| = r for every section.
-    slope = np.abs(coeffs[:, 2]) + np.abs(coeffs[:, 3])
+    coeffs[:len(p.coeffs), 0] = p.coeffs
+    coeffs[:len(q.coeffs), 1] = q.coeffs
+    coeffs[:, 2:] = (powers + offset)[:, None] * coeffs[:, :2]
+    # Rows P, k P, U, k U: times r^powers they give S0(P), S1(P), S0(U) and
+    # S1(U).  As z D' = sum k (p_k + zeta q_k) z^k, S1(P) bounds |z D'|.
+    P = np.abs(coeffs[:, 0]) + np.abs(coeffs[:, 1])
+    U = np.abs(coeffs[:, 2]) + np.abs(coeffs[:, 3])
+    sums = np.stack([P, powers * P, U, powers * U])
     angles = scan_angles(max(a.degree, b.degree))
     thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
-    unit = np.exp(1j * thetas)
     step = _TWO_PI / angles
+    eps = 8.0 * 2.0 ** -53 * math.ceil(math.log2(angles)) * math.sqrt(angles)
 
-    def ring(r: float) -> tuple[float, float]:
-        z = r * unit
+    def ring(r: float, polish: bool = True) -> tuple[float, float]:
         vals = circle_values(coeffs, angles, r).T
+        rk = r ** powers
+        s0p, s1p, s0u, s1u = (sums @ rk).tolist()
         # D moves by at most delta along one grid cell.  If delta stays
         # below pi (|D(z_k)| - delta) on every cell, D has no zero on the
         # ring and each cell turns arg D by the principal angle of
         # D(z_{k+1}) / D(z_k), so their sum counts the zeros inside.
-        delta = r * step * float(slope @ r ** powers)
+        delta = step * s1p
         D = vals[0] + vals[1]
         mod = np.abs(D)
         j = int(np.argmin(mod))
@@ -226,17 +255,22 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
         turn = float(np.angle(np.roll(D, -1) * np.conj(D)).sum())
         if round(turn / _TWO_PI) != zeros:
             return -math.inf, float(thetas[j])
-        grid = _ring_objective(z, *vals, offset)
+        num = _ring_numerator(*vals)
+        grid = num / (np.abs(vals[0]) + np.abs(vals[1])) ** 2
         k = int(np.argmin(grid))
         if not grid[k] > 0.0:
             # A grid point already fails the ring; polishing only lowers it.
             return float(grid[k]), float(thetas[k])
-        rk = r ** powers
+        proof = ((s1u * s0p + s0u * s1p) * math.pi / angles
+                 + 3.0 * eps * s0u * s0p) * (1.0 + eps)
+        if not polish and float(num.min()) > proof:
+            return float(grid[k]), float(thetas[k])
 
         def at(t: float) -> float:
-            # The negated objective at one angle, from one power-matrix row.
-            v = (np.exp(1j * t * powers) * rk) @ coeffs
-            return -_ring_objective(r * np.exp(1j * t), *v, offset)
+            # The negated objective at one angle, from one power-matrix row;
+            # the arithmetic after it is on Python complex numbers.
+            return -_ring_objective(
+                *((np.exp(1j * t * powers) * rk) @ coeffs).tolist())
 
         least, angle = _polish_argmax(at, thetas, -grid)
         return -least, angle
@@ -246,19 +280,25 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
 
 def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
              tol: float) -> RadiusCertificate:
-    """One bisection over r for every section a + zeta b together."""
+    """One bisection over r for every section a + zeta b together.
+
+    The bisection needs only each ring's sign, so it skips the polish where
+    the ring's first-order bound already proves it positive.  The probe ring
+    at 1 - tol and the inner ring one tol inside the radius are polished,
+    as their minima are reported.
+    """
     if not 0.0 < tol < 0.5:
         raise ParameterError("tol must lie in (0, 0.5)")
     section_rings = _section_rings(a, b, kind)
     rings = 0
 
-    def ring(r: float) -> tuple[float, float]:
+    def ring(r: float, polish: bool = False) -> tuple[float, float]:
         nonlocal rings
         rings += 1
-        return section_rings(r)
+        return section_rings(r, polish)
 
     probe = 1.0 - tol
-    m_probe, ang_probe = ring(probe)
+    m_probe, ang_probe = ring(probe, polish=True)
     if m_probe > 0.0:
         return RadiusCertificate(
             kind=kind, radius=1.0, inner_margin=m_probe,
@@ -284,7 +324,7 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
         else:
             hi, hi_ang = mid, ang_mid
     inner_r = lo - tol if lo > tol else 0.5 * lo
-    inner_margin, _ = ring(inner_r)
+    inner_margin, _ = ring(inner_r, polish=True)
     if not inner_margin > 0.0:
         raise ConsistencyError(
             f"certificate failed: functional non-positive at {inner_r!r}"
@@ -300,8 +340,8 @@ def radius_certify(F: AnalyticSeries, kind: RadiusKind,
     """Bisect for the largest ring radius on which the test proves positive.
 
     A ring passes when the zero count of the denominator inside it is the
-    one allowed (F only at the origin, F' nowhere) and the polished ring
-    minimum of the functional is positive; by the minimum principle the
+    one allowed (F only at the origin, F' nowhere) and the ring minimum of
+    the functional is positive; by the minimum principle the
     functional is then positive on the whole closed sub-disk.  A radius of
     1 is returned capped when the ring at 1 - tol passes.
     """
@@ -348,10 +388,11 @@ def _differential_test(h: AnalyticSeries, g: AnalyticSeries,
                        params: ClassParams, image,
                        threshold: float) -> DifferentialTestResult:
     """Boundary sup of |image(h)| + |image(g)|, which is the family sup of
-    |image(h) + zeta image(g)| over unimodular zeta, against ``threshold``."""
+    |image(h) + zeta image(g)| over unimodular zeta, against ``threshold``,
+    up to ``sup_tolerance``, relative once the threshold passes 1."""
     f = HarmonicMap(h=h, g=g)
     measured, _ = paired_boundary_sup(image(h), image(g))
-    passes = measured <= threshold + params.sup_tolerance
+    passes = measured <= threshold + params.sup_tolerance * max(1.0, threshold)
     rep = harmonic_membership(f, params)
     if passes and rep.verdict is Verdict.NON_MEMBER:
         raise ConsistencyError(

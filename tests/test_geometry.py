@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from harmcert import geometry
 from harmcert.catalog import CatalogParams, make_example
 from harmcert.errors import (
     NonMemberError,
@@ -29,17 +30,33 @@ from harmcert.membership import (
     ClassParams,
     HarmonicMap,
     Verdict,
+    _polish_argmax,
     harmonic_membership,
     random_member,
 )
 from harmcert.series import (
     ZERO,
     AnalyticSeries,
+    circle_values,
     combine_with_zeta,
     default_grid,
     derivative,
     eval_array,
+    scan_angles,
 )
+
+
+@pytest.fixture
+def polished(monkeypatch):
+    """The list of every ring polish made by harmcert.geometry."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _polish_argmax(*args)
+
+    monkeypatch.setattr(geometry, "_polish_argmax", counting)
+    return calls
 
 
 def make_map(h_coeffs, g_coeffs=(0,)):
@@ -298,11 +315,68 @@ class TestHarmonicRadius:
             for sections, k, offset in cases:
                 brute = sections.min(axis=1)
                 scale = 1.0 + np.abs(sections).max()
-                closed = _ring_objective(z, H[k], G[k], H[k + 1], G[k + 1],
-                                         offset)
+                closed = _ring_objective(H[k], G[k],
+                                         z * H[k + 1] + offset * H[k],
+                                         z * G[k + 1] + offset * G[k])
                 closed *= (np.abs(H[k]) + np.abs(G[k])) ** 2
                 assert np.all(closed <= brute + 1e-12 * scale)
                 assert np.all(brute - closed <= 1e-7 * scale)
+
+    def test_unpolished_rings_are_positive_on_a_dense_grid(self, polished):
+        # Every ring that ring(r, polish=False) passes without a polish was
+        # proven positive by the first-order bound, so the least numerator
+        # alpha - |gamma| stays positive between its grid angles too: here
+        # on a 64x oversampled grid, with u = z p' + offset p and v likewise
+        # built from the derivatives' own values.
+        rng = np.random.default_rng(5)
+        proven = 0
+        for j in range(16):
+            d = int(rng.integers(2, 65))
+            params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
+            f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
+            kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
+            if kind is RadiusKind.STARLIKE:
+                p, q, offset = f.h, f.g, 0.0
+            else:
+                p, q, offset = derivative(f.h), derivative(f.g), 1.0
+            ring = _section_rings(f.h, f.g, kind)
+            n = 64 * scan_angles(d)
+            z = np.exp(2j * np.pi * np.arange(n) / n)
+            # Random radii, plus the edge of the rings that pass: there the
+            # grid minimum is small and the grid alone would accept rings
+            # whose minimum between grid angles is negative.
+            lo, hi = 0.01, 0.999
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if ring(mid, polish=False)[0] > 0.0 else (lo, mid)
+            for r in (*rng.uniform(0.05, 0.999, 4), lo):
+                before = len(polished)
+                value, _ = ring(float(r), polish=False)
+                if not (value > 0.0 and len(polished) == before):
+                    continue
+                proven += 1
+                P, Q = circle_values(p.coeffs, n, r), circle_values(q.coeffs, n, r)
+                U = r * z * circle_values(derivative(p).coeffs, n, r) + offset * P
+                V = r * z * circle_values(derivative(q).coeffs, n, r) + offset * Q
+                alpha = (U * np.conj(P) + V * np.conj(Q)).real
+                gamma = V * np.conj(P) + np.conj(U) * Q
+                assert float((alpha - np.abs(gamma)).min()) > 0.0
+        assert proven >= 50
+
+    def test_radius_certificates_polish_fewer_rings(self, polished):
+        # The bisection only needs each ring's sign, and skips the polish
+        # where the first-order bound proves the ring positive.  On these
+        # ten certificates (147 rings) the ring code polished 84 rings
+        # before that bound; it now polishes 55.
+        rng = np.random.default_rng(41)
+        rings = 0
+        for d in (3, 6, 12, 24, 48):
+            for kind in RadiusKind:
+                params = ClassParams(lam=float(rng.uniform(0.5, 3.0)))
+                f = random_member(d, params, rng, fill=0.9)
+                rings += harmonic_radius_certify(f, params, kind).rings
+        assert rings == 147
+        assert len(polished) == 55 < 84
 
     def test_no_section_fails_inside_radius(self):
         # Dense-zeta oracle: on the ring one tol inside the certified radius,
@@ -410,6 +484,24 @@ class TestEulerOperatorTest:
         assert out.measured_max == pytest.approx(3 * lam, abs=1e-9)
         assert out.membership.verdict is Verdict.MEMBER
         assert out.membership.measured_sup == pytest.approx(3 * lam / 4, abs=1e-9)
+
+
+@pytest.mark.parametrize("lam", [1e8, 1e10, 1e15, 1e300])
+@pytest.mark.parametrize("eta", [1.0, complex(math.cos(0.7), math.sin(0.7))],
+                         ids=["eta=1", "eta=exp(0.7i)"])
+def test_differential_tests_pass_sharp_quadratic_at_large_lam(lam, eta):
+    # f3 = z + lam eta z^2 meets both thresholds with equality; its
+    # measured maximum is a rounding or two above them, which the relative
+    # tolerance must absorb at every lam.
+    f = make_example(CatalogParams(name="f3", lam=lam, eta=eta))
+    params = ClassParams(lam=lam)
+    for runner, threshold in ((second_derivative_test, 2.0 * lam),
+                              (euler_operator_test, 3.0 * lam)):
+        out = runner(f.h, f.g, params)
+        assert out.passes
+        assert out.threshold == threshold
+        assert out.measured_max == pytest.approx(threshold, rel=1e-12)
+        assert out.membership.verdict is Verdict.BOUNDARY_SHARP
 
 
 class TestConvolution:
