@@ -50,7 +50,6 @@ from .membership import (
     Verdict,
     ZetaFamilyScan,
     analytic_membership,
-    boundary_sup,
     coefficient_bounds_audit,
     coefficient_sufficient,
     harmonic_membership,
@@ -62,8 +61,6 @@ from .membership import (
 from .series import (
     AnalyticSeries,
     EvalGrid,
-    all_ones,
-    combine_with_zeta,
     default_grid,
     deficiency,
     derivative,

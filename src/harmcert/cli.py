@@ -267,18 +267,23 @@ def _print_report(payload: dict, as_json: bool) -> None:
             print(f"{k}: {v}")
 
 
-def _cmd_check(args) -> int:
+def _load_map(args) -> tuple[HarmonicMap, ClassParams]:
+    """The map in the file at ``args.path`` and its level, which
+    ``--lambda`` overrides."""
     ff = load_function_file(args.path)
-    lam = args.lam if args.lam is not None else ff.lam
-    params = ClassParams(lam=lam)
-    f = to_harmonic_map(ff)
+    params = ClassParams(lam=args.lam if args.lam is not None else ff.lam)
+    return to_harmonic_map(ff), params
+
+
+def _cmd_check(args) -> int:
+    f, params = _load_map(args)
     rep = harmonic_membership(f, params)
     payload = {
         "verdict": rep.verdict.value,
         "measured_sup": rep.measured_sup,
         "margin": rep.margin,
         "witness_angle": rep.witness_angle,
-        "lambda": lam,
+        "lambda": params.lam,
         "justification": rep.justification,
     }
     if args.zeta_samples is not None:
@@ -330,16 +335,9 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_radius(args) -> int:
-    ff = load_function_file(args.path)
-    lam = args.lam if args.lam is not None else ff.lam
+    f, params = _load_map(args)
     kind = RadiusKind.STARLIKE if args.kind == "starlike" else RadiusKind.CONVEX
-    try:
-        cert = harmonic_radius_certify(
-            to_harmonic_map(ff), ClassParams(lam=lam), kind, tol=args.tol
-        )
-    except NonMemberError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_MEMBER
+    cert = harmonic_radius_certify(f, params, kind, tol=args.tol)
     if args.json:
         witness = None
         if cert.outer_witness is not None:
@@ -365,14 +363,8 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    ff = load_function_file(args.path)
-    lam = args.lam if args.lam is not None else ff.lam
-    f = to_harmonic_map(ff)
-    try:
-        audit = boundary_curve_audit(f, ClassParams(lam=lam), samples=args.samples)
-    except NonMemberError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NON_MEMBER
+    f, params = _load_map(args)
+    audit = boundary_curve_audit(f, params, samples=args.samples)
     if args.csv:
         write_text_atomic(args.csv, curve_csv(audit))
     if args.svg:
@@ -473,6 +465,9 @@ def main(argv=None) -> int:
         return EXIT_MEMBER if exc.code in (0, None) else EXIT_INPUT_ERROR
     try:
         return args.func(args)
+    except NonMemberError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NON_MEMBER
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

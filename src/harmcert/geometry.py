@@ -252,7 +252,8 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
         j = int(np.argmin(mod))
         if delta >= math.pi * (mod[j] - delta):
             return -math.inf, float(thetas[j])
-        turn = float(np.angle(np.roll(D, -1) * np.conj(D)).sum())
+        turn = (float(np.angle(D[1:] * np.conj(D[:-1])).sum())
+                + float(np.angle(D[0] * np.conj(D[-1]))))
         if round(turn / _TWO_PI) != zeros:
             return -math.inf, float(thetas[j])
         num = _ring_numerator(*vals)
@@ -285,7 +286,10 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
     The bisection needs only each ring's sign, so it skips the polish where
     the ring's first-order bound already proves it positive.  The probe ring
     at 1 - tol and the inner ring one tol inside the radius are polished,
-    as their minima are reported.
+    as their minima are reported.  Below a failing probe the radius is
+    halved until a ring passes, however small that radius (a member at a
+    huge lam passes only near 1/lam); ConsistencyError is raised only once
+    it underflows to 0.
     """
     if not 0.0 < tol < 0.5:
         raise ParameterError("tol must lie in (0, 0.5)")
@@ -307,13 +311,11 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
     hi, hi_ang = probe, ang_probe
     lo = hi / 2.0
     m_lo, _ = ring(lo)
-    halvings = 0
-    while m_lo <= 0.0 and halvings < 60:
+    while m_lo <= 0.0:
         lo /= 2.0
+        if lo == 0.0:
+            raise ConsistencyError("functional not positive near the origin")
         m_lo, _ = ring(lo)
-        halvings += 1
-    if m_lo <= 0.0:
-        raise ConsistencyError("functional not positive near the origin")
     for _ in range(100):
         if hi - lo <= tol:
             break

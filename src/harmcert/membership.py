@@ -18,12 +18,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConsistencyError, NormalizationError, ParameterError
 from .series import (
     COEFF_TOL,
+    ZERO,
     AnalyticSeries,
     circle_values,
     deficiency,
@@ -38,16 +40,11 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # is this narrow.
 _POLISH_WIDTH = 1e-9
 
-_ANALYTIC_JUSTIFICATION = (
-    "deficiency image vanishes at the origin, so its open-disk supremum is "
-    "the boundary maximum; a boundary maximum at or below the level "
-    "certifies the strict interior inequality"
-)
-_HARMONIC_JUSTIFICATION = (
-    "sum of moduli of two deficiency images vanishing at the origin is "
-    "subharmonic, so its open-disk supremum is the boundary maximum; a "
-    "boundary maximum at or below the level certifies the strict interior "
-    "inequality"
+_JUSTIFICATION = (
+    "sum of moduli of two deficiency images vanishing at the origin (the "
+    "second is zero for an analytic map) is subharmonic, so its open-disk "
+    "supremum is the boundary maximum; a boundary maximum at or below the "
+    "level certifies the strict interior inequality"
 )
 
 
@@ -60,19 +57,23 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class ClassParams:
-    """Level lam > 0 plus the numerical tolerances of the verdict bands."""
+    """Level lam > 0, the only field.
+
+    The verdict band around lam is max(boundary_band, sup_tolerance * lam);
+    both tolerances are fixed class constants, not settable per call.
+    ``sup_tolerance`` also bounds the stable-family gap, the differential
+    tests' slack and the coefficient-bound audit.
+    """
 
     lam: float
-    sup_tolerance: float = 1e-9
-    boundary_band: float = 1e-6
+    sup_tolerance: ClassVar[float] = 1e-9
+    boundary_band: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ParameterError(
                 f"lam must be positive and finite, got {self.lam!r}"
             )
-        if not (self.sup_tolerance > 0.0 and self.boundary_band > 0.0):
-            raise ParameterError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,24 +112,6 @@ class MembershipReport:
     justification: str
 
 
-def _circle_extremum(objective, degree: int) -> tuple[float, float]:
-    """Maximum of a real objective over the unit circle and the angle
-    attaining it, for series of degree at most ``degree``.
-
-    ``objective(ev, z)`` is written once for both evaluation routes: the
-    grid of scan_angles(degree) equispaced points is scanned with
-    ``ev = eval_array`` on an array of points, then _polish_argmax polishes
-    the grid argmax with ``ev = eval_series`` at single points.  Overflow
-    is silent; _classify rejects a non-finite maximum.
-    """
-    thetas = np.linspace(0.0, _TWO_PI, scan_angles(degree), endpoint=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = objective(eval_array, np.exp(1j * thetas))
-        return _polish_argmax(
-            lambda t: objective(eval_series, cmath.exp(1j * t)), thetas, vals
-        )
-
-
 def _polish_argmax(fn, thetas: np.ndarray, vals: np.ndarray
                    ) -> tuple[float, float]:
     """Golden-section polish of ``fn(t)``, a scalar objective of the angle,
@@ -161,23 +144,27 @@ def _polish_argmax(fn, thetas: np.ndarray, vals: np.ndarray
     return float(vals[k]), float(thetas[k])
 
 
-def boundary_sup(F: AnalyticSeries) -> tuple[float, float]:
-    """Maximum of |F| over the unit circle and the angle attaining it.
-
-    Scans an equispaced grid of scan_angles(degree) angles, then polishes
-    the best cell with a golden-section search.  Ties on the grid resolve
-    to the smallest angle.
-    """
-    return _circle_extremum(lambda ev, z: abs(ev(F, z)), F.degree)
-
-
 def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
                         ) -> tuple[float, float]:
-    """Maximum of |F1| + |F2| over the unit circle, refined as boundary_sup."""
-    return _circle_extremum(
-        lambda ev, z: abs(ev(F1, z)) + abs(ev(F2, z)),
-        max(F1.degree, F2.degree),
-    )
+    """Maximum of |F1| + |F2| over the unit circle and the angle attaining
+    it; with F2 = ZERO, the maximum of |F1|.
+
+    Scans scan_angles(degree) equispaced angles with eval_array, then
+    _polish_argmax polishes the best cell with eval_series at single
+    points.  Ties on the grid resolve to the smallest angle.  Overflow is
+    silent; _classify rejects a non-finite maximum.
+    """
+    thetas = np.linspace(0.0, _TWO_PI, scan_angles(max(F1.degree, F2.degree)),
+                         endpoint=False)
+
+    def at(t: float) -> float:
+        z = cmath.exp(1j * t)
+        return abs(eval_series(F1, z)) + abs(eval_series(F2, z))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = np.exp(1j * thetas)
+        vals = abs(eval_array(F1, zs)) + abs(eval_array(F2, zs))
+        return _polish_argmax(at, thetas, vals)
 
 
 def _classify(measured_sup: float, params: ClassParams) -> Verdict:
@@ -195,17 +182,10 @@ def _classify(measured_sup: float, params: ClassParams) -> Verdict:
 
 def analytic_membership(F: AnalyticSeries, params: ClassParams
                         ) -> MembershipReport:
-    """Three-way membership verdict for a normalized series."""
-    if not F.is_normalized():
-        raise NormalizationError("membership needs a normalized series")
-    sup, angle = boundary_sup(deficiency(F))
-    return MembershipReport(
-        verdict=_classify(sup, params),
-        measured_sup=sup,
-        margin=params.lam - sup,
-        witness_angle=angle,
-        justification=_ANALYTIC_JUSTIFICATION,
-    )
+    """Three-way membership verdict for a normalized series: the harmonic
+    verdict of F + conj(0), so an unnormalized F raises NormalizationError
+    from HarmonicMap."""
+    return harmonic_membership(HarmonicMap(F, ZERO), params)
 
 
 def harmonic_membership(f: HarmonicMap, params: ClassParams
@@ -217,7 +197,7 @@ def harmonic_membership(f: HarmonicMap, params: ClassParams
         measured_sup=sup,
         margin=params.lam - sup,
         witness_angle=angle,
-        justification=_HARMONIC_JUSTIFICATION,
+        justification=_JUSTIFICATION,
     )
 
 

@@ -147,26 +147,6 @@ def linear_combination(
     return AnalyticSeries(tuple(out))
 
 
-def combine_with_zeta(
-    h: AnalyticSeries, g: AnalyticSeries, zeta: complex
-) -> AnalyticSeries:
-    """The section h + zeta*g of the family swept by a unimodular zeta."""
-    zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-12:
-        raise ParameterError(f"zeta must be unimodular, got |zeta| = {abs(zeta)!r}")
-    width = max(len(h.coeffs), len(g.coeffs))
-    return AnalyticSeries(
-        tuple(h.coeff(k) + zeta * g.coeff(k) for k in range(width))
-    )
-
-
-def all_ones(degree: int) -> AnalyticSeries:
-    """Hadamard absorbing kernel 1 + z + ... + z^degree."""
-    if degree < 0:
-        raise ParameterError("degree must be non-negative")
-    return AnalyticSeries((1.0 + 0j,) * (degree + 1))
-
-
 @dataclass(frozen=True)
 class EvalGrid:
     """Polar sample grid strictly inside the unit disk, for the interior

@@ -323,6 +323,24 @@ class TestRadiusCommand:
         assert 0.0 <= witness["angle"] < 2 * math.pi
         assert isinstance(payload["rings"], int) and payload["rings"] > 2
 
+    @pytest.mark.parametrize("kind", ["convex", "starlike"])
+    @pytest.mark.parametrize("lam, level", [("1e18", "1e19"),
+                                            ("1e100", "1e101")])
+    def test_huge_level_certifies_past_sixty_halvings(self, tmp_path, capsys,
+                                                      kind, lam, level):
+        # z + lam z^2 is starlike up to 1/(2 lam) and convex up to
+        # 1/(4 lam), more than 60 halvings below the probe ring at 1 - tol.
+        out = str(tmp_path / "f3.json")
+        main(["example", "f3", "--lambda", lam, "--out", out])
+        capsys.readouterr()
+        assert main(["radius", out, "--kind", kind, "--lambda", level,
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=pytest.fail)
+        sharp = 1.0 / ((2.0 if kind == "starlike" else 4.0) * float(lam))
+        assert 0.5 * sharp <= payload["radius"] <= sharp
+        assert payload["inner_margin"] > 0.0
+
     def test_json_capped_witness_is_null(self, tmp_path, capsys):
         path = write(tmp_path, "id.json", IDENTITY_TEXT)
         assert main(["radius", path, "--json"]) == 0

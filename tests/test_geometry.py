@@ -38,10 +38,10 @@ from harmcert.series import (
     ZERO,
     AnalyticSeries,
     circle_values,
-    combine_with_zeta,
     default_grid,
     derivative,
     eval_array,
+    linear_combination,
     scan_angles,
 )
 
@@ -411,7 +411,8 @@ class TestHarmonicRadius:
                 assert float((trig[k:k + 250] @ coeffs).min()) > 0.0
             worst = min(
                 radius_certify(
-                    combine_with_zeta(f.h, f.g, np.exp(2j * np.pi * k / 8)),
+                    linear_combination(
+                        [(1, f.h), (np.exp(2j * np.pi * k / 8), f.g)]),
                     kind, tol,
                 ).radius
                 for k in range(8)

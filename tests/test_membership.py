@@ -16,7 +16,6 @@ from harmcert.membership import (
     HarmonicMap,
     Verdict,
     analytic_membership,
-    boundary_sup,
     coefficient_bounds_audit,
     coefficient_sufficient,
     harmonic_membership,
@@ -26,10 +25,11 @@ from harmcert.membership import (
     zeta_family_sup,
 )
 from harmcert.series import (
+    ZERO,
     AnalyticSeries,
-    combine_with_zeta,
     deficiency,
     eval_array,
+    linear_combination,
     scan_angles,
 )
 
@@ -46,24 +46,34 @@ def make_map(h_coeffs, g_coeffs=(0,)):
     )
 
 
+class TestClassParams:
+    def test_level_is_the_only_field(self):
+        with pytest.raises(TypeError):
+            ClassParams(lam=1.0, sup_tolerance=1e-3)
+
+    def test_tolerances_are_class_constants(self):
+        assert ClassParams(lam=1.0).sup_tolerance == 1e-9
+        assert ClassParams(lam=1.0).boundary_band == 1e-6
+
+
 class TestBoundarySup:
     def test_constant_modulus(self):
-        val, _ = boundary_sup(AnalyticSeries((0, 0, -1)))
+        val, _ = paired_boundary_sup(AnalyticSeries((0, 0, -1)), ZERO)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_series(self):
-        assert boundary_sup(AnalyticSeries((0,))) == (0.0, 0.0)
+        assert paired_boundary_sup(AnalyticSeries((0,)), ZERO) == (0.0, 0.0)
 
     def test_grid_ties_go_to_smallest_angle(self):
         # |1 - z^2| reaches 2 exactly at the grid angles pi/2 and 3 pi/2.
         F = AnalyticSeries((1, 0, -1))
-        assert boundary_sup(F) == (2.0, math.pi / 2)
-        assert paired_boundary_sup(F, AnalyticSeries((0,))) == (2.0, math.pi / 2)
+        assert paired_boundary_sup(F, ZERO) == (2.0, math.pi / 2)
+        assert paired_boundary_sup(ZERO, F) == (2.0, math.pi / 2)
 
     def test_cubic_deficiency_image(self):
         # |z^2 (1+z)| / 2 on the circle peaks at z = 1 with value 1.
         F = AnalyticSeries((0, 0, -0.5, -0.5))
-        val, angle = boundary_sup(F)
+        val, angle = paired_boundary_sup(F, ZERO)
         assert val == pytest.approx(1.0, abs=1e-12)
         assert min(angle, 2 * math.pi - angle) <= 1e-6
         assert val == pytest.approx(dense_scan_max(F), abs=1e-9)
@@ -76,7 +86,7 @@ class TestBoundarySup:
                 tuple(rng.standard_normal(deg + 1)
                       + 1j * rng.standard_normal(deg + 1))
             )
-            val, _ = boundary_sup(F)
+            val, _ = paired_boundary_sup(F, ZERO)
             assert val == pytest.approx(dense_scan_max(F), abs=1e-8)
 
     def test_scaling_homogeneity(self):
@@ -85,8 +95,9 @@ class TestBoundarySup:
             coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             G = AnalyticSeries(tuple(coeffs))
             scale = rng.uniform(0.1, 9.0)
-            base, _ = boundary_sup(G)
-            scaled, _ = boundary_sup(AnalyticSeries(tuple(scale * c for c in coeffs)))
+            base, _ = paired_boundary_sup(G, ZERO)
+            scaled, _ = paired_boundary_sup(
+                AnalyticSeries(tuple(scale * c for c in coeffs)), ZERO)
             assert scaled == pytest.approx(scale * base, rel=1e-12)
 
     def test_rotation_invariance(self):
@@ -96,8 +107,8 @@ class TestBoundarySup:
             F = AnalyticSeries(tuple(coeffs))
             u = cmath.exp(2j * math.pi * rng.uniform(0, 1))
             G = AnalyticSeries(tuple(u ** (n - 1) * c for n, c in enumerate(coeffs)))
-            a, _ = boundary_sup(deficiency(F))
-            b, _ = boundary_sup(deficiency(G))
+            a, _ = paired_boundary_sup(deficiency(F), ZERO)
+            b, _ = paired_boundary_sup(deficiency(G), ZERO)
             assert b == pytest.approx(a, abs=1e-10)
 
 
@@ -278,7 +289,8 @@ class TestZetaFamilySweep:
             bound = m2 * math.pi**2 / (2 * n * n)
             zetas = np.exp(1j * scan.phases)
             for sup, zeta in zip(scan.sups, zetas):
-                ref, _ = boundary_sup(combine_with_zeta(A, B, zeta))
+                section = linear_combination([(1, A), (zeta, B)])
+                ref, _ = paired_boundary_sup(section, ZERO)
                 assert ref - bound - 1e-12 * max(1.0, ref) <= sup
                 assert sup <= ref * (1.0 + 1e-12)
             assert scan.max_sup >= np.max(scan.sups)
@@ -301,7 +313,8 @@ class TestZetaFamilySweep:
             gap = cmath.phase(cmath.exp(1j * (scan.witness_phase - best)))
             assert abs(gap) <= 1e-12
             zeta = cmath.exp(1j * scan.witness_phase)
-            ref, _ = boundary_sup(combine_with_zeta(A, B, zeta))
+            section = linear_combination([(1, A), (zeta, B)])
+            ref, _ = paired_boundary_sup(section, ZERO)
             assert abs(ref - scan.max_sup) <= 1e-12
 
     def test_second_peak_winning_the_sampling_reads_the_paired_sup(self):

@@ -10,9 +10,7 @@ from harmcert.errors import ParameterError
 from harmcert.series import (
     AnalyticSeries,
     EvalGrid,
-    all_ones,
     circle_values,
-    combine_with_zeta,
     default_grid,
     deficiency,
     derivative,
@@ -219,7 +217,8 @@ class TestHadamard:
 
     def test_all_ones_is_identity(self):
         F = AnalyticSeries((0, 1, 0.3, -0.2j, 0.7))
-        assert hadamard(F, all_ones(F.degree)).coeffs == F.coeffs
+        ones = AnalyticSeries((1,) * (F.degree + 1))
+        assert hadamard(F, ones).coeffs == F.coeffs
 
     def test_cubic_showcase_square(self):
         lam = 1.0
@@ -244,7 +243,8 @@ class TestHadamard:
 
     def test_derivative_after_all_ones(self):
         F = AnalyticSeries((0, 1, -0.4, 0.25j))
-        lhs = derivative(hadamard(F, all_ones(F.degree)))
+        ones = AnalyticSeries((1,) * (F.degree + 1))
+        lhs = derivative(hadamard(F, ones))
         assert lhs.coeffs == derivative(F).coeffs
 
 
@@ -272,27 +272,24 @@ class TestLinearCombination:
         G = AnalyticSeries((0, 0, 2))
         assert linear_combination([(1, F), (1, G)]).coeffs == (0j, 1 + 0j, 2 + 0j)
 
-
-class TestCombineWithZeta:
-    def test_zero_coanalytic(self):
-        got = combine_with_zeta(AnalyticSeries((0, 1)), AnalyticSeries((0,)), 1j)
+    # The section h + zeta g of a harmonic map, for unimodular zeta.
+    def test_zero_coanalytic_section(self):
+        got = linear_combination(
+            [(1, AnalyticSeries((0, 1))), (1j, AnalyticSeries((0,)))]
+        )
         assert got.coeffs == (0j, 1 + 0j)
 
     def test_real_section(self):
-        got = combine_with_zeta(
-            AnalyticSeries((0, 1)), AnalyticSeries((0, 0, -1)), 1.0
+        got = linear_combination(
+            [(1, AnalyticSeries((0, 1))), (1.0, AnalyticSeries((0, 0, -1)))]
         )
         assert got.coeffs == (0j, 1 + 0j, -1 + 0j)
 
     def test_imaginary_section(self):
-        got = combine_with_zeta(
-            AnalyticSeries((0, 1)), AnalyticSeries((0, 0, 0.2)), 1j
+        got = linear_combination(
+            [(1, AnalyticSeries((0, 1))), (1j, AnalyticSeries((0, 0, 0.2)))]
         )
         assert got.coeff(2) == 0.2j
-
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(ParameterError):
-            combine_with_zeta(AnalyticSeries((0, 1)), AnalyticSeries((0,)), 0.5)
 
 
 class TestEvalGrid:
