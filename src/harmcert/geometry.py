@@ -26,6 +26,7 @@ from .membership import (
     MembershipReport,
     Verdict,
     _polish_argmax,
+    coefficient_sufficient,
     harmonic_membership,
     paired_boundary_sup,
 )
@@ -105,6 +106,27 @@ class CurveAudit:
     max_modulus: float
 
 
+def _require_member(f: HarmonicMap, params: ClassParams, message: str
+                    ) -> None:
+    """Raise NonMemberError(message) unless f may be a class member.
+
+    The paper's coefficient condition is tried first and, when it holds,
+    the membership scan is skipped, as it could never say NonMember: on
+    the unit circle |h - z h'| + |g - z g'| is at most
+    total = sum (n-1)(|a_n| + |b_n|), and the scan's sup is that sum
+    evaluated at one angle by Horner, rounded by at most about 4 (d + 2) u
+    of total (complex Horner, Higham ch. 5; d the degree, u = 2^-53), as
+    is total itself.  So the measured sup is at most
+    total (1 + O(d u)) < lam (1 + O(d u)) < lam + band, since the band
+    of _classify is at least 1e-9 lam and d u stays far below that for
+    any degree a scan can evaluate.  Otherwise harmonic_membership decides.
+    """
+    if coefficient_sufficient(f, params).sufficient:
+        return
+    if harmonic_membership(f, params).verdict is Verdict.NON_MEMBER:
+        raise NonMemberError(message)
+
+
 def growth_envelope_check(f: HarmonicMap, params: ClassParams,
                           grid: EvalGrid) -> EnvelopeAudit:
     """Audit the modulus and derivative envelopes on a disk grid.
@@ -113,9 +135,7 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams,
     |z| - lam |z|^2 and |z| + lam |z|^2, and the derivative pair must obey
     1 - 2 lam |z| <= |h'| - |g'| together with |h'| + |g'| <= 1 + 2 lam |z|.
     """
-    rep = harmonic_membership(f, params)
-    if rep.verdict is Verdict.NON_MEMBER:
-        raise NonMemberError("envelope audit needs a class member")
+    _require_member(f, params, "envelope audit needs a class member")
     lam = params.lam
     zs = grid.points()
     r = np.abs(zs)
@@ -215,6 +235,13 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     rounding of the coefficients and of the sums Sm.  So a grid minimum
     of N above (B1 pi/n + 3 eps S0(U) S0(P)) (1 + eps) proves N > 0 on
     the whole ring, and with it every section's functional.
+
+    Every test above is homogeneous in the four series, so each ring
+    scales r^k, and with it the grid values and the sums Sm, by the power
+    of two that brings its largest term U_k r^k near 1: exact, and no
+    product of two values overflows or underflows at an extreme lam.  A
+    ring on which r^k, k the top power, falls below the normal range has
+    lost the top coefficients' terms, so it fails with -inf.
     """
     if kind is RadiusKind.STARLIKE:
         p, q, offset, zeros = a, b, 0.0, 1
@@ -237,10 +264,14 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
     step = _TWO_PI / angles
     eps = 8.0 * 2.0 ** -53 * math.ceil(math.log2(angles)) * math.sqrt(angles)
+    tiny = np.finfo(float).tiny
 
     def ring(r: float, polish: bool = True) -> tuple[float, float]:
-        vals = circle_values(coeffs, angles, r).T
         rk = r ** powers
+        if rk[-1] < tiny:
+            return -math.inf, 0.0
+        rk = np.ldexp(rk, -math.frexp(float(np.max(U * rk)))[1])
+        vals = circle_values(coeffs * rk[:, None], angles).T
         s0p, s1p, s0u, s1u = (sums @ rk).tolist()
         # D moves by at most delta along one grid cell.  If delta stays
         # below pi (|D(z_k)| - delta) on every cell, D has no zero on the
@@ -288,8 +319,10 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
     at 1 - tol and the inner ring one tol inside the radius are polished,
     as their minima are reported.  Below a failing probe the radius is
     halved until a ring passes, however small that radius (a member at a
-    huge lam passes only near 1/lam); ConsistencyError is raised only once
-    it underflows to 0.
+    huge lam passes only near 1/lam), and each failing halved ring becomes
+    the outer end, so the witness stays within tol of the radius;
+    ConsistencyError is raised only once it underflows to 0.  A NaN ring
+    minimum fails like any other that is not positive.
     """
     if not 0.0 < tol < 0.5:
         raise ParameterError("tol must lie in (0, 0.5)")
@@ -310,12 +343,13 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
         )
     hi, hi_ang = probe, ang_probe
     lo = hi / 2.0
-    m_lo, _ = ring(lo)
-    while m_lo <= 0.0:
+    m_lo, ang_lo = ring(lo)
+    while not m_lo > 0.0:
+        hi, hi_ang = lo, ang_lo
         lo /= 2.0
         if lo == 0.0:
             raise ConsistencyError("functional not positive near the origin")
-        m_lo, _ = ring(lo)
+        m_lo, ang_lo = ring(lo)
     for _ in range(100):
         if hi - lo <= tol:
             break
@@ -363,9 +397,7 @@ def harmonic_radius_certify(f: HarmonicMap, params: ClassParams,
     1/(2 lam) for starlikeness and 1/(4 lam) for convexity, both capped at
     1; falling short raises ConsistencyError.
     """
-    rep = harmonic_membership(f, params)
-    if rep.verdict is Verdict.NON_MEMBER:
-        raise NonMemberError("radius certification needs a class member")
+    _require_member(f, params, "radius certification needs a class member")
     cert = _certify(f.h, f.g, kind, tol)
     per_lam = 2.0 if kind is RadiusKind.STARLIKE else 4.0
     floor = min(1.0, 1.0 / (per_lam * params.lam))
@@ -432,8 +464,7 @@ def convolve_members(f1: HarmonicMap, f2: HarmonicMap, params: ClassParams
     report is advisory.
     """
     for f in (f1, f2):
-        if harmonic_membership(f, params).verdict is Verdict.NON_MEMBER:
-            raise NonMemberError("convolution closure needs member inputs")
+        _require_member(f, params, "convolution closure needs member inputs")
     out = HarmonicMap(h=hadamard(f1.h, f2.h), g=hadamard(f1.g, f2.g))
     rep = harmonic_membership(out, params)
     if params.lam <= 1.0 and rep.verdict is Verdict.NON_MEMBER:
@@ -453,8 +484,7 @@ def convex_combination(fs, weights, params: ClassParams
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ParameterError("weights must sum to 1")
     for f in fs:
-        if harmonic_membership(f, params).verdict is Verdict.NON_MEMBER:
-            raise NonMemberError("convex combination needs member inputs")
+        _require_member(f, params, "convex combination needs member inputs")
     h = linear_combination([(w, f.h) for w, f in zip(weights, fs)])
     g = linear_combination([(w, f.g) for w, f in zip(weights, fs)])
     out = HarmonicMap(h=h, g=g)
@@ -502,9 +532,7 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
     """
     if samples < 512:
         raise ParameterError("need at least 512 samples")
-    rep = harmonic_membership(f, params)
-    if rep.verdict is Verdict.NON_MEMBER:
-        raise NonMemberError("curve audit needs a class member")
+    _require_member(f, params, "curve audit needs a class member")
     thetas = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
     pts = (circle_values(f.h.coeffs, samples)
            + np.conj(circle_values(f.g.coeffs, samples)))

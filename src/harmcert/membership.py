@@ -144,27 +144,35 @@ def _polish_argmax(fn, thetas: np.ndarray, vals: np.ndarray
     return float(vals[k]), float(thetas[k])
 
 
+def _paired_polish(F1: AnalyticSeries, F2: AnalyticSeries,
+                   thetas: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
+    """_polish_argmax of |F1| + |F2| from its grid values ``vals`` on
+    ``thetas``, each polish point two eval_series calls: the one objective
+    of every paired circle maximum."""
+
+    def at(t: float) -> float:
+        z = cmath.exp(1j * t)
+        return abs(eval_series(F1, z)) + abs(eval_series(F2, z))
+
+    return _polish_argmax(at, thetas, vals)
+
+
 def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
                         ) -> tuple[float, float]:
     """Maximum of |F1| + |F2| over the unit circle and the angle attaining
     it; with F2 = ZERO, the maximum of |F1|.
 
     Scans scan_angles(degree) equispaced angles with eval_array, then
-    _polish_argmax polishes the best cell with eval_series at single
-    points.  Ties on the grid resolve to the smallest angle.  Overflow is
-    silent; _classify rejects a non-finite maximum.
+    _paired_polish polishes the best cell.  Ties on the grid resolve to the
+    smallest angle.  Overflow is silent; _classify rejects a non-finite
+    maximum.
     """
     thetas = np.linspace(0.0, _TWO_PI, scan_angles(max(F1.degree, F2.degree)),
                          endpoint=False)
-
-    def at(t: float) -> float:
-        z = cmath.exp(1j * t)
-        return abs(eval_series(F1, z)) + abs(eval_series(F2, z))
-
     with np.errstate(over="ignore", invalid="ignore"):
         zs = np.exp(1j * thetas)
         vals = abs(eval_array(F1, zs)) + abs(eval_array(F2, zs))
-        return _polish_argmax(at, thetas, vals)
+        return _paired_polish(F1, F2, thetas, vals)
 
 
 def _classify(measured_sup: float, params: ClassParams) -> Verdict:
@@ -208,7 +216,8 @@ class ZetaFamilyScan:
     ``sups[k]`` is the grid maximum of the section at ``phases[k]``, within
     a proven bound below its sup (see zeta_family_sup), so a sampled lower
     bound on ``max_sup``, the sup over every unimodular zeta, which the
-    section with phase ``witness_phase`` attains.
+    section with phase ``witness_phase`` attains.  ``max_sup`` is the
+    polished maximum of |A| + |B| on the same transform grid as ``sups``.
     """
 
     phases: np.ndarray
@@ -221,37 +230,47 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
                     ) -> ZetaFamilyScan:
     """Max over unimodular zeta of the boundary sup of A + zeta B.
 
+    One 2-column circle_values transform gives the values va, vb of A and B
+    on n = scan_angles(degree) angles; the sections and the family maximum
+    are both read from it.
+
     The maximum over every zeta has a closed form: pointwise, max over
     zeta of |A + zeta B| is |A| + |B|, reached at
-    zeta = e^{i(arg A - arg B)}, so ``max_sup`` is paired_boundary_sup(A, B)
-    and the witness phase is arg A - arg B at its angle.  A non-finite
-    ``max_sup`` raises ParameterError before any transform runs.
+    zeta = e^{i(arg A - arg B)}.  So ``max_sup`` is |va| + |vb| polished by
+    _paired_polish, the objective and polish of paired_boundary_sup, which
+    scans the same maximum on an eval_array grid instead; the witness phase
+    is arg A - arg B at its angle.  A non-finite ``max_sup`` raises
+    ParameterError before any section is read.
 
-    Sections are read as |va + zeta vb| from one circle_values transform
-    each of A and B on n = scan_angles(degree) angles; each zeta row's
-    grid argmax comes from a real rank-3 product, and ``sups`` holds the
-    grid maximum itself.  With M2 = sum k^2 (|A_k| + |B_k|), every section
-    F = A + zeta B has |F''(theta)| <= M2.  Its true maximiser lies within
-    pi/n of a grid angle, and there F is orthogonal to F' (|F| has zero
-    slope), so up to rounding
+    Each zeta row's grid argmax comes from a real rank-3 product, and
+    ``sups`` holds the grid maximum itself.  With
+    M2 = sum k^2 (|A_k| + |B_k|), every section F = A + zeta B has
+    |F''(theta)| <= M2.  Its true maximiser lies within pi/n of a grid
+    angle, and there F is orthogonal to F' (|F| has zero slope), so up to
+    rounding
 
         sups[k] <= sup |A + zeta_k B| <= sups[k] + M2 pi^2 / (2 n^2).
     """
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
-    max_sup, angle = paired_boundary_sup(A, B)
+    n = scan_angles(max(A.degree, B.degree))
+    coeffs = np.zeros((max(len(A.coeffs), len(B.coeffs)), 2), dtype=complex)
+    coeffs[:len(A.coeffs), 0] = A.coeffs
+    coeffs[:len(B.coeffs), 1] = B.coeffs
+    thetas = np.linspace(0.0, _TWO_PI, n, endpoint=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        va, vb = np.ascontiguousarray(circle_values(coeffs, n).T)
+        mod_a, mod_b = np.abs(va), np.abs(vb)
+        max_sup, angle = _paired_polish(A, B, thetas, mod_a + mod_b)
     if not math.isfinite(max_sup):
         raise ParameterError("boundary values overflow")
-    n = scan_angles(max(A.degree, B.degree))
-    va = circle_values(A.coeffs, n)
-    vb = circle_values(B.coeffs, n)
     phases = _TWO_PI * np.arange(zeta_samples) / zeta_samples
     zetas = np.exp(1j * phases)
     # |a + e^{i phi} b|^2 = |a|^2 + |b|^2 + 2 Re(e^{i phi} b conj(a)): each
     # zeta row's grid argmax is that of a real rank-3 product, taken in
     # blocks of about 2**16 grid values.  Scaling by the largest modulus
     # keeps the squares finite wherever the moduli are.
-    s = float(max(np.max(np.abs(va)), np.max(np.abs(vb)))) or 1.0
+    s = float(max(np.max(mod_a), np.max(mod_b))) or 1.0
     a, b = va / s, vb / s
     w = b * np.conj(a)
     quad = np.stack([a.real**2 + a.imag**2 + b.real**2 + b.imag**2,

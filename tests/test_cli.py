@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -340,6 +341,41 @@ class TestRadiusCommand:
         sharp = 1.0 / ((2.0 if kind == "starlike" else 4.0) * float(lam))
         assert 0.5 * sharp <= payload["radius"] <= sharp
         assert payload["inner_margin"] > 0.0
+
+    def test_halved_witness_stays_next_to_the_radius(self, tmp_path, capsys):
+        # Every failing halved ring becomes the outer end, so the witness
+        # is the last ring that failed, not the probe's first halving.
+        out = str(tmp_path / "f3.json")
+        main(["example", "f3", "--lambda", "1e50", "--out", out])
+        capsys.readouterr()
+        assert main(["radius", out, "--kind", "convex", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=pytest.fail)
+        radius = payload["radius"]
+        assert 0.0 < radius < payload["outer_witness"]["radius"] <= 2 * radius
+
+    @pytest.mark.parametrize("kind", ["convex", "starlike"])
+    @pytest.mark.parametrize("lam", ["1e155", "1e200", "1e300"])
+    def test_extreme_level_certifies_or_exits_three(self, tmp_path, capsys,
+                                                    kind, lam):
+        # Ring products at these levels overflow unless each ring is scaled;
+        # below the normal range r^2 loses the quadratic term, so a
+        # starlike radius near 1/(2 lam) is refused rather than certified.
+        out = str(tmp_path / "f3.json")
+        main(["example", "f3", "--lambda", lam, "--out", out])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["radius", out, "--kind", kind, "--json"])
+        captured = capsys.readouterr()
+        assert caught == []
+        sharp = 1.0 / ((2.0 if kind == "starlike" else 4.0) * float(lam))
+        if code == 0:
+            payload = json.loads(captured.out, parse_constant=pytest.fail)
+            assert 0.5 * sharp <= payload["radius"] <= sharp
+        else:
+            assert code == EXIT_INPUT_ERROR
+            assert captured.err.startswith("error:")
 
     def test_json_capped_witness_is_null(self, tmp_path, capsys):
         path = write(tmp_path, "id.json", IDENTITY_TEXT)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmcert import geometry
 from harmcert.catalog import CatalogParams, make_example
@@ -31,6 +33,7 @@ from harmcert.membership import (
     HarmonicMap,
     Verdict,
     _polish_argmax,
+    coefficient_sufficient,
     harmonic_membership,
     random_member,
 )
@@ -366,8 +369,8 @@ class TestHarmonicRadius:
     def test_radius_certificates_polish_fewer_rings(self, polished):
         # The bisection only needs each ring's sign, and skips the polish
         # where the first-order bound proves the ring positive.  On these
-        # ten certificates (147 rings) the ring code polished 84 rings
-        # before that bound; it now polishes 55.
+        # ten certificates (145 rings) the ring code polished 84 rings
+        # before that bound; it now polishes 57.
         rng = np.random.default_rng(41)
         rings = 0
         for d in (3, 6, 12, 24, 48):
@@ -375,8 +378,8 @@ class TestHarmonicRadius:
                 params = ClassParams(lam=float(rng.uniform(0.5, 3.0)))
                 f = random_member(d, params, rng, fill=0.9)
                 rings += harmonic_radius_certify(f, params, kind).rings
-        assert rings == 147
-        assert len(polished) == 55 < 84
+        assert rings == 145
+        assert len(polished) == 57 < 84
 
     def test_no_section_fails_inside_radius(self):
         # Dense-zeta oracle: on the ring one tol inside the certified radius,
@@ -624,3 +627,78 @@ class TestBoundaryCurve:
     def test_rejects_non_member(self):
         with pytest.raises(NonMemberError):
             boundary_curve_audit(make_map((0, 1, 1.9)), ClassParams(lam=1.0), 512)
+
+
+class TestMemberGuard:
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Every membership scan harmcert.geometry makes."""
+        calls = []
+
+        def counting(f, params):
+            calls.append(f)
+            return harmonic_membership(f, params)
+
+        monkeypatch.setattr(geometry, "harmonic_membership", counting)
+        return calls
+
+    def test_coefficient_sufficient_members_make_no_guard_scan(self, scans):
+        rng = np.random.default_rng(15)
+        for lam in (0.5, 1.0, 3.0):
+            params = ClassParams(lam=lam)
+            f1 = random_member(int(rng.integers(2, 40)), params, rng)
+            f2 = random_member(int(rng.integers(2, 40)), params, rng)
+            for kind in RadiusKind:
+                harmonic_radius_certify(f1, params, kind)
+            boundary_curve_audit(f1, params, 512)
+            growth_envelope_check(f1, params, default_grid())
+            assert scans == []
+            # Only the fresh verdict on the result is scanned.
+            out, rep = convolve_members(f1, f2, params)
+            assert scans == [out]
+            scans.clear()
+            out, rep = convex_combination([f1, f2], [0.25, 0.75], params)
+            assert scans == [out]
+            scans.clear()
+
+    def test_non_members_still_raise(self, scans):
+        params = ClassParams(lam=1.0)
+        good, bad = make_map((0, 1)), make_map((0, 1, 1.9))
+        calls = [
+            lambda: harmonic_radius_certify(bad, params, RadiusKind.STARLIKE),
+            lambda: boundary_curve_audit(bad, params, 512),
+            lambda: growth_envelope_check(bad, params, default_grid()),
+            lambda: convolve_members(good, bad, params),
+            lambda: convex_combination([good, bad], [0.5, 0.5], params),
+        ]
+        for call in calls:
+            scans.clear()
+            with pytest.raises(NonMemberError):
+                call()
+            assert scans == [bad]
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(2, 256), log_lam=st.floats(-3.0, 12.0),
+       seed=st.integers(0, 2**32 - 1), phi=st.floats(0.0, 2 * math.pi),
+       aligned=st.booleans())
+def test_coefficient_sufficient_maps_never_scan_as_non_member(
+        degree, log_lam, seed, phi, aligned):
+    # The guard skips the scan whenever total < lam.  Here total sits just
+    # below lam; aligned phases make both deficiency images add up to total
+    # at the angle phi, so the scanned sup reaches total itself.
+    lam = 10.0 ** log_lam
+    rng = np.random.default_rng(seed)
+    n = np.arange(2, degree + 1)
+    if aligned:
+        ph, pg = np.exp(-1j * n * phi), np.exp(-1j * n * phi)
+    else:
+        ph, pg = (np.exp(2j * math.pi * rng.random(degree - 1))
+                  for _ in range(2))
+    th, tg = rng.random(degree - 1), rng.random(degree - 1)
+    scale = lam * (1.0 - 5e-13) / float(np.sum((n - 1) * (th + tg)))
+    f = make_map((0, 1) + tuple(-th * scale * ph), (0, 0) + tuple(-tg * scale * pg))
+    params = ClassParams(lam=lam)
+    total = coefficient_sufficient(f, params).total
+    assert lam * (1.0 - 1e-12) <= total < lam
+    assert harmonic_membership(f, params).verdict is not Verdict.NON_MEMBER

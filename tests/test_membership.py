@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from harmcert.catalog import CatalogParams, make_example
 from harmcert.errors import (
     ConsistencyError,
     NormalizationError,
@@ -246,22 +247,23 @@ class TestStableFamily:
         # A harmonic sup read 1 % low leaves sampled sections above it.  The
         # benchmark's classifier must parse the message with the section
         # value first and larger, so it is not taken for the known
-        # family-scan under-read.  The check scans the paired sup once.
+        # family-scan under-read.  The check polishes the paired sup once,
+        # from the sweep's own transform.
         import harmcert.membership as membership
 
         monkeypatch.syspath_prepend(
             str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
         import workloads
 
-        original = membership.paired_boundary_sup
+        original = membership._paired_polish
         calls = []
 
-        def low(A, B):
+        def low(A, B, thetas, vals):
             calls.append(A)
-            sup, angle = original(A, B)
+            sup, angle = original(A, B, thetas, vals)
             return 0.99 * sup, angle
 
-        monkeypatch.setattr(membership, "paired_boundary_sup", low)
+        monkeypatch.setattr(membership, "_paired_polish", low)
         f = random_member(5, ClassParams(lam=1.0), np.random.default_rng(3))
         with pytest.raises(ConsistencyError) as info:
             stable_family_check(f, ClassParams(lam=1.0), 64)
@@ -270,6 +272,28 @@ class TestStableFamily:
         assert float(m.group(1)) > float(m.group(2))
         assert not workloads._under_read(info.value)
         assert len(calls) == 1
+
+    def test_harmonic_sup_matches_the_membership_scan(self):
+        # The sweep polishes |A| + |B| from its transform grid, membership
+        # from an eval_array grid; the same polish from the same cell gives
+        # the same sup, and a grid value kept over the polish differs only
+        # by the rounding of the two grids.
+        rng = np.random.default_rng(15)
+        maps = []
+        for _ in range(300):
+            lam = float(rng.choice([0.3, 1.0, 2.5, 1e3]))
+            maps.append((random_member(int(rng.integers(2, 65)),
+                                       ClassParams(lam=lam), rng), lam))
+        for lam in (0.3, 1.0, 2.5, 1e3):
+            for name, extra in (("eq13", {}), ("f3", {"eta": 1}),
+                                ("f_a", {"n": 5}), ("f_b", {"n": 4})):
+                maps.append((make_example(CatalogParams(name=name, lam=lam,
+                                                        **extra)), lam))
+        for f, lam in maps:
+            params = ClassParams(lam=lam)
+            sup = stable_family_check(f, params).harmonic_sup
+            ref = harmonic_membership(f, params).measured_sup
+            assert abs(sup - ref) <= 1e-15 * max(1.0, ref)
 
 
 class TestZetaFamilySweep:
@@ -357,8 +381,8 @@ class TestZetaFamilySweep:
             assert 0 < len(calls) <= 100
 
     def test_rows_make_no_evaluation_beyond_the_paired_scan(self, monkeypatch):
-        # Rows are read off the two FFT grids; the only eval_array calls
-        # are the paired scan's two, one per series.
+        # The family maximum and the rows are both read off the sweep's
+        # one FFT transform, so no eval_array grid is evaluated at all.
         import harmcert.membership as membership
 
         calls = []
@@ -374,7 +398,7 @@ class TestZetaFamilySweep:
                               np.random.default_rng(degree))
             calls.clear()
             zeta_family_sup(deficiency(f.h), deficiency(f.g), 256)
-            assert len(calls) == 2
+            assert len(calls) == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
