@@ -35,6 +35,7 @@ from .series import (
     AnalyticSeries,
     EvalGrid,
     circle_values,
+    coefficient_columns,
     derivative,
     eval_array,
     hadamard,
@@ -238,28 +239,35 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
 
     Every test above is homogeneous in the four series, so each ring
     scales r^k, and with it the grid values and the sums Sm, by the power
-    of two that brings its largest term U_k r^k near 1: exact, and no
-    product of two values overflows or underflows at an extreme lam.  A
-    ring on which r^k, k the top power, falls below the normal range has
-    lost the top coefficients' terms, so it fails with -inf.
+    of two that brings its largest term max(P_k, U_k) r^k near 1: exact,
+    and no product of two values overflows or underflows at an extreme
+    lam.  A ring whose largest term is itself below the normal range (for
+    a normalized map, r below it) fails with -inf.  An r^k below the
+    normal range, before or after that scaling, keeps only an absolute
+    accuracy; summed over such k its errors, lost_p next to S0(P) and
+    lost_u next to S0(U), move each grid value as the transform error
+    does, so they join the proof bound as lost_u S0(P) + S0(U) lost_p.  A
+    ring where either loss exceeds its transform error, eps S0(P) or
+    eps S0(U), fails with -inf: its zero count and polish would rest on
+    terms the powers no longer carry, as for the quadratic term at a
+    starlike radius near 1/(2 lam) from lam = 1e155 on.  High powers that
+    underflow next to a much larger low-order term cost nothing.
     """
     if kind is RadiusKind.STARLIKE:
         p, q, offset, zeros = a, b, 0.0, 1
     else:
         p, q, offset, zeros = derivative(a), derivative(b), 1.0, 0
-    m = max(len(p.coeffs), len(q.coeffs))
-    powers = np.arange(m)
     # Columns p, q, u, v, for the ring transform and the polish's
     # power-matrix product.
-    coeffs = np.zeros((m, 4), dtype=complex)
-    coeffs[:len(p.coeffs), 0] = p.coeffs
-    coeffs[:len(q.coeffs), 1] = q.coeffs
-    coeffs[:, 2:] = (powers + offset)[:, None] * coeffs[:, :2]
+    pq = coefficient_columns(p, q)
+    powers = np.arange(len(pq))
+    coeffs = np.hstack([pq, (powers + offset)[:, None] * pq])
     # Rows P, k P, U, k U: times r^powers they give S0(P), S1(P), S0(U) and
     # S1(U).  As z D' = sum k (p_k + zeta q_k) z^k, S1(P) bounds |z D'|.
     P = np.abs(coeffs[:, 0]) + np.abs(coeffs[:, 1])
     U = np.abs(coeffs[:, 2]) + np.abs(coeffs[:, 3])
     sums = np.stack([P, powers * P, U, powers * U])
+    top_terms = np.maximum(P, U)
     angles = scan_angles(max(a.degree, b.degree))
     thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
     step = _TWO_PI / angles
@@ -267,12 +275,24 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     tiny = np.finfo(float).tiny
 
     def ring(r: float, polish: bool = True) -> tuple[float, float]:
-        rk = r ** powers
-        if rk[-1] < tiny:
+        raw = r ** powers
+        top = float(np.max(top_terms * raw))
+        if not top >= tiny:
             return -math.inf, 0.0
-        rk = np.ldexp(rk, -math.frexp(float(np.max(U * rk)))[1])
+        e = -math.frexp(top)[1]
+        rk = np.ldexp(raw, e)
         vals = circle_values(coeffs * rk[:, None], angles).T
         s0p, s1p, s0u, s1u = (sums @ rk).tolist()
+        # Powers below the normal range, before or after the scaling, are
+        # off by at most 2^-1073 times max(1, 2^e), once scaled.
+        lost_p = lost_u = 0.0
+        under = np.minimum(raw, rk) < tiny
+        if under.any():
+            step_err = math.ldexp(1.0, max(e, 0) - 1073)
+            lost_p = step_err * float(P[under].sum())
+            lost_u = step_err * float(U[under].sum())
+            if not (lost_p <= eps * s0p and lost_u <= eps * s0u):
+                return -math.inf, 0.0
         # D moves by at most delta along one grid cell.  If delta stays
         # below pi (|D(z_k)| - delta) on every cell, D has no zero on the
         # ring and each cell turns arg D by the principal angle of
@@ -294,7 +314,8 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
             # A grid point already fails the ring; polishing only lowers it.
             return float(grid[k]), float(thetas[k])
         proof = ((s1u * s0p + s0u * s1p) * math.pi / angles
-                 + 3.0 * eps * s0u * s0p) * (1.0 + eps)
+                 + 3.0 * eps * s0u * s0p
+                 + (lost_u * s0p + s0u * lost_p)) * (1.0 + eps)
         if not polish and float(num.min()) > proof:
             return float(grid[k]), float(thetas[k])
 

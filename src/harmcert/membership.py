@@ -28,6 +28,7 @@ from .series import (
     ZERO,
     AnalyticSeries,
     circle_values,
+    coefficient_columns,
     deficiency,
     eval_array,
     eval_series,
@@ -254,12 +255,10 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
     n = scan_angles(max(A.degree, B.degree))
-    coeffs = np.zeros((max(len(A.coeffs), len(B.coeffs)), 2), dtype=complex)
-    coeffs[:len(A.coeffs), 0] = A.coeffs
-    coeffs[:len(B.coeffs), 1] = B.coeffs
     thetas = np.linspace(0.0, _TWO_PI, n, endpoint=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        va, vb = np.ascontiguousarray(circle_values(coeffs, n).T)
+        va, vb = np.ascontiguousarray(
+            circle_values(coefficient_columns(A, B), n).T)
         mod_a, mod_b = np.abs(va), np.abs(vb)
         max_sup, angle = _paired_polish(A, B, thetas, mod_a + mod_b)
     if not math.isfinite(max_sup):
@@ -305,7 +304,7 @@ class StableFamilyReport:
 
 def stable_family_check(f: HarmonicMap, params: ClassParams,
                         zeta_samples: int = 256) -> StableFamilyReport:
-    """Cross-check the family of analytic sections against the harmonic scan.
+    """Check the sampled analytic sections against the family maximum.
 
     The map obeys the harmonic inequality exactly when every section
     h + zeta g, |zeta| = 1, obeys the analytic one; pointwise the sup over
@@ -313,6 +312,15 @@ def stable_family_check(f: HarmonicMap, params: ClassParams,
     maximum and no sampled section may exceed it.  An excess above
     sup_tolerance, relative once the sup passes 1, raises
     ConsistencyError.
+
+    Both come from the one transform grid of zeta_family_sup, and the
+    polished maximum is at least the grid's |va| + |vb|, which bounds each
+    section's grid value.  So the gap checks the sweep's row product and
+    polish against each other, not the transform: a transform error moves
+    the sections and the maximum alike.  The transform is checked against
+    Horner where the tests compare ``harmonic_sup`` with
+    harmonic_membership's eval_array scan and each row with a rebuilt
+    section's scan.
     """
     scan = zeta_family_sup(deficiency(f.h), deficiency(f.g), zeta_samples)
     harmonic_sup = scan.max_sup

@@ -89,6 +89,16 @@ def eval_array(F: AnalyticSeries, zs: np.ndarray) -> np.ndarray:
     return np.polyval(np.asarray(F.coeffs, dtype=complex)[::-1], zs)
 
 
+def coefficient_columns(*series: AnalyticSeries) -> np.ndarray:
+    """The coefficients of each series as one column, zero-padded to the
+    longest: a 2-D input of circle_values, one transform for all."""
+    cols = np.zeros((max(len(F.coeffs) for F in series), len(series)),
+                    dtype=complex)
+    for j, F in enumerate(series):
+        cols[:len(F.coeffs), j] = F.coeffs
+    return cols
+
+
 def circle_values(coeffs, n: int, r: float = 1.0) -> np.ndarray:
     """Values of sum c_k z^k at z = r e^{2 pi i j / n}, j = 0..n-1.
 

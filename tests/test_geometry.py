@@ -290,6 +290,23 @@ class TestHarmonicRadius:
             assert s.radius >= 0.5 - 1e-4
             assert c.radius >= 0.25 - 1e-4
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_high_powers_still_certify(self):
+        # r^1024 at r = 1/2 and r^256 near r = 0.06 leave the normal range,
+        # but next to the rings' low-order terms those powers carry nothing,
+        # so the rings pass and both maps reach their class floors.
+        rng = np.random.default_rng(1024)
+        params = ClassParams(lam=1.0)
+        f = random_member(1024, params, rng)
+        sharp_z2 = make_map((0, 1, 4.99) + (0,) * 253 + (1e-6,))
+        for g, lam in ((f, 1.0), (sharp_z2, 5.0)):
+            params = ClassParams(lam=lam)
+            s = harmonic_radius_certify(g, params, RadiusKind.STARLIKE)
+            c = harmonic_radius_certify(g, params, RadiusKind.CONVEX)
+            assert s.radius >= min(1.0, 1.0 / (2.0 * lam)) - 1e-4
+            assert c.radius >= min(1.0, 1.0 / (4.0 * lam)) - 1e-4
+        assert s.radius < 0.11 and c.radius < 0.06
+
     def test_rejects_non_member(self):
         f = make_map((0, 1, 1.9))
         with pytest.raises(NonMemberError):
