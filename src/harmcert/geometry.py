@@ -1,11 +1,12 @@
 """Geometric audits: envelopes, certified radii, closure, boundary curves.
 
-Radii are certified by one bisection on rings |z| = r for every section
-F = h + zeta g, |zeta| = 1, at once (the stable family of Hernandez and
-Martin, 2013): the functional, Re(z F'/F) for starlikeness and
-Re(1 + z F''/F') for convexity, is bounded below over every zeta in
-closed form.  Each ring counts the zeros of the denominator (F, or F') of the section zeta = 1
-inside it by the argument principle; when F has only its zero at the
+Radii are certified by one safeguarded secant search on rings |z| = r
+for every section F = h + zeta g, |zeta| = 1, at once (the stable family
+of Hernandez and Martin, 2013): the functional, Re(z F'/F) for
+starlikeness and Re(1 + z F''/F') for convexity, is bounded below over
+every zeta in closed form, and the search is guided by its ring minimum.
+Each ring counts the zeros of the denominator (F, or F') of the section
+zeta = 1 inside it by the argument principle; when F has only its zero at the
 origin, or F' none, the functional is the real part of a function analytic
 on the closed sub-disk, so by the minimum principle a positive ring
 minimum certifies the property up to that radius.
@@ -59,7 +60,7 @@ class RadiusCertificate:
     certified radius and must be positive (for g != 0 a lower bound on
     every section's functional), or that of the ring at 1 - tol for a
     capped radius; when the radius is below 1 the ``outer_witness``
-    records a ring at most one step outside, and an angle on it, where that
+    records a ring at most tol outside, and an angle on it, where that
     minimum dropped to zero or below or the zero count of the denominator
     was not the one allowed.  ``rings`` is the number of rings evaluated.
     Each passing ring is proven positive between its grid angles by a
@@ -242,13 +243,14 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     of two that brings its largest term max(P_k, U_k) r^k near 1: exact,
     and no product of two values overflows or underflows at an extreme
     lam.  A ring whose largest term is itself below the normal range (for
-    a normalized map, r below it) fails with -inf.  An r^k below the
+    a normalized map, r below it) returns a NaN minimum, which marks lost
+    precision apart from the -inf of a zero count.  An r^k below the
     normal range, before or after that scaling, keeps only an absolute
     accuracy; summed over such k its errors, lost_p next to S0(P) and
     lost_u next to S0(U), move each grid value as the transform error
     does, so they join the proof bound as lost_u S0(P) + S0(U) lost_p.  A
     ring where either loss exceeds its transform error, eps S0(P) or
-    eps S0(U), fails with -inf: its zero count and polish would rest on
+    eps S0(U), returns NaN too: its zero count and polish would rest on
     terms the powers no longer carry, as for the quadratic term at a
     starlike radius near 1/(2 lam) from lam = 1e155 on.  High powers that
     underflow next to a much larger low-order term cost nothing.
@@ -278,7 +280,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
         raw = r ** powers
         top = float(np.max(top_terms * raw))
         if not top >= tiny:
-            return -math.inf, 0.0
+            return math.nan, 0.0
         e = -math.frexp(top)[1]
         rk = np.ldexp(raw, e)
         vals = circle_values(coeffs * rk[:, None], angles).T
@@ -292,7 +294,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
             lost_p = step_err * float(P[under].sum())
             lost_u = step_err * float(U[under].sum())
             if not (lost_p <= eps * s0p and lost_u <= eps * s0u):
-                return -math.inf, 0.0
+                return math.nan, 0.0
         # D moves by at most delta along one grid cell.  If delta stays
         # below pi (|D(z_k)| - delta) on every cell, D has no zero on the
         # ring and each cell turns arg D by the principal angle of
@@ -331,22 +333,80 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     return ring
 
 
+def _secant_search(ring, lo: float, m_lo: float, hi: float, m_hi: float,
+                   hi_ang: float, tol: float) -> tuple[float, float, float]:
+    """Shrink [lo, hi] to at most tol; return lo, hi and hi's angle.
+
+    ``ring(r)`` returns a ring's minimum and angle, and a ring passes when
+    its minimum is positive: lo passed with minimum m_lo, hi failed with
+    m_hi at hi_ang.  Each step tests one ring strictly inside the bracket
+    and moves lo to it if it passes, else hi, so lo always passed and hi
+    always failed.  The step is a safeguarded regula falsi on the stored
+    minima: their secant root lo + (hi - lo) m_lo / (m_lo - m_hi), moved
+    tol/2 past it away from the end that moved last, so that a good
+    estimate closes the bracket from the other side, and kept at least
+    tol/4 inside.  When the same end moves twice running, the other end's
+    stored minimum is halved (the Illinois rule of Dowell and Jarratt,
+    BIT 11, 1971), so a strongly curved minimum, as a convex ring's near a
+    zero of h', cannot pin one end.  A non-finite m_hi (a failed zero
+    count, lost precision, NaN) gives no secant, and the step bisects.  It
+    also bisects whenever the bracket is wider than its first width w
+    times 2^(-n/2) after n steps, so the width after n steps is at most
+    w 2^(-(n-1)/2), and the search ends within 2 ceil(log2(w / tol)) + 1
+    rings, about twice bisection's.  Bisections neither halve a stored
+    minimum nor count as an end's move: alternating with one-sided secant
+    steps, they would keep the Illinois rule from ever firing.  A
+    bisection shrinks the bracket only while it holds a float strictly
+    inside, which tol >= 2^-50 and hi < 1 ensure.
+    """
+    allowed = hi - lo
+    lo_moved = True
+    while hi - lo > tol:
+        secant = hi - lo <= allowed and math.isfinite(m_hi)
+        if secant:
+            r = lo + (hi - lo) * m_lo / (m_lo - m_hi)
+            r += 0.5 * tol if lo_moved else -0.5 * tol
+            # Clamped in this order, a NaN estimate becomes lo + tol/4.
+            r = min(max(lo + 0.25 * tol, r), hi - 0.25 * tol)
+        else:
+            r = 0.5 * (lo + hi)
+        allowed *= math.sqrt(0.5)
+        m, ang = ring(r)
+        if m > 0.0:
+            if secant and lo_moved:
+                m_hi *= 0.5
+            lo, m_lo = r, m
+        else:
+            if secant and not lo_moved:
+                m_lo *= 0.5
+            hi, m_hi, hi_ang = r, m, ang
+        if secant:
+            lo_moved = m > 0.0
+    return lo, hi, hi_ang
+
+
 def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
              tol: float) -> RadiusCertificate:
-    """One bisection over r for every section a + zeta b together.
+    """One radius search over r for every section a + zeta b together.
 
-    The bisection needs only each ring's sign, so it skips the polish where
-    the ring's first-order bound already proves it positive.  The probe ring
-    at 1 - tol and the inner ring one tol inside the radius are polished,
-    as their minima are reported.  Below a failing probe the radius is
-    halved until a ring passes, however small that radius (a member at a
-    huge lam passes only near 1/lam), and each failing halved ring becomes
-    the outer end, so the witness stays within tol of the radius;
-    ConsistencyError is raised only once it underflows to 0.  A NaN ring
-    minimum fails like any other that is not positive.
+    The search needs each ring's minimum only as a guide, so it skips the
+    polish where the ring's first-order bound already proves it positive.
+    The probe ring at 1 - tol and the inner ring one tol inside the radius
+    are polished, as their minima are reported.  Below a failing probe the
+    radius is halved until a ring passes, however small that radius (a
+    member at a huge lam passes only near 1/lam), and each failing halved
+    ring becomes the outer end; then _secant_search shrinks the bracket to
+    tol, so the witness stays within tol of the radius.  ConsistencyError
+    is raised once the halving underflows to 0, or at the first failing
+    ring with a NaN minimum, which _section_rings returns when the powers
+    r^k lost the precision the test needs.  Refusing there is sound, and
+    a smaller ring keeps fewer of its powers in the normal range, on a
+    scale at least as large, so halving further is not tried.  A tol
+    below 2^-50 raises ParameterError, as the search could not shrink a
+    bracket to it.
     """
-    if not 0.0 < tol < 0.5:
-        raise ParameterError("tol must lie in (0, 0.5)")
+    if not 2.0 ** -50 <= tol < 0.5:
+        raise ParameterError("tol must lie in [2**-50, 0.5)")
     section_rings = _section_rings(a, b, kind)
     rings = 0
 
@@ -355,31 +415,27 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
         rings += 1
         return section_rings(r, polish)
 
-    probe = 1.0 - tol
-    m_probe, ang_probe = ring(probe, polish=True)
-    if m_probe > 0.0:
+    hi = 1.0 - tol
+    m_hi, hi_ang = ring(hi, polish=True)
+    if m_hi > 0.0:
         return RadiusCertificate(
-            kind=kind, radius=1.0, inner_margin=m_probe,
+            kind=kind, radius=1.0, inner_margin=m_hi,
             outer_witness=None, rings=rings,
         )
-    hi, hi_ang = probe, ang_probe
-    lo = hi / 2.0
-    m_lo, ang_lo = ring(lo)
-    while not m_lo > 0.0:
-        hi, hi_ang = lo, ang_lo
-        lo /= 2.0
+    while True:
+        if math.isnan(m_hi):
+            raise ConsistencyError(
+                f"ring test lost precision at radius {hi!r}: its powers "
+                "r^k fell below the normal range"
+            )
+        lo = hi / 2.0
         if lo == 0.0:
             raise ConsistencyError("functional not positive near the origin")
         m_lo, ang_lo = ring(lo)
-    for _ in range(100):
-        if hi - lo <= tol:
+        if m_lo > 0.0:
             break
-        mid = 0.5 * (lo + hi)
-        m_mid, ang_mid = ring(mid)
-        if m_mid > 0.0:
-            lo = mid
-        else:
-            hi, hi_ang = mid, ang_mid
+        hi, m_hi, hi_ang = lo, m_lo, ang_lo
+    lo, hi, hi_ang = _secant_search(ring, lo, m_lo, hi, m_hi, hi_ang, tol)
     inner_r = lo - tol if lo > tol else 0.5 * lo
     inner_margin, _ = ring(inner_r, polish=True)
     if not inner_margin > 0.0:
@@ -394,13 +450,15 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
 
 def radius_certify(F: AnalyticSeries, kind: RadiusKind,
                    tol: float = 1e-4) -> RadiusCertificate:
-    """Bisect for the largest ring radius on which the test proves positive.
+    """Search for the largest ring radius on which the test proves positive.
 
     A ring passes when the zero count of the denominator inside it is the
     one allowed (F only at the origin, F' nowhere) and the ring minimum of
     the functional is positive; by the minimum principle the
     functional is then positive on the whole closed sub-disk.  A radius of
-    1 is returned capped when the ring at 1 - tol passes.
+    1 is returned capped when the ring at 1 - tol passes; below it, the
+    ring minimum guides a safeguarded secant search (_certify), and the
+    radius is a passing ring within tol of a failing one.
     """
     if not F.is_normalized():
         raise ParameterError("radius certification needs a normalized series")
@@ -410,7 +468,7 @@ def radius_certify(F: AnalyticSeries, kind: RadiusKind,
 def harmonic_radius_certify(f: HarmonicMap, params: ClassParams,
                             kind: RadiusKind, tol: float = 1e-4
                             ) -> RadiusCertificate:
-    """Stable-family radius: one bisection over every section h + zeta g.
+    """Stable-family radius: one ring search over every section h + zeta g.
 
     A ring passes only when its least functional over every unimodular
     zeta is positive, so the result is at most the worst section's radius

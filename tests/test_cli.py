@@ -376,6 +376,24 @@ class TestRadiusCommand:
         else:
             assert code == EXIT_INPUT_ERROR
             assert captured.err.startswith("error:")
+            if kind == "starlike":
+                # The functional is positive there; the rings ran out of
+                # precision, and the message says so.
+                assert "lost precision" in captured.err
+
+    @pytest.mark.parametrize("tol", ["1e-20", "1e-40"])
+    def test_tol_below_float_resolution_exits_three(self, tmp_path, capsys,
+                                                    tol):
+        # No radius search can shrink a bracket near 1 to such a tol, so the
+        # command refuses it instead of returning a wider witness.
+        out = str(tmp_path / "f3.json")
+        main(["example", "f3", "--lambda", "0.8", "--out", out])
+        capsys.readouterr()
+        assert main(["radius", out, "--kind", "convex", "--tol", tol,
+                     "--json"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must lie in" in captured.err
 
     def test_json_capped_witness_is_null(self, tmp_path, capsys):
         path = write(tmp_path, "id.json", IDENTITY_TEXT)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from harmcert import geometry
 from harmcert.catalog import CatalogParams, make_example
 from harmcert.errors import (
+    ConsistencyError,
     NonMemberError,
     NormalizationError,
     ParameterError,
@@ -17,6 +18,7 @@ from harmcert.geometry import (
     RadiusKind,
     _min_nonadjacent_gap,
     _ring_objective,
+    _secant_search,
     _section_rings,
     boundary_curve_audit,
     convex_combination,
@@ -99,6 +101,44 @@ def brute_force_radius(F, kind, r_steps=400, t_steps=720):
         if np.min(vals) <= 0.0:
             return r
     return 1.0
+
+
+def bisection_radius(ring, tol):
+    """Oracle: the radius and ring count of a plain bisection on ring signs,
+    with the radius search's probe ring at 1 - tol, its halving and its
+    inner ring."""
+    hi = 1.0 - tol
+    if ring(hi)[0] > 0.0:
+        return 1.0, 1
+    lo, rings = hi / 2.0, 2
+    while not ring(lo, polish=False)[0] > 0.0:
+        hi, lo, rings = lo, lo / 2.0, rings + 1
+    while hi - lo > tol:
+        mid, rings = 0.5 * (lo + hi), rings + 1
+        if ring(mid, polish=False)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, rings + 1
+
+
+# Ring functions r -> (minimum, angle) that pass (minimum > 0) below a point
+# and fail above it, each hard for a secant step in its own way.
+SYNTHETIC_RINGS = {
+    "step": lambda r: (1.0 if r < 0.3 else -1.0, 0.5),
+    # Without the bisection safeguard, the Illinois rule would need about a
+    # thousand halvings of the failing end's minimum.
+    "cliff": lambda r: (1.0 if r < 0.7 else -1e300, 0.5),
+    "-inf beyond a point": lambda r: (0.9 - r, 0.5) if r < 0.6
+    else (-math.inf, 0.5),
+    "NaN beyond a point": lambda r: (0.4 - r, 0.5) if r < 0.45
+    else (math.nan, 0.5),
+    "pole": lambda r: (1.0 - 0.2 / (1.0 - r), 0.5),
+    # Proven rings (r < 0.5) report their grid minimum, here 0.3 above the
+    # polished minimum that the other rings report.
+    "grid and polished minima": lambda r: (
+        0.55 - r + (0.3 if r < 0.5 else 0.0), r),
+}
 
 
 class TestGrowthEnvelope:
@@ -226,6 +266,51 @@ class TestRadiusCertify:
     def test_rejects_unnormalized(self):
         with pytest.raises(ParameterError):
             radius_certify(AnalyticSeries((0, 2, 1)), RadiusKind.STARLIKE)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-40, 1e-20, 2.0 ** -51, 0.5])
+    def test_rejects_tol_out_of_range(self, tol):
+        # Below 2^-50 a bracket near 1 may hold no float strictly inside
+        # before it shrinks to tol.
+        with pytest.raises(ParameterError, match="tol must lie in"):
+            radius_certify(AnalyticSeries((0, 1, 0.8)), RadiusKind.CONVEX, tol)
+
+    def test_least_tol_keeps_the_witness_within_tol(self):
+        tol = 2.0 ** -50
+        for kind, sharp in ((RadiusKind.STARLIKE, 0.625),
+                            (RadiusKind.CONVEX, 0.3125)):
+            cert = radius_certify(AnalyticSeries((0, 1, 0.8)), kind, tol)
+            r, _ = cert.outer_witness
+            assert 0.0 < r - cert.radius <= tol
+            assert 0.0 <= sharp - cert.radius < 1e-12
+
+    def test_lost_precision_is_named(self):
+        # At lam = 1e200 the starlike radius 1/(2 lam) has r^2 below the
+        # normal range, so the quadratic term, which sets the radius, is
+        # lost: the ring says so with a NaN minimum, not a failed count.
+        F = AnalyticSeries((0, 1, 1e200))
+        value, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE)(1e-160)
+        assert math.isnan(value)
+        with pytest.raises(ConsistencyError, match="lost precision"):
+            radius_certify(F, RadiusKind.STARLIKE)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-10])
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_RINGS))
+    def test_secant_search_on_synthetic_rings(self, name, tol):
+        fn = SYNTHETIC_RINGS[name]
+        calls = []
+
+        def ring(r):
+            calls.append(r)
+            return fn(r)
+
+        lo, hi = 0.05, 1.0 - 1e-4
+        width = hi - lo
+        (m_lo, _), (m_hi, hi_ang) = fn(lo), fn(hi)
+        lo, hi, hi_ang = _secant_search(ring, lo, m_lo, hi, m_hi, hi_ang, tol)
+        assert fn(lo)[0] > 0.0
+        assert not fn(hi)[0] > 0.0 and hi_ang == fn(hi)[1]
+        assert 0.0 < hi - lo <= tol
+        assert len(calls) <= 2 * math.ceil(math.log2(width / tol)) + 2
 
     def test_interior_zero_under_positive_probe_ring(self):
         # z + 10 z^2 vanishes at -0.1, yet the functional is positive on the
@@ -384,10 +469,11 @@ class TestHarmonicRadius:
         assert proven >= 50
 
     def test_radius_certificates_polish_fewer_rings(self, polished):
-        # The bisection only needs each ring's sign, and skips the polish
-        # where the first-order bound proves the ring positive.  On these
-        # ten certificates (145 rings) the ring code polished 84 rings
-        # before that bound; it now polishes 57.
+        # The radius search reads each ring's minimum only as a guide, and
+        # skips the polish where the first-order bound proves the ring
+        # positive.  On these ten certificates a bisection polished 84
+        # rings before that bound, and 57 of its 145 rings after it; the
+        # secant search takes 89 rings and polishes 31.
         rng = np.random.default_rng(41)
         rings = 0
         for d in (3, 6, 12, 24, 48):
@@ -395,8 +481,28 @@ class TestHarmonicRadius:
                 params = ClassParams(lam=float(rng.uniform(0.5, 3.0)))
                 f = random_member(d, params, rng, fill=0.9)
                 rings += harmonic_radius_certify(f, params, kind).rings
-        assert rings == 145
-        assert len(polished) == 57 < 84
+        assert rings == 89 < 145
+        assert len(polished) == 31 < 57
+
+    def test_radius_search_matches_bisection_in_fewer_rings(self):
+        # Every radius lies within tol of a plain bisection on the same
+        # rings, and the secant search tests fewer rings in total.
+        rng = np.random.default_rng(16)
+        tol = 1e-4
+        searched = bisected = below_one = 0
+        for j in range(40):
+            d = int(rng.integers(3, 65))
+            params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
+            f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
+            kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
+            cert = harmonic_radius_certify(f, params, kind, tol)
+            radius, rings = bisection_radius(_section_rings(f.h, f.g, kind), tol)
+            assert abs(cert.radius - radius) <= tol
+            searched += cert.rings
+            bisected += rings
+            below_one += radius < 1.0
+        assert below_one >= 15
+        assert searched < bisected
 
     def test_no_section_fails_inside_radius(self):
         # Dense-zeta oracle: on the ring one tol inside the certified radius,
