@@ -56,14 +56,14 @@ class RadiusKind(Enum):
 class RadiusCertificate:
     """Largest ring radius at which the ring test passed.
 
-    ``inner_margin`` is the polished ring minimum one step inside the
-    certified radius and must be positive (for g != 0 a lower bound on
-    every section's functional), or that of the ring at 1 - tol for a
-    capped radius; when the radius is below 1 the ``outer_witness``
-    records a ring at most tol outside, and an angle on it, where that
-    minimum dropped to zero or below or the zero count of the denominator
-    was not the one allowed.  ``rings`` is the number of rings evaluated.
-    Each passing ring is proven positive between its grid angles by a
+    ``inner_margin`` is the positive minimum that the search measured on
+    the ring at the certified radius, or on the ring at 1 - tol for a
+    capped radius (for g != 0 a lower bound on every section's
+    functional); when the radius is below 1 the ``outer_witness`` records
+    a ring at most tol outside, and an angle on it, where that minimum
+    dropped to zero or below or the zero count of the denominator was not
+    the one allowed.  ``rings`` is the number of rings evaluated.  Each
+    passing ring is proven positive between its grid angles by a
     first-order bound, or else polished there (_section_rings).
     """
 
@@ -217,12 +217,10 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     |p + q| is smallest.  u = z p' + offset p and v = z q' + offset q are
     series too, with coefficients (k + offset) p_k and (k + offset) q_k, so
     each ring's grid values of p, q, u and v come from one 4-column
-    circle_values transform.  A positive grid minimum is polished by
-    _polish_argmax on the negated objective, each point of it one
-    power-matrix product of the four series.
-
-    ``ring(r, polish=False)`` skips the polish where a first-order bound
-    proves the ring positive, and then returns the grid minimum.  With
+    circle_values transform.  Where a first-order bound proves the ring
+    positive, ``ring(r)`` returns the grid minimum; every other positive
+    grid minimum is polished by _polish_argmax on the negated objective,
+    each point of it one power-matrix product of the four series.  With
     P_k = |p_k| + |q_k|, U_k = |u_k| + |v_k| and Sm(X) = sum k^m X_k r^k,
     N = alpha - |gamma| (_ring_numerator) has |N'(theta)| <= B1 =
     S1(U) S0(P) + S0(U) S1(P), as |j - k| <= j + k in each of its four
@@ -276,7 +274,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     eps = 8.0 * 2.0 ** -53 * math.ceil(math.log2(angles)) * math.sqrt(angles)
     tiny = np.finfo(float).tiny
 
-    def ring(r: float, polish: bool = True) -> tuple[float, float]:
+    def ring(r: float) -> tuple[float, float]:
         raw = r ** powers
         top = float(np.max(top_terms * raw))
         if not top >= tiny:
@@ -318,7 +316,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
         proof = ((s1u * s0p + s0u * s1p) * math.pi / angles
                  + 3.0 * eps * s0u * s0p
                  + (lost_u * s0p + s0u * lost_p)) * (1.0 + eps)
-        if not polish and float(num.min()) > proof:
+        if float(num.min()) > proof:
             return float(grid[k]), float(thetas[k])
 
         def at(t: float) -> float:
@@ -389,34 +387,36 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
              tol: float) -> RadiusCertificate:
     """One radius search over r for every section a + zeta b together.
 
-    The search needs each ring's minimum only as a guide, so it skips the
-    polish where the ring's first-order bound already proves it positive.
-    The probe ring at 1 - tol and the inner ring one tol inside the radius
-    are polished, as their minima are reported.  Below a failing probe the
-    radius is halved until a ring passes, however small that radius (a
-    member at a huge lam passes only near 1/lam), and each failing halved
-    ring becomes the outer end; then _secant_search shrinks the bracket to
-    tol, so the witness stays within tol of the radius.  ConsistencyError
-    is raised once the halving underflows to 0, or at the first failing
-    ring with a NaN minimum, which _section_rings returns when the powers
-    r^k lost the precision the test needs.  Refusing there is sound, and
-    a smaller ring keeps fewer of its powers in the normal range, on a
-    scale at least as large, so halving further is not tried.  A tol
-    below 2^-50 raises ParameterError, as the search could not shrink a
-    bracket to it.
+    Below a failing probe ring at 1 - tol the radius is halved until a
+    ring passes, however small that radius (a member at a huge lam passes
+    only near 1/lam), and each failing halved ring becomes the outer end;
+    then _secant_search shrinks the bracket to tol, so the witness stays
+    within tol of the radius.  Its lo is always the last ring to pass, so
+    that ring's minimum is reported as inner_margin.  ConsistencyError is
+    raised once the halving underflows to 0, or at the first failing ring
+    with a NaN minimum, which _section_rings returns when the powers r^k
+    lost the precision the test needs.  Refusing there is sound, and a
+    smaller ring keeps fewer of its powers in the normal range, on a scale
+    at least as large, so halving further is not tried.  A tol below
+    2^-50 raises ParameterError, as the search could not shrink a bracket
+    to it.
     """
     if not 2.0 ** -50 <= tol < 0.5:
         raise ParameterError("tol must lie in [2**-50, 0.5)")
     section_rings = _section_rings(a, b, kind)
     rings = 0
+    passed = math.nan
 
-    def ring(r: float, polish: bool = False) -> tuple[float, float]:
-        nonlocal rings
+    def ring(r: float) -> tuple[float, float]:
+        nonlocal rings, passed
         rings += 1
-        return section_rings(r, polish)
+        m, ang = section_rings(r)
+        if m > 0.0:
+            passed = m
+        return m, ang
 
     hi = 1.0 - tol
-    m_hi, hi_ang = ring(hi, polish=True)
+    m_hi, hi_ang = ring(hi)
     if m_hi > 0.0:
         return RadiusCertificate(
             kind=kind, radius=1.0, inner_margin=m_hi,
@@ -436,14 +436,8 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
             break
         hi, m_hi, hi_ang = lo, m_lo, ang_lo
     lo, hi, hi_ang = _secant_search(ring, lo, m_lo, hi, m_hi, hi_ang, tol)
-    inner_r = lo - tol if lo > tol else 0.5 * lo
-    inner_margin, _ = ring(inner_r, polish=True)
-    if not inner_margin > 0.0:
-        raise ConsistencyError(
-            f"certificate failed: functional non-positive at {inner_r!r}"
-        )
     return RadiusCertificate(
-        kind=kind, radius=lo, inner_margin=inner_margin,
+        kind=kind, radius=lo, inner_margin=passed,
         outer_witness=(hi, hi_ang), rings=rings,
     )
 
@@ -558,7 +552,7 @@ def convex_combination(fs, weights, params: ClassParams
     weights = [float(w) for w in weights]
     if not fs or len(fs) != len(weights):
         raise ParameterError("need matching non-empty maps and weights")
-    if any(w < -1e-12 or w > 1.0 + 1e-12 for w in weights):
+    if not all(-1e-12 <= w <= 1.0 + 1e-12 for w in weights):
         raise ParameterError("weights must lie in [0, 1]")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ParameterError("weights must sum to 1")

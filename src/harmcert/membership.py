@@ -370,7 +370,8 @@ def coefficient_bounds_audit(f: HarmonicMap, params: ClassParams
     """Check |a_n| and |b_n| against lam/(n-1); violations force rejection.
 
     The bound is necessary for membership, so any violated entry implies
-    the boundary scan must return NonMember.
+    the boundary scan must return NonMember.  The slack is sup_tolerance,
+    relative once the bound passes 1, as in the stable-family gap.
     """
     out = []
     for n in range(2, f.degree + 1):
@@ -382,7 +383,8 @@ def coefficient_bounds_audit(f: HarmonicMap, params: ClassParams
                 side=side,
                 value=value,
                 bound=bound,
-                violated=value > bound + params.sup_tolerance,
+                violated=(value
+                          > bound + params.sup_tolerance * max(1.0, bound)),
             ))
     return out
 

@@ -55,9 +55,10 @@ class AnalyticSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def is_normalized(self, tol: float = COEFF_TOL) -> bool:
-        """True when c_0 = 0 and c_1 = 1, the class normalization."""
-        return abs(self.coeff(0)) <= tol and abs(self.coeff(1) - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        """True when c_0 = 0 and c_1 = 1, within COEFF_TOL."""
+        return (abs(self.coeff(0)) <= COEFF_TOL
+                and abs(self.coeff(1) - 1.0) <= COEFF_TOL)
 
 
 ZERO = AnalyticSeries((0j,))

@@ -105,21 +105,20 @@ def brute_force_radius(F, kind, r_steps=400, t_steps=720):
 
 def bisection_radius(ring, tol):
     """Oracle: the radius and ring count of a plain bisection on ring signs,
-    with the radius search's probe ring at 1 - tol, its halving and its
-    inner ring."""
+    with the radius search's probe ring at 1 - tol and its halving."""
     hi = 1.0 - tol
     if ring(hi)[0] > 0.0:
         return 1.0, 1
     lo, rings = hi / 2.0, 2
-    while not ring(lo, polish=False)[0] > 0.0:
+    while not ring(lo)[0] > 0.0:
         hi, lo, rings = lo, lo / 2.0, rings + 1
     while hi - lo > tol:
         mid, rings = 0.5 * (lo + hi), rings + 1
-        if ring(mid, polish=False)[0] > 0.0:
+        if ring(mid)[0] > 0.0:
             lo = mid
         else:
             hi = mid
-    return lo, rings + 1
+    return lo, rings
 
 
 # Ring functions r -> (minimum, angle) that pass (minimum > 0) below a point
@@ -252,16 +251,54 @@ class TestRadiusCertify:
         value, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE)(0.5)
         assert math.isfinite(value)
 
-    def test_ring_minimum_is_polished_off_grid(self):
+    def test_ring_minimum_is_polished_off_grid(self, polished):
         # For z + w z^2 with |w| = 1 the starlike functional on |z| = r is
         # Re((1 + 2 w z) / (1 + w z)), least at w z = -r.  Rotating by a
-        # third of a grid cell puts that minimum between grid angles.
-        r, phi = 0.3, 2 * math.pi / 256 / 3
+        # third of a grid cell puts that minimum between grid angles.  At
+        # r = 0.45 the first-order bound does not prove the ring, so its
+        # grid minimum is polished.
+        r, phi = 0.45, 2 * math.pi / 256 / 3
         F = AnalyticSeries((0, 1, np.exp(1j * phi)))
         ring = _section_rings(F, ZERO, RadiusKind.STARLIKE)
         value, angle = ring(r)
+        assert len(polished) == 1
         assert value == pytest.approx((1 - 2 * r) / (1 - r), abs=1e-13)
         assert angle == pytest.approx(math.pi - phi, abs=1e-7)
+
+    def test_proven_ring_returns_its_grid_minimum(self, polished):
+        # The same map at r = 0.3: the first-order bound proves the ring
+        # positive, so it reports the least of its grid values unpolished.
+        r, phi = 0.3, 2 * math.pi / 256 / 3
+        F = AnalyticSeries((0, 1, np.exp(1j * phi)))
+        value, angle = _section_rings(F, ZERO, RadiusKind.STARLIKE)(r)
+        assert polished == []
+        z = r * np.exp(2j * math.pi * np.arange(256) / 256)
+        wz = np.exp(1j * phi) * z
+        grid = ((1 + 2 * wz) / (1 + wz)).real
+        k = int(np.argmin(grid))
+        assert value == pytest.approx(float(grid[k]), abs=1e-13)
+        assert angle == 2 * math.pi * k / 256
+        assert value > (1 - 2 * r) / (1 - r)
+
+    def test_inner_margin_is_the_certified_rings_minimum(self):
+        # The certificate reports the minimum that the search measured on
+        # the ring at its radius, or on the probe ring at 1 - tol when the
+        # radius is capped; no further ring is tested.
+        rng = np.random.default_rng(29)
+        tol = 1e-4
+        capped = below_one = 0
+        for j in range(24):
+            d = int(rng.integers(2, 33))
+            params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
+            f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
+            kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
+            cert = harmonic_radius_certify(f, params, kind, tol)
+            r = 1.0 - tol if cert.radius == 1.0 else cert.radius
+            assert cert.inner_margin == _section_rings(f.h, f.g, kind)(r)[0]
+            assert cert.inner_margin > 0.0
+            capped += cert.radius == 1.0
+            below_one += cert.radius < 1.0
+        assert capped >= 3 and below_one >= 3
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ParameterError):
@@ -428,8 +465,8 @@ class TestHarmonicRadius:
                 assert np.all(brute - closed <= 1e-7 * scale)
 
     def test_unpolished_rings_are_positive_on_a_dense_grid(self, polished):
-        # Every ring that ring(r, polish=False) passes without a polish was
-        # proven positive by the first-order bound, so the least numerator
+        # Every ring that ring(r) passes without a polish was proven
+        # positive by the first-order bound, so the least numerator
         # alpha - |gamma| stays positive between its grid angles too: here
         # on a 64x oversampled grid, with u = z p' + offset p and v likewise
         # built from the derivatives' own values.
@@ -453,10 +490,10 @@ class TestHarmonicRadius:
             lo, hi = 0.01, 0.999
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if ring(mid, polish=False)[0] > 0.0 else (lo, mid)
+                lo, hi = (mid, hi) if ring(mid)[0] > 0.0 else (lo, mid)
             for r in (*rng.uniform(0.05, 0.999, 4), lo):
                 before = len(polished)
-                value, _ = ring(float(r), polish=False)
+                value, _ = ring(float(r))
                 if not (value > 0.0 and len(polished) == before):
                     continue
                 proven += 1
@@ -469,11 +506,10 @@ class TestHarmonicRadius:
         assert proven >= 50
 
     def test_radius_certificates_polish_fewer_rings(self, polished):
-        # The radius search reads each ring's minimum only as a guide, and
-        # skips the polish where the first-order bound proves the ring
+        # A ring skips the polish where the first-order bound proves it
         # positive.  On these ten certificates a bisection polished 84
         # rings before that bound, and 57 of its 145 rings after it; the
-        # secant search takes 89 rings and polishes 31.
+        # secant search takes 80 rings and polishes 21.
         rng = np.random.default_rng(41)
         rings = 0
         for d in (3, 6, 12, 24, 48):
@@ -481,8 +517,8 @@ class TestHarmonicRadius:
                 params = ClassParams(lam=float(rng.uniform(0.5, 3.0)))
                 f = random_member(d, params, rng, fill=0.9)
                 rings += harmonic_radius_certify(f, params, kind).rings
-        assert rings == 89 < 145
-        assert len(polished) == 31 < 57
+        assert rings == 80 < 145
+        assert len(polished) == 21 < 57
 
     def test_radius_search_matches_bisection_in_fewer_rings(self):
         # Every radius lies within tol of a plain bisection on the same
@@ -686,6 +722,13 @@ class TestConvexCombination:
             convex_combination([f, f], [0.7, 0.7], ClassParams(lam=1.0))
         with pytest.raises(ParameterError):
             convex_combination([f, f], [1.5, -0.5], ClassParams(lam=1.0))
+
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan],
+                                         [math.inf, 0.0], [1.0, -math.inf]])
+    def test_rejects_non_finite_weights(self, weights):
+        f = make_map((0, 1))
+        with pytest.raises(ParameterError, match=r"weights must lie in \[0, 1\]"):
+            convex_combination([f, f], weights, ClassParams(lam=1.0))
 
 
 class TestBoundaryCurve:

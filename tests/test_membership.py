@@ -474,6 +474,23 @@ class TestBoundsAudit:
         coeffs[n] = lam / (n - 1)
         entries = coefficient_bounds_audit(make_map(coeffs), ClassParams(lam=lam))
         assert not any(e.violated for e in entries)
+        # f3's a_2 has modulus lam up to rounding, which at a large lam
+        # exceeds an absolute tolerance: the bound is checked relative to
+        # itself, as the scan's verdict band is.
+        for lam in (1e8, 1e10, 1e15, 1e100):
+            params = ClassParams(lam=lam)
+            for k in range(200):
+                f = make_example(CatalogParams(
+                    name="f3", lam=lam, eta=cmath.exp(0.0317j * k)))
+                entries = coefficient_bounds_audit(f, params)
+                assert not any(e.violated for e in entries)
+        f = make_example(CatalogParams(name="f3", lam=1e10,
+                                       eta=cmath.exp(0.0951j)))
+        assert abs(f.h.coeff(2)) > 1e10 + 1e-9
+        assert not any(e.violated for e in
+                       coefficient_bounds_audit(f, ClassParams(lam=1e10)))
+        rep = harmonic_membership(f, ClassParams(lam=1e10))
+        assert rep.verdict is Verdict.BOUNDARY_SHARP
 
     def test_small_map_passes(self):
         f = make_map((0, 1, 0.2), (0, 0, 0, 0.2))
