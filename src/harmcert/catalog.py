@@ -74,7 +74,8 @@ def _require_lam(lam: float) -> None:
 def _require_eta(eta: complex) -> complex:
     if eta == 0:
         raise ParameterError("eta must be nonzero")
-    if not abs(eta) <= 1.0 + 1e-12:
+    # hypot, not abs: abs raises OverflowError past the double range.
+    if not math.hypot(eta.real, eta.imag) <= 1.0 + 1e-12:
         raise ParameterError("eta must lie in the closed unit disk")
     return eta
 
@@ -102,8 +103,8 @@ def _terminating(s: int, c: float) -> HypergeomParams:
     """(a, b, c) = (-s, -s, c) of p1-p3 and 216-218."""
     if s < 0:
         raise ParameterError("s must be a non-negative integer")
-    if not c > 0.0:
-        raise ParameterError("c must be positive")
+    if not (c > 0.0 and math.isfinite(c)):
+        raise ParameterError(f"c must be positive and finite, got {c!r}")
     return HypergeomParams(-s, -s, c)
 
 

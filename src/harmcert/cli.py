@@ -125,6 +125,11 @@ def _parse_coeffs(raw, key: str) -> tuple[complex, ...]:
     return tuple(out)
 
 
+def _modulus(c: complex) -> float:
+    """|c|, infinite where abs would raise OverflowError."""
+    return math.hypot(c.real, c.imag)
+
+
 def parse_function_file(text: str) -> FunctionFile:
     try:
         obj = json.loads(text)
@@ -147,16 +152,16 @@ def parse_function_file(text: str) -> FunctionFile:
     h = _parse_coeffs(obj["h_coeffs"], "h_coeffs")
     if len(h) < 2:
         raise FunctionFileError("h_coeffs: need at least the first two entries")
-    if abs(h[0]) > 1e-12:
+    if _modulus(h[0]) > 1e-12:
         raise FunctionFileError("h_coeffs[0]: series must vanish at the origin")
-    if abs(h[1] - 1.0) > 1e-12:
+    if _modulus(h[1] - 1.0) > 1e-12:
         raise FunctionFileError("h_coeffs[1]: linear coefficient must be 1")
     g = _parse_coeffs(obj["g_coeffs"], "g_coeffs")
-    if len(g) >= 1 and abs(g[0]) > 1e-12:
+    if len(g) >= 1 and _modulus(g[0]) > 1e-12:
         raise FunctionFileError(
             "g_coeffs[0]: co-analytic part must vanish at the origin"
         )
-    if len(g) >= 2 and abs(g[1]) > 1e-12:
+    if len(g) >= 2 and _modulus(g[1]) > 1e-12:
         raise FunctionFileError("g_coeffs[1]: co-analytic linear term must vanish")
     meta = obj["meta"]
     if not isinstance(meta, dict) or not all(

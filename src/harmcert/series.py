@@ -27,17 +27,27 @@ class AnalyticSeries:
     Trailing zero coefficients are stripped on construction, so ``degree``
     is always the index of the last stored coefficient.  The zero series is
     stored as the single coefficient (0,).  Non-finite coefficients are
-    rejected, so no downstream scan ever sees NaN or infinity.
+    rejected, so no downstream scan ever sees NaN or infinity, and so are
+    finite ones whose modulus overflows a double: by Cauchy's estimate
+    |c_n| <= max |F| on the unit circle, such a series' circle maximum
+    overflows too.
     """
 
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
         cs = tuple(complex(c) for c in self.coeffs)
-        if not all(map(cmath.isfinite, cs)):
-            n = next(n for n, c in enumerate(cs) if not cmath.isfinite(c))
+        try:
+            finite = all(map(math.isfinite, map(abs, cs)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            n, c = next((n, c) for n, c in enumerate(cs)
+                        if not math.isfinite(math.hypot(c.real, c.imag)))
+            what = ("coefficient moduli" if cmath.isfinite(c)
+                    else "coefficients")
             raise ParameterError(
-                f"coefficients must be finite, got {cs[n]!r} at index {n}"
+                f"{what} must be finite, got {c!r} at index {n}"
             )
         while len(cs) > 1 and cs[-1] == 0:
             cs = cs[:-1]

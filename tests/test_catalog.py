@@ -227,6 +227,12 @@ class TestPolyCondition:
                 poly_condition("c216", 1, 1.0, 1.0, lam)
         with pytest.raises(ParameterError, match="finite"):
             poly_condition("c216", 1, math.inf, 1.0, 1.0)
+        with pytest.raises(ParameterError,
+                           match="c must be positive and finite, got nan"):
+            poly_condition("c216", 1, math.nan, 1.0, 1.0)
+        with pytest.raises(ParameterError,
+                           match="c must be positive and finite, got nan"):
+            make_example(CatalogParams(name="p1", lam=1.0, s=1, c=math.nan))
 
 
 class TestPaperClosedForms:

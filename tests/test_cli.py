@@ -221,6 +221,53 @@ class TestCheckCommand:
         assert "boundary values overflow" in captured.err
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [
+        ["check", "--json"], ["check", "--zeta-samples", "16"], ["radius"],
+        ["curve"],
+    ])
+    @pytest.mark.parametrize("key", ["h_coeffs", "g_coeffs"])
+    def test_overflowing_coefficient_modulus_exits_three(
+            self, tmp_path, capsys, command, key):
+        # Both parts of 1.5e308 + 1.5e308i are finite; its modulus is not.
+        obj = json.loads(IDENTITY_TEXT)
+        obj[key].append([1.5e308, 1.5e308])
+        path = write(tmp_path, "big.json", json.dumps(obj))
+        code = main([command[0], path, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert "OverflowError" not in captured.err
+        assert "coefficient moduli must be finite" in captured.err
+
+    @pytest.mark.parametrize("index, message", [
+        (0, "h_coeffs[0]: series must vanish at the origin"),
+        (1, "h_coeffs[1]: linear coefficient must be 1"),
+    ])
+    def test_overflowing_normalization_entry_exits_three(
+            self, tmp_path, capsys, index, message):
+        obj = json.loads(IDENTITY_TEXT)
+        obj["h_coeffs"][index] = [1.5e308, 1.5e308]
+        path = write(tmp_path, "big.json", json.dumps(obj))
+        assert main(["check", path]) == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+
+    def test_sharp_polynomial_reads_its_coefficient_sum(self, tmp_path,
+                                                        capsys):
+        # p1 at s = 0 is z + conj(z^2): |g - z g'| is 1 on the whole circle.
+        # The coefficient bound decides it at z = 1, exactly, with no scan
+        # whose rounding could read above 1 at an arbitrary angle.
+        out = str(tmp_path / "p1.json")
+        assert main(["example", "p1", "--s", "0", "--c", "1", "--lambda",
+                     "1", "--out", out]) == EXIT_MEMBER
+        capsys.readouterr()
+        assert main(["check", out, "--json"]) == EXIT_BOUNDARY_SHARP
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["measured_sup"] == 1.0
+        assert payload["margin"] == 0.0
+        assert payload["witness_angle"] == 0.0
+
+
 class TestExampleCommand:
     def test_cubic_showcase_coefficients(self, tmp_path):
         out = str(tmp_path / "eq13.json")
@@ -262,6 +309,23 @@ class TestExampleCommand:
 
     def test_unknown_name(self, capsys):
         assert main(["example", "zmaps"]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("argv", [
+        ["example", "p1", "--s", "1", "--c", "nan"],
+        ["hyper", "--which", "216", "--s", "3", "--c", "nan"],
+    ])
+    def test_nan_c_is_named(self, capsys, argv):
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "c must be positive and finite, got nan" in captured.err
+
+    def test_overflowing_eta_exits_three(self, capsys):
+        argv = ["example", "f3", "--eta", "1.5e308+1.5e308j"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "OverflowError" not in err
+        assert "eta must lie in the closed unit disk" in err
 
     def test_round_trip_reproduces_verdict(self, tmp_path, capsys):
         from harmcert.catalog import CatalogParams, make_example

@@ -12,6 +12,11 @@ from harmcert.errors import (
     NormalizationError,
     ParameterError,
 )
+from harmcert.geometry import (
+    RadiusKind,
+    boundary_curve_audit,
+    harmonic_radius_certify,
+)
 from harmcert.membership import (
     ClassParams,
     HarmonicMap,
@@ -33,6 +38,7 @@ from harmcert.series import (
     linear_combination,
     scan_angles,
 )
+from harmcert.specfun import HypergeomParams
 
 
 def dense_scan_max(F, n=200_001):
@@ -111,6 +117,162 @@ class TestBoundarySup:
             a, _ = paired_boundary_sup(deficiency(F), ZERO)
             b, _ = paired_boundary_sup(deficiency(G), ZERO)
             assert b == pytest.approx(a, abs=1e-10)
+
+
+def sharp_catalog_maps():
+    """The paper's sharp maps: deficiency coefficients in phase at z = 1."""
+    maps = []
+    for lam in (0.3, 1.0, 2.5, 1e3):
+        maps.append(make_example(CatalogParams(name="eq13", lam=lam)))
+        for n in (2, 5, 64):
+            for name in ("f_a", "f_b"):
+                maps.append(make_example(CatalogParams(name=name, lam=lam,
+                                                       n=n)))
+        for k in range(6):
+            eta = cmath.exp(2j * math.pi * (k + 0.37) / 6)
+            maps.append(make_example(CatalogParams(name="f3", lam=lam,
+                                                   eta=eta)))
+    for name in ("p1", "p2", "p3"):
+        for s_, c in ((0, 1.0), (3, 2.0), (6, 0.7)):
+            maps.append(make_example(CatalogParams(
+                name=name, lam=1.0, s=s_, c=c, eta=cmath.exp(0.4j))))
+    maps.append(make_example(CatalogParams(
+        name="f4", lam=1.0, hyper=HypergeomParams(1.0, 1.0, 3.0),
+        truncation=16)))
+    return maps
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Counts of numpy.polyval and membership.eval_series calls."""
+    import harmcert.membership as membership
+
+    counts = {"polyval": 0, "eval_series": 0}
+    polyval, eval_series_ = np.polyval, membership.eval_series
+
+    def counting_polyval(*args):
+        counts["polyval"] += 1
+        return polyval(*args)
+
+    def counting_eval_series(*args):
+        counts["eval_series"] += 1
+        return eval_series_(*args)
+
+    monkeypatch.setattr(np, "polyval", counting_polyval)
+    monkeypatch.setattr(membership, "eval_series", counting_eval_series)
+    return counts
+
+
+class TestCoefficientExit:
+    """Maps whose deficiency coefficients line up at z = 1 reach the
+    coefficient bound there, so their circle maximum needs no scan."""
+
+    def test_sharp_maps_make_no_scan(self, scan_calls):
+        u = 2.0**-53
+        for f in sharp_catalog_maps():
+            A, B = deficiency(f.h), deficiency(f.g)
+            m = len(A.coeffs) + len(B.coeffs)
+            total = math.fsum(abs(c) for c in A.coeffs + B.coeffs)
+            rep = harmonic_membership(f, ClassParams(lam=1.0))
+            assert scan_calls == {"polyval": 0, "eval_series": 0}
+            assert rep.witness_angle == 0.0
+            assert abs(rep.measured_sup - total) <= 4 * m * u * total
+
+    def test_rotated_cubic_scans_to_the_same_sup(self, scan_calls):
+        # z -> e^{0.3 i} z moves the lined-up angle off z = 1: the exit does
+        # not fire, and the scan reads the unrotated maximum.
+        for lam in (0.3, 1.0, 2.5):
+            f = make_example(CatalogParams(name="eq13", lam=lam))
+            ref = harmonic_membership(f, ClassParams(lam=lam)).measured_sup
+            assert scan_calls["polyval"] == 0
+            rotated = AnalyticSeries(tuple(
+                c * cmath.exp(0.3j * n) for n, c in enumerate(f.h.coeffs)))
+            sup, angle = paired_boundary_sup(deficiency(rotated), ZERO)
+            assert scan_calls["polyval"] > 0 and scan_calls["eval_series"] > 0
+            assert abs(sup - ref) <= 1e-14 * ref
+            assert abs(angle - (2 * math.pi - 0.3)) <= 1e-6
+            scan_calls.update(polyval=0, eval_series=0)
+
+    def test_random_members_scan(self, scan_calls):
+        # From degree 3 on, random phases never line up at z = 1.  At
+        # degree 2 both deficiency images are monomials, |A| + |B| is
+        # constant, and the exit decides them exactly.
+        rng = np.random.default_rng(18)
+        for i in range(330):
+            lam = float(rng.uniform(0.2, 5.0))
+            degree = 2 if i < 30 else int(rng.integers(3, 40))
+            f = random_member(degree, ClassParams(lam=lam), rng)
+            rep = harmonic_membership(f, ClassParams(lam=lam))
+            if degree == 2:
+                assert scan_calls == {"polyval": 0, "eval_series": 0}
+                assert rep.witness_angle == 0.0
+            else:
+                assert scan_calls["polyval"] > 0
+                assert scan_calls["eval_series"] > 0
+            scan_calls.update(polyval=0, eval_series=0)
+
+    def test_family_check_reads_the_same_sup(self):
+        # The sweep decides its family maximum with the same exit, so it
+        # matches membership bit for bit; its witness phase is the phase at
+        # z = 1 that lines A and B up.
+        for f in sharp_catalog_maps():
+            A, B = deficiency(f.h), deficiency(f.g)
+            params = ClassParams(lam=1.0)
+            rep = stable_family_check(f, params)
+            ref = harmonic_membership(f, params).measured_sup
+            assert rep.harmonic_sup == ref
+            best = cmath.phase(sum(A.coeffs)) - cmath.phase(sum(B.coeffs))
+            gap = cmath.phase(cmath.exp(1j * (rep.scan.witness_phase - best)))
+            assert abs(gap) <= 1e-12
+
+    def test_overflowing_sums_fall_through_to_the_scan(self, scan_calls):
+        # 1e307 (z^2 + ... + z^20) lines up at z = 1, but its sum
+        # overflows, so the exit decides nothing and the scan overflows.
+        F = AnalyticSeries((0, 0) + (1e307,) * 19)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sup, _ = paired_boundary_sup(F, ZERO)
+        assert scan_calls["polyval"] > 0
+        assert not math.isfinite(sup)
+
+
+class TestOverflowingInput:
+    """Input whose circle maximum overflows a double gets ParameterError
+    from every public entry point, never a bare OverflowError."""
+
+    ENTRY_POINTS = {
+        "membership": lambda f, p: harmonic_membership(f, p),
+        "family": lambda f, p: stable_family_check(f, p, 16),
+        "starlike": lambda f, p: harmonic_radius_certify(
+            f, p, RadiusKind.STARLIKE),
+        "convex": lambda f, p: harmonic_radius_certify(
+            f, p, RadiusKind.CONVEX),
+        "curve": lambda f, p: boundary_curve_audit(f, p),
+    }
+
+    @pytest.mark.parametrize("side", ["h", "g"])
+    def test_coefficient_modulus_overflow(self, side):
+        # Both parts are finite, the modulus is not; by Cauchy's estimate
+        # the circle maximum is at least that modulus.  The map cannot be
+        # built, so no entry point ever sees it.
+        big = (1.5e308 + 1.5e308j,)
+        with pytest.raises(ParameterError, match="moduli must be finite"):
+            if side == "h":
+                make_map((0, 1) + big)
+            else:
+                make_map((0, 1), (0, 0) + big)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("side", ["h", "g"])
+    def test_boundary_value_modulus_overflow(self, entry, side):
+        # Every coefficient modulus is finite, but the deficiency image
+        # -1.3e308 z^2 - 1.3e308 i z^3 has moduli past the double range
+        # near z = 1, where Python's abs raises.
+        tail = (1.3e308, 0.65e308j)
+        f = make_map((0, 1), (0, 0) + tail) if side == "g" \
+            else make_map((0, 1) + tail)
+        with pytest.raises(ParameterError, match="overflow"):
+            self.ENTRY_POINTS[entry](f, ClassParams(lam=1.0))
 
 
 class TestAnalyticMembership:

@@ -61,6 +61,16 @@ class TestConstruction:
             with pytest.raises(ParameterError):
                 AnalyticSeries((0, 1, bad))
 
+    def test_overflowing_modulus_rejected(self):
+        # Finite parts whose modulus overflows: abs() would raise
+        # OverflowError on it downstream.
+        for bad in (1.5e308 + 1.5e308j, complex(-1.3e308, 1.3e308)):
+            with pytest.raises(ParameterError,
+                               match="moduli must be finite.*index 2"):
+                AnalyticSeries((0, 1, bad))
+        edge = complex(1.2e308, 1.2e308)
+        assert AnalyticSeries((0, 1, edge)).coeffs[2] == edge
+
     def test_normalization_predicate(self):
         assert AnalyticSeries((0, 1, 5)).is_normalized()
         assert not AnalyticSeries((0.1, 1)).is_normalized()
