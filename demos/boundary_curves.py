@@ -16,7 +16,6 @@ from harmcert import (
     CatalogParams,
     ClassParams,
     HarmonicMap,
-    HypergeomParams,
     boundary_curve_audit,
     make_example,
 )
@@ -31,7 +30,7 @@ cases = [
     ("sharp_quadratic", make_example(CatalogParams(name="f3", lam=0.5)), 0.5),
     ("conjugate_sharp", make_example(CatalogParams(name="f_b", lam=0.5)), 0.5),
     ("tail_family", make_example(CatalogParams(
-        name="f6", lam=3.5, hyper=HypergeomParams(1, 1, 4))), 3.5),
+        name="f6", lam=3.5, a=1, b=1, c=4)), 3.5),
 ]
 
 print(f"{'map':>16} {'lam':>5} {'length':>9} {'bound':>9} "

@@ -35,7 +35,8 @@ print(f"{'family':>8} {'condition':>10} {'lhs':>10} {'lam':>6} "
 for which, name, lam in (("c213", "f4", 2.0), ("c214", "f5", 1.0),
                          ("c215", "f6", 3.5)):
     rep = hyper_condition(which, hp, 1.0, lam)
-    f = make_example(CatalogParams(name=name, lam=lam, hyper=hp))
+    f = make_example(CatalogParams(name=name, lam=lam,
+                                   a=hp.a, b=hp.b, c=hp.c))
     mass = coefficient_sufficient(f, ClassParams(lam=lam)).total
     verdict = harmonic_membership(f, ClassParams(lam=lam)).verdict.value
     print(f"{name:>8} {which:>10} {rep.lhs:>10.5f} {lam:>6.2f} "

@@ -71,7 +71,6 @@ from .series import (
 )
 from .specfun import (
     HypergeomParams,
-    gamma,
     gauss_value,
     hyper_coefficients,
     pochhammer,

@@ -24,51 +24,81 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParameterError
-from .membership import HarmonicMap
+from .membership import ClassParams, HarmonicMap
 from .series import AnalyticSeries
 from .specfun import HypergeomParams, gauss_value, weighted_gauss_value
 
-CATALOG_NAMES = ("eq13", "f_a", "f_b", "f3", "f4", "f5", "f6", "p1", "p2", "p3")
 
-HYPER_CONDITIONS = ("c213", "c214", "c215")
-POLY_CONDITIONS = ("c216", "c217", "c218")
+class _Entry(NamedTuple):
+    fields: tuple[str, ...]  # the CatalogParams fields read, besides lam
+    family: str | None = None  # the tail family, f4, f5 or f6
+    condition: bool = False  # a closed-form condition, not an example map
 
-# The tail family behind each tail, polynomial and condition name, and the
-# least c - a - b at which that family's series converges at z = 1.
-_FAMILY = dict(zip(
-    ("f4", "f5", "f6", "p1", "p2", "p3", *HYPER_CONDITIONS, *POLY_CONDITIONS),
-    ("f4", "f5", "f6") * 4,
-))
+
+ENTRIES = {
+    "eq13": _Entry(()),
+    "f_a": _Entry(("n",)),
+    "f_b": _Entry(("n",)),
+    "f3": _Entry(("eta",)),
+    "f4": _Entry(("eta", "a", "b", "c", "truncation"), "f4"),
+    "f5": _Entry(("eta", "a", "b", "c", "truncation"), "f5"),
+    "f6": _Entry(("eta", "a", "b", "c", "truncation"), "f6"),
+    "p1": _Entry(("eta", "s", "c"), "f4"),
+    "p2": _Entry(("eta", "s", "c"), "f5"),
+    "p3": _Entry(("eta", "s", "c"), "f6"),
+    "c213": _Entry(("a", "b", "c"), "f4", condition=True),
+    "c214": _Entry(("a", "b", "c"), "f5", condition=True),
+    "c215": _Entry(("a", "b", "c"), "f6", condition=True),
+    "c216": _Entry(("s", "c"), "f4", condition=True),
+    "c217": _Entry(("s", "c"), "f5", condition=True),
+    "c218": _Entry(("s", "c"), "f6", condition=True),
+}
+
+CATALOG_NAMES = tuple(k for k, e in ENTRIES.items() if not e.condition)
+
+# The least c - a - b at which each tail family's series converges at z = 1.
 _MIN_GAP = {"f4": 0.0, "f5": 1.0, "f6": 1.0}
+
+
+def require_fields(name: str, source) -> None:
+    """Raise ParameterError naming every field that ``name`` reads and that
+    ``source`` (CatalogParams or parsed arguments) leaves None."""
+    missing = [f for f in ENTRIES[name].fields if getattr(source, f) is None]
+    if missing:
+        raise ParameterError(f"{name} needs {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
 class CatalogParams:
-    """Everything a catalog constructor may need; names pick what they use."""
+    """Everything a catalog constructor may need.  Each name reads the
+    fields ENTRIES lists for it; only those must be set and are checked."""
 
     name: str
     lam: float
     eta: complex = 1.0 + 0j
     n: int = 2
-    hyper: HypergeomParams | None = None
     s: int | None = None
+    a: float | None = None
+    b: float | None = None
     c: float | None = None
     truncation: int = 64
 
     def __post_init__(self):
         if self.name not in CATALOG_NAMES:
             raise ParameterError(f"unknown catalog name {self.name!r}")
-        _require_lam(self.lam)
-        if self.truncation < 2:
-            raise ParameterError("truncation must be at least 2")
+        ClassParams(self.lam)
         object.__setattr__(self, "eta", complex(self.eta))
-
-
-def _require_lam(lam: float) -> None:
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ParameterError("lam must be positive and finite")
+        require_fields(self.name, self)
+        fields = ENTRIES[self.name].fields
+        if "eta" in fields:
+            _require_eta(self.eta)
+        if "n" in fields and self.n < 2:
+            raise ParameterError("coefficient index n must be at least 2")
+        if "truncation" in fields and self.truncation < 2:
+            raise ParameterError("truncation must be at least 2")
 
 
 def _require_eta(eta: complex) -> complex:
@@ -80,18 +110,12 @@ def _require_eta(eta: complex) -> complex:
     return eta
 
 
-def _require_index(n: int) -> int:
-    if n < 2:
-        raise ParameterError("coefficient index n must be at least 2")
-    return n
-
-
 def _require_tail(name: str, hp: HypergeomParams) -> HypergeomParams:
     """Domain of f4-f6 and 213-215: positive a, b, c and a large enough gap."""
     if not (hp.a > 0.0 and hp.b > 0.0 and hp.c > 0.0):
         raise ParameterError(f"{name} needs positive a, b, c")
     gap = hp.c - hp.a - hp.b
-    least = _MIN_GAP[_FAMILY[name]]
+    least = _MIN_GAP[ENTRIES[name].family]
     if not gap > least:
         raise ParameterError(
             f"{name} needs c - a - b > {least:g}, got {gap!r}"
@@ -123,7 +147,7 @@ def hyper_family_coeffs(kind: str, a: float, b: float, c: float,
 
     Low-level stream with no positivity guards; make_example wraps it.
     """
-    if kind not in ("f4", "f5", "f6"):
+    if kind not in _MIN_GAP:
         raise ParameterError(f"not a tail family: {kind!r}")
     terms = _rational_terms(a, b, c, truncation - 1)
     out = []
@@ -142,10 +166,11 @@ def poly_family_coeffs(kind: str, s: int, c: float,
                        eta: complex) -> list[complex]:
     """Co-analytic coefficients b_2.. of p1, p2 or p3: f4, f5 or f6 at
     a = b = -s up to z^{s+2}, less p2's last entry eta t_{s+1} = 0."""
-    if kind not in ("p1", "p2", "p3"):
+    if kind not in CATALOG_NAMES or "s" not in ENTRIES[kind].fields:
         raise ParameterError(f"not a polynomial family: {kind!r}")
     hp = _terminating(s, c)
-    coeffs = hyper_family_coeffs(_FAMILY[kind], hp.a, hp.b, hp.c, eta, s + 2)
+    coeffs = hyper_family_coeffs(ENTRIES[kind].family, hp.a, hp.b, hp.c, eta,
+                                 s + 2)
     return coeffs[:-1] if kind == "p2" else coeffs
 
 
@@ -158,41 +183,32 @@ def _map_from_g(coeffs: list[complex]) -> HarmonicMap:
 
 def make_example(params: CatalogParams) -> HarmonicMap:
     """Build the named example map."""
-    lam = params.lam
-    name = params.name
+    name, lam, n, eta = params.name, params.lam, params.n, params.eta
     if name == "eq13":
         return HarmonicMap(
             h=AnalyticSeries((0, 1, lam / 2.0, lam / 4.0)),
             g=AnalyticSeries((0j,)),
         )
     if name == "f_a":
-        n = _require_index(params.n)
         coeffs = [0j] * (n + 1)
         coeffs[1] = 1.0
         coeffs[n] = lam / (n - 1)
         return HarmonicMap(h=AnalyticSeries(tuple(coeffs)),
                            g=AnalyticSeries((0j,)))
     if name == "f_b":
-        n = _require_index(params.n)
         coeffs = [0j] * (n + 1)
         coeffs[n] = -lam / (n - 1)
         return HarmonicMap(h=AnalyticSeries((0, 1)),
                            g=AnalyticSeries(tuple(coeffs)))
-    eta = _require_eta(params.eta)
     if name == "f3":
         return HarmonicMap(h=AnalyticSeries((0, 1, lam * eta)),
                            g=AnalyticSeries((0j,)))
-    if name in ("f4", "f5", "f6"):
-        if params.hyper is None:
-            raise ParameterError(f"{name} needs hypergeometric parameters")
-        hp = _require_tail(name, params.hyper)
-        return _map_from_g(hyper_family_coeffs(
-            name, hp.a, hp.b, hp.c, eta, params.truncation
-        ))
-    # p1 / p2 / p3
-    if params.s is None or params.c is None:
-        raise ParameterError(f"{name} needs s and c")
-    return _map_from_g(poly_family_coeffs(name, params.s, params.c, eta))
+    if "s" in ENTRIES[name].fields:
+        return _map_from_g(poly_family_coeffs(name, params.s, params.c, eta))
+    hp = _require_tail(name, HypergeomParams(params.a, params.b, params.c))
+    return _map_from_g(hyper_family_coeffs(
+        name, hp.a, hp.b, hp.c, eta, params.truncation
+    ))
 
 
 @dataclass(frozen=True)
@@ -206,7 +222,7 @@ class ConditionReport:
 def _tail_lhs(which: str, hp: HypergeomParams) -> float:
     """Left-hand side of a condition on f4 (Gauss value), f5 (scaled by
     ab/(c-a-b-1); 0 at a = b = 0, whatever c) or f6 (first moment)."""
-    family = _FAMILY[which]
+    family = ENTRIES[which].family
     if family == "f4":
         return gauss_value(hp)
     if family == "f5":
@@ -231,6 +247,17 @@ def _compare(lhs: float, lam: float, eta: complex) -> ConditionReport:
                            rhs=rhs, at_equality=at_equality)
 
 
+def _condition_eta(which: str, reads: str, eta: complex,
+                   lam: float) -> complex:
+    """Check that ``which`` is a condition reading field ``reads``, and
+    check lam and eta; return eta as a complex."""
+    entry = ENTRIES.get(which)
+    if entry is None or not entry.condition or reads not in entry.fields:
+        raise ParameterError(f"unknown condition {which!r}")
+    ClassParams(lam)
+    return _require_eta(complex(eta))
+
+
 def hyper_condition(which: str, hyper: HypergeomParams, eta: complex,
                     lam: float) -> ConditionReport:
     """Closed-form membership thresholds for the tail families.
@@ -238,10 +265,7 @@ def hyper_condition(which: str, hyper: HypergeomParams, eta: complex,
     c213 needs the Gauss value below lam/|eta| (f4); c214 scales it by
     ab/(c-a-b-1) (f5); c215 uses the first-moment closed form (f6).
     """
-    if which not in HYPER_CONDITIONS:
-        raise ParameterError(f"unknown condition {which!r}")
-    eta = _require_eta(complex(eta))
-    _require_lam(lam)
+    eta = _condition_eta(which, "a", eta, lam)
     return _compare(_tail_lhs(which, _require_tail(which, hyper)), lam, eta)
 
 
@@ -255,8 +279,5 @@ def poly_condition(which: str, s: int, c: float, eta: complex,
     Gamma(c+s)^2, times s^2/(c+2s-1) for c217 and (c+s^2+2s-1)/(c+2s-1)
     for c218; the sums stay finite where those Gamma values overflow.
     """
-    if which not in POLY_CONDITIONS:
-        raise ParameterError(f"unknown condition {which!r}")
-    eta = _require_eta(complex(eta))
-    _require_lam(lam)
+    eta = _condition_eta(which, "s", eta, lam)
     return _compare(_tail_lhs(which, _terminating(s, c)), lam, eta)

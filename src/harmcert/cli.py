@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import (
+    ENTRIES,
     CatalogParams,
     hyper_condition,
     make_example,
     poly_condition,
+    require_fields,
 )
 from .errors import NonMemberError, ParameterError
 from .geometry import (
@@ -38,7 +40,7 @@ from .membership import (
     harmonic_membership,
     stable_family_check,
 )
-from .series import AnalyticSeries
+from .series import COEFF_TOL, AnalyticSeries
 from .specfun import HypergeomParams
 
 EXIT_MEMBER = 0
@@ -112,6 +114,14 @@ def serialize_function_file(ff: FunctionFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float(value: int | float, key: str) -> float:
+    """float(value); a JSON integer past the double range is refused."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise FunctionFileError(f"{key}: {exc}") from exc
+
+
 def _parse_coeffs(raw, key: str) -> tuple[complex, ...]:
     if not isinstance(raw, list):
         raise FunctionFileError(f"{key}: expected a list of [re, im] pairs")
@@ -121,7 +131,8 @@ def _parse_coeffs(raw, key: str) -> tuple[complex, ...]:
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(type(v) in (int, float) for v in pair)):
             raise FunctionFileError(f"{key}[{i}]: expected a [re, im] pair")
-        out.append(complex(float(pair[0]), float(pair[1])))
+        out.append(complex(_float(pair[0], f"{key}[{i}]"),
+                           _float(pair[1], f"{key}[{i}]")))
     return tuple(out)
 
 
@@ -152,23 +163,23 @@ def parse_function_file(text: str) -> FunctionFile:
     h = _parse_coeffs(obj["h_coeffs"], "h_coeffs")
     if len(h) < 2:
         raise FunctionFileError("h_coeffs: need at least the first two entries")
-    if _modulus(h[0]) > 1e-12:
+    if _modulus(h[0]) > COEFF_TOL:
         raise FunctionFileError("h_coeffs[0]: series must vanish at the origin")
-    if _modulus(h[1] - 1.0) > 1e-12:
+    if _modulus(h[1] - 1.0) > COEFF_TOL:
         raise FunctionFileError("h_coeffs[1]: linear coefficient must be 1")
     g = _parse_coeffs(obj["g_coeffs"], "g_coeffs")
-    if len(g) >= 1 and _modulus(g[0]) > 1e-12:
+    if len(g) >= 1 and _modulus(g[0]) > COEFF_TOL:
         raise FunctionFileError(
             "g_coeffs[0]: co-analytic part must vanish at the origin"
         )
-    if len(g) >= 2 and _modulus(g[1]) > 1e-12:
+    if len(g) >= 2 and _modulus(g[1]) > COEFF_TOL:
         raise FunctionFileError("g_coeffs[1]: co-analytic linear term must vanish")
     meta = obj["meta"]
     if not isinstance(meta, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
     ):
         raise FunctionFileError("meta: must map strings to strings")
-    return FunctionFile(lam=float(lam), h=h, g=g, meta=dict(meta))
+    return FunctionFile(lam=_float(lam, "lambda"), h=h, g=g, meta=dict(meta))
 
 
 def load_function_file(path: str) -> FunctionFile:
@@ -299,37 +310,16 @@ def _cmd_check(args) -> int:
     return _VERDICT_EXIT[rep.verdict]
 
 
-def _catalog_params_from_args(args) -> CatalogParams:
-    hyper = None
-    if args.name in ("f4", "f5", "f6"):
-        if args.a is None or args.b is None or args.c is None:
-            raise ParameterError(f"{args.name} needs --a, --b and --c")
-        hyper = HypergeomParams(args.a, args.b, args.c)
-    return CatalogParams(
-        name=args.name,
-        lam=args.lam,
-        eta=_parse_eta(args.eta),
-        n=args.n,
-        hyper=hyper,
-        s=args.s,
-        c=args.c,
-        truncation=args.truncation,
-    )
-
-
 def _cmd_example(args) -> int:
-    params = _catalog_params_from_args(args)
-    f = make_example(params)
+    f = make_example(CatalogParams(
+        name=args.name, lam=args.lam, eta=_parse_eta(args.eta), n=args.n,
+        s=args.s, a=args.a, b=args.b, c=args.c, truncation=args.truncation,
+    ))
     meta = {"name": args.name, "lambda": _fmt(args.lam)}
-    if args.name in ("f3", "f4", "f5", "f6", "p1", "p2", "p3"):
-        meta["eta"] = args.eta
-    if args.name in ("f_a", "f_b"):
-        meta["n"] = str(args.n)
-    if args.name in ("f4", "f5", "f6"):
-        meta.update(a=_fmt(args.a), b=_fmt(args.b), c=_fmt(args.c),
-                    truncation=str(args.truncation))
-    if args.name in ("p1", "p2", "p3"):
-        meta.update(s=str(args.s), c=_fmt(args.c))
+    for key in ENTRIES[args.name].fields:
+        # Floats at 17 digits; ints and the --eta text as given.
+        value = getattr(args, key)
+        meta[key] = _fmt(value) if isinstance(value, float) else str(value)
     text = serialize_function_file(function_file_from_map(f, args.lam, meta))
     if args.out:
         write_text_atomic(args.out, text)
@@ -383,17 +373,14 @@ def _cmd_curve(args) -> int:
 
 def _cmd_hyper(args) -> int:
     eta = _parse_eta(args.eta)
-    if args.which in ("213", "214", "215"):
-        if args.a is None or args.b is None or args.c is None:
-            raise ParameterError(f"condition {args.which} needs --a, --b and --c")
-        report = hyper_condition(
-            f"c{args.which}", HypergeomParams(args.a, args.b, args.c),
-            eta, args.lam,
-        )
+    which = f"c{args.which}"
+    require_fields(which, args)
+    if "s" in ENTRIES[which].fields:
+        report = poly_condition(which, args.s, args.c, eta, args.lam)
     else:
-        if args.s is None or args.c is None:
-            raise ParameterError(f"condition {args.which} needs --s and --c")
-        report = poly_condition(f"c{args.which}", args.s, args.c, eta, args.lam)
+        report = hyper_condition(
+            which, HypergeomParams(args.a, args.b, args.c), eta, args.lam,
+        )
     print(f"lhs: {report.lhs}")
     print(f"rhs: {report.rhs}")
     print(f"holds: {report.holds}")
@@ -409,54 +396,52 @@ def _build_parser() -> argparse.ArgumentParser:
                     "differential inequality.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    catalog_flags = argparse.ArgumentParser(add_help=False)
+    catalog_flags.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    catalog_flags.add_argument("--eta", default="1")
+    catalog_flags.add_argument("--a", type=float, default=None)
+    catalog_flags.add_argument("--b", type=float, default=None)
+    catalog_flags.add_argument("--c", type=float, default=None)
+    catalog_flags.add_argument("--s", type=int, default=None)
+    file_flags = argparse.ArgumentParser(add_help=False)
+    file_flags.add_argument("path")
+    file_flags.add_argument("--lambda", dest="lam", type=float, default=None)
 
-    check = sub.add_parser("check", help="membership verdict for a function file")
-    check.add_argument("path")
-    check.add_argument("--lambda", dest="lam", type=float, default=None)
+    check = sub.add_parser("check", parents=[file_flags],
+                           help="membership verdict for a function file")
     check.add_argument("--json", action="store_true")
     check.add_argument("--zeta-samples", dest="zeta_samples", type=int,
                        default=None)
     check.set_defaults(func=_cmd_check)
 
-    example = sub.add_parser("example", help="write a catalog function file")
+    example = sub.add_parser("example", parents=[catalog_flags],
+                             help="write a catalog function file")
     example.add_argument("name")
-    example.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    example.add_argument("--eta", default="1")
     example.add_argument("--n", type=int, default=2)
-    example.add_argument("--a", type=float, default=None)
-    example.add_argument("--b", type=float, default=None)
-    example.add_argument("--c", type=float, default=None)
-    example.add_argument("--s", type=int, default=None)
     example.add_argument("--truncation", type=int, default=64)
     example.add_argument("--out", default=None)
     example.set_defaults(func=_cmd_example)
 
-    radius = sub.add_parser("radius", help="certified starlike/convex radius")
-    radius.add_argument("path")
+    radius = sub.add_parser("radius", parents=[file_flags],
+                            help="certified starlike/convex radius")
     radius.add_argument("--kind", choices=("starlike", "convex"),
                         default="starlike")
     radius.add_argument("--tol", type=float, default=1e-4)
-    radius.add_argument("--lambda", dest="lam", type=float, default=None)
     radius.add_argument("--json", action="store_true")
     radius.set_defaults(func=_cmd_radius)
 
-    curve = sub.add_parser("curve", help="boundary image curve audit and export")
-    curve.add_argument("path")
+    curve = sub.add_parser("curve", parents=[file_flags],
+                           help="boundary image curve audit and export")
     curve.add_argument("--samples", type=int, default=2048)
     curve.add_argument("--csv", default=None)
     curve.add_argument("--svg", default=None)
-    curve.add_argument("--lambda", dest="lam", type=float, default=None)
     curve.set_defaults(func=_cmd_curve)
 
-    hyper = sub.add_parser("hyper", help="closed-form membership thresholds")
-    hyper.add_argument("--which", required=True,
-                       choices=("213", "214", "215", "216", "217", "218"))
-    hyper.add_argument("--a", type=float, default=None)
-    hyper.add_argument("--b", type=float, default=None)
-    hyper.add_argument("--c", type=float, default=None)
-    hyper.add_argument("--s", type=int, default=None)
-    hyper.add_argument("--eta", default="1")
-    hyper.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    hyper = sub.add_parser("hyper", parents=[catalog_flags],
+                           help="closed-form membership thresholds")
+    hyper.add_argument("--which", required=True, choices=[
+        name[1:] for name, entry in ENTRIES.items() if entry.condition
+    ])
     hyper.set_defaults(func=_cmd_hyper)
 
     return parser

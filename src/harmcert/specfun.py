@@ -1,8 +1,6 @@
-"""Real special-function kernel: Gamma, Pochhammer, Gauss sums.
+"""Real special-function kernel: Pochhammer symbols and Gauss sums.
 
-Only positive real Gamma arguments are needed anywhere in this package, so
-``gamma`` stays on that branch and rejects the rest.  The Gauss value
-F(a,b;c;1) is computed from the Gamma closed form
+The Gauss value F(a,b;c;1) is computed from the Gamma closed form
 
     F(a,b;c;1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)),
 
@@ -22,14 +20,6 @@ import numpy as np
 from .errors import ParameterError
 
 _INT_TOL = 1e-12
-
-
-def gamma(x: float) -> float:
-    """Gamma on the positive real axis (math.gamma)."""
-    x = float(x)
-    if not x > 0.0:
-        raise ParameterError(f"gamma needs a positive argument, got {x!r}")
-    return math.gamma(x)
 
 
 def _exp_or_inf(x: float) -> float:

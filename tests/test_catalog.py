@@ -19,7 +19,7 @@ from harmcert.membership import (
     coefficient_sufficient,
     harmonic_membership,
 )
-from harmcert.specfun import HypergeomParams, gamma, gauss_value, pochhammer
+from harmcert.specfun import HypergeomParams, gauss_value, pochhammer
 
 
 class TestMakeExample:
@@ -43,15 +43,16 @@ class TestMakeExample:
         assert m.h.coeff(2) == 1j
 
     def test_tail_family_leading_coefficients(self):
-        hp = HypergeomParams(1.0, 1.0, 3.0)
-        m4 = make_example(CatalogParams(name="f4", lam=3.0, hyper=hp))
+        m4 = make_example(CatalogParams(name="f4", lam=3.0, a=1.0, b=1.0,
+                                        c=3.0))
         # b_n = eta t_{n-2} / (n-1) with t_0 = 1, t_1 = 1/3.
         assert m4.g.coeff(2) == pytest.approx(1.0, rel=1e-15)
         assert m4.g.coeff(3) == pytest.approx(1 / 6, rel=1e-15)
-        hp4 = HypergeomParams(1.0, 1.0, 4.0)
-        m5 = make_example(CatalogParams(name="f5", lam=3.0, hyper=hp4))
+        m5 = make_example(CatalogParams(name="f5", lam=3.0, a=1.0, b=1.0,
+                                        c=4.0))
         assert m5.g.coeff(2) == pytest.approx(1 / 4, rel=1e-15)
-        m6 = make_example(CatalogParams(name="f6", lam=6.0, hyper=hp4))
+        m6 = make_example(CatalogParams(name="f6", lam=6.0, a=1.0, b=1.0,
+                                        c=4.0))
         assert m6.g.coeff(2) == pytest.approx(1.0, rel=1e-15)
         assert m6.g.coeff(3) == pytest.approx(1 / 4, rel=1e-15)
 
@@ -82,8 +83,7 @@ class TestMakeExample:
             make_example(CatalogParams(name="f4", lam=1.0))
         with pytest.raises(ParameterError):
             make_example(
-                CatalogParams(name="f5", lam=1.0,
-                              hyper=HypergeomParams(1, 1, 2.5))
+                CatalogParams(name="f5", lam=1.0, a=1, b=1, c=2.5)
             )
         with pytest.raises(ParameterError):
             make_example(CatalogParams(name="p1", lam=1.0, s=2))
@@ -96,10 +96,30 @@ class TestMakeExample:
             make_example(CatalogParams(name="f3", lam=1.0,
                                        eta=complex(math.nan, 0.0)))
 
+    def test_only_read_fields_are_checked(self):
+        # eq13 reads no field besides lam, so out-of-range values pass.
+        params = CatalogParams(name="eq13", lam=1.0, eta=0.0, n=0,
+                               truncation=1, s=-1, c=math.nan)
+        assert make_example(params).h.coeff(2) == 0.5
+        with pytest.raises(ParameterError, match="truncation"):
+            CatalogParams(name="f4", lam=1.0, a=1, b=1, c=3, truncation=1)
+        with pytest.raises(ParameterError, match="index n"):
+            CatalogParams(name="f_b", lam=1.0, n=1)
+
+    def test_missing_fields_named_in_one_error(self):
+        with pytest.raises(ParameterError, match="f4 needs a, b, c$"):
+            CatalogParams(name="f4", lam=1.0)
+        with pytest.raises(ParameterError, match="p2 needs s$"):
+            CatalogParams(name="p2", lam=1.0, c=2.0)
+
+    def test_conditions_are_not_catalog_names(self):
+        with pytest.raises(ParameterError, match="unknown catalog name"):
+            CatalogParams(name="c213", lam=1.0, a=1, b=1, c=3)
+
     def test_f4_accepts_unit_gap(self):
         # Gap c - a - b = 1 is enough for the integrated tail family.
         make_example(
-            CatalogParams(name="f4", lam=2.5, hyper=HypergeomParams(1, 1, 3))
+            CatalogParams(name="f4", lam=2.5, a=1, b=1, c=3)
         )
 
 
@@ -137,7 +157,7 @@ class TestTerminatingIdentity:
                 sums = []
                 for trunc in (64, 128):
                     m = make_example(CatalogParams(
-                        name=name, lam=1.0, hyper=HypergeomParams(a, b, c),
+                        name=name, lam=1.0, a=a, b=b, c=c,
                         truncation=trunc,
                     ))
                     sums.append(coefficient_sufficient(m, params).total)
@@ -154,7 +174,7 @@ class TestHyperCondition:
     def test_gamma_quotient_case(self):
         # Gamma(10) Gamma(8) / Gamma(9)^2 = 9/8.
         rep = hyper_condition("c213", HypergeomParams(1, 1, 10), 1.0, 1.2)
-        want = gamma(10.0) * gamma(8.0) / gamma(9.0) ** 2
+        want = math.gamma(10.0) * math.gamma(8.0) / math.gamma(9.0) ** 2
         assert want == pytest.approx(9 / 8, rel=1e-12)
         assert rep.lhs == pytest.approx(want, rel=1e-12)
         assert rep.holds
@@ -297,7 +317,7 @@ class TestThresholdMembershipChain:
                     continue
                 held += 1
                 m = make_example(CatalogParams(
-                    name=name, lam=1.0, eta=eta, hyper=hp
+                    name=name, lam=1.0, eta=eta, a=hp.a, b=hp.b, c=hp.c
                 ))
                 check = coefficient_sufficient(m, ClassParams(lam=1.0))
                 assert check.sufficient

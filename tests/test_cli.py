@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import pathlib
+import shlex
 import warnings
 
 import pytest
@@ -252,6 +254,25 @@ class TestCheckCommand:
         assert main(["check", path]) == EXIT_INPUT_ERROR
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, message", [
+        ("lambda", "lambda: int too large to convert to float"),
+        ("h_coeffs", "h_coeffs[2]: int too large to convert to float"),
+    ])
+    def test_integer_past_double_range_exits_three(self, tmp_path, capsys,
+                                                   field, message):
+        obj = json.loads(IDENTITY_TEXT)
+        huge = 10 ** 400
+        if field == "lambda":
+            obj["lambda"] = huge
+        else:
+            obj["h_coeffs"].append([huge, 0])
+        path = write(tmp_path, "huge.json", json.dumps(obj))
+        assert main(["check", path]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "OverflowError" not in captured.err
+        assert message in captured.err
+
     def test_sharp_polynomial_reads_its_coefficient_sum(self, tmp_path,
                                                         capsys):
         # p1 at s = 0 is z + conj(z^2): |g - z g'| is 1 on the whole circle.
@@ -326,6 +347,39 @@ class TestExampleCommand:
         err = capsys.readouterr().err
         assert "OverflowError" not in err
         assert "eta must lie in the closed unit disk" in err
+
+    def test_ignored_flags_are_not_validated(self, capsys):
+        # eq13 reads none of truncation, n and eta.
+        argv = ["example", "eq13", "--truncation", "1", "--n", "0",
+                "--eta", "0"]
+        assert main(argv) == EXIT_MEMBER
+        assert parse_function_file(capsys.readouterr().out).meta == {
+            "name": "eq13", "lambda": "1",
+        }
+
+    def test_read_flag_is_validated(self, capsys):
+        argv = ["example", "f4", "--a", "1", "--b", "1", "--c", "3",
+                "--truncation", "1"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert "truncation must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, keys", [
+        ("eq13", {}),
+        ("f_a", {"n": "3"}),
+        ("f_b", {"n": "3"}),
+        ("f3", {"eta": "0.5+0.5j"}),
+        *((name, {"eta": "0.5+0.5j", "a": "0.5", "b": "0.25", "c": "3",
+                  "truncation": "8"}) for name in ("f4", "f5", "f6")),
+        *((name, {"eta": "0.5+0.5j", "s": "2", "c": "3"})
+          for name in ("p1", "p2", "p3")),
+    ])
+    def test_meta_records_the_fields_a_name_reads(self, capsys, name, keys):
+        argv = ["example", name, "--lambda", "0.5", "--eta", "0.5+0.5j",
+                "--n", "3", "--a", "0.5", "--b", "0.25", "--c", "3",
+                "--s", "2", "--truncation", "8"]
+        assert main(argv) == EXIT_MEMBER
+        meta = parse_function_file(capsys.readouterr().out).meta
+        assert meta == {"name": name, "lambda": "0.5", **keys}
 
     def test_round_trip_reproduces_verdict(self, tmp_path, capsys):
         from harmcert.catalog import CatalogParams, make_example
@@ -546,6 +600,18 @@ class TestHyperCommand:
     def test_missing_parameters(self, capsys):
         assert main(["hyper", "--which", "216"]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("argv, ignored", [
+        (["--which", "216", "--s", "1", "--c", "1", "--lambda", "3"],
+         ["--a", "nan", "--b", "-1"]),
+        (["--which", "213", "--a", "1", "--b", "1", "--c", "3",
+          "--lambda", "2.5"], ["--s", "-1"]),
+    ])
+    def test_ignored_flags_change_nothing(self, capsys, argv, ignored):
+        code = main(["hyper", *argv])
+        out = capsys.readouterr().out
+        assert main(["hyper", *argv, *ignored]) == code == EXIT_MEMBER
+        assert capsys.readouterr().out == out
+
     @pytest.mark.parametrize("extra, message", [
         (["--lambda", "inf"], "lam must be positive and finite"),
         (["--eta=nan"], "eta must lie in the closed unit disk"),
@@ -635,3 +701,25 @@ class TestExitCodeTotality:
 
     def test_bad_flag(self, capsys):
         assert main(["check", "--bogus"]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("command",
+                             ["check", "example", "radius", "curve", "hyper"])
+    def test_subcommand_help_exits_zero(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: harmcert {command}")
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # Every harmcert line of README's "Command line" block, comments cut.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    lines = [shlex.split(line, comments=True)[1:]
+             for line in section.split("```")[1].splitlines()
+             if line.startswith("harmcert ")]
+    monkeypatch.chdir(tmp_path)
+    assert [argv[0] for argv in lines] == [
+        "example", "check", "check", "radius", "radius", "curve", "hyper",
+        "hyper",
+    ]
+    for argv in lines:
+        assert main(argv) in (EXIT_MEMBER, EXIT_BOUNDARY_SHARP), argv

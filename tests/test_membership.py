@@ -38,7 +38,6 @@ from harmcert.series import (
     linear_combination,
     scan_angles,
 )
-from harmcert.specfun import HypergeomParams
 
 
 def dense_scan_max(F, n=200_001):
@@ -137,7 +136,7 @@ def sharp_catalog_maps():
             maps.append(make_example(CatalogParams(
                 name=name, lam=1.0, s=s_, c=c, eta=cmath.exp(0.4j))))
     maps.append(make_example(CatalogParams(
-        name="f4", lam=1.0, hyper=HypergeomParams(1.0, 1.0, 3.0),
+        name="f4", lam=1.0, a=1.0, b=1.0, c=3.0,
         truncation=16)))
     return maps
 

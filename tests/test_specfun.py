@@ -6,7 +6,6 @@ import pytest
 from harmcert.errors import ParameterError
 from harmcert.specfun import (
     HypergeomParams,
-    gamma,
     gauss_value,
     hyper_coefficients,
     pochhammer,
@@ -41,33 +40,6 @@ def partial_sum_with_tail(p, rel_target=1e-9, cap=400_000):
         N *= 2
 
 
-class TestGamma:
-    def test_factorial(self):
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-12)
-
-    def test_half(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-    def test_two_and_a_half(self):
-        assert gamma(2.5) == pytest.approx(0.75 * math.sqrt(math.pi), rel=1e-12)
-
-    def test_recurrence_on_thousand_draws(self):
-        rng = np.random.default_rng(17)
-        for x in rng.uniform(1e-6, 50.0, size=1000):
-            lhs = gamma(x + 1.0)
-            assert abs(lhs - x * gamma(x)) / lhs <= 1e-12
-
-    def test_against_stdlib(self):
-        rng = np.random.default_rng(23)
-        for x in rng.uniform(1e-3, 60.0, size=300):
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
-
-    def test_rejects_nonpositive(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ParameterError):
-                gamma(bad)
-
-
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(3.0, 0) == 1.0
@@ -83,8 +55,16 @@ class TestPochhammer:
         for _ in range(200):
             x = rng.uniform(1e-3, 10.0)
             n = int(rng.integers(0, 21))
-            expected = gamma(x + n) / gamma(x)
+            expected = math.gamma(x + n) / math.gamma(x)
             assert pochhammer(x, n) == pytest.approx(expected, rel=1e-10)
+
+    def test_recurrence_across_lgamma_branch(self):
+        # (x)_65 comes from lgamma, (x)_64 from the plain product; the
+        # recurrence (x)_65 = (x)_64 (x + 64) joins the two branches.
+        rng = np.random.default_rng(17)
+        for x in rng.uniform(1e-6, 50.0, size=1000):
+            lhs = pochhammer(x, 65)
+            assert abs(lhs - pochhammer(x, 64) * (x + 64)) / lhs <= 1e-12
 
     def test_rejects_negative_order(self):
         with pytest.raises(ParameterError):
