@@ -40,7 +40,7 @@ from .membership import (
     harmonic_membership,
     stable_family_check,
 )
-from .series import COEFF_TOL, AnalyticSeries
+from .series import COEFF_TOL, AnalyticSeries, EvalGrid
 from .specfun import HypergeomParams
 
 EXIT_MEMBER = 0
@@ -234,9 +234,8 @@ def _svg_path(points, closed: bool = True) -> str:
 
 def curve_svg(f: HarmonicMap, audit) -> str:
     """Closed polyline of the boundary image plus images of inner circles."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, _SVG_RING_SAMPLES, endpoint=False)
-    circle = np.exp(1j * thetas)
-    ring_paths = [f.eval_array(r * circle) for r in _SVG_RINGS]
+    h, g = EvalGrid(_SVG_RINGS, _SVG_RING_SAMPLES).values(f.h, f.g)
+    ring_paths = np.split(h + np.conj(g), len(_SVG_RINGS))
     all_pts = np.concatenate([audit.points] + ring_paths)
     x = np.concatenate([all_pts.real, [0.0]])
     y = np.concatenate([-all_pts.imag, [0.0]])

@@ -38,7 +38,6 @@ from .series import (
     circle_values,
     coefficient_columns,
     derivative,
-    eval_array,
     hadamard,
     linear_combination,
     scan_angles,
@@ -141,9 +140,8 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams,
     lam = params.lam
     zs = grid.points()
     r = np.abs(zs)
-    af = np.abs(f.eval_array(zs))
-    hp = np.abs(eval_array(derivative(f.h), zs))
-    gp = np.abs(eval_array(derivative(f.g), zs))
+    h, g, hp, gp = grid.values(f.h, f.g, derivative(f.h), derivative(f.g))
+    af, hp, gp = np.abs([h + np.conj(g), hp, gp])
     excess = {
         "growth_lower": (r - lam * r * r) - af,
         "growth_upper": af - (r + lam * r * r),
@@ -164,20 +162,29 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams,
 
 def jacobian_bound_check(f: HarmonicMap, params: ClassParams,
                          grid: EvalGrid) -> JacobianAudit:
-    """Audit |h'|^2 - |g'|^2 against (1 + 2 lam |z|)^2 on a disk grid."""
-    lam = params.lam
+    """Audit |h'|^2 - |g'|^2 against (1 + 2 lam |z|)^2 on a disk grid.
+
+    Each point scales |h'|, |g'| and 1 + 2 lam |z| by the power of two
+    that brings the last into [1, 2): exact, so the ratio keeps every bit
+    and no square overflows or underflows at an extreme lam.  The excess
+    is compared on the largest bound's scale, and max_violation leaves it
+    in Python floats, reading inf past the double range.
+    """
     zs = grid.points()
-    r = np.abs(zs)
-    hp = np.abs(eval_array(derivative(f.h), zs))
-    gp = np.abs(eval_array(derivative(f.g), zs))
+    # Half the bound, which stays finite for every lam.
+    half = 0.5 + params.lam * np.abs(zs)
+    e = -np.frexp(half)[1]
+    hp, gp = np.ldexp(
+        np.abs(grid.values(derivative(f.h), derivative(f.g))), e)
+    bound = np.ldexp(half, e + 1) ** 2
     jac = hp * hp - gp * gp
-    bound = (1.0 + 2.0 * lam * r) ** 2
-    excess = jac - bound
+    top = int(e.min())
+    excess = np.ldexp(jac - bound, 2 * (top - e))
     k = int(np.argmax(excess))
     return JacobianAudit(
-        max_violation=float(max(0.0, excess[k])),
+        max_violation=float(max(0.0, excess[k])) * 2.0 ** -top * 2.0 ** -top,
         max_ratio=float(np.max(jac / bound)),
-        sense_preserving=bool(np.all(jac > 0.0)),
+        sense_preserving=bool(np.all(hp > gp)),
         worst_point=complex(zs[k]),
     )
 
@@ -601,14 +608,14 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
     closed disk, boundary chords included, and members keep it at most
     1 + 2 lam.  The minimum gap between non-adjacent samples is a
     desk-scale injectivity proxy.  The samples are equispaced, so h and g
-    are evaluated on them by circle_values.
+    are evaluated on them by one 2-column circle_values transform.
     """
     if samples < 512:
         raise ParameterError("need at least 512 samples")
     _require_member(f, params, "curve audit needs a class member")
     thetas = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-    pts = (circle_values(f.h.coeffs, samples)
-           + np.conj(circle_values(f.g.coeffs, samples)))
+    h, g = circle_values(coefficient_columns(f.h, f.g), samples).T
+    pts = h + np.conj(g)
     lipschitz, _ = paired_boundary_sup(derivative(f.h), derivative(f.g))
     return CurveAudit(
         thetas=thetas,

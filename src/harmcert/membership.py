@@ -102,9 +102,6 @@ class HarmonicMap:
     def degree(self) -> int:
         return max(self.h.degree, self.g.degree)
 
-    def eval_array(self, zs: np.ndarray) -> np.ndarray:
-        return eval_array(self.h, zs) + np.conj(eval_array(self.g, zs))
-
 
 @dataclass(frozen=True)
 class MembershipReport:

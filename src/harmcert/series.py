@@ -94,8 +94,8 @@ def eval_series(F: AnalyticSeries, z: complex) -> complex:
 def eval_array(F: AnalyticSeries, zs: np.ndarray) -> np.ndarray:
     """Vectorized Horner evaluation on an array of points.
 
-    For arbitrary points: polish steps, interior grids and the membership
-    scan.  Values on a whole equispaced circle come from circle_values.
+    Serves the membership scan only.  Values on a whole equispaced circle,
+    EvalGrid rings included, come from circle_values.
     """
     return np.polyval(np.asarray(F.coeffs, dtype=complex)[::-1], zs)
 
@@ -114,8 +114,8 @@ def circle_values(coeffs, n: int, r: float = 1.0) -> np.ndarray:
     """Values of sum c_k z^k at z = r e^{2 pi i j / n}, j = 0..n-1.
 
     One inverse FFT of the r-scaled coefficients, unnormalized
-    (``norm="forward"``), so O(n log n) against Horner's O(n d).  A 2-D
-    ``coeffs`` gives one column of values per coefficient column.  With
+    (``norm="forward"``), so O(n log n) against Horner's O(n d).  An N-D
+    ``coeffs`` is transformed along its first axis, once per column.  With
     more coefficients than points, the scaled coefficients of equal index
     modulo n are summed first: the n-th roots of unity repeat with period n.
     """
@@ -171,7 +171,11 @@ def linear_combination(
 @dataclass(frozen=True)
 class EvalGrid:
     """Polar sample grid strictly inside the unit disk, for the interior
-    audits; boundary scans take their angle count from scan_angles."""
+    audits; boundary scans take their angle count from scan_angles.
+
+    ``angles_per_ring`` is an int (a numpy integer too, but not a bool)
+    of at least 1.
+    """
 
     radii: tuple[float, ...]
     angles_per_ring: int
@@ -184,15 +188,26 @@ class EvalGrid:
             raise ParameterError("grid radii must lie in [0, 1)")
         if any(b < a for a, b in zip(radii, radii[1:])):
             raise ParameterError("grid radii must be sorted")
-        if self.angles_per_ring < 1:
-            raise ParameterError("angles_per_ring must be positive")
+        n = self.angles_per_ring
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or n < 1):
+            raise ParameterError(
+                f"angles_per_ring must be a positive integer, got {n!r}")
         object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "angles_per_ring", int(n))
 
     def points(self) -> np.ndarray:
         """All grid points r * exp(i theta), flattened ring by ring."""
         thetas = np.linspace(0.0, 2.0 * math.pi, self.angles_per_ring, endpoint=False)
-        ring = np.exp(1j * thetas)
-        return np.concatenate([r * ring for r in self.radii])
+        return (np.asarray(self.radii)[:, None] * np.exp(1j * thetas)).ravel()
+
+    def values(self, *series: AnalyticSeries) -> np.ndarray:
+        """Each series at points(), one row per series, in one transform."""
+        cols = coefficient_columns(*series)
+        r_k = np.asarray(self.radii) ** np.arange(len(cols))[:, None]
+        vals = circle_values(r_k[:, :, None] * cols[:, None],
+                             self.angles_per_ring)
+        return vals.T.reshape(len(series), -1)
 
 
 def default_grid(*, rings: int = 8, angles_per_ring: int = 128) -> EvalGrid:

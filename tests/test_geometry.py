@@ -42,6 +42,7 @@ from harmcert.membership import (
 from harmcert.series import (
     ZERO,
     AnalyticSeries,
+    EvalGrid,
     circle_values,
     default_grid,
     derivative,
@@ -150,7 +151,8 @@ class TestGrowthEnvelope:
         # Equality holds along the positive real axis, which the grid hits.
         assert audit.tightness["growth_upper"] <= 1e-9
         z = 0.5
-        assert abs(f3.eval_array(z)) == pytest.approx(abs(z) + lam * abs(z) ** 2, abs=1e-14)
+        fz = eval_array(f3.h, z) + np.conj(eval_array(f3.g, z))
+        assert abs(fz) == pytest.approx(abs(z) + lam * abs(z) ** 2, abs=1e-14)
 
     def test_identity_strictly_inside(self):
         audit = growth_envelope_check(
@@ -175,16 +177,33 @@ class TestGrowthEnvelope:
 
 
 class TestJacobianBound:
-    def test_sharp_quadratic_attains_bound(self):
-        lam = 1.0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1.0, 1e155, 1e300])
+    def test_sharp_quadratic_attains_bound(self, lam):
+        # Past lam = 1e154 the squares of |h'| and 1 + 2 lam |z| overflow
+        # unless the audit scales them first.
         f3 = make_map((0, 1, lam))
         audit = jacobian_bound_check(f3, ClassParams(lam=lam), default_grid())
-        assert audit.max_violation <= 1e-12
         assert audit.max_ratio == pytest.approx(1.0, abs=1e-9)
         assert audit.sense_preserving
-        z = 0.3
-        jac = abs(1 + 2 * lam * z) ** 2
-        assert jac == pytest.approx((1 + 2 * lam * z) ** 2, abs=1e-14)
+        if lam == 1.0:
+            assert audit.max_violation <= 1e-12
+            z = 0.3
+            jac = abs(1 + 2 * lam * z) ** 2
+            assert jac == pytest.approx((1 + 2 * lam * z) ** 2, abs=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("h, lam", [((0, 1, 1e300), 1e300),
+                                        ((0, 1), 1.7e308)])
+    def test_extreme_lam_with_a_ring_at_the_centre(self, h, lam):
+        # At z = 0 the bound is 1 against about lam on the outer ring: a
+        # common scale would underflow its square to 0, and the ratio to
+        # 0 / 0.  At 1.7e308, 1 + 2 lam |z| itself passes the double range.
+        # Both maps attain the ratio 1 at z = 0.
+        grid = EvalGrid(radii=(0.0, 0.5), angles_per_ring=16)
+        audit = jacobian_bound_check(make_map(h), ClassParams(lam=lam), grid)
+        assert audit.max_ratio == pytest.approx(1.0, abs=1e-9)
+        assert audit.sense_preserving
 
     def test_identity(self):
         audit = jacobian_bound_check(

@@ -322,3 +322,33 @@ class TestEvalGrid:
     def test_point_count(self):
         grid = EvalGrid(radii=(0.25, 0.5), angles_per_ring=16)
         assert len(grid.points()) == 32
+
+    @pytest.mark.parametrize("angles", [2.5, 8.0, True, False, "8", None, 0, -3])
+    def test_rejects_non_integer_or_nonpositive_angle_count(self, angles):
+        with pytest.raises(ParameterError):
+            EvalGrid(radii=(0.5,), angles_per_ring=angles)
+
+    def test_accepts_numpy_integer_angle_count(self):
+        grid = EvalGrid(radii=(0.5,), angles_per_ring=np.int64(8))
+        assert grid.angles_per_ring == 8 and len(grid.points()) == 8
+
+    @pytest.mark.parametrize("grid, degree", [
+        (default_grid(), 40),
+        (EvalGrid(radii=(0.0, 0.3, 0.9), angles_per_ring=16), 12),
+        # 601 coefficients on 128 angles: circle_values folds them first.
+        (EvalGrid(radii=(0.5, 0.95), angles_per_ring=128), 600),
+    ])
+    def test_values_match_horner_in_point_order(self, grid, degree):
+        rng = np.random.default_rng(degree)
+        series = [AnalyticSeries(tuple(
+            rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)))
+            for d in (degree, degree // 2, 1, 0)]
+        got = grid.values(*series)
+        zs = grid.points()
+        assert got.shape == (4, len(zs))
+        # Horner at points() itself, so a value out of order fails too;
+        # the bound is assert_matches_horner's, 1e-13 of sum |c_k| |z|^k.
+        for F, row in zip(series, got):
+            mass = np.abs(F.coeffs) @ (np.abs(zs)[None, :]
+                                       ** np.arange(len(F.coeffs))[:, None])
+            assert np.all(np.abs(row - eval_array(F, zs)) <= 1e-13 * mass)
