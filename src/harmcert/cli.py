@@ -17,8 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .catalog import (
     ENTRIES,
     CatalogParams,
@@ -188,6 +187,10 @@ def load_function_file(path: str) -> FunctionFile:
             text = fh.read()
     except OSError as exc:
         raise FunctionFileError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FunctionFileError(
+            f"{path}: not UTF-8 text (byte {exc.start})"
+        ) from exc
     try:
         return parse_function_file(text)
     except FunctionFileError as exc:
@@ -199,20 +202,24 @@ def write_text_atomic(path: str, text: str) -> None:
 
     os.replace keeps the temporary file's mode, so it is created with
     0o666 less the umask, as a plain open(path, "w") would create path.
+    A failure is reported against path, not the temporary file.
     """
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f".tmp-harmcert-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def curve_csv(audit) -> str:

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ConsistencyError, NonMemberError, ParameterError
 from .membership import (
     ClassParams,
@@ -135,6 +134,8 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams,
     At every grid point the map modulus must stay between
     |z| - lam |z|^2 and |z| + lam |z|^2, and the derivative pair must obey
     1 - 2 lam |z| <= |h'| - |g'| together with |h'| + |g'| <= 1 + 2 lam |z|.
+    Rounding is no violation: an excess counts only past sup_tolerance
+    times the envelope's size at that point, and at least times 1.
     """
     _require_member(f, params, "envelope audit needs a class member")
     lam = params.lam
@@ -142,13 +143,21 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams,
     r = np.abs(zs)
     h, g, hp, gp = grid.values(f.h, f.g, derivative(f.h), derivative(f.g))
     af, hp, gp = np.abs([h + np.conj(g), hp, gp])
-    excess = {
-        "growth_lower": (r - lam * r * r) - af,
-        "growth_upper": af - (r + lam * r * r),
-        "deriv_lower": (1.0 - 2.0 * lam * r) - (hp - gp),
-        "deriv_upper": (hp + gp) - (1.0 + 2.0 * lam * r),
+    growth_lo, growth_hi = r - lam * r * r, r + lam * r * r
+    deriv_lo, deriv_hi = 1.0 - 2.0 * lam * r, 1.0 + 2.0 * lam * r
+    # Each excess with the envelope it is measured against.
+    checks = {
+        "growth_lower": (growth_lo - af, growth_lo),
+        "growth_upper": (af - growth_hi, growth_hi),
+        "deriv_lower": (deriv_lo - (hp - gp), deriv_lo),
+        "deriv_upper": (hp + gp - deriv_hi, deriv_hi),
     }
-    violations = {k: float(max(0.0, v.max())) for k, v in excess.items()}
+    band = params.sup_tolerance
+    violations = {
+        k: float(v[v > band * np.maximum(1.0, np.abs(env))].max(initial=0.0))
+        for k, (v, env) in checks.items()
+    }
+    excess = {k: v for k, (v, _) in checks.items()}
     tightness = {k: float(-v.max()) for k, v in excess.items()}
     worst_key = max(excess, key=lambda k: excess[k].max())
     worst_point = complex(zs[int(np.argmax(excess[worst_key]))])
@@ -168,7 +177,9 @@ def jacobian_bound_check(f: HarmonicMap, params: ClassParams,
     that brings the last into [1, 2): exact, so the ratio keeps every bit
     and no square overflows or underflows at an extreme lam.  The excess
     is compared on the largest bound's scale, and max_violation leaves it
-    in Python floats, reading inf past the double range.
+    in Python floats, reading inf past the double range.  Rounding is no
+    violation: an excess counts only past sup_tolerance times the bound,
+    which is at least 1.
     """
     zs = grid.points()
     # Half the bound, which stays finite for every lam.
@@ -180,9 +191,11 @@ def jacobian_bound_check(f: HarmonicMap, params: ClassParams,
     jac = hp * hp - gp * gp
     top = int(e.min())
     excess = np.ldexp(jac - bound, 2 * (top - e))
+    counted = excess[jac - bound > params.sup_tolerance * bound]
     k = int(np.argmax(excess))
     return JacobianAudit(
-        max_violation=float(max(0.0, excess[k])) * 2.0 ** -top * 2.0 ** -top,
+        max_violation=(float(counted.max(initial=0.0))
+                       * 2.0 ** -top * 2.0 ** -top),
         max_ratio=float(np.max(jac / bound)),
         sense_preserving=bool(np.all(hp > gp)),
         worst_point=complex(zs[k]),

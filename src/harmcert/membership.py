@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ConsistencyError, NormalizationError, ParameterError
 from .series import (
     COEFF_TOL,

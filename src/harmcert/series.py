@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import ParameterError
 
 COEFF_TOL = 1e-12

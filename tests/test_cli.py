@@ -3,10 +3,13 @@ import math
 import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+from harmcert.catalog import ENTRIES
 from harmcert.cli import (
     EXIT_BOUNDARY_SHARP,
     EXIT_INPUT_ERROR,
@@ -14,6 +17,7 @@ from harmcert.cli import (
     EXIT_NON_MEMBER,
     FunctionFile,
     FunctionFileError,
+    function_file_from_map,
     main,
     parse_function_file,
     serialize_function_file,
@@ -205,6 +209,14 @@ class TestCheckCommand:
     def test_missing_file_exits_three(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR
 
+    def test_non_utf8_file_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["check", str(path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+        assert "UnicodeDecodeError" not in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", [
         ["check", "--json"], ["radius"], ["curve"],
@@ -322,6 +334,17 @@ class TestExampleCommand:
         finally:
             os.umask(old_umask)
         assert out.stat().st_mode == plain.stat().st_mode
+
+    @pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+    def test_failed_out_names_the_given_path(self, tmp_path, capsys, target):
+        # A missing directory fails the temporary file's open, an existing
+        # directory the rename; either way the error names --out.
+        out = str(tmp_path / target)
+        assert main(["example", "eq13", "--out", out]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"'{out}'" in err
+        assert ".tmp-harmcert" not in err
+        assert sorted(os.listdir(tmp_path)) == []
 
     def test_stdout_when_no_out(self, capsys):
         assert main(["example", "eq13", "--lambda", "2"]) == 0
@@ -570,6 +593,16 @@ class TestCurveCommand:
         assert main(["curve", path, "--csv", "/nonexistent-dir/x.csv"]) \
             == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("flag", ["--csv", "--svg"])
+    def test_failed_write_names_the_given_path(self, tmp_path, capsys, flag):
+        path = write(tmp_path, "id.json", IDENTITY_TEXT)
+        out = str(tmp_path / "missing-dir" / "x.csv")
+        code = main(["curve", path, "--samples", "513", flag, out])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert "x.csv" in err
+        assert ".tmp-harmcert" not in err
+
 
 class TestHyperCommand:
     def test_holds(self, capsys):
@@ -690,6 +723,93 @@ class TestHyperCommand:
         assert code == EXIT_INPUT_ERROR
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+# Runs each argv of the JSON list in sys.argv[1] through main, in one
+# fresh interpreter, and prints per call its exit code and whether numpy
+# has been executed by then; last, whether harmcert.series.np is then the
+# plain numpy module.
+_NUMPY_PROBE = """
+import io, json, sys, types
+from contextlib import redirect_stderr, redirect_stdout
+from harmcert.cli import main
+calls = []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    calls.append([code, any(m.startswith("numpy.") for m in sys.modules)])
+np = sys.modules["harmcert.series"].np
+plain = np is sys.modules["numpy"] and type(np) is types.ModuleType
+print(json.dumps({"calls": calls, "plain": plain}))
+"""
+
+
+def run_fresh(argvs, cwd):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=src), cwd=cwd,
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+class TestNumpyOnFirstUse:
+    """numpy is executed only when a call first does grid work."""
+
+    def test_calls_without_grid_work_never_execute_numpy(self, tmp_path):
+        examples = [["example", name, "--a", "0.5", "--b", "0.5", "--c", "3",
+                     "--s", "2", "--out", f"{name}.json"]
+                    for name, entry in ENTRIES.items() if not entry.condition]
+        hostile = {
+            "malformed": "{\n  broken\n}",
+            "nan": IDENTITY_TEXT.replace("[1, 0]", "[1, 0],\n    [NaN, 0]"),
+            "inf": IDENTITY_TEXT.replace("[1, 0]", "[1, 0],\n    [Infinity, 0]"),
+            "unnormalized": IDENTITY_TEXT.replace("[1, 0]", "[2, 0]"),
+        }
+        for kind, text in hostile.items():
+            write(tmp_path, f"{kind}.json", text)
+        argvs = [
+            *examples,
+            ["hyper", "--which", "213", "--a", "1", "--b", "1", "--c", "3",
+             "--lambda", "2.5"],
+            *(["check", f"{kind}.json", "--json"] for kind in hostile),
+            # The coefficient sum, attained at z = 1, decides these: eq13
+            # reaches lam = 1, p1 (s = 2, c = 3) passes it.
+            ["check", "eq13.json"],
+            ["check", "p1.json"],
+        ]
+        report = run_fresh(argvs, tmp_path)
+        assert [loaded for _, loaded in report["calls"]] == [False] * len(argvs)
+        codes = [code for code, _ in report["calls"]]
+        assert codes[:len(examples)] == [EXIT_MEMBER] * len(examples)
+        assert codes[len(examples)] == EXIT_MEMBER
+        assert codes[-6:-2] == [EXIT_INPUT_ERROR] * 4
+        assert codes[-2:] == [EXIT_BOUNDARY_SHARP, EXIT_NON_MEMBER]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "rand8.json"],
+        ["check", "id.json", "--zeta-samples", "8"],
+        ["radius", "id.json"],
+        ["curve", "id.json"],
+    ])
+    def test_grid_calls_execute_numpy(self, tmp_path, argv):
+        from harmcert.membership import ClassParams, random_member
+
+        np = pytest.importorskip("numpy")
+        f = random_member(8, ClassParams(lam=1.0), np.random.default_rng(8))
+        write(tmp_path, "rand8.json",
+              serialize_function_file(function_file_from_map(f, 1.0)))
+        write(tmp_path, "id.json", IDENTITY_TEXT)
+        report = run_fresh([argv], tmp_path)
+        assert report["calls"] == [[EXIT_MEMBER, True]]
+        assert report["plain"]
+
+    def test_np_is_numpy_once_imported(self):
+        import numpy
+
+        from harmcert import _lazy
+        assert _lazy.np is numpy
 
 
 class TestExitCodeTotality:

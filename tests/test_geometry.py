@@ -175,6 +175,29 @@ class TestGrowthEnvelope:
         with pytest.raises(NonMemberError):
             growth_envelope_check(f, ClassParams(lam=1.0), default_grid())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1.0, 1e150, 1e300])
+    def test_sharp_quadratic_rounding_is_no_violation(self, lam):
+        # f3 attains both growth envelopes; rounding of |f| grows with lam
+        # and must not count as a violation.
+        f3 = make_map((0, 1, lam))
+        audit = growth_envelope_check(f3, ClassParams(lam=lam), default_grid())
+        assert audit.max_violation == 0.0
+        assert set(audit.violations.values()) == {0.0}
+        assert audit.tightness["growth_upper"] <= 1e-9 * lam
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1.0, 1e150, 1e300])
+    def test_one_percent_past_the_envelope_is_flagged(self, lam, monkeypatch):
+        # A non-member the audit would refuse; skip the membership gate to
+        # see that the band does not hide a real excess.
+        monkeypatch.setattr(geometry, "_require_member", lambda *args: None)
+        f = make_map((0, 1, 1.01 * lam))
+        audit = growth_envelope_check(f, ClassParams(lam=lam), default_grid())
+        assert audit.violations["growth_upper"] > 0.0
+        assert audit.violations["deriv_upper"] > 0.0
+        assert audit.max_violation > 0.0
+
 
 class TestJacobianBound:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -186,8 +209,9 @@ class TestJacobianBound:
         audit = jacobian_bound_check(f3, ClassParams(lam=lam), default_grid())
         assert audit.max_ratio == pytest.approx(1.0, abs=1e-9)
         assert audit.sense_preserving
+        # Rounding of the ratio, about 1e-15, is no violation at any lam.
+        assert audit.max_violation == 0.0
         if lam == 1.0:
-            assert audit.max_violation <= 1e-12
             z = 0.3
             jac = abs(1 + 2 * lam * z) ** 2
             assert jac == pytest.approx((1 + 2 * lam * z) ** 2, abs=1e-14)
@@ -204,6 +228,14 @@ class TestJacobianBound:
         audit = jacobian_bound_check(make_map(h), ClassParams(lam=lam), grid)
         assert audit.max_ratio == pytest.approx(1.0, abs=1e-9)
         assert audit.sense_preserving
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1.0, 1e155, 1e300])
+    def test_one_percent_past_the_bound_is_flagged(self, lam):
+        f = make_map((0, 1, 1.01 * lam))
+        audit = jacobian_bound_check(f, ClassParams(lam=lam), default_grid())
+        assert audit.max_ratio > 1.01
+        assert audit.max_violation > 0.0
 
     def test_identity(self):
         audit = jacobian_bound_check(
