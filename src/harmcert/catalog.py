@@ -11,10 +11,11 @@ Catalog keys:
   f6     plain Gauss tail            g_n = eta t_{n-2}
   p1/p2/p3  f4/f5/f6 at a = b = -s, where t_k = 0 for k > s
 
-with t_k = (a)_k (b)_k / (k! (c)_k), computed in exact rational arithmetic
-and rounded once.  Conditions 213-215 compare the Gauss-value expressions
-against lam / |eta|; 216-218 are the same code at a = b = -s, exact finite
-sums whose closed forms are the paper's Gamma quotients (Chu-Vandermonde).
+with t_k = (a)_k (b)_k / (k! (c)_k) from specfun.hyper_coefficients, the
+one Gauss-term recurrence.  Conditions 213-215 compare the Gauss-value
+expressions against lam / |eta|; 216-218 are the same code at a = b = -s,
+finite sums whose closed forms are the paper's Gamma quotients
+(Chu-Vandermonde).
 All comparisons are strict: equality is reported as not holding, with a
 flag.
 """
@@ -23,13 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParameterError
 from .membership import ClassParams, HarmonicMap
 from .series import AnalyticSeries
-from .specfun import HypergeomParams, gauss_value, weighted_gauss_value
+from .specfun import (
+    HypergeomParams,
+    gauss_value,
+    hyper_coefficients,
+    weighted_gauss_value,
+)
 
 
 class _Entry(NamedTuple):
@@ -132,15 +137,6 @@ def _terminating(s: int, c: float) -> HypergeomParams:
     return HypergeomParams(-s, -s, c)
 
 
-def _rational_terms(a: float, b: float, c: float, count: int) -> list[Fraction]:
-    """t_k = (a)_k (b)_k / (k! (c)_k) for k = 0..count, exact."""
-    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-    terms = [Fraction(1)]
-    for k in range(count):
-        terms.append(terms[-1] * (fa + k) * (fb + k) / ((fc + k) * (k + 1)))
-    return terms
-
-
 def hyper_family_coeffs(kind: str, a: float, b: float, c: float,
                         eta: complex, truncation: int) -> list[complex]:
     """Co-analytic coefficients b_2..b_truncation of f4, f5 or f6.
@@ -149,17 +145,12 @@ def hyper_family_coeffs(kind: str, a: float, b: float, c: float,
     """
     if kind not in _MIN_GAP:
         raise ParameterError(f"not a tail family: {kind!r}")
-    terms = _rational_terms(a, b, c, truncation - 1)
-    out = []
-    for n in range(2, truncation + 1):
-        if kind == "f4":
-            frac = terms[n - 2] / (n - 1)
-        elif kind == "f5":
-            frac = terms[n - 1]
-        else:
-            frac = terms[n - 2]
-        out.append(eta * float(frac))
-    return out
+    terms = hyper_coefficients(HypergeomParams(a, b, c), truncation - 1)
+    if kind == "f5":
+        return [eta * t for t in terms[1:]]
+    if kind == "f4":
+        return [eta * (t / (k + 1)) for k, t in enumerate(terms[:-1])]
+    return [eta * t for t in terms[:-1]]
 
 
 def poly_family_coeffs(kind: str, s: int, c: float,

@@ -262,8 +262,12 @@ class TestPaperClosedForms:
     def test_polynomial_coefficients_match_weights(self):
         # B_m = C(s, m) (s-m+1)_m / (c)_m, with (s-m+1)_m = s!/(s-m)!.
         # p1 puts B_m/(m+1) on z^{m+2}, p3 puts B_m on z^{m+2}, and p2 puts
-        # B_m on z^{m+1} from m = 1.
+        # B_m on z^{m+1} from m = 1.  B_m is the Gauss term t_m at a = b = -s,
+        # computed within gamma_{7m} of it; p1's division by m+1 and the
+        # product with eta each add one rounding.  gamma_n = n u / (1 - n u)
+        # with u = 2^-53 is n / (2^53 - n).
         eta = 0.6 - 0.3j
+        parts = (Fraction(eta.real), Fraction(eta.imag))
         for s in range(9):
             for c in (0.3, 0.5, 1.0, 1.7, 3.0, 7.25):
                 weights = []
@@ -273,13 +277,19 @@ class TestPaperClosedForms:
                         w /= Fraction(c) + k
                     weights.append(w)
                 want = {
-                    "p1": [eta * float(w / (m + 1))
+                    "p1": [(w / (m + 1), 7 * m + 2)
                            for m, w in enumerate(weights)],
-                    "p2": [eta * float(w) for w in weights[1:]],
-                    "p3": [eta * float(w) for w in weights],
+                    "p2": [(w, 7 * m + 1) for m, w in enumerate(weights)][1:],
+                    "p3": [(w, 7 * m + 1) for m, w in enumerate(weights)],
                 }
-                for kind, coeffs in want.items():
-                    assert poly_family_coeffs(kind, s, c, eta) == coeffs
+                for kind, exact in want.items():
+                    coeffs = poly_family_coeffs(kind, s, c, eta)
+                    assert len(coeffs) == len(exact)
+                    for got, (w, rounds) in zip(coeffs, exact):
+                        gamma = Fraction(rounds, 2**53 - rounds)
+                        for value, e in zip((got.real, got.imag), parts):
+                            err = abs(Fraction(value) - e * w)
+                            assert err <= gamma * abs(e * w)
 
     def test_conditions_match_log_gamma_quotient(self):
         # Gamma(c) Gamma(c+2s) / Gamma(c+s)^2, scaled by s^2/(c+2s-1) (c217)

@@ -769,10 +769,17 @@ class TestNumpyOnFirstUse:
         }
         for kind, text in hostile.items():
             write(tmp_path, f"{kind}.json", text)
-        argvs = [
-            *examples,
+        hypers = [
             ["hyper", "--which", "213", "--a", "1", "--b", "1", "--c", "3",
              "--lambda", "2.5"],
+            *(["hyper", "--which", w, "--a", "1", "--b", "1", "--c", "5",
+               "--lambda", "2.5"] for w in ("214", "215")),
+            *(["hyper", "--which", w, "--s", "2", "--c", "3", "--lambda", "5"]
+              for w in ("216", "217", "218")),
+        ]
+        argvs = [
+            *examples,
+            *hypers,
             *(["check", f"{kind}.json", "--json"] for kind in hostile),
             # The coefficient sum, attained at z = 1, decides these: eq13
             # reaches lam = 1, p1 (s = 2, c = 3) passes it.
@@ -783,7 +790,8 @@ class TestNumpyOnFirstUse:
         assert [loaded for _, loaded in report["calls"]] == [False] * len(argvs)
         codes = [code for code, _ in report["calls"]]
         assert codes[:len(examples)] == [EXIT_MEMBER] * len(examples)
-        assert codes[len(examples)] == EXIT_MEMBER
+        assert codes[len(examples):len(examples) + len(hypers)] == (
+            [EXIT_MEMBER] * len(hypers))
         assert codes[-6:-2] == [EXIT_INPUT_ERROR] * 4
         assert codes[-2:] == [EXIT_BOUNDARY_SHARP, EXIT_NON_MEMBER]
 

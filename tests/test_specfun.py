@@ -23,6 +23,28 @@ def series_terms_by_quotients(a, b, c, N):
     return out
 
 
+def exact_terms(a, b, c, N):
+    """Oracle for the bound: the Gauss terms t_0..t_N, exact, as integer
+    pairs (num, den).  They are left unreduced: each step then costs one
+    product by small integers instead of a gcd of large ones."""
+    (an, ad), (bn, bd), (cn, cd) = (x.as_integer_ratio() for x in (a, b, c))
+    num = den = 1
+    terms = [(num, den)]
+    for k in range(N):
+        num *= (an + k * ad) * (bn + k * bd) * cd
+        den *= (cn + k * cd) * (k + 1) * ad * bd
+        terms.append((num, den))
+    return terms
+
+
+def cumprod_terms(a, b, c, N):
+    """The terms as a numpy cumprod of the ratios, the same operations in
+    the same order as the plain recurrence."""
+    n = np.arange(N, dtype=float)
+    ratios = (a + n) * (b + n) / ((c + n) * (n + 1.0))
+    return [1.0, *np.cumprod(ratios).tolist()]
+
+
 def partial_sum_with_tail(p, rel_target=1e-9, cap=400_000):
     """Partial sum of the Gauss series at z = 1 with a conservative tail bound.
 
@@ -152,6 +174,41 @@ class TestHyperCoefficients:
             got = hyper_coefficients(p, 12)
             want = series_terms_by_quotients(a, b, c, 12)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestRecurrenceBound:
+    """|t^_k - t_k| <= gamma_{7k} |t_k|: 7 roundings a step, exact inputs."""
+
+    @staticmethod
+    def check(a, b, c, N):
+        got = hyper_coefficients(HypergeomParams(a, b, c), N)
+        assert got == cumprod_terms(a, b, c, N)  # bit for bit
+        for k, (t_hat, (num, den)) in enumerate(
+                zip(got, exact_terms(a, b, c, N))):
+            if num == 0:
+                assert t_hat == 0.0
+                continue
+            # The bound holds only without overflow or underflow.
+            assert 1e-300 < abs(t_hat) < 1e300
+            # |p/q - num/den| <= gamma_{7k} |num/den| with t_hat = p/q and
+            # gamma_m = m / (2^53 - m), multiplied through by |q den|.
+            p, q = t_hat.as_integer_ratio()
+            assert abs(p * den - q * num) * (2**53 - 7 * k) <= 7 * k * abs(q * num)
+        return got
+
+    @pytest.mark.parametrize("a, b, c", [
+        (0.5, 0.5, 3.0), (0.3, 1.7, 2.9), (1.25, 2.5, 4.1),
+        (2.5, 3.7, 1.1), (0.1, 0.9, 7.3), (3.3, 0.7, 0.45),
+    ])
+    def test_positive_triples(self, a, b, c):
+        self.check(a, b, c, 1024)
+
+    @pytest.mark.parametrize("s", [1, 5, 40, 300])
+    @pytest.mark.parametrize("c", [0.5, 2.75, 13.3])
+    def test_terminating(self, s, c):
+        got = self.check(-s, -s, c, s + 64)
+        assert all(t != 0.0 for t in got[:s + 1])
+        assert got[s + 1:] == [0.0] * 64
 
 
 class TestGaussValue:
