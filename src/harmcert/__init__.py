@@ -13,9 +13,8 @@ from .catalog import (
     CATALOG_NAMES,
     CatalogParams,
     ConditionReport,
-    hyper_condition,
+    condition,
     make_example,
-    poly_condition,
 )
 from .errors import (
     ConsistencyError,

@@ -1,4 +1,4 @@
-"""Constructors for the named example maps and their threshold conditions.
+"""Constructors for the named example maps and their closed-form conditions.
 
 Catalog keys:
 
@@ -6,16 +6,18 @@ Catalog keys:
   f_a    sharp analytic coefficient  h = z + lam/(n-1) z^n
   f_b    sharp co-analytic coeff.    g = -lam/(n-1) z^n
   f3     sharp quadratic             h = z + lam eta z^2
-  f4     integrated Gauss tail       g_n = eta t_{n-2}/(n-1)
-  f5     shifted Gauss tail          g_n = eta t_{n-1}
-  f6     plain Gauss tail            g_n = eta t_{n-2}
-  p1/p2/p3  f4/f5/f6 at a = b = -s, where t_k = 0 for k > s
+  f4     integrated Gauss tail       g_n = eta t_{n-2}/(n-1)     (213)
+  f5     shifted Gauss tail          g_n = eta t_{n-1}           (214)
+  f6     plain Gauss tail            g_n = eta t_{n-2}           (215)
+  p1/p2/p3  f4/f5/f6 at a = b = -s, where t_k = 0 for k > s  (216-218)
 
 with t_k = (a)_k (b)_k / (k! (c)_k) from specfun.hyper_coefficients, the
-one Gauss-term recurrence.  Conditions 213-215 compare the Gauss-value
-expressions against lam / |eta|; 216-218 are the same code at a = b = -s,
-finite sums whose closed forms are the paper's Gamma quotients
-(Chu-Vandermonde).
+one Gauss-term recurrence.  One CatalogParams record names, checks and
+builds a map (make_example) and evaluates the paper's condition on it
+(condition): the number in parentheses, which holds when a closed-form
+sum drops below lam/|eta|.  That sum times |eta| is the coefficient mass
+sum (n-1)|g_n| of the map before truncation.  For 216-218 it is finite
+and its closed forms are the paper's Gamma quotients (Chu-Vandermonde).
 All comparisons are strict: equality is reported as not holding, with a
 flag.
 """
@@ -23,6 +25,7 @@ flag.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,7 +43,7 @@ from .specfun import (
 class _Entry(NamedTuple):
     fields: tuple[str, ...]  # the CatalogParams fields read, besides lam
     family: str | None = None  # the tail family, f4, f5 or f6
-    condition: bool = False  # a closed-form condition, not an example map
+    condition: str | None = None  # the paper's number of its condition
 
 
 ENTRIES = {
@@ -48,38 +51,25 @@ ENTRIES = {
     "f_a": _Entry(("n",)),
     "f_b": _Entry(("n",)),
     "f3": _Entry(("eta",)),
-    "f4": _Entry(("eta", "a", "b", "c", "truncation"), "f4"),
-    "f5": _Entry(("eta", "a", "b", "c", "truncation"), "f5"),
-    "f6": _Entry(("eta", "a", "b", "c", "truncation"), "f6"),
-    "p1": _Entry(("eta", "s", "c"), "f4"),
-    "p2": _Entry(("eta", "s", "c"), "f5"),
-    "p3": _Entry(("eta", "s", "c"), "f6"),
-    "c213": _Entry(("a", "b", "c"), "f4", condition=True),
-    "c214": _Entry(("a", "b", "c"), "f5", condition=True),
-    "c215": _Entry(("a", "b", "c"), "f6", condition=True),
-    "c216": _Entry(("s", "c"), "f4", condition=True),
-    "c217": _Entry(("s", "c"), "f5", condition=True),
-    "c218": _Entry(("s", "c"), "f6", condition=True),
+    "f4": _Entry(("eta", "a", "b", "c", "truncation"), "f4", "213"),
+    "f5": _Entry(("eta", "a", "b", "c", "truncation"), "f5", "214"),
+    "f6": _Entry(("eta", "a", "b", "c", "truncation"), "f6", "215"),
+    "p1": _Entry(("eta", "s", "c"), "f4", "216"),
+    "p2": _Entry(("eta", "s", "c"), "f5", "217"),
+    "p3": _Entry(("eta", "s", "c"), "f6", "218"),
 }
 
-CATALOG_NAMES = tuple(k for k, e in ENTRIES.items() if not e.condition)
+CATALOG_NAMES = tuple(ENTRIES)
 
 # The least c - a - b at which each tail family's series converges at z = 1.
 _MIN_GAP = {"f4": 0.0, "f5": 1.0, "f6": 1.0}
 
 
-def require_fields(name: str, source) -> None:
-    """Raise ParameterError naming every field that ``name`` reads and that
-    ``source`` (CatalogParams or parsed arguments) leaves None."""
-    missing = [f for f in ENTRIES[name].fields if getattr(source, f) is None]
-    if missing:
-        raise ParameterError(f"{name} needs {', '.join(missing)}")
-
-
 @dataclass(frozen=True)
 class CatalogParams:
-    """Everything a catalog constructor may need.  Each name reads the
-    fields ENTRIES lists for it; only those must be set and are checked."""
+    """Everything a catalog map and its condition may need.  Each name reads
+    the fields ENTRIES lists for it; only those must be set and are checked,
+    here and nowhere else."""
 
     name: str
     lam: float
@@ -92,31 +82,47 @@ class CatalogParams:
     truncation: int = 64
 
     def __post_init__(self):
-        if self.name not in CATALOG_NAMES:
+        if self.name not in ENTRIES:
             raise ParameterError(f"unknown catalog name {self.name!r}")
         ClassParams(self.lam)
         object.__setattr__(self, "eta", complex(self.eta))
-        require_fields(self.name, self)
         fields = ENTRIES[self.name].fields
+        missing = [f for f in fields if getattr(self, f) is None]
+        if missing:
+            raise ParameterError(f"{self.name} needs {', '.join(missing)}")
+        for key in ("n", "s", "truncation"):
+            if key in fields:
+                value = _integer(key, getattr(self, key))
+                object.__setattr__(self, key, value)
         if "eta" in fields:
             _require_eta(self.eta)
         if "n" in fields and self.n < 2:
             raise ParameterError("coefficient index n must be at least 2")
         if "truncation" in fields and self.truncation < 2:
             raise ParameterError("truncation must be at least 2")
+        if "s" in fields:
+            _require_terminating(self.s, self.c)
+        elif "a" in fields:
+            _require_tail(self.name, _gauss_triple(self))
 
 
-def _require_eta(eta: complex) -> complex:
+def _integer(key: str, value) -> int:
+    # numbers.Integral takes numpy integers too, and bool, which is no count.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_eta(eta: complex) -> None:
     if eta == 0:
         raise ParameterError("eta must be nonzero")
     # hypot, not abs: abs raises OverflowError past the double range.
     if not math.hypot(eta.real, eta.imag) <= 1.0 + 1e-12:
         raise ParameterError("eta must lie in the closed unit disk")
-    return eta
 
 
-def _require_tail(name: str, hp: HypergeomParams) -> HypergeomParams:
-    """Domain of f4-f6 and 213-215: positive a, b, c and a large enough gap."""
+def _require_tail(name: str, hp: HypergeomParams) -> None:
+    """Domain of f4-f6: positive a, b, c and a large enough gap."""
     if not (hp.a > 0.0 and hp.b > 0.0 and hp.c > 0.0):
         raise ParameterError(f"{name} needs positive a, b, c")
     gap = hp.c - hp.a - hp.b
@@ -125,23 +131,28 @@ def _require_tail(name: str, hp: HypergeomParams) -> HypergeomParams:
         raise ParameterError(
             f"{name} needs c - a - b > {least:g}, got {gap!r}"
         )
-    return hp
 
 
-def _terminating(s: int, c: float) -> HypergeomParams:
-    """(a, b, c) = (-s, -s, c) of p1-p3 and 216-218."""
+def _require_terminating(s: int, c: float) -> None:
+    """Domain of p1-p3: s >= 0 and a positive, finite c."""
     if s < 0:
         raise ParameterError("s must be a non-negative integer")
     if not (c > 0.0 and math.isfinite(c)):
         raise ParameterError(f"c must be positive and finite, got {c!r}")
-    return HypergeomParams(-s, -s, c)
+
+
+def _gauss_triple(p: CatalogParams) -> HypergeomParams:
+    """(a, b, c) of f4-f6, or (-s, -s, c) of p1-p3."""
+    if "s" in ENTRIES[p.name].fields:
+        return HypergeomParams(-p.s, -p.s, p.c)
+    return HypergeomParams(p.a, p.b, p.c)
 
 
 def hyper_family_coeffs(kind: str, a: float, b: float, c: float,
                         eta: complex, truncation: int) -> list[complex]:
     """Co-analytic coefficients b_2..b_truncation of f4, f5 or f6.
 
-    Low-level stream with no positivity guards; make_example wraps it.
+    Low-level stream with no domain guards; CatalogParams checks them.
     """
     if kind not in _MIN_GAP:
         raise ParameterError(f"not a tail family: {kind!r}")
@@ -156,20 +167,14 @@ def hyper_family_coeffs(kind: str, a: float, b: float, c: float,
 def poly_family_coeffs(kind: str, s: int, c: float,
                        eta: complex) -> list[complex]:
     """Co-analytic coefficients b_2.. of p1, p2 or p3: f4, f5 or f6 at
-    a = b = -s up to z^{s+2}, less p2's last entry eta t_{s+1} = 0."""
-    if kind not in CATALOG_NAMES or "s" not in ENTRIES[kind].fields:
+    a = b = -s up to z^{s+2}, less p2's last entry eta t_{s+1} = 0.
+
+    Low-level stream with no domain guards; CatalogParams checks them.
+    """
+    if kind not in ("p1", "p2", "p3"):
         raise ParameterError(f"not a polynomial family: {kind!r}")
-    hp = _terminating(s, c)
-    coeffs = hyper_family_coeffs(ENTRIES[kind].family, hp.a, hp.b, hp.c, eta,
-                                 s + 2)
+    coeffs = hyper_family_coeffs(ENTRIES[kind].family, -s, -s, c, eta, s + 2)
     return coeffs[:-1] if kind == "p2" else coeffs
-
-
-def _map_from_g(coeffs: list[complex]) -> HarmonicMap:
-    return HarmonicMap(
-        h=AnalyticSeries((0, 1)),
-        g=AnalyticSeries((0j, 0j) + tuple(coeffs)),
-    )
 
 
 def make_example(params: CatalogParams) -> HarmonicMap:
@@ -195,11 +200,12 @@ def make_example(params: CatalogParams) -> HarmonicMap:
         return HarmonicMap(h=AnalyticSeries((0, 1, lam * eta)),
                            g=AnalyticSeries((0j,)))
     if "s" in ENTRIES[name].fields:
-        return _map_from_g(poly_family_coeffs(name, params.s, params.c, eta))
-    hp = _require_tail(name, HypergeomParams(params.a, params.b, params.c))
-    return _map_from_g(hyper_family_coeffs(
-        name, hp.a, hp.b, hp.c, eta, params.truncation
-    ))
+        coeffs = poly_family_coeffs(name, params.s, params.c, eta)
+    else:
+        coeffs = hyper_family_coeffs(name, params.a, params.b, params.c, eta,
+                                     params.truncation)
+    return HarmonicMap(h=AnalyticSeries((0, 1)),
+                       g=AnalyticSeries((0j, 0j) + tuple(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -210,10 +216,9 @@ class ConditionReport:
     at_equality: bool
 
 
-def _tail_lhs(which: str, hp: HypergeomParams) -> float:
+def _tail_lhs(family: str, hp: HypergeomParams) -> float:
     """Left-hand side of a condition on f4 (Gauss value), f5 (scaled by
     ab/(c-a-b-1); 0 at a = b = 0, whatever c) or f6 (first moment)."""
-    family = ENTRIES[which].family
     if family == "f4":
         return gauss_value(hp)
     if family == "f5":
@@ -238,37 +243,24 @@ def _compare(lhs: float, lam: float, eta: complex) -> ConditionReport:
                            rhs=rhs, at_equality=at_equality)
 
 
-def _condition_eta(which: str, reads: str, eta: complex,
-                   lam: float) -> complex:
-    """Check that ``which`` is a condition reading field ``reads``, and
-    check lam and eta; return eta as a complex."""
-    entry = ENTRIES.get(which)
-    if entry is None or not entry.condition or reads not in entry.fields:
-        raise ParameterError(f"unknown condition {which!r}")
-    ClassParams(lam)
-    return _require_eta(complex(eta))
+def condition(params: CatalogParams) -> ConditionReport:
+    """The paper's closed-form condition on the map that ``params`` names:
+    lhs < lam/|eta|, with F = F(a,b;c;1) = Gamma(c) Gamma(c-a-b) /
+    (Gamma(c-a) Gamma(c-b)) and lhs
 
+      213 (f4)  F
+      214 (f5)  ab/(c-a-b-1) F
+      215 (f6)  (ab/(c-a-b-1) + 1) F, the first moment sum (n+1) t_n
 
-def hyper_condition(which: str, hyper: HypergeomParams, eta: complex,
-                    lam: float) -> ConditionReport:
-    """Closed-form membership thresholds for the tail families.
-
-    c213 needs the Gauss value below lam/|eta| (f4); c214 scales it by
-    ab/(c-a-b-1) (f5); c215 uses the first-moment closed form (f6).
+    216-218 (p1-p3) are 213-215 at a = b = -s, where the Gauss series
+    terminates and each lhs is an exact finite sum.  Their closed forms
+    (Chu-Vandermonde) are Gamma(c) Gamma(c+2s) / Gamma(c+s)^2, times
+    s^2/(c+2s-1) for 217 and (c+s^2+2s-1)/(c+2s-1) for 218; the sums stay
+    finite where those Gamma values overflow.  Names without a condition
+    raise ParameterError.
     """
-    eta = _condition_eta(which, "a", eta, lam)
-    return _compare(_tail_lhs(which, _require_tail(which, hyper)), lam, eta)
-
-
-def poly_condition(which: str, s: int, c: float, eta: complex,
-                   lam: float) -> ConditionReport:
-    """Membership thresholds for the polynomial families, against lam/|eta|.
-
-    c216, c217 and c218 are c213, c214 and c215 at a = b = -s, where the
-    Gauss series terminates: each left-hand side is an exact finite sum.
-    Their closed forms (Chu-Vandermonde) are Gamma(c) Gamma(c+2s) /
-    Gamma(c+s)^2, times s^2/(c+2s-1) for c217 and (c+s^2+2s-1)/(c+2s-1)
-    for c218; the sums stay finite where those Gamma values overflow.
-    """
-    eta = _condition_eta(which, "s", eta, lam)
-    return _compare(_tail_lhs(which, _terminating(s, c)), lam, eta)
+    family = ENTRIES[params.name].family
+    if family is None:
+        raise ParameterError(f"{params.name} has no closed-form condition")
+    return _compare(_tail_lhs(family, _gauss_triple(params)), params.lam,
+                    params.eta)

@@ -18,14 +18,7 @@ import sys
 from dataclasses import dataclass, field
 
 from ._lazy import np
-from .catalog import (
-    ENTRIES,
-    CatalogParams,
-    hyper_condition,
-    make_example,
-    poly_condition,
-    require_fields,
-)
+from .catalog import ENTRIES, CatalogParams, condition, make_example
 from .errors import NonMemberError, ParameterError
 from .geometry import (
     RadiusKind,
@@ -40,7 +33,6 @@ from .membership import (
     stable_family_check,
 )
 from .series import COEFF_TOL, AnalyticSeries, EvalGrid
-from .specfun import HypergeomParams
 
 EXIT_MEMBER = 0
 EXIT_NON_MEMBER = 1
@@ -316,11 +308,19 @@ def _cmd_check(args) -> int:
     return _VERDICT_EXIT[rep.verdict]
 
 
+def _catalog_params(args, name: str) -> CatalogParams:
+    """The record for catalog name ``name`` from the catalog flags; a field
+    the subcommand has no flag for (``hyper``: n, truncation) keeps its
+    default."""
+    given = {key: getattr(args, key)
+             for key in ("n", "s", "a", "b", "c", "truncation")
+             if hasattr(args, key)}
+    return CatalogParams(name=name, lam=args.lam, eta=_parse_eta(args.eta),
+                         **given)
+
+
 def _cmd_example(args) -> int:
-    f = make_example(CatalogParams(
-        name=args.name, lam=args.lam, eta=_parse_eta(args.eta), n=args.n,
-        s=args.s, a=args.a, b=args.b, c=args.c, truncation=args.truncation,
-    ))
+    f = make_example(_catalog_params(args, args.name))
     meta = {"name": args.name, "lambda": _fmt(args.lam)}
     for key in ENTRIES[args.name].fields:
         # Floats at 17 digits; ints and the --eta text as given.
@@ -378,15 +378,9 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_hyper(args) -> int:
-    eta = _parse_eta(args.eta)
-    which = f"c{args.which}"
-    require_fields(which, args)
-    if "s" in ENTRIES[which].fields:
-        report = poly_condition(which, args.s, args.c, eta, args.lam)
-    else:
-        report = hyper_condition(
-            which, HypergeomParams(args.a, args.b, args.c), eta, args.lam,
-        )
+    name = next(name for name, entry in ENTRIES.items()
+                if entry.condition == args.which)
+    report = condition(_catalog_params(args, name))
     print(f"lhs: {report.lhs}")
     print(f"rhs: {report.rhs}")
     print(f"holds: {report.holds}")
@@ -446,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hyper = sub.add_parser("hyper", parents=[catalog_flags],
                            help="closed-form membership thresholds")
     hyper.add_argument("--which", required=True, choices=[
-        name[1:] for name, entry in ENTRIES.items() if entry.condition
+        entry.condition for entry in ENTRIES.values() if entry.condition
     ])
     hyper.set_defaults(func=_cmd_hyper)
 

@@ -91,6 +91,16 @@ class HypergeomParams:
         return min(sa, sb)
 
 
+def _terms(p: HypergeomParams, N: int):
+    """Yield t_0..t_N of hyper_coefficients, one at a time."""
+    a, b, c = p.a, p.b, p.c
+    t = 1.0
+    yield t
+    for n in range(N):
+        t *= (a + n) * (b + n) / ((c + n) * (n + 1.0))
+        yield t
+
+
 def hyper_coefficients(p: HypergeomParams, N: int) -> list[float]:
     """Terms t_n = (a)_n (b)_n / (n! (c)_n) for n = 0..N.
 
@@ -104,13 +114,23 @@ def hyper_coefficients(p: HypergeomParams, N: int) -> list[float]:
     """
     if N < 0:
         raise ParameterError("N must be non-negative")
-    a, b, c = p.a, p.b, p.c
-    t = 1.0
-    out = [t]
-    for n in range(N):
-        t *= (a + n) * (b + n) / ((c + n) * (n + 1.0))
-        out.append(t)
-    return out
+    return list(_terms(p, N))
+
+
+def _terminating_sum(p: HypergeomParams, s: int, weighted: bool) -> float:
+    """sum t_n, or sum (n+1) t_n, over n = 0..s, left to right.
+
+    A plain loop: sum() of floats is compensated from Python 3.12 on, and
+    math.fsum raises on overflow.  With a = b and c > 0 no term is
+    negative, so once the sum is +inf it stays +inf and the loop stops.
+    """
+    stops = p.a == p.b and p.c > 0.0
+    total = 0.0
+    for n, t in enumerate(_terms(p, s)):
+        total += (n + 1.0) * t if weighted else t
+        if stops and total == math.inf:
+            break
+    return total
 
 
 def gauss_value(p: HypergeomParams) -> float:
@@ -123,12 +143,7 @@ def gauss_value(p: HypergeomParams) -> float:
     """
     s = p.terminating_index()
     if s is not None:
-        # A plain loop: sum() of floats is compensated from Python 3.12 on,
-        # and math.fsum raises on overflow.
-        total = 0.0
-        for t in hyper_coefficients(p, s):
-            total += t
-        return total
+        return _terminating_sum(p, s, weighted=False)
     gap = p.c - p.a - p.b
     if not gap > 0.0:
         raise ParameterError(
@@ -151,10 +166,7 @@ def weighted_gauss_value(p: HypergeomParams) -> float:
     """
     s = p.terminating_index()
     if s is not None:
-        total = 0.0
-        for n, t in enumerate(hyper_coefficients(p, s)):
-            total += (n + 1.0) * t
-        return total
+        return _terminating_sum(p, s, weighted=True)
     gap = p.c - p.a - p.b - 1.0
     if not gap > 0.0:
         raise ParameterError(

@@ -11,10 +11,9 @@ import numpy as np
 
 from harmcert.catalog import (
     CatalogParams,
-    hyper_condition,
+    condition,
     hyper_family_coeffs,
     make_example,
-    poly_condition,
     poly_family_coeffs,
 )
 from harmcert.cli import (
@@ -362,28 +361,26 @@ def test_criterion_10_special_function_chain():
         c = a + b + 1.0 + rng.uniform(0.3, 4.0)
         hp = HypergeomParams(a, b, c)
         eta = float(rng.uniform(0.15, 1.0))
-        for which, name in (("c213", "f4"), ("c214", "f5"), ("c215", "f6")):
-            lhs = hyper_condition(which, hp, eta, 1.0).lhs
+        for name in ("f4", "f5", "f6"):
+            lhs = condition(CatalogParams(name=name, lam=1.0, eta=eta,
+                                          a=hp.a, b=hp.b, c=hp.c)).lhs
             lam_val = lhs * abs(eta) * float(rng.uniform(0.5, 1.6))
             if lam_val <= 0:
                 continue
-            rep = hyper_condition(which, hp, eta, lam_val)
-            run_case(name, rep, lam_val,
-                     lambda n=name, e=eta, h=hp, l=lam_val: make_example(
-                         CatalogParams(name=n, lam=l, eta=e,
-                                       a=h.a, b=h.b, c=h.c)))
+            p = CatalogParams(name=name, lam=lam_val, eta=eta,
+                              a=hp.a, b=hp.b, c=hp.c)
+            run_case(name, condition(p), lam_val, lambda p=p: make_example(p))
 
     for _ in range(50):
         s = int(rng.integers(0, 7))
         c = float(rng.uniform(0.4, 7.0))
         eta = float(rng.uniform(0.15, 1.0))
-        for which, name in (("c216", "p1"), ("c217", "p2"), ("c218", "p3")):
-            lhs = poly_condition(which, s, c, eta, 1.0).lhs
+        for name in ("p1", "p2", "p3"):
+            lhs = condition(CatalogParams(name=name, lam=1.0, eta=eta,
+                                          s=s, c=c)).lhs
             lam_val = max(lhs, 0.05) * abs(eta) * float(rng.uniform(0.5, 1.6))
-            rep = poly_condition(which, s, c, eta, lam_val)
-            run_case(name, rep, lam_val,
-                     lambda n=name, e=eta, sv=s, cv=c, l=lam_val: make_example(
-                         CatalogParams(name=n, lam=l, eta=e, s=sv, c=cv)))
+            p = CatalogParams(name=name, lam=lam_val, eta=eta, s=s, c=c)
+            run_case(name, condition(p), lam_val, lambda p=p: make_example(p))
 
     ok &= all(v >= 10 for v in held_counts.values())
 

@@ -6,10 +6,9 @@ import pytest
 
 from harmcert.catalog import (
     CatalogParams,
-    hyper_condition,
+    condition,
     hyper_family_coeffs,
     make_example,
-    poly_condition,
     poly_family_coeffs,
 )
 from harmcert.errors import ParameterError
@@ -106,6 +105,45 @@ class TestMakeExample:
         with pytest.raises(ParameterError, match="index n"):
             CatalogParams(name="f_b", lam=1.0, n=1)
 
+    @pytest.mark.parametrize("name, field, value", [
+        ("p1", "s", 2.5), ("p1", "s", 2.0), ("p2", "s", True),
+        ("f_a", "n", 2.5), ("f_b", "n", True),
+        ("f4", "truncation", 64.0), ("f6", "truncation", True),
+    ])
+    def test_integer_fields_must_be_integers(self, name, field, value):
+        kw = {"eta": 0.5, "s": 2, "a": 1.0, "b": 1.0, "c": 3.5, field: value}
+        with pytest.raises(ParameterError,
+                           match=f"{field} must be an integer, got {value!r}"):
+            CatalogParams(name=name, lam=1.0, **kw)
+
+    def test_non_integer_s_gets_no_condition(self):
+        # s = 2.5 once summed a Gauss series that does not terminate.
+        with pytest.raises(ParameterError, match="s must be an integer"):
+            condition(CatalogParams(name="p1", lam=1.0, s=2.5, c=3.0))
+
+    def test_names_without_a_condition(self):
+        for name in ("eq13", "f_a", "f_b", "f3"):
+            with pytest.raises(ParameterError, match="no closed-form"):
+                condition(CatalogParams(name=name, lam=1.0))
+
+    def test_numpy_integers_are_accepted(self):
+        for name, field in (("p1", "s"), ("f_a", "n"), ("f4", "truncation")):
+            kw = {"a": 1.0, "b": 1.0, "c": 3.5, "s": 3, "n": 3,
+                  "truncation": 8}
+            plain = CatalogParams(name=name, lam=1.0, **kw)
+            kw[field] = np.int64(kw[field])
+            p = CatalogParams(name=name, lam=1.0, **kw)
+            assert type(getattr(p, field)) is int
+            assert p == plain
+            assert make_example(p) == make_example(plain)
+
+    def test_unread_integer_fields_are_not_checked(self):
+        p = CatalogParams(name="eq13", lam=1.0, n=2.5, s=2.5,
+                          truncation=64.0)
+        assert make_example(p).h.coeff(2) == 0.5
+        CatalogParams(name="p1", lam=1.0, s=1, c=2.0, n=True,
+                      truncation=0.5)
+
     def test_missing_fields_named_in_one_error(self):
         with pytest.raises(ParameterError, match="f4 needs a, b, c$"):
             CatalogParams(name="f4", lam=1.0)
@@ -166,62 +204,82 @@ class TestTerminatingIdentity:
 
 class TestHyperCondition:
     def test_gauss_value_threshold(self):
-        rep = hyper_condition("c213", HypergeomParams(1, 1, 3), 1.0, 2.5)
+        rep = condition(CatalogParams(
+            name="f4", lam=2.5, eta=1.0, a=1, b=1, c=3,
+        ))
         assert rep.holds
         assert rep.lhs == pytest.approx(2.0, abs=1e-12)
         assert rep.rhs == 2.5
 
     def test_gamma_quotient_case(self):
         # Gamma(10) Gamma(8) / Gamma(9)^2 = 9/8.
-        rep = hyper_condition("c213", HypergeomParams(1, 1, 10), 1.0, 1.2)
+        rep = condition(CatalogParams(
+            name="f4", lam=1.2, eta=1.0, a=1, b=1, c=10,
+        ))
         want = math.gamma(10.0) * math.gamma(8.0) / math.gamma(9.0) ** 2
         assert want == pytest.approx(9 / 8, rel=1e-12)
         assert rep.lhs == pytest.approx(want, rel=1e-12)
         assert rep.holds
 
     def test_scaled_threshold(self):
-        rep = hyper_condition("c214", HypergeomParams(1, 1, 4), 1.0, 2.0)
+        rep = condition(CatalogParams(
+            name="f5", lam=2.0, eta=1.0, a=1, b=1, c=4,
+        ))
         assert rep.lhs == pytest.approx(1.5, abs=1e-12)
         assert rep.holds
 
     def test_equality_flagged(self):
-        rep = hyper_condition("c215", HypergeomParams(1, 1, 4), 1.0, 3.0)
+        rep = condition(CatalogParams(
+            name="f6", lam=3.0, eta=1.0, a=1, b=1, c=4,
+        ))
         assert not rep.holds
         assert rep.at_equality
         assert rep.lhs == pytest.approx(3.0, abs=1e-12)
 
     def test_eta_scales_rhs(self):
-        rep = hyper_condition("c213", HypergeomParams(1, 1, 3), 0.5, 1.5)
+        rep = condition(CatalogParams(
+            name="f4", lam=1.5, eta=0.5, a=1, b=1, c=3,
+        ))
         assert rep.rhs == 3.0
         assert rep.holds
 
     def test_guards(self):
         with pytest.raises(ParameterError):
-            hyper_condition("c214", HypergeomParams(1, 1, 3), 1.0, 1.0)
+            condition(CatalogParams(
+                name="f5", lam=1.0, eta=1.0, a=1, b=1, c=3,
+            ))
         with pytest.raises(ParameterError):
-            hyper_condition("c213", HypergeomParams(1, 1, 3), 0.0, 1.0)
+            condition(CatalogParams(
+                name="f4", lam=1.0, eta=0.0, a=1, b=1, c=3,
+            ))
         with pytest.raises(ParameterError):
-            hyper_condition("c999", HypergeomParams(1, 1, 3), 1.0, 1.0)
+            condition(CatalogParams(
+                name="c999", lam=1.0, eta=1.0, a=1, b=1, c=3,
+            ))
         for lam in (math.inf, math.nan):
             with pytest.raises(ParameterError, match="finite"):
-                hyper_condition("c213", HypergeomParams(1, 1, 3), 1.0, lam)
+                condition(CatalogParams(
+                    name="f4", lam=lam, eta=1.0, a=1, b=1, c=3,
+                ))
         with pytest.raises(ParameterError, match="unit disk"):
-            hyper_condition("c213", HypergeomParams(1, 1, 3), math.nan, 1.0)
+            condition(CatalogParams(
+                name="f4", lam=1.0, eta=math.nan, a=1, b=1, c=3,
+            ))
 
 
 class TestPolyCondition:
     def test_base_quotient(self):
-        rep = poly_condition("c216", 1, 1.0, 1.0, 3.0)
+        rep = condition(CatalogParams(name="p1", lam=3.0, eta=1.0, s=1, c=1.0))
         assert rep.lhs == pytest.approx(2.0, abs=1e-12)
         assert rep.holds
 
     def test_scaled_quotient(self):
-        rep = poly_condition("c217", 1, 2.0, 1.0, 1.0)
+        rep = condition(CatalogParams(name="p2", lam=1.0, eta=1.0, s=1, c=2.0))
         assert rep.lhs == pytest.approx(0.5, abs=1e-12)
         assert rep.holds
 
     def test_degenerate_degree(self):
-        rep = poly_condition("c218", 0, 2.0, 1.0, 2.0)
+        rep = condition(CatalogParams(name="p3", lam=2.0, eta=1.0, s=0, c=2.0))
         assert rep.lhs == pytest.approx(1.0, abs=1e-12)
         # Cross-check: the s = 0 polynomial is z + conj(eta z^2).
         m = make_example(CatalogParams(name="p3", lam=2.0, s=0, c=2.0))
@@ -234,22 +292,30 @@ class TestPolyCondition:
             s = int(rng.integers(0, 7))
             c = float(rng.uniform(0.4, 7.0))
             base = gauss_value(HypergeomParams(-float(s), -float(s), c))
-            rep = poly_condition("c216", s, c, 1.0, 1.0)
+            rep = condition(CatalogParams(
+                name="p1", lam=1.0, eta=1.0, s=s, c=c,
+            ))
             assert rep.lhs == pytest.approx(base, rel=1e-11)
 
     def test_guards(self):
         with pytest.raises(ParameterError):
-            poly_condition("c216", -1, 1.0, 1.0, 1.0)
+            condition(CatalogParams(name="p1", lam=1.0, eta=1.0, s=-1, c=1.0))
         with pytest.raises(ParameterError):
-            poly_condition("c216", 1, 0.0, 1.0, 1.0)
+            condition(CatalogParams(name="p1", lam=1.0, eta=1.0, s=1, c=0.0))
         for lam in (math.inf, math.nan):
             with pytest.raises(ParameterError, match="finite"):
-                poly_condition("c216", 1, 1.0, 1.0, lam)
+                condition(CatalogParams(
+                    name="p1", lam=lam, eta=1.0, s=1, c=1.0,
+                ))
         with pytest.raises(ParameterError, match="finite"):
-            poly_condition("c216", 1, math.inf, 1.0, 1.0)
+            condition(CatalogParams(
+                name="p1", lam=1.0, eta=1.0, s=1, c=math.inf,
+            ))
         with pytest.raises(ParameterError,
                            match="c must be positive and finite, got nan"):
-            poly_condition("c216", 1, math.nan, 1.0, 1.0)
+            condition(CatalogParams(
+                name="p1", lam=1.0, eta=1.0, s=1, c=math.nan,
+            ))
         with pytest.raises(ParameterError,
                            match="c must be positive and finite, got nan"):
             make_example(CatalogParams(name="p1", lam=1.0, s=1, c=math.nan))
@@ -292,21 +358,22 @@ class TestPaperClosedForms:
                             assert err <= gamma * abs(e * w)
 
     def test_conditions_match_log_gamma_quotient(self):
-        # Gamma(c) Gamma(c+2s) / Gamma(c+s)^2, scaled by s^2/(c+2s-1) (c217)
-        # and (c+s^2+2s-1)/(c+2s-1) (c218); through lgamma it stays finite
+        # Gamma(c) Gamma(c+2s) / Gamma(c+s)^2, scaled by s^2/(c+2s-1) (217)
+        # and (c+s^2+2s-1)/(c+2s-1) (218); through lgamma it stays finite
         # for every s here, while the Gamma values overflow from s ~ 67.
         for s in (0, 1, 2, 5, 17, 66, 67, 71, 100, 150, 229, 300):
             for c in (0.3, 1.0, 1.5, 4.0, 10.0):
                 base = math.exp(math.lgamma(c) + math.lgamma(c + 2 * s)
                                 - 2 * math.lgamma(c + s))
                 if s == 0:
-                    want = {"c216": base, "c217": 0.0, "c218": base}
+                    want = {"p1": base, "p2": 0.0, "p3": base}
                 else:
                     d = c + 2 * s - 1
-                    want = {"c216": base, "c217": s * s / d * base,
-                            "c218": (c + s * s + 2 * s - 1) / d * base}
-                for which, value in want.items():
-                    lhs = poly_condition(which, s, c, 1.0, 1.0).lhs
+                    want = {"p1": base, "p2": s * s / d * base,
+                            "p3": (c + s * s + 2 * s - 1) / d * base}
+                for name, value in want.items():
+                    lhs = condition(CatalogParams(name=name, lam=1.0, eta=1.0,
+                                                  s=s, c=c)).lhs
                     assert math.isfinite(lhs)
                     assert lhs == pytest.approx(value, rel=1e-11, abs=0.0)
 
@@ -321,14 +388,14 @@ class TestThresholdMembershipChain:
             c = a + b + 1.0 + rng.uniform(0.5, 5.0)
             hp = HypergeomParams(a, b, c)
             eta = float(rng.uniform(0.1, 1.0))
-            for which, name in (("c213", "f4"), ("c214", "f5"), ("c215", "f6")):
-                rep = hyper_condition(which, hp, eta, 1.0)
+            for name in ("f4", "f5", "f6"):
+                p = CatalogParams(name=name, lam=1.0, eta=eta,
+                                  a=hp.a, b=hp.b, c=hp.c)
+                rep = condition(p)
                 if not rep.holds:
                     continue
                 held += 1
-                m = make_example(CatalogParams(
-                    name=name, lam=1.0, eta=eta, a=hp.a, b=hp.b, c=hp.c
-                ))
+                m = make_example(p)
                 check = coefficient_sufficient(m, ClassParams(lam=1.0))
                 assert check.sufficient
                 verdict = harmonic_membership(m, ClassParams(lam=1.0)).verdict
@@ -342,15 +409,62 @@ class TestThresholdMembershipChain:
             s = int(rng.integers(0, 6))
             c = float(rng.uniform(0.4, 7.0))
             eta = float(rng.uniform(0.1, 1.0))
-            for which, name in (("c216", "p1"), ("c217", "p2"), ("c218", "p3")):
-                rep = poly_condition(which, s, c, eta, 1.0)
+            for name in ("p1", "p2", "p3"):
+                p = CatalogParams(name=name, lam=1.0, eta=eta, s=s, c=c)
+                rep = condition(p)
                 if not rep.holds:
                     continue
                 held += 1
-                m = make_example(CatalogParams(name=name, lam=1.0, eta=eta,
-                                               s=s, c=c))
+                m = make_example(p)
                 check = coefficient_sufficient(m, ClassParams(lam=1.0))
                 assert check.sufficient
                 verdict = harmonic_membership(m, ClassParams(lam=1.0)).verdict
                 assert verdict is not Verdict.NON_MEMBER
         assert held >= 10
+
+
+class TestMassIdentity:
+    """The condition's lhs times |eta| is the map's coefficient mass
+    sum (n-1)|b_n|, from one CatalogParams record."""
+
+    @staticmethod
+    def mass(p):
+        return coefficient_sufficient(make_example(p),
+                                      ClassParams(lam=p.lam)).total
+
+    def test_polynomials_match_within_gamma_bound(self):
+        # Both sides read the same computed Gauss terms; what differs is
+        # p1's division by m+1, the products with eta and m+1, the moduli
+        # and two sums of s+1 non-negative terms, all well inside
+        # gamma_{7s+10} = (7s+10) u / (1 - (7s+10) u).
+        rng = np.random.default_rng(107)
+        u = 2.0**-53
+        for s in range(81):
+            for _ in range(3):
+                c = float(rng.uniform(0.3, 8.0))
+                r = math.sqrt(rng.uniform(0.01, 1.0))
+                phase = float(rng.uniform(0.0, 2.0 * math.pi))
+                eta = complex(r * math.cos(phase), r * math.sin(phase))
+                for name in ("p1", "p2", "p3"):
+                    p = CatalogParams(name=name, lam=1.0, eta=eta, s=s, c=c)
+                    want = abs(eta) * condition(p).lhs
+                    m = (7 * s + 10) * u
+                    assert abs(self.mass(p) - want) <= m / (1 - m) * want
+
+    def test_truncated_tails_stay_below(self):
+        # The truncated mass sums non-negative terms left to right, so it
+        # grows with the truncation; the tails left out here are far above
+        # the rounding of the closed form.
+        rng = np.random.default_rng(109)
+        for _ in range(20):
+            a, b = (float(x) for x in rng.uniform(0.2, 2.0, size=2))
+            for name, least in (("f4", 0.0), ("f5", 1.0), ("f6", 1.0)):
+                c = a + b + least + float(rng.uniform(0.2, 1.5))
+                eta = complex(*rng.uniform(-0.7, 0.7, size=2))
+                last = 0.0
+                for truncation in (16, 64, 256, 1024):
+                    p = CatalogParams(name=name, lam=1.0, eta=eta, a=a, b=b,
+                                      c=c, truncation=truncation)
+                    total = self.mass(p)
+                    assert last <= total <= abs(eta) * condition(p).lhs
+                    last = total

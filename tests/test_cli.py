@@ -633,6 +633,16 @@ class TestHyperCommand:
     def test_missing_parameters(self, capsys):
         assert main(["hyper", "--which", "216"]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--which", "216"], "p1 needs s, c"),
+        (["--which", "214", "--a", "1"], "f5 needs b, c"),
+    ])
+    def test_missing_field_names_the_map(self, capsys, argv, message):
+        assert main(["hyper", *argv]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("argv, ignored", [
         (["--which", "216", "--s", "1", "--c", "1", "--lambda", "3"],
          ["--a", "nan", "--b", "-1"]),
@@ -760,7 +770,7 @@ class TestNumpyOnFirstUse:
     def test_calls_without_grid_work_never_execute_numpy(self, tmp_path):
         examples = [["example", name, "--a", "0.5", "--b", "0.5", "--c", "3",
                      "--s", "2", "--out", f"{name}.json"]
-                    for name, entry in ENTRIES.items() if not entry.condition]
+                    for name in ENTRIES]
         hostile = {
             "malformed": "{\n  broken\n}",
             "nan": IDENTITY_TEXT.replace("[1, 0]", "[1, 0],\n    [NaN, 0]"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from harmcert import specfun
 from harmcert.errors import ParameterError
 from harmcert.specfun import (
     HypergeomParams,
@@ -297,3 +298,41 @@ class TestWeightedGaussValue:
     def test_guard_raises(self):
         with pytest.raises(ParameterError):
             weighted_gauss_value(HypergeomParams(1.0, 1.0, 2.5))
+
+
+class TestTerminatingSums:
+    @staticmethod
+    def full_sums(p):
+        """Both terminating sums over every term, left to right."""
+        plain = moment = 0.0
+        for n, t in enumerate(hyper_coefficients(p, p.terminating_index())):
+            plain += t
+            moment += (n + 1.0) * t
+        return plain, moment
+
+    @pytest.mark.parametrize("a, b, c", [
+        (-3, -3, 2.5), (-40, -40, 0.7), (-600, -600, 1.0), (-600, -600, 13.3),
+        (-2000, -2000, 2.0),
+        # Mixed signs: terms of both signs, summed to the end.
+        (-5, -5, -2.5), (-4, -6, 1.5), (-7, 2.5, 3.0), (-300, -299, 1.0),
+        (-300, -300, -0.5), (-600, -599, 1.0), (-600, -600, -0.5),
+    ])
+    def test_bit_identical_to_the_full_sums(self, a, b, c):
+        p = HypergeomParams(a, b, c)
+        assert (gauss_value(p), weighted_gauss_value(p)) == self.full_sums(p)
+
+    def test_stops_once_the_sum_is_inf(self, monkeypatch):
+        # With a = b and c > 0 no term is negative, so +inf is final.
+        taken = []
+        terms = specfun._terms
+
+        def counted(p, N):
+            for t in terms(p, N):
+                taken.append(t)
+                yield t
+
+        monkeypatch.setattr(specfun, "_terms", counted)
+        p = HypergeomParams(-1e6, -1e6, 2.0)
+        assert gauss_value(p) == math.inf
+        assert weighted_gauss_value(p) == math.inf
+        assert len(taken) < 100
