@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -134,9 +135,12 @@ def _require_tail(name: str, hp: HypergeomParams) -> None:
 
 
 def _require_terminating(s: int, c: float) -> None:
-    """Domain of p1-p3: s >= 0 and a positive, finite c."""
+    """Domain of p1-p3: s >= 0 within the double range, which the Gauss
+    triple (-s, -s, c) needs, and a positive, finite c."""
     if s < 0:
         raise ParameterError("s must be a non-negative integer")
+    if s > sys.float_info.max:
+        raise ParameterError("s must not exceed the double range (1.8e308)")
     if not (c > 0.0 and math.isfinite(c)):
         raise ParameterError(f"c must be positive and finite, got {c!r}")
 

@@ -35,6 +35,7 @@ from .series import (
     AnalyticSeries,
     EvalGrid,
     circle_values,
+    circle_values_error,
     coefficient_columns,
     derivative,
     hadamard,
@@ -114,7 +115,8 @@ def _require_member(f: HarmonicMap, params: ClassParams, message: str
     the membership scan is skipped, as it could never say NonMember: on
     the unit circle |h - z h'| + |g - z g'| is at most
     total = sum (n-1)(|a_n| + |b_n|), and the scan's sup is that sum
-    evaluated at one angle by Horner, rounded by at most about 4 (d + 2) u
+    evaluated at one angle by Horner (at the z = 1 exit, summed
+    coefficients), rounded by at most about 4 (d + 2) u
     of total (complex Horner, Higham ch. 5; d the degree, u = 2^-53), as
     is total itself.  So the measured sup is at most
     total (1 + O(d u)) < lam (1 + O(d u)) < lam + band, since the band
@@ -244,12 +246,9 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     P_k = |p_k| + |q_k|, U_k = |u_k| + |v_k| and Sm(X) = sum k^m X_k r^k,
     N = alpha - |gamma| (_ring_numerator) has |N'(theta)| <= B1 =
     S1(U) S0(P) + S0(U) S1(P), as |j - k| <= j + k in each of its four
-    double sums, and every angle lies within pi/n of a grid angle.  A
-    transform's 2-norm error is at most about 8 u log2(n) of its output's
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 24, taken
-    with ceil(log2 n) for mixed radices; u = 2^-53), whose 2-norm is at
-    most sqrt(n) S0(X); so each grid value of X is off by at most
-    eps S0(X), eps = 8 u ceil(log2 n) sqrt(n) >= 1024 u, and N, four
+    double sums, and every angle lies within pi/n of a grid angle.  Each
+    grid value of X is off by at most eps S0(X), with
+    eps = circle_values_error(n) >= 1024 u (u = 2^-53), and N, four
     products of such values with a few u of rounding each, by at most
     3 eps S0(U) S0(P), about 1e-12 of it.  The factor 1 + eps covers the
     rounding of the coefficients and of the sums Sm.  So a grid minimum
@@ -291,7 +290,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     angles = scan_angles(max(a.degree, b.degree))
     thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
     step = _TWO_PI / angles
-    eps = 8.0 * 2.0 ** -53 * math.ceil(math.log2(angles)) * math.sqrt(angles)
+    eps = circle_values_error(angles)
     tiny = np.finfo(float).tiny
 
     def ring(r: float) -> tuple[float, float]:
@@ -345,7 +344,8 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
             return -_ring_objective(
                 *((np.exp(1j * t * powers) * rk) @ coeffs).tolist())
 
-        least, angle = _polish_argmax(at, thetas, -grid)
+        least, angle = _polish_argmax(at, float(thetas[k]), -float(grid[k]),
+                                      step)
         return -least, angle
 
     return ring

@@ -27,9 +27,10 @@ from .series import (
     ZERO,
     AnalyticSeries,
     circle_values,
+    circle_values_error,
     coefficient_columns,
     deficiency,
-    eval_array,
+    eval_array,  # noqa: F401  (no scan calls it; the tests patch it here)
     eval_series,
     scan_angles,
 )
@@ -38,6 +39,8 @@ _TWO_PI = 2.0 * math.pi
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Unit roundoff of a double.
 _UNIT_ROUNDOFF = 2.0**-53
+# The smallest positive (subnormal) double.
+_SMALLEST_SUBNORMAL = 2.0**-1074
 # Every golden-section polish over a circle angle stops once its bracket
 # is this narrow.
 _POLISH_WIDTH = 1e-9
@@ -111,16 +114,15 @@ class MembershipReport:
     justification: str
 
 
-def _polish_argmax(fn, thetas: np.ndarray, vals: np.ndarray
+def _polish_argmax(fn, t0: float, v0: float, step: float
                    ) -> tuple[float, float]:
     """Golden-section polish of ``fn(t)``, a scalar objective of the angle,
-    over the two grid cells around the argmax of its grid values ``vals``
-    on ``thetas``, down to ``_POLISH_WIDTH``: the only golden search.
-    The first index wins ties, so ties resolve to the smallest angle.
+    over the two grid cells of width ``step`` around the grid argmax
+    ``t0``, whose grid value is ``v0``, down to ``_POLISH_WIDTH``: the only
+    golden search.  Callers pass the first argmax, so ties resolve to the
+    smallest angle.
     """
-    k = int(np.argmax(vals))
-    step = _TWO_PI / len(thetas)
-    a, b = float(thetas[k] - step), float(thetas[k] + step)
+    a, b = float(t0 - step), float(t0 + step)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
@@ -138,17 +140,17 @@ def _polish_argmax(fn, thetas: np.ndarray, vals: np.ndarray
             fd = fn(d)
             if fd > v:
                 x, v = d, fd
-    if v > vals[k]:
+    if v > v0:
         return float(v), float(x % _TWO_PI)
-    return float(vals[k]), float(thetas[k])
+    return float(v0), float(t0)
 
 
-def _paired_polish(F1: AnalyticSeries, F2: AnalyticSeries,
-                   thetas: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """_polish_argmax of |F1| + |F2| from its grid values ``vals`` on
-    ``thetas``, each polish point two eval_series calls: the one objective
-    of every paired circle maximum.  A value whose modulus overflows reads
-    as infinity, as on the grid."""
+def _paired_polish(F1: AnalyticSeries, F2: AnalyticSeries, t0: float,
+                   v0: float, step: float) -> tuple[float, float]:
+    """_polish_argmax of |F1| + |F2| from the grid argmax ``t0`` with grid
+    value ``v0``, each polish point two eval_series calls: the one
+    objective of every paired circle maximum.  A value whose modulus
+    overflows reads as infinity, as on the grid."""
 
     def at(t: float) -> float:
         z = cmath.exp(1j * t)
@@ -158,13 +160,14 @@ def _paired_polish(F1: AnalyticSeries, F2: AnalyticSeries,
         except OverflowError:
             return math.inf
 
-    return _polish_argmax(at, thetas, vals)
+    return _polish_argmax(at, t0, v0, step)
 
 
 def _sup_at_one(F1: AnalyticSeries, F2: AnalyticSeries
-                ) -> tuple[float, float] | None:
+                ) -> tuple[tuple[float, float] | None, float]:
     """The circle maximum of |F1| + |F2| and its angle 0.0 when z = 1
-    attains it, else None.
+    attains it, else None; and S, the bound below, which the scan's error
+    bound reads too.
 
     The maximum lies between two cheap values: |F1(1)| + |F2(1)|, the
     moduli of the coefficient sums, which z = 1 attains, and S, the sum of
@@ -183,8 +186,8 @@ def _sup_at_one(F1: AnalyticSeries, F2: AnalyticSeries
     m = len(F1.coeffs) + len(F2.coeffs)
     if (math.isfinite(at_one)
             and at_one >= top * (1.0 - 4 * m * _UNIT_ROUNDOFF)):
-        return at_one, 0.0
-    return None
+        return (at_one, 0.0), top
+    return None, top
 
 
 def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
@@ -193,21 +196,61 @@ def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
     it; with F2 = ZERO, the maximum of |F1|.
 
     When _sup_at_one decides the maximum from the coefficients, it returns
-    the value at z = 1 with angle 0.0, with no scan.  Otherwise this scans
-    scan_angles(degree) equispaced angles with eval_array, then
-    _paired_polish polishes the best cell.  Ties on the grid resolve to the
-    smallest angle.  Overflow is silent; _classify rejects a non-finite
-    maximum.
+    the value at z = 1 with angle 0.0, with no scan.  Otherwise it returns
+    what a Horner scan gives: the grid values of |F1| + |F2| by np.polyval
+    at t_j = j (2 pi / n), j < n = scan_angles(degree), then _paired_polish
+    from the first grid argmax, so ties resolve to the smallest angle.
+    Overflow is silent; _classify rejects a non-finite maximum.
+
+    Horner runs at a few of those angles only.  One 2-column circle_values
+    transform gives every grid value in O(n log n), within err of its
+    Horner value (below).  The candidates are the grid points whose
+    transform value lies within 2 err of the transform's maximum; Horner
+    runs there alone.  A point left out has a Horner value below
+    max - err, and the transform's argmax, a candidate, has one of at
+    least max - err, so the first Horner argmax is a candidate and the
+    result is the full scan's bit for bit.
+
+    err bounds |transform value - Horner value| at a grid point.  With S
+    the coefficient sum of both series (from _sup_at_one), d the degree
+    and u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 5 and 24): the transform is within circle_values_error(n) S of the
+    values at the roots of unity w_j.  t_j carries three roundings (of
+    2 pi, the step and the product), so it is within 6 pi u < 19 u of
+    2 pi j / n, and exp adds under 2 u: z_j lies within 21 u of w_j, which
+    moves each series by at most 21 u sum k |c_k| <= 21 d u S.  Horner at
+    z_j, one complex product (error sqrt(2) gamma_2) and one sum per
+    coefficient, is within about 4 d u S of the series there, and the
+    moduli and their sum round each side by 3 u S at most.  So
+    err = (circle_values_error(n) + 32 (d + 1) u) S leaves room for the
+    rounding of S and of the floor max - 2 err, and 16 (n + d) 2^-1074 is
+    added for products that underflow, whose absolute error the relative
+    model misses.  Where the floor is not finite, or 2 S overflows so that
+    a Horner partial sum might, every grid point is a candidate: the full
+    Horner scan, overflow included.
     """
-    decided = _sup_at_one(F1, F2)
+    decided, top = _sup_at_one(F1, F2)
     if decided:
         return decided
-    thetas = np.linspace(0.0, _TWO_PI, scan_angles(max(F1.degree, F2.degree)),
-                         endpoint=False)
+    cols = coefficient_columns(F1, F2)
+    d = len(cols) - 1
+    n = scan_angles(d)
+    step = _TWO_PI / n
+    err = ((circle_values_error(n) + 32 * (d + 1) * _UNIT_ROUNDOFF) * top
+           + 16 * (n + d) * _SMALLEST_SUBNORMAL)
     with np.errstate(over="ignore", invalid="ignore"):
-        zs = np.exp(1j * thetas)
-        vals = abs(eval_array(F1, zs)) + abs(eval_array(F2, zs))
-        return _paired_polish(F1, F2, thetas, vals)
+        grid = np.abs(circle_values(cols, n))
+        grid = grid[:, 0] + grid[:, 1]
+        floor = float(grid.max()) - 2.0 * err
+        if math.isfinite(floor) and math.isfinite(2.0 * top):
+            idx = (grid >= floor).nonzero()[0]
+        else:
+            idx = np.arange(n)
+        ts = idx * step
+        vals = np.abs(np.polyval(cols[::-1, :, None], np.exp(1j * ts)))
+        vals[0] += vals[1]
+        k = int(np.argmax(vals[0]))
+        return _paired_polish(F1, F2, ts[k], vals[0, k], step)
 
 
 def _classify(measured_sup: float, params: ClassParams) -> Verdict:
@@ -275,9 +318,10 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
     zeta of |A + zeta B| is |A| + |B|, reached at
     zeta = e^{i(arg A - arg B)}.  So ``max_sup`` is decided as in
     paired_boundary_sup: by _sup_at_one when z = 1 attains the coefficient
-    bound, with no polish; otherwise |va| + |vb| is polished by
-    _paired_polish, the objective and polish of paired_boundary_sup, which
-    scans the same maximum on an eval_array grid instead.  The witness
+    bound, with no polish; otherwise |va| + |vb| is polished from its
+    first grid argmax by _paired_polish, the objective and polish of
+    paired_boundary_sup, which takes the same transform but polishes from
+    the first Horner argmax of its candidate angles.  The witness
     phase is arg A - arg B at its angle, arg A(1) - arg B(1) at the exit.
     A non-finite ``max_sup`` raises ParameterError before any section is
     read.  The transform is taken either way: the rows need it.
@@ -294,13 +338,15 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
     n = scan_angles(max(A.degree, B.degree))
-    thetas = np.linspace(0.0, _TWO_PI, n, endpoint=False)
+    step = _TWO_PI / n
     with np.errstate(over="ignore", invalid="ignore"):
         va, vb = np.ascontiguousarray(
             circle_values(coefficient_columns(A, B), n).T)
         mod_a, mod_b = np.abs(va), np.abs(vb)
-        max_sup, angle = (_sup_at_one(A, B)
-                          or _paired_polish(A, B, thetas, mod_a + mod_b))
+        vals = mod_a + mod_b
+        k = int(np.argmax(vals))
+        max_sup, angle = (_sup_at_one(A, B)[0]
+                          or _paired_polish(A, B, k * step, vals[k], step))
     if not math.isfinite(max_sup):
         raise ParameterError("boundary values overflow")
     phases = _TWO_PI * np.arange(zeta_samples) / zeta_samples
@@ -359,7 +405,7 @@ def stable_family_check(f: HarmonicMap, params: ClassParams,
     polish against each other, not the transform: a transform error moves
     the sections and the maximum alike.  The transform is checked against
     Horner where the tests compare ``harmonic_sup`` with
-    harmonic_membership's eval_array scan and each row with a rebuilt
+    harmonic_membership's Horner-checked scan and each row with a rebuilt
     section's scan.
     """
     scan = zeta_family_sup(deficiency(f.h), deficiency(f.g), zeta_samples)

@@ -93,8 +93,9 @@ def eval_series(F: AnalyticSeries, z: complex) -> complex:
 def eval_array(F: AnalyticSeries, zs: np.ndarray) -> np.ndarray:
     """Vectorized Horner evaluation on an array of points.
 
-    Serves the membership scan only.  Values on a whole equispaced circle,
-    EvalGrid rings included, come from circle_values.
+    The tests' reference evaluator; no library scan calls it.  Values on a
+    whole equispaced circle, the membership grid and EvalGrid rings
+    included, come from circle_values.
     """
     return np.polyval(np.asarray(F.coeffs, dtype=complex)[::-1], zs)
 
@@ -119,12 +120,26 @@ def circle_values(coeffs, n: int, r: float = 1.0) -> np.ndarray:
     modulo n are summed first: the n-th roots of unity repeat with period n.
     """
     c = np.asarray(coeffs, dtype=complex)
-    scale = float(r) ** np.arange(len(c))
-    c = c * scale.reshape((-1,) + (1,) * (c.ndim - 1))
+    if r != 1.0:
+        scale = float(r) ** np.arange(len(c))
+        c = c * scale.reshape((-1,) + (1,) * (c.ndim - 1))
     if len(c) > n:
         c = np.concatenate([c, np.zeros((-len(c) % n,) + c.shape[1:])])
         c = c.reshape((-1, n) + c.shape[1:]).sum(axis=0)
     return np.fft.ifft(c, n, axis=0, norm="forward")
+
+
+def circle_values_error(n: int) -> float:
+    """eps = 8 u ceil(log2 n) sqrt(n), u = 2^-53: each value circle_values
+    returns on n angles is off by at most eps times the sum of the moduli
+    of its (r-scaled) coefficients.
+
+    A transform's 2-norm error is at most about 8 u log2(n) of its
+    output's (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 24, taken with ceil(log2 n) for mixed radices), and that output's
+    2-norm is at most sqrt(n) times the coefficient sum.
+    """
+    return 8.0 * 2.0 ** -53 * math.ceil(math.log2(n)) * math.sqrt(n)
 
 
 def derivative(F: AnalyticSeries) -> AnalyticSeries:

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -296,6 +297,15 @@ class TestPolyCondition:
                 name="p1", lam=1.0, eta=1.0, s=s, c=c,
             ))
             assert rep.lhs == pytest.approx(base, rel=1e-11)
+
+    def test_s_must_fit_a_double(self):
+        # The largest s a double holds is accepted; its sum is +inf.
+        top = int(sys.float_info.max)
+        rep = condition(CatalogParams(name="p1", lam=100.0, s=top, c=2.0))
+        assert rep.lhs == math.inf and not rep.holds
+        for name in ("p1", "p2", "p3"):
+            with pytest.raises(ParameterError, match="^s must not exceed"):
+                CatalogParams(name=name, lam=1.0, s=top + 2**971, c=2.0)
 
     def test_guards(self):
         with pytest.raises(ParameterError):

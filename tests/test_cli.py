@@ -364,6 +364,19 @@ class TestExampleCommand:
         assert captured.out == ""
         assert "c must be positive and finite, got nan" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["example", "p1", "--s", "1" + "0" * 400, "--c", "2"],
+        ["hyper", "--which", "216", "--s", "1" + "0" * 400, "--c", "2",
+         "--lambda", "100"],
+    ])
+    def test_s_past_the_double_range_is_named(self, capsys, argv):
+        # The Gauss triple (-s, -s, c) needs s as a double.
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "OverflowError" not in captured.err
+        assert "s must not exceed the double range" in captured.err
+
     def test_overflowing_eta_exits_three(self, capsys):
         argv = ["example", "f3", "--eta", "1.5e308+1.5e308j"]
         assert main(argv) == EXIT_INPUT_ERROR
@@ -804,6 +817,12 @@ class TestNumpyOnFirstUse:
             [EXIT_MEMBER] * len(hypers))
         assert codes[-6:-2] == [EXIT_INPUT_ERROR] * 4
         assert codes[-2:] == [EXIT_BOUNDARY_SHARP, EXIT_NON_MEMBER]
+
+    def test_s_past_the_double_range_never_executes_numpy(self, tmp_path):
+        argv = ["hyper", "--which", "216", "--s", "1" + "0" * 400, "--c", "2",
+                "--lambda", "100"]
+        assert run_fresh([argv], tmp_path)["calls"] == [
+            [EXIT_INPUT_ERROR, False]]
 
     @pytest.mark.parametrize("argv", [
         ["check", "rand8.json"],

@@ -234,6 +234,127 @@ class TestCoefficientExit:
         assert not math.isfinite(sup)
 
 
+def horner_scan(F1, F2):
+    """The full Horner scan, rebuilt from public pieces: |F1| + |F2| by
+    eval_array on all scan_angles(degree) angles, then _paired_polish from
+    the first grid argmax, below the z = 1 exit."""
+    import harmcert.membership as membership
+
+    decided, _ = membership._sup_at_one(F1, F2)
+    if decided:
+        return decided
+    n = scan_angles(max(F1.degree, F2.degree))
+    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = np.exp(1j * thetas)
+        vals = abs(eval_array(F1, zs)) + abs(eval_array(F2, zs))
+        k = int(np.argmax(vals))
+        return membership._paired_polish(F1, F2, thetas[k], vals[k],
+                                         2.0 * math.pi / n)
+
+
+def scaled(F, scale):
+    return AnalyticSeries(tuple(c * scale for c in F.coeffs))
+
+
+class TestScanMatchesHorner:
+    """The scan runs Horner only at the transform's candidate angles, yet
+    returns the full Horner scan's (sup, angle) bit for bit."""
+
+    @staticmethod
+    def assert_same(F1, F2):
+        got = paired_boundary_sup(F1, F2)
+        want = horner_scan(F1, F2)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (got, want)
+        return got
+
+    def test_random_maps(self):
+        rng = np.random.default_rng(26)
+        for degree in (2, 3, 5, 9, 17, 33, 100, 257, 1024):
+            f = random_member(degree, ClassParams(lam=1.0), rng)
+            A, B = deficiency(f.h), deficiency(f.g)
+            self.assert_same(A, B)
+            self.assert_same(A, ZERO)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200, 1e-300, 1e-320])
+    def test_coefficient_scales(self, scale):
+        # At 1e-320 the coefficients are subnormal: the transform's
+        # absolute underflow error joins its bound.
+        rng = np.random.default_rng(27)
+        for degree in (2, 3, 5, 9, 17, 33, 100):
+            for _ in range(2):
+                f = random_member(degree, ClassParams(lam=1.0), rng)
+                A, B = deficiency(f.h), deficiency(f.g)
+                sup, _ = self.assert_same(scaled(A, scale), scaled(B, scale))
+                assert math.isfinite(sup)
+                self.assert_same(scaled(A, scale), ZERO)
+
+    def test_overflow_both_ways(self):
+        # Moduli 5e307 at scattered phases: the coefficient sum overflows,
+        # so every angle goes to Horner as in the full scan, and most
+        # maxima read NaN either way.
+        sups = []
+        for degree in (5, 9, 33):
+            A = AnalyticSeries((0, 0) + tuple(
+                5e307 * cmath.exp(1j * k * k) for k in range(2, degree + 1)))
+            for B in (ZERO, scaled(A, 0.5)):
+                sups.append(self.assert_same(A, B)[0])
+        assert sum(map(math.isnan, sups)) >= 4
+
+    def test_near_tie_maps(self):
+        # Two-peak maps as in the benchmark's near-tie workload: an m-way
+        # tied deficiency modulus split by 1e-3 noise.
+        rng = np.random.default_rng(29)
+        for d in (4, 5, 7, 8, 11):
+            for j in range(6):
+                h = np.zeros(d + 1, dtype=complex)
+                h[1], h[2] = 1.0, -1.0
+                h[d] = -rng.uniform(0.5, 1.0) * cmath.exp(
+                    1j * rng.uniform(0, 2 * math.pi)) / (d - 1)
+                h[2:] += 1e-3 * (rng.standard_normal(d - 1)
+                                 + 1j * rng.standard_normal(d - 1))
+                g = np.zeros(d + 1, dtype=complex)
+                if j % 2:
+                    g[2:] = 1e-3 * (rng.standard_normal(d - 1)
+                                    + 1j * rng.standard_normal(d - 1))
+                f = make_map(h, g)
+                self.assert_same(deficiency(f.h), deficiency(f.g))
+
+    @pytest.fixture
+    def polyval_points(self, monkeypatch):
+        """The point count of each np.polyval call."""
+        points = []
+        polyval = np.polyval
+
+        def counting(p, x):
+            points.append(np.size(x))
+            return polyval(p, x)
+
+        monkeypatch.setattr(np, "polyval", counting)
+        return points
+
+    def test_nearly_flat_modulus(self, polyval_points):
+        # |z^d + 1e-14 e^{2i} z^2| stays within 1e-14 of 1, inside the
+        # transform's error bound: every grid angle is a candidate.
+        for d in (3, 5, 9, 17):
+            A = AnalyticSeries((0, 0, 1e-14 * cmath.exp(2j))
+                               + (0,) * (d - 3) + (1,))
+            for B in (ZERO, AnalyticSeries((0, 0, 1e-15j))):
+                polyval_points.clear()
+                self.assert_same(A, B)
+                assert polyval_points[0] == scan_angles(d)
+
+    def test_horner_sees_few_points(self, polyval_points):
+        # At degree 256 the transform leaves at most 8 of the 16384 grid
+        # angles open, in one np.polyval call over both series.
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            f = random_member(256, ClassParams(lam=1.0), rng)
+            polyval_points.clear()
+            paired_boundary_sup(deficiency(f.h), deficiency(f.g))
+            assert len(polyval_points) == 1 and 1 <= polyval_points[0] <= 8
+
+
 class TestOverflowingInput:
     """Input whose circle maximum overflows a double gets ParameterError
     from every public entry point, never a bare OverflowError."""
@@ -419,9 +540,9 @@ class TestStableFamily:
         original = membership._paired_polish
         calls = []
 
-        def low(A, B, thetas, vals):
+        def low(A, B, t0, v0, step):
             calls.append(A)
-            sup, angle = original(A, B, thetas, vals)
+            sup, angle = original(A, B, t0, v0, step)
             return 0.99 * sup, angle
 
         monkeypatch.setattr(membership, "_paired_polish", low)
