@@ -14,15 +14,13 @@ polynomials p1/p2/p3 whose thresholds collapse to Gamma quotients.
 from harmcert import (
     CatalogParams,
     ClassParams,
-    HypergeomParams,
     coefficient_sufficient,
     condition,
-    gauss_value,
     harmonic_membership,
     make_example,
-    weighted_gauss_value,
 )
 from harmcert.catalog import ENTRIES
+from harmcert.specfun import HypergeomParams, gauss_value, weighted_gauss_value
 
 hp = HypergeomParams(1.0, 1.0, 4.0)
 print(f"Gauss value F(1,1;4;1)           = {gauss_value(hp):.12f}")

@@ -7,10 +7,12 @@ analytic part h with a co-analytic part g under
 coefficient bounds, growth and Jacobian envelopes, certified starlike and
 convex radii, convolution and convex-combination closure, and the
 special-function example families into runnable numerical checks.
+The names below are the paper's statements and the CLI subcommands'
+engines, as the README's Public API table lists them; scan internals and
+the special-function kernel stay in their modules.
 """
 
 from .catalog import (
-    CATALOG_NAMES,
     CatalogParams,
     ConditionReport,
     condition,
@@ -48,14 +50,11 @@ from .membership import (
     StableFamilyReport,
     Verdict,
     ZetaFamilyScan,
-    analytic_membership,
     coefficient_bounds_audit,
     coefficient_sufficient,
     harmonic_membership,
-    paired_boundary_sup,
     random_member,
     stable_family_check,
-    zeta_family_sup,
 )
 from .series import (
     AnalyticSeries,
@@ -63,17 +62,8 @@ from .series import (
     default_grid,
     deficiency,
     derivative,
-    eval_array,
-    eval_series,
     hadamard,
     linear_combination,
-)
-from .specfun import (
-    HypergeomParams,
-    gauss_value,
-    hyper_coefficients,
-    pochhammer,
-    weighted_gauss_value,
 )
 
 __version__ = "0.1.0"

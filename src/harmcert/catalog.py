@@ -60,7 +60,6 @@ ENTRIES = {
     "p3": _Entry(("eta", "s", "c"), "f6", "218"),
 }
 
-CATALOG_NAMES = tuple(ENTRIES)
 
 # The least c - a - b at which each tail family's series converges at z = 1.
 _MIN_GAP = {"f4": 0.0, "f5": 1.0, "f6": 1.0}

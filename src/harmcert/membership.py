@@ -24,13 +24,11 @@ from ._lazy import np
 from .errors import ConsistencyError, NormalizationError, ParameterError
 from .series import (
     COEFF_TOL,
-    ZERO,
     AnalyticSeries,
     circle_values,
     circle_values_error,
     coefficient_columns,
     deficiency,
-    eval_array,  # noqa: F401  (no scan calls it; the tests patch it here)
     eval_series,
     scan_angles,
 )
@@ -233,24 +231,34 @@ def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
     if decided:
         return decided
     cols = coefficient_columns(F1, F2)
-    d = len(cols) - 1
-    n = scan_angles(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mods = np.abs(circle_values(cols, scan_angles(len(cols) - 1)))
+        return _transform_sup(F1, F2, cols, mods, top)
+
+
+def _transform_sup(F1: AnalyticSeries, F2: AnalyticSeries, cols: np.ndarray,
+                   mods: np.ndarray, top: float) -> tuple[float, float]:
+    """paired_boundary_sup below its z = 1 exit: the candidate Horner
+    rule and the polish, from ``mods``, the moduli of the 2-column
+    transform of ``cols`` (= coefficient_columns(F1, F2)) on
+    n = scan_angles(degree) angles, with ``top`` from _sup_at_one.  The
+    zeta sweep passes the transform it reads its sections from, so its
+    family maximum is this one bit for bit.  Callers ignore overflow."""
+    n, d = len(mods), len(cols) - 1
     step = _TWO_PI / n
     err = ((circle_values_error(n) + 32 * (d + 1) * _UNIT_ROUNDOFF) * top
            + 16 * (n + d) * _SMALLEST_SUBNORMAL)
-    with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.abs(circle_values(cols, n))
-        grid = grid[:, 0] + grid[:, 1]
-        floor = float(grid.max()) - 2.0 * err
-        if math.isfinite(floor) and math.isfinite(2.0 * top):
-            idx = (grid >= floor).nonzero()[0]
-        else:
-            idx = np.arange(n)
-        ts = idx * step
-        vals = np.abs(np.polyval(cols[::-1, :, None], np.exp(1j * ts)))
-        vals[0] += vals[1]
-        k = int(np.argmax(vals[0]))
-        return _paired_polish(F1, F2, ts[k], vals[0, k], step)
+    grid = mods[:, 0] + mods[:, 1]
+    floor = float(grid.max()) - 2.0 * err
+    if math.isfinite(floor) and math.isfinite(2.0 * top):
+        idx = (grid >= floor).nonzero()[0]
+    else:
+        idx = np.arange(n)
+    ts = idx * step
+    vals = np.abs(np.polyval(cols[::-1, :, None], np.exp(1j * ts)))
+    vals[0] += vals[1]
+    k = int(np.argmax(vals[0]))
+    return _paired_polish(F1, F2, ts[k], vals[0, k], step)
 
 
 def _classify(measured_sup: float, params: ClassParams) -> Verdict:
@@ -264,14 +272,6 @@ def _classify(measured_sup: float, params: ClassParams) -> Verdict:
     if measured_sup < params.lam - band:
         return Verdict.MEMBER
     return Verdict.BOUNDARY_SHARP
-
-
-def analytic_membership(F: AnalyticSeries, params: ClassParams
-                        ) -> MembershipReport:
-    """Three-way membership verdict for a normalized series: the harmonic
-    verdict of F + conj(0), so an unnormalized F raises NormalizationError
-    from HarmonicMap."""
-    return harmonic_membership(HarmonicMap(F, ZERO), params)
 
 
 def harmonic_membership(f: HarmonicMap, params: ClassParams
@@ -294,10 +294,9 @@ class ZetaFamilyScan:
     ``sups[k]`` is the grid maximum of the section at ``phases[k]``, within
     a proven bound below its sup (see zeta_family_sup), so a sampled lower
     bound on ``max_sup``, the sup over every unimodular zeta, which the
-    section with phase ``witness_phase`` attains.  ``max_sup`` is the
-    maximum of |A| + |B| that paired_boundary_sup returns: decided from
-    the coefficients when z = 1 attains it, else polished on the same
-    transform grid as ``sups``.
+    section with phase ``witness_phase`` attains.  ``max_sup`` and the
+    angle behind ``witness_phase`` are paired_boundary_sup(A, B), bit for
+    bit, read from the transform that ``sups`` come from.
     """
 
     phases: np.ndarray
@@ -316,14 +315,12 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
 
     The maximum over every zeta has a closed form: pointwise, max over
     zeta of |A + zeta B| is |A| + |B|, reached at
-    zeta = e^{i(arg A - arg B)}.  So ``max_sup`` is decided as in
-    paired_boundary_sup: by _sup_at_one when z = 1 attains the coefficient
-    bound, with no polish; otherwise |va| + |vb| is polished from its
-    first grid argmax by _paired_polish, the objective and polish of
-    paired_boundary_sup, which takes the same transform but polishes from
-    the first Horner argmax of its candidate angles.  The witness
-    phase is arg A - arg B at its angle, arg A(1) - arg B(1) at the exit.
-    A non-finite ``max_sup`` raises ParameterError before any section is
+    zeta = e^{i(arg A - arg B)}.  So ``max_sup`` and its angle are
+    paired_boundary_sup(A, B): _sup_at_one when z = 1 attains the
+    coefficient bound, else _transform_sup on this transform, the one
+    candidate Horner rule and polish.  The witness phase is
+    arg A - arg B at that angle, arg A(1) - arg B(1) at the exit.  A
+    non-finite ``max_sup`` raises ParameterError before any section is
     read.  The transform is taken either way: the rows need it.
 
     Each zeta row's grid argmax comes from a real rank-3 product, and
@@ -337,25 +334,23 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
     """
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
-    n = scan_angles(max(A.degree, B.degree))
-    step = _TWO_PI / n
+    decided, top = _sup_at_one(A, B)
+    cols = coefficient_columns(A, B)
+    n = scan_angles(len(cols) - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        va, vb = np.ascontiguousarray(
-            circle_values(coefficient_columns(A, B), n).T)
-        mod_a, mod_b = np.abs(va), np.abs(vb)
-        vals = mod_a + mod_b
-        k = int(np.argmax(vals))
-        max_sup, angle = (_sup_at_one(A, B)[0]
-                          or _paired_polish(A, B, k * step, vals[k], step))
+        vals = circle_values(cols, n)
+        mods = np.abs(vals)
+        max_sup, angle = decided or _transform_sup(A, B, cols, mods, top)
     if not math.isfinite(max_sup):
         raise ParameterError("boundary values overflow")
+    va, vb = np.ascontiguousarray(vals.T)
     phases = _TWO_PI * np.arange(zeta_samples) / zeta_samples
     zetas = np.exp(1j * phases)
     # |a + e^{i phi} b|^2 = |a|^2 + |b|^2 + 2 Re(e^{i phi} b conj(a)): each
     # zeta row's grid argmax is that of a real rank-3 product, taken in
     # blocks of about 2**16 grid values.  Scaling by the largest modulus
     # keeps the squares finite wherever the moduli are.
-    s = float(max(np.max(mod_a), np.max(mod_b))) or 1.0
+    s = float(np.max(mods)) or 1.0
     a, b = va / s, vb / s
     w = b * np.conj(a)
     quad = np.stack([a.real**2 + a.imag**2 + b.real**2 + b.imag**2,
@@ -399,14 +394,14 @@ def stable_family_check(f: HarmonicMap, params: ClassParams,
     sup_tolerance, relative once the sup passes 1, raises
     ConsistencyError.
 
-    Both come from the one transform grid of zeta_family_sup, and the
-    polished maximum is at least the grid's |va| + |vb|, which bounds each
-    section's grid value.  So the gap checks the sweep's row product and
-    polish against each other, not the transform: a transform error moves
-    the sections and the maximum alike.  The transform is checked against
-    Horner where the tests compare ``harmonic_sup`` with
-    harmonic_membership's Horner-checked scan and each row with a rebuilt
-    section's scan.
+    ``harmonic_sup`` is harmonic_membership's ``measured_sup`` bit for
+    bit: zeta_family_sup reads it with paired_boundary_sup's candidate
+    Horner rule and polish, from the transform its rows come from.  The
+    polished maximum is at least the grid's |va| + |vb| less that rule's
+    transform error bound, and the grid bounds each section's grid value,
+    so the gap checks the sweep's row product against the maximum, not
+    the transform: a transform error moves the sections and the grid
+    alike.  The tests check each row against a rebuilt section's scan.
     """
     scan = zeta_family_sup(deficiency(f.h), deficiency(f.g), zeta_samples)
     harmonic_sup = scan.max_sup

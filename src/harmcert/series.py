@@ -61,9 +61,6 @@ class AnalyticSeries:
     def coeff(self, n: int) -> complex:
         return self.coeffs[n] if 0 <= n <= self.degree else 0j
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_normalized(self) -> bool:
         """True when c_0 = 0 and c_1 = 1, within COEFF_TOL."""
         return (abs(self.coeff(0)) <= COEFF_TOL
@@ -90,16 +87,6 @@ def eval_series(F: AnalyticSeries, z: complex) -> complex:
     return acc
 
 
-def eval_array(F: AnalyticSeries, zs: np.ndarray) -> np.ndarray:
-    """Vectorized Horner evaluation on an array of points.
-
-    The tests' reference evaluator; no library scan calls it.  Values on a
-    whole equispaced circle, the membership grid and EvalGrid rings
-    included, come from circle_values.
-    """
-    return np.polyval(np.asarray(F.coeffs, dtype=complex)[::-1], zs)
-
-
 def coefficient_columns(*series: AnalyticSeries) -> np.ndarray:
     """The coefficients of each series as one column, zero-padded to the
     longest: a 2-D input of circle_values, one transform for all."""
@@ -110,19 +97,18 @@ def coefficient_columns(*series: AnalyticSeries) -> np.ndarray:
     return cols
 
 
-def circle_values(coeffs, n: int, r: float = 1.0) -> np.ndarray:
-    """Values of sum c_k z^k at z = r e^{2 pi i j / n}, j = 0..n-1.
+def circle_values(coeffs, n: int) -> np.ndarray:
+    """Values of sum c_k z^k at z = e^{2 pi i j / n}, j = 0..n-1.
 
-    One inverse FFT of the r-scaled coefficients, unnormalized
+    One inverse FFT of the coefficients, unnormalized
     (``norm="forward"``), so O(n log n) against Horner's O(n d).  An N-D
     ``coeffs`` is transformed along its first axis, once per column.  With
-    more coefficients than points, the scaled coefficients of equal index
-    modulo n are summed first: the n-th roots of unity repeat with period n.
+    more coefficients than points, the coefficients of equal index modulo
+    n are summed first: the n-th roots of unity repeat with period n.  A
+    ring of radius r is the circle of the coefficients c_k r^k, which the
+    callers scale themselves.
     """
     c = np.asarray(coeffs, dtype=complex)
-    if r != 1.0:
-        scale = float(r) ** np.arange(len(c))
-        c = c * scale.reshape((-1,) + (1,) * (c.ndim - 1))
     if len(c) > n:
         c = np.concatenate([c, np.zeros((-len(c) % n,) + c.shape[1:])])
         c = c.reshape((-1, n) + c.shape[1:]).sum(axis=0)
@@ -132,7 +118,7 @@ def circle_values(coeffs, n: int, r: float = 1.0) -> np.ndarray:
 def circle_values_error(n: int) -> float:
     """eps = 8 u ceil(log2 n) sqrt(n), u = 2^-53: each value circle_values
     returns on n angles is off by at most eps times the sum of the moduli
-    of its (r-scaled) coefficients.
+    of its coefficients.
 
     A transform's 2-norm error is at most about 8 u log2(n) of its
     output's (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -224,7 +210,7 @@ class EvalGrid:
         return vals.T.reshape(len(series), -1)
 
 
-def default_grid(*, rings: int = 8, angles_per_ring: int = 128) -> EvalGrid:
-    """Evenly spaced rings up to radius 0.96."""
-    radii = tuple((k + 1) * 0.96 / rings for k in range(rings))
-    return EvalGrid(radii=radii, angles_per_ring=angles_per_ring)
+def default_grid() -> EvalGrid:
+    """8 evenly spaced rings up to radius 0.96, 128 angles each."""
+    return EvalGrid(radii=tuple((k + 1) * 0.96 / 8 for k in range(8)),
+                    angles_per_ring=128)

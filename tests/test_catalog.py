@@ -26,7 +26,7 @@ class TestMakeExample:
     def test_cubic_showcase(self):
         m = make_example(CatalogParams(name="eq13", lam=1.0))
         assert m.h.coeffs == (0j, 1 + 0j, 0.5 + 0j, 0.25 + 0j)
-        assert m.g.is_zero()
+        assert m.g.coeffs == (0j,)
 
     def test_sharp_analytic(self):
         m = make_example(CatalogParams(name="f_a", lam=2.0, n=5))

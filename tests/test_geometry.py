@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from horner import eval_array
 
 from harmcert import geometry
 from harmcert.catalog import CatalogParams, make_example
@@ -46,7 +47,6 @@ from harmcert.series import (
     circle_values,
     default_grid,
     derivative,
-    eval_array,
     linear_combination,
     scan_angles,
 )
@@ -548,9 +548,13 @@ class TestHarmonicRadius:
                 if not (value > 0.0 and len(polished) == before):
                     continue
                 proven += 1
-                P, Q = circle_values(p.coeffs, n, r), circle_values(q.coeffs, n, r)
-                U = r * z * circle_values(derivative(p).coeffs, n, r) + offset * P
-                V = r * z * circle_values(derivative(q).coeffs, n, r) + offset * Q
+                def on_ring(F):
+                    rk = r ** np.arange(len(F.coeffs))
+                    return circle_values(np.asarray(F.coeffs) * rk, n)
+
+                P, Q = on_ring(p), on_ring(q)
+                U = r * z * on_ring(derivative(p)) + offset * P
+                V = r * z * on_ring(derivative(q)) + offset * Q
                 alpha = (U * np.conj(P) + V * np.conj(Q)).real
                 gamma = V * np.conj(P) + np.conj(U) * Q
                 assert float((alpha - np.abs(gamma)).min()) > 0.0

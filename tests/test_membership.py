@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from horner import eval_array
 
 from harmcert.catalog import CatalogParams, make_example
 from harmcert.errors import (
@@ -21,7 +22,6 @@ from harmcert.membership import (
     ClassParams,
     HarmonicMap,
     Verdict,
-    analytic_membership,
     coefficient_bounds_audit,
     coefficient_sufficient,
     harmonic_membership,
@@ -34,7 +34,7 @@ from harmcert.series import (
     ZERO,
     AnalyticSeries,
     deficiency,
-    eval_array,
+    eval_series,
     linear_combination,
     scan_angles,
 )
@@ -234,6 +234,20 @@ class TestCoefficientExit:
         assert not math.isfinite(sup)
 
 
+@pytest.fixture
+def polyval_points(monkeypatch):
+    """The point count of each np.polyval call."""
+    points = []
+    polyval = np.polyval
+
+    def counting(p, x):
+        points.append(np.size(x))
+        return polyval(p, x)
+
+    monkeypatch.setattr(np, "polyval", counting)
+    return points
+
+
 def horner_scan(F1, F2):
     """The full Horner scan, rebuilt from public pieces: |F1| + |F2| by
     eval_array on all scan_angles(degree) angles, then _paired_polish from
@@ -320,19 +334,6 @@ class TestScanMatchesHorner:
                 f = make_map(h, g)
                 self.assert_same(deficiency(f.h), deficiency(f.g))
 
-    @pytest.fixture
-    def polyval_points(self, monkeypatch):
-        """The point count of each np.polyval call."""
-        points = []
-        polyval = np.polyval
-
-        def counting(p, x):
-            points.append(np.size(x))
-            return polyval(p, x)
-
-        monkeypatch.setattr(np, "polyval", counting)
-        return points
-
     def test_nearly_flat_modulus(self, polyval_points):
         # |z^d + 1e-14 e^{2i} z^2| stays within 1e-14 of 1, inside the
         # transform's error bound: every grid angle is a candidate.
@@ -398,7 +399,9 @@ class TestOverflowingInput:
 class TestAnalyticMembership:
     def test_identity_is_member(self):
         for lam in (0.5, 1.0, 2.0):
-            rep = analytic_membership(AnalyticSeries((0, 1)), ClassParams(lam=lam))
+            F = AnalyticSeries((0, 1))
+            rep = harmonic_membership(HarmonicMap(F, ZERO),
+                                      ClassParams(lam=lam))
             assert rep.verdict is Verdict.MEMBER
             assert rep.measured_sup == 0.0
             assert rep.margin == lam
@@ -406,29 +409,33 @@ class TestAnalyticMembership:
     def test_cubic_showcase_boundary_sharp(self):
         for lam in (0.5, 1.0, 2.0):
             F = AnalyticSeries((0, 1, lam / 2, lam / 4))
-            rep = analytic_membership(F, ClassParams(lam=lam))
+            rep = harmonic_membership(HarmonicMap(F, ZERO),
+                                      ClassParams(lam=lam))
             assert rep.verdict is Verdict.BOUNDARY_SHARP
             assert rep.measured_sup == pytest.approx(lam, abs=1e-9)
 
     def test_quadratic_rejected_at_half(self):
-        rep = analytic_membership(AnalyticSeries((0, 1, 1)), ClassParams(lam=0.5))
+        rep = harmonic_membership(HarmonicMap(AnalyticSeries((0, 1, 1)), ZERO),
+                                  ClassParams(lam=0.5))
         assert rep.verdict is Verdict.NON_MEMBER
         assert rep.measured_sup == pytest.approx(1.0, abs=1e-9)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(NormalizationError):
-            analytic_membership(AnalyticSeries((0, 2)), ClassParams(lam=1.0))
+            harmonic_membership(HarmonicMap(AnalyticSeries((0, 2)), ZERO),
+                                ClassParams(lam=1.0))
 
     def test_monotone_in_level(self):
         F = AnalyticSeries((0, 1, 0.2, 0.1j))
-        rep1 = analytic_membership(F, ClassParams(lam=1.0))
-        rep2 = analytic_membership(F, ClassParams(lam=2.0))
+        rep1 = harmonic_membership(HarmonicMap(F, ZERO), ClassParams(lam=1.0))
+        rep2 = harmonic_membership(HarmonicMap(F, ZERO), ClassParams(lam=2.0))
         assert rep1.verdict is Verdict.MEMBER
         assert rep2.verdict is Verdict.MEMBER
         assert rep1.measured_sup == rep2.measured_sup
 
     def test_justification_recorded(self):
-        rep = analytic_membership(AnalyticSeries((0, 1)), ClassParams(lam=1.0))
+        f = HarmonicMap(AnalyticSeries((0, 1)), ZERO)
+        rep = harmonic_membership(f, ClassParams(lam=1.0))
         assert "maximum" in rep.justification or "boundary" in rep.justification
 
 
@@ -471,7 +478,8 @@ class TestHarmonicMembership:
             with pytest.raises(ParameterError, match="overflow"):
                 harmonic_membership(f, ClassParams(lam=1.0))
             with pytest.raises(ParameterError, match="overflow"):
-                analytic_membership(f.h, ClassParams(lam=1.0))
+                harmonic_membership(HarmonicMap(f.h, ZERO),
+                                    ClassParams(lam=1.0))
 
 
 class TestStableFamily:
@@ -556,10 +564,8 @@ class TestStableFamily:
         assert len(calls) == 1
 
     def test_harmonic_sup_matches_the_membership_scan(self):
-        # The sweep polishes |A| + |B| from its transform grid, membership
-        # from an eval_array grid; the same polish from the same cell gives
-        # the same sup, and a grid value kept over the polish differs only
-        # by the rounding of the two grids.
+        # The sweep and membership take |A| + |B| from the same transform,
+        # candidate Horner rule and polish.
         rng = np.random.default_rng(15)
         maps = []
         for _ in range(300):
@@ -576,6 +582,31 @@ class TestStableFamily:
             sup = stable_family_check(f, params).harmonic_sup
             ref = harmonic_membership(f, params).measured_sup
             assert abs(sup - ref) <= 1e-15 * max(1.0, ref)
+
+    def test_family_maximum_is_the_membership_sup_bit_for_bit(self):
+        # Both read the relation's one circle maximum: the same sup and
+        # witness angle, and the witness phase arg A - arg B there.  Real
+        # coefficients make |A| + |B| mirror-symmetric, so its peaks come
+        # in tied pairs t, 2 pi - t.
+        rng = np.random.default_rng(5)
+        maps = []
+        for _ in range(200):
+            k = np.arange(2, int(rng.integers(3, 40)) + 1)
+            maps.append(make_map(
+                (0, 1) + tuple(0.3 * rng.standard_normal(len(k)) / k**2),
+                (0, 0) + tuple(0.3 * rng.standard_normal(len(k)) / k**2)))
+        maps += [random_member(int(rng.integers(2, 80)), ClassParams(lam=1.0),
+                               rng) for _ in range(100)]
+        for f in maps:
+            params = ClassParams(lam=1.0)
+            rep = harmonic_membership(f, params)
+            family = stable_family_check(f, params, 64)
+            assert family.harmonic_sup.hex() == rep.measured_sup.hex()
+            z = cmath.exp(1j * rep.witness_angle)
+            a = eval_series(deficiency(f.h), z)
+            b = eval_series(deficiency(f.g), z)
+            phase = (cmath.phase(a) - cmath.phase(b)) % (2 * math.pi)
+            assert family.scan.witness_phase.hex() == phase.hex()
 
 
 class TestZetaFamilySweep:
@@ -662,25 +693,22 @@ class TestZetaFamilySweep:
             zeta_family_sup(deficiency(f.h), deficiency(f.g), 256)
             assert 0 < len(calls) <= 100
 
-    def test_rows_make_no_evaluation_beyond_the_paired_scan(self, monkeypatch):
-        # The family maximum and the rows are both read off the sweep's
-        # one FFT transform, so no eval_array grid is evaluated at all.
-        import harmcert.membership as membership
-
-        calls = []
-        original = membership.eval_array
-
-        def counting(F, zs):
-            calls.append(F)
-            return original(F, zs)
-
-        monkeypatch.setattr(membership, "eval_array", counting)
-        for degree in (3, 64):
+    def test_rows_make_no_evaluation_beyond_the_paired_scan(
+            self, polyval_points):
+        # The rows are read off the sweep's one FFT transform, so its only
+        # Horner evaluation is the paired scan's: one np.polyval over the
+        # candidate angles that paired_boundary_sup evaluates.
+        for degree in (3, 64, 256):
             f = random_member(degree, ClassParams(lam=1.0),
                               np.random.default_rng(degree))
-            calls.clear()
-            zeta_family_sup(deficiency(f.h), deficiency(f.g), 256)
-            assert len(calls) == 0
+            A, B = deficiency(f.h), deficiency(f.g)
+            polyval_points.clear()
+            paired_boundary_sup(A, B)
+            scan = list(polyval_points)
+            polyval_points.clear()
+            zeta_family_sup(A, B, 256)
+            assert polyval_points == scan
+            assert len(scan) == 1 and 1 <= scan[0] <= 8
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])

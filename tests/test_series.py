@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from horner import eval_array
 
 from harmcert.errors import ParameterError
 from harmcert.series import (
@@ -14,7 +15,6 @@ from harmcert.series import (
     default_grid,
     deficiency,
     derivative,
-    eval_array,
     eval_series,
     hadamard,
     linear_combination,
@@ -54,7 +54,7 @@ class TestConstruction:
 
     def test_zero_series(self):
         assert AnalyticSeries((0, 0, 0)).degree == 0
-        assert AnalyticSeries((0,)).is_zero()
+        assert AnalyticSeries((0,)).coeffs == (0j,)
 
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, complex(0, -math.inf)):
@@ -106,9 +106,18 @@ class TestEval:
             assert v == pytest.approx(eval_series(F, complex(z)), abs=1e-14)
 
 
+def on_ring(coeffs, r):
+    """The coefficients c_k r^k, whose circle values are those of the
+    series on the ring of radius r, along the first axis."""
+    coeffs = np.asarray(coeffs)
+    return coeffs * (r ** np.arange(len(coeffs))).reshape(
+        (-1,) + (1,) * (coeffs.ndim - 1))
+
+
 def assert_matches_horner(coeffs, got, r):
-    """circle_values output ``got`` against eval_array on the same grid,
-    within 1e-13 of sum |c_k| r^k, the largest the sum can be there."""
+    """circle_values(on_ring(coeffs, r)) output ``got`` against eval_array
+    on the ring's grid, within 1e-13 of sum |c_k| r^k, the largest the sum
+    can be there."""
     n = len(got)
     zs = r * np.exp(2j * math.pi * np.arange(n) / n)
     want = eval_array(AnalyticSeries(tuple(coeffs)), zs)
@@ -124,7 +133,8 @@ class TestCircleValues:
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(
             degree + 1)
         n = max(256, 64 * degree)
-        assert_matches_horner(coeffs, circle_values(coeffs, n, r), r)
+        assert_matches_horner(coeffs, circle_values(on_ring(coeffs, r), n),
+                              r)
 
     @pytest.mark.parametrize("r", [1.0, 0.7])
     def test_four_column_batch(self, r):
@@ -133,7 +143,7 @@ class TestCircleValues:
         rng = np.random.default_rng(4)
         coeffs = rng.standard_normal((33, 4)) + 1j * rng.standard_normal(
             (33, 4))
-        got = circle_values(coeffs, 2048, r)
+        got = circle_values(on_ring(coeffs, r), 2048)
         assert got.shape == (2048, 4)
         for j in range(4):
             assert_matches_horner(coeffs[:, j], got[:, j], r)
@@ -143,7 +153,8 @@ class TestCircleValues:
         # 601 coefficients on 512 points: z^k = z^(k mod 512) on the grid.
         rng = np.random.default_rng(600)
         coeffs = rng.standard_normal(601) + 1j * rng.standard_normal(601)
-        assert_matches_horner(coeffs, circle_values(coeffs, 512, r), r)
+        assert_matches_horner(coeffs,
+                              circle_values(on_ring(coeffs, r), 512), r)
 
 
 class TestDerivative:
@@ -174,7 +185,7 @@ class TestDerivative:
 
 class TestDeficiency:
     def test_linear_term_annihilated(self):
-        assert deficiency(AnalyticSeries((0, 1))).is_zero()
+        assert deficiency(AnalyticSeries((0, 1))).coeffs == (0j,)
 
     def test_quadratic(self):
         assert deficiency(AnalyticSeries((0, 1, 1))).coeffs == (0j, 0j, -1 + 0j)
@@ -307,9 +318,14 @@ class TestEvalGrid:
         grid = default_grid()
         assert np.all(np.abs(grid.points()) < 1.0)
 
-    def test_grid_shape_is_keyword_only(self):
-        with pytest.raises(TypeError):
-            default_grid(6)
+    def test_grid_shape_is_fixed(self):
+        grid = default_grid()
+        assert grid.radii == tuple((k + 1) * 0.12 for k in range(8))
+        assert grid.angles_per_ring == 128
+        for args, kwargs in (((6,), {}), ((), {"rings": 6}),
+                             ((), {"angles_per_ring": 64})):
+            with pytest.raises(TypeError):
+                default_grid(*args, **kwargs)
 
     def test_rejects_radius_one(self):
         with pytest.raises(ParameterError):
