@@ -241,8 +241,9 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     each ring's grid values of p, q, u and v come from one 4-column
     circle_values transform.  Where a first-order bound proves the ring
     positive, ``ring(r)`` returns the grid minimum; every other positive
-    grid minimum is polished by _polish_argmax on the negated objective,
-    each point of it one power-matrix product of the four series.  With
+    grid minimum is polished by _polish_argmax (Brent's method, about 14
+    points) on the negated objective, each point of it one power-matrix
+    product of the four series.  With
     P_k = |p_k| + |q_k|, U_k = |u_k| + |v_k| and Sm(X) = sum k^m X_k r^k,
     N = alpha - |gamma| (_ring_numerator) has |N'(theta)| <= B1 =
     S1(U) S0(P) + S0(U) S1(P), as |j - k| <= j + k in each of its four
@@ -515,11 +516,14 @@ def _differential_test(h: AnalyticSeries, g: AnalyticSeries,
                        params: ClassParams, image,
                        threshold: float) -> DifferentialTestResult:
     """Boundary sup of |image(h)| + |image(g)|, which is the family sup of
-    |image(h) + zeta image(g)| over unimodular zeta, against ``threshold``,
-    up to ``sup_tolerance``, relative once the threshold passes 1."""
+    |image(h) + zeta image(g)| over unimodular zeta, against ``threshold``
+    with no slack: the test is sufficient, so a sup above the threshold,
+    however slightly, proves nothing and fails.  The sharp quadratic
+    z + lam z^2 reads its threshold exactly and passes; a rotated one
+    whose measured sup rounds above the threshold fails."""
     f = HarmonicMap(h=h, g=g)
     measured, _ = paired_boundary_sup(image(h), image(g))
-    passes = measured <= threshold + params.sup_tolerance * max(1.0, threshold)
+    passes = measured <= threshold
     rep = harmonic_membership(f, params)
     if passes and rep.verdict is Verdict.NON_MEMBER:
         raise ConsistencyError(
@@ -535,8 +539,10 @@ def second_derivative_test(h: AnalyticSeries, g: AnalyticSeries,
                            params: ClassParams) -> DifferentialTestResult:
     """Sufficient test: family supremum of |h'' + zeta g''| at most 2 lam.
 
-    Passing implies membership; the threshold is attained by the quadratic
-    member with top coefficient lam, so no smaller constant works.
+    Passing implies membership, so it passes only when the measured
+    supremum is at most 2 lam, with no tolerance; the threshold is
+    attained by the quadratic member with top coefficient lam, so no
+    smaller constant works, and that member passes exactly at it.
     """
     return _differential_test(h, g, params, _second_derivative,
                               2.0 * params.lam)
@@ -544,7 +550,9 @@ def second_derivative_test(h: AnalyticSeries, g: AnalyticSeries,
 
 def euler_operator_test(h: AnalyticSeries, g: AnalyticSeries,
                         params: ClassParams) -> DifferentialTestResult:
-    """Sufficient test via z^2 F'' + z F' - F, threshold 3 lam, same contract."""
+    """Sufficient test via z^2 F'' + z F' - F, threshold 3 lam, same
+    contract: it passes only when the measured supremum is at most 3 lam,
+    with no tolerance."""
     return _differential_test(h, g, params, _euler_image, 3.0 * params.lam)
 
 

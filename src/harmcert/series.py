@@ -102,9 +102,12 @@ def circle_values(coeffs, n: int) -> np.ndarray:
 
     One inverse FFT of the coefficients, unnormalized
     (``norm="forward"``), so O(n log n) against Horner's O(n d).  An N-D
-    ``coeffs`` is transformed along its first axis, once per column.  With
-    more coefficients than points, the coefficients of equal index modulo
-    n are summed first: the n-th roots of unity repeat with period n.  A
+    ``coeffs`` is transformed along its first axis, once per column: its
+    axes are reversed and copied, so that each column is one contiguous
+    row (pocketfft's strided path is slower), and the values come back as
+    a view with the axes reversed again, angles first.  With more
+    coefficients than points, the coefficients of equal index modulo n
+    are summed first: the n-th roots of unity repeat with period n.  A
     ring of radius r is the circle of the coefficients c_k r^k, which the
     callers scale themselves.
     """
@@ -112,7 +115,7 @@ def circle_values(coeffs, n: int) -> np.ndarray:
     if len(c) > n:
         c = np.concatenate([c, np.zeros((-len(c) % n,) + c.shape[1:])])
         c = c.reshape((-1, n) + c.shape[1:]).sum(axis=0)
-    return np.fft.ifft(c, n, axis=0, norm="forward")
+    return np.fft.ifft(np.ascontiguousarray(c.T), n, norm="forward").T
 
 
 def circle_values_error(n: int) -> float:

@@ -665,6 +665,27 @@ class TestSecondDerivativeTest:
         )
         assert out.passes and out.measured_max == 0.0
 
+    def test_no_slack_above_the_threshold(self):
+        # |h''| = 2.000000001 > 2 lam: a sufficient test proves nothing
+        # there, though the map is BoundarySharp within the verdict band.
+        h = AnalyticSeries((0, 1, 1 + 5e-10))
+        for runner, threshold in ((second_derivative_test, 2.0),
+                                  (euler_operator_test, 3.0)):
+            out = runner(h, AnalyticSeries((0,)), ClassParams(lam=1.0))
+            assert out.measured_max > threshold
+            assert not out.passes
+            assert out.membership.verdict is Verdict.BOUNDARY_SHARP
+
+    @pytest.mark.parametrize("lam", [1e-7, 0.3, 1.0, 2.5, 1e150])
+    def test_sharp_quadratic_passes_at_the_threshold(self, lam):
+        # z + lam z^2 reads its threshold exactly, with no tolerance.
+        for runner, threshold in ((second_derivative_test, 2.0 * lam),
+                                  (euler_operator_test, 3.0 * lam)):
+            out = runner(AnalyticSeries((0, 1, lam)), AnalyticSeries((0,)),
+                         ClassParams(lam=lam))
+            assert out.measured_max == threshold
+            assert out.passes
+
     def test_cubic_fails_test_and_membership(self):
         out = second_derivative_test(
             AnalyticSeries((0, 1, 0, 1.0)), AnalyticSeries((0,)),
@@ -708,9 +729,9 @@ class TestEulerOperatorTest:
 @pytest.mark.parametrize("eta", [1.0, complex(math.cos(0.7), math.sin(0.7))],
                          ids=["eta=1", "eta=exp(0.7i)"])
 def test_differential_tests_pass_sharp_quadratic_at_large_lam(lam, eta):
-    # f3 = z + lam eta z^2 meets both thresholds with equality; its
-    # measured maximum is a rounding or two above them, which the relative
-    # tolerance must absorb at every lam.
+    # f3 = z + lam eta z^2 meets both thresholds with equality, and at
+    # these lam its measured maximum reads them exactly: the tests take no
+    # tolerance, so a rounding above them would fail.
     f = make_example(CatalogParams(name="f3", lam=lam, eta=eta))
     params = ClassParams(lam=lam)
     for runner, threshold in ((second_derivative_test, 2.0 * lam),

@@ -19,9 +19,11 @@ from harmcert.geometry import (
     harmonic_radius_certify,
 )
 from harmcert.membership import (
+    _POLISH_WIDTH,
     ClassParams,
     HarmonicMap,
     Verdict,
+    _polish_argmax,
     coefficient_bounds_audit,
     coefficient_sufficient,
     harmonic_membership,
@@ -33,6 +35,8 @@ from harmcert.membership import (
 from harmcert.series import (
     ZERO,
     AnalyticSeries,
+    circle_values,
+    coefficient_columns,
     deficiency,
     eval_series,
     linear_combination,
@@ -356,6 +360,81 @@ class TestScanMatchesHorner:
             assert len(polyval_points) == 1 and 1 <= polyval_points[0] <= 8
 
 
+def counted(fn):
+    """fn and the list of the angles it is called at."""
+    angles = []
+
+    def at(t):
+        angles.append(t)
+        return fn(t)
+
+    return at, angles
+
+
+class TestPolish:
+    """_polish_argmax's contract: Brent's method over [t0 - step, t0 + step]
+    from the grid point (t0, v0), down to a bracket _POLISH_WIDTH wide,
+    returning a strictly larger value and its angle, else (v0, t0)."""
+
+    def test_smooth_peaks_in_few_evaluations(self):
+        # -sin^2(w (t - s)) (1 + c sin(t - s)) peaks at s with value 0, so
+        # its values resolve s far below the stop width.
+        rng = np.random.default_rng(28)
+        for _ in range(500):
+            step = 2 * math.pi / int(rng.choice([256, 1024, 16384, 65536]))
+            s = rng.uniform(0.1, 6.1)
+            t0 = s + rng.uniform(-0.99, 0.99) * step
+            w, c = rng.uniform(1.0, 20.0), rng.uniform(-0.5, 0.5)
+
+            def fn(t):
+                return -math.sin(w * (t - s)) ** 2 * (1 + c * math.sin(t - s))
+
+            at, angles = counted(fn)
+            v, x = _polish_argmax(at, t0, fn(t0), step)
+            assert len(angles) <= 20
+            assert all(abs(t - t0) < step for t in angles)
+            # The points next to x on either side span at most the width.
+            seen = angles + [t0 - step, t0, t0 + step]
+            right = min(t for t in seen if t > x)
+            left = max(t for t in seen if t < x)
+            assert right - left <= _POLISH_WIDTH
+            assert abs(x - s) <= _POLISH_WIDTH
+            assert v >= fn(t0)
+
+    def test_grid_point_is_kept_without_a_larger_value(self):
+        # A peak at t0 itself: nothing beats v0, so t0 comes back exactly.
+        at, angles = counted(lambda t: -(t - 1.0) ** 2)
+        assert _polish_argmax(at, 1.0, 0.0, 0.01) == (0.0, 1.0)
+        assert 1.0 not in angles
+
+    def test_angle_wraps_into_the_circle(self):
+        # The peak at -1e-3 comes back as 2 pi - 1e-3.
+        def fn(t):
+            return -math.sin(t + 1e-3) ** 2
+
+        v, x = _polish_argmax(fn, 0.0, fn(0.0), 0.01)
+        assert abs(x - (2 * math.pi - 1e-3)) <= _POLISH_WIDTH
+        assert v > fn(0.0)
+
+    @pytest.mark.parametrize("v0", [1.0, math.inf])
+    @pytest.mark.parametrize("value", [1.0, math.inf, math.nan, "mixed"])
+    def test_flat_and_non_finite_objectives_terminate(self, value, v0):
+        # Golden section alone would take about 37 steps; no parabola is
+        # taken through equal, infinite or NaN values.
+        def fn(t):
+            if value == "mixed":
+                return math.nan if t < 2.0 else 1.0 + (t - 2.0) ** 2
+            return value
+
+        at, angles = counted(fn)
+        v, x = _polish_argmax(at, 2.0, v0, 0.02)
+        assert len(angles) <= 60
+        assert v >= v0
+        if not fn(2.01) > v0:
+            # No value beats the grid point's: it comes back unchanged.
+            assert (v, x) == (v0, 2.0)
+
+
 class TestOverflowingInput:
     """Input whose circle maximum overflows a double gets ParameterError
     from every public entry point, never a bare OverflowError."""
@@ -673,8 +752,84 @@ class TestZetaFamilySweep:
             assert sup - np.max(scan.sups) > 1e-3
             assert abs(scan.max_sup - sup) <= 1e-14 * sup
 
+    @staticmethod
+    def unpruned_rows(A, B, zeta_samples):
+        """Every row's grid argmax from the rank-3 product on all
+        scan_angles(degree) angles, in blocks of about 2**16 values, and
+        its |va + zeta vb| there: the sweep's rows with no angle pruned."""
+        cols = coefficient_columns(A, B)
+        n = scan_angles(len(cols) - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = circle_values(cols, n)
+        va, vb = np.ascontiguousarray(vals.T)
+        phases = 2 * math.pi * np.arange(zeta_samples) / zeta_samples
+        s = float(np.max(np.abs(vals))) or 1.0
+        a, b = va / s, vb / s
+        w = b * np.conj(a)
+        quad = np.stack([a.real**2 + a.imag**2 + b.real**2 + b.imag**2,
+                         2.0 * w.real, -2.0 * w.imag])
+        trig = np.stack([np.ones(zeta_samples), np.cos(phases),
+                         np.sin(phases)], axis=1)
+        rows = max(1, 2**16 // n)
+        ks = np.concatenate([np.argmax(trig[r:r + rows] @ quad, axis=1)
+                             for r in range(0, zeta_samples, rows)])
+        return phases, np.abs(va[ks] + np.exp(1j * phases) * vb[ks])
+
+    def assert_rows_unpruned(self, A, B, zeta_samples=256):
+        scan = zeta_family_sup(A, B, zeta_samples)
+        phases, sups = self.unpruned_rows(A, B, zeta_samples)
+        assert [x.hex() for x in scan.phases] == [x.hex() for x in phases]
+        assert [x.hex() for x in scan.sups] == [x.hex() for x in sups]
+
+    def test_pruned_rows_match_the_full_product(self):
+        # Random members from degree 2 to 1024 and the same maps with one
+        # coefficient bumped past lam / (n - 1), as non-members.
+        rng = np.random.default_rng(28)
+        for i, degree in enumerate((2, 3, 5, 9, 17, 33, 64, 100, 257, 1024)):
+            f = random_member(degree, ClassParams(lam=1.0), rng)
+            A, B = deficiency(f.h), deficiency(f.g)
+            samples = (8, 64, 256)[i % 3]
+            self.assert_rows_unpruned(A, B, samples)
+            n = int(rng.integers(2, degree + 1))
+            bumped = list(f.h.coeffs)
+            phase = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            bumped[n] = 1.3 * phase / (n - 1)
+            self.assert_rows_unpruned(deficiency(AnalyticSeries(bumped)), B,
+                                      samples)
+
+    def test_flat_modulus_keeps_every_angle(self):
+        # One dominant monomial: |A| + |B| is flat within the pruning
+        # margin, so every angle stays, and each row's argmax is a tie at
+        # the rounding level that must resolve to the same first index.
+        for d in (3, 9, 40):
+            A = AnalyticSeries((0, 0, 1e-16 * cmath.exp(2j)) + (0,) * (d - 3)
+                               + (1,))
+            for B in (ZERO, AnalyticSeries((0, 0, 1e-17j)),
+                      AnalyticSeries((0,) * d + (0.5,))):
+                self.assert_rows_unpruned(A, B)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_pruned_rows_at_extreme_scales(self, scale):
+        rng = np.random.default_rng(201)
+        for degree in (2, 5, 12, 40, 130):
+            f = random_member(degree, ClassParams(lam=1.0), rng)
+            self.assert_rows_unpruned(scaled(deficiency(f.h), scale),
+                                      scaled(deficiency(f.g), scale))
+
+    def test_pruned_rows_with_mirror_tied_peaks(self):
+        # Real coefficients make |A + zeta B| at zeta and conj(zeta) mirror
+        # images, so the rows' peaks come in tied pairs t, 2 pi - t.
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            k = np.arange(2, int(rng.integers(3, 60)) + 1)
+            f = make_map(
+                (0, 1) + tuple(0.3 * rng.standard_normal(len(k)) / k**2),
+                (0, 0) + tuple(0.3 * rng.standard_normal(len(k)) / k**2))
+            self.assert_rows_unpruned(deficiency(f.h), deficiency(f.g))
+
     def test_family_max_makes_one_scalar_polish(self, monkeypatch):
-        # The paired sup's single-cell polish, about 40 points with two
+        # The paired sup's single-cell polish, about 15 points with two
         # evaluations each, plus the witness phase's two.
         import harmcert.membership as membership
 
@@ -691,7 +846,7 @@ class TestZetaFamilySweep:
                               np.random.default_rng(degree))
             calls.clear()
             zeta_family_sup(deficiency(f.h), deficiency(f.g), 256)
-            assert 0 < len(calls) <= 100
+            assert 0 < len(calls) <= 40
 
     def test_rows_make_no_evaluation_beyond_the_paired_scan(
             self, polyval_points):
