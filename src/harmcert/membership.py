@@ -15,6 +15,7 @@ misclassifying them through a naive strict comparison.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,9 +43,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_SUBNORMAL = 2.0**-1074
 # Every polish over a circle angle stops once its bracket is this narrow.
 _POLISH_WIDTH = 1e-9
-# The zeta sweep's pruning margin, 64 u: it covers the rounding of a row
+# The zeta sweep's pruning margin, 256 u: it covers the rounding of a row
 # value, of its bound and of a probe value (see zeta_family_sup).
-_ROW_MARGIN = 2.0**-47
+_ROW_MARGIN = 2.0**-45
 
 _JUSTIFICATION = (
     "sum of moduli of two deficiency images vanishing at the origin (the "
@@ -278,22 +279,21 @@ def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
     cols = coefficient_columns(F1, F2)
     with np.errstate(over="ignore", invalid="ignore"):
         mods = np.abs(circle_values(cols, scan_angles(len(cols) - 1)))
-        return _transform_sup(F1, F2, cols, mods, top)
+        return _transform_sup(F1, F2, cols, mods[:, 0] + mods[:, 1], top)
 
 
 def _transform_sup(F1: AnalyticSeries, F2: AnalyticSeries, cols: np.ndarray,
-                   mods: np.ndarray, top: float) -> tuple[float, float]:
+                   grid: np.ndarray, top: float) -> tuple[float, float]:
     """paired_boundary_sup below its z = 1 exit: the candidate Horner
-    rule and the polish, from ``mods``, the moduli of the 2-column
-    transform of ``cols`` (= coefficient_columns(F1, F2)) on
-    n = scan_angles(degree) angles, with ``top`` from _sup_at_one.  The
+    rule and the polish, from ``grid``, the sums |F1| + |F2| of the moduli
+    of the 2-column transform of ``cols`` (= coefficient_columns(F1, F2))
+    on n = scan_angles(degree) angles, with ``top`` from _sup_at_one.  The
     zeta sweep passes the transform it reads its sections from, so its
     family maximum is this one bit for bit.  Callers ignore overflow."""
-    n, d = len(mods), len(cols) - 1
+    n, d = len(grid), len(cols) - 1
     step = _TWO_PI / n
     err = ((circle_values_error(n) + 32 * (d + 1) * _UNIT_ROUNDOFF) * top
            + 16 * (n + d) * _SMALLEST_SUBNORMAL)
-    grid = mods[:, 0] + mods[:, 1]
     floor = float(grid.max()) - 2.0 * err
     if math.isfinite(floor) and math.isfinite(2.0 * top):
         idx = (grid >= floor).nonzero()[0]
@@ -350,6 +350,22 @@ class ZetaFamilyScan:
     witness_phase: float
 
 
+@functools.lru_cache(maxsize=1)
+def _zeta_rows(zeta_samples: int) -> tuple[np.ndarray, np.ndarray,
+                                           np.ndarray]:
+    """The sweep's phases 2 pi k / m, k < m = zeta_samples, their zetas
+    e^{i phase} and the rows [1, cos, sin] of its rank-3 product: the same
+    for every map, so read-only and cached for the last count, which
+    keeps at most one set of rows alive."""
+    phases = _TWO_PI * np.arange(zeta_samples) / zeta_samples
+    zetas = np.exp(1j * phases)
+    trig = np.stack([np.ones(zeta_samples), np.cos(phases), np.sin(phases)],
+                    axis=1)
+    for rows in (phases, zetas, trig):
+        rows.flags.writeable = False
+    return phases, zetas, trig
+
+
 def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
                     ) -> ZetaFamilyScan:
     """Max over unimodular zeta of the boundary sup of A + zeta B.
@@ -377,28 +393,33 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
 
         sups[k] <= sup |A + zeta_k B| <= sups[k] + M2 pi^2 / (2 n^2).
 
-    The product reads only the angles that can be some row's argmax.
-    With a, b the values scaled by their largest modulus, row k at angle j
-    is |a_j + zeta_k b_j|^2 <= (|a_j| + |b_j|)^2, which is
-    quad[0] + hypot(quad[1], quad[2]), the angle's bound; and each row's
-    maximum is at least its maximum over every 16th angle, the probe, so
-    at least L, the least probe maximum over the rows.  Every row value
-    and bound is at most 4, as |a|, |b| <= 1.  A computed row value lies
-    within 13 u (u = 2^-53) of its exact value, which exceeds the exact
-    bound by at most 4 u through the rounded cos and sin, and a computed
-    bound lies within 8 u of the exact one; so a row's computed value at
-    an angle is at most that angle's bound plus 25 u, and its computed
-    maximum is at least its probe maximum less 26 u.  An angle whose
-    bound lies below L - 51 u is therefore no row's argmax, and the
-    margin _ROW_MARGIN = 64 u covers that with room for underflow.  A NaN
-    bound, or a NaN L, drops nothing.  The kept angles stay in increasing
-    order, so the first-index tie rule of np.argmax picks the same angle
-    as on the whole grid: ``sups`` are the whole grid's bit for bit, which
-    the tests check against the unpruned product.  From degree 64 on, at
-    most about 15 % of the angles stay.  The probe, like the product, runs
-    in blocks of about 2**16 values.  On the smallest grid, n = 256, no
-    angle is dropped: there the probe costs more than the whole product,
-    about 35 us at 256 samples.
+    The product reads only the angles that can be some row's argmax, and
+    builds its rank-3 terms at those angles alone.  With s the largest
+    modulus of va and vb and a, b = va / s, vb / s, row k at angle j is
+    |a_j + zeta_k b_j|^2 <= (|a_j| + |b_j|)^2, and its bound there is
+    ((|va_j| + |vb_j|) / s)^2, read from the moduli the candidate rule
+    already holds.  Each row's maximum is at least its maximum over every
+    16th angle, the probe, so at least L, the least probe maximum over
+    the rows.  Every row value and bound is at most 4, as |a|, |b| <= 1,
+    and u = 2^-53.  A computed row value exceeds the exact bound by at
+    most 49 u: 16 u from rounding a and b (numpy divides by s through its
+    reciprocal, two roundings), 4 u from the rounded cos and sin, 29 u
+    from the rank-3 terms and their dot product.  A computed bound lies
+    at most 36 u below the exact one: the two moduli (hypot, within an
+    ulp each), their sum, the quotient and the square, 9 u relative.
+    The probe and the product take the same dot products in different
+    BLAS calls, so a row's computed maximum is at least L - 58 u.  An
+    angle whose computed bound lies below L - 143 u is therefore no row's
+    argmax, and the margin _ROW_MARGIN = 256 u covers that with room for
+    underflow.  A NaN bound, or a NaN L, drops nothing.  The kept angles
+    stay in increasing order, so the first-index tie rule of np.argmax
+    picks the same angle as on the whole grid: ``sups`` are the whole
+    grid's bit for bit, which the tests check against the unpruned
+    product.  About 9-17 % of the angles stay at degree 64, under 5 % from
+    degree 128 on.  The probe, like the product, runs in blocks of about
+    2**14 values.  On the smallest grid, n = 256, no angle is dropped:
+    there the probe costs more than the whole product, about 35 us at 256
+    samples.
     """
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
@@ -408,38 +429,43 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
     with np.errstate(over="ignore", invalid="ignore"):
         vals = circle_values(cols, n)
         mods = np.abs(vals)
-        max_sup, angle = decided or _transform_sup(A, B, cols, mods, top)
+        grid = mods[:, 0] + mods[:, 1]
+        max_sup, angle = decided or _transform_sup(A, B, cols, grid, top)
     if not math.isfinite(max_sup):
         raise ParameterError("boundary values overflow")
-    va, vb = np.ascontiguousarray(vals.T)
-    phases = _TWO_PI * np.arange(zeta_samples) / zeta_samples
-    zetas = np.exp(1j * phases)
-    # |a + e^{i phi} b|^2 = |a|^2 + |b|^2 + 2 Re(e^{i phi} b conj(a)): each
-    # zeta row's grid argmax is that of a real rank-3 product, taken in
-    # blocks of about 2**16 grid values.  Scaling by the largest modulus
-    # keeps the squares finite wherever the moduli are.
+    va, vb = vals[:, 0], vals[:, 1]
+    phases, zetas, trig = _zeta_rows(zeta_samples)
+    # Scaling by the largest modulus keeps the squares finite wherever the
+    # moduli are.
     s = float(np.max(mods)) or 1.0
-    a, b = va / s, vb / s
-    w = b * np.conj(a)
-    quad = np.stack([a.real**2 + a.imag**2 + b.real**2 + b.imag**2,
-                     2.0 * w.real, -2.0 * w.imag])
-    trig = np.stack([np.ones(zeta_samples), np.cos(phases), np.sin(phases)],
-                    axis=1)
 
-    def row_blocks(grid, reduce):
-        rows = max(1, 2**16 // grid.shape[1])
-        return np.concatenate([reduce(trig[r:r + rows] @ grid, axis=1)
+    def row_blocks(js, reduce):
+        # |a + e^{i phi} b|^2 = |a|^2 + |b|^2 + 2 Re(e^{i phi} b conj(a)) at
+        # the angles js: each zeta row's reduction over them is that of a
+        # real rank-3 product.  The explicit np.multiply fixes the operand
+        # order of the rounded complex product, which an operator may swap
+        # on a large temporary.  Blocks of about 2**14 values stay small
+        # enough to reuse freed memory rather than map fresh pages; each
+        # has two rows at least, as a one-row product takes numpy's
+        # matrix-vector path, which rounds differently.
+        a, b = va[js] / s, vb[js] / s
+        w = np.multiply(b, np.conj(a))
+        quad = np.stack([a.real**2 + a.imag**2 + b.real**2 + b.imag**2,
+                         2.0 * w.real, -2.0 * w.imag])
+        rows = max(2, 2**14 // quad.shape[1])
+        return np.concatenate([reduce(trig[r:r + rows] @ quad, axis=1)
                                for r in range(0, zeta_samples, rows)])
 
-    keep = np.arange(n)
     if n > 256:
         # Only angles that can be some row's argmax enter the product: see
         # the docstring for the bound, the probe and the margin.
-        probe = np.ascontiguousarray(quad[:, ::16])
-        least = np.min(row_blocks(probe, np.max))
-        bound = quad[0] + np.hypot(quad[1], quad[2])
-        keep = keep[~(bound < least - _ROW_MARGIN)]
-    ks = keep[row_blocks(quad[:, keep], np.argmax)]
+        least = np.min(row_blocks(slice(None, None, 16), np.max))
+        bound = grid / s
+        bound *= bound
+        keep = (~(bound < least - _ROW_MARGIN)).nonzero()[0]
+        ks = keep[row_blocks(keep, np.argmax)]
+    else:
+        ks = row_blocks(slice(None), np.argmax)
     sups = np.abs(va[ks] + zetas * vb[ks])
 
     z = cmath.exp(1j * angle)
@@ -447,7 +473,8 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
         a, b = eval_series(A, z), eval_series(B, z)
     witness = (cmath.phase(a) - cmath.phase(b)) % _TWO_PI
     return ZetaFamilyScan(
-        phases=phases, sups=sups, max_sup=max_sup, witness_phase=witness
+        phases=phases.copy(), sups=sups, max_sup=max_sup,
+        witness_phase=witness
     )
 
 

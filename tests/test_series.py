@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import math
 
@@ -18,6 +19,7 @@ from harmcert.series import (
     eval_series,
     hadamard,
     linear_combination,
+    scan_angles,
 )
 
 
@@ -125,14 +127,42 @@ def assert_matches_horner(coeffs, got, r):
     assert np.max(np.abs(got - want)) <= 1e-13 * mass
 
 
+def smooth_numbers(limit):
+    """Every integer in [1, limit] whose prime factors are all at most 11,
+    sorted: an independent enumeration, one prime at a time."""
+    out = [1]
+    for q in (2, 3, 5, 7, 11):
+        out = [m * q**k for m in out
+               for k in range(int(math.log(limit / m, q) + 1e-9) + 1)]
+    return sorted(out)
+
+
+class TestScanAngles:
+    def test_least_eleven_smooth_length_past_the_floor(self):
+        # Degrees up to 5000: the least integer >= max(256, 64 d) with no
+        # prime factor above 11, never more than 1.5 % above that floor.
+        smooth = smooth_numbers(2 * 64 * 5000)
+        for d in range(5001):
+            floor = max(256, 64 * d)
+            n = scan_angles(d)
+            assert n == smooth[bisect.bisect_left(smooth, floor)], d
+            assert n <= 1.015 * floor, d
+
+    def test_large_prime_factors_move(self):
+        # 64 d has a prime factor above 11 here (127, 127, 257, 509 and
+        # 16381), but not at d = 256.
+        assert [scan_angles(d) for d in (127, 254, 256, 257, 509, 16381)] == [
+            8192, 16335, 16384, 16464, 32670, 1048576]
+
+
 class TestCircleValues:
-    @pytest.mark.parametrize("degree", [0, 3, 64, 300])
+    @pytest.mark.parametrize("degree", [0, 3, 64, 257, 300, 509])
     @pytest.mark.parametrize("r", [1.0, 0.7, 2.0**-30])
     def test_matches_horner_on_the_grid(self, degree, r):
         rng = np.random.default_rng(degree)
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(
             degree + 1)
-        n = max(256, 64 * degree)
+        n = scan_angles(degree)
         assert_matches_horner(coeffs, circle_values(on_ring(coeffs, r), n),
                               r)
 
