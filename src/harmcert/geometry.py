@@ -25,6 +25,7 @@ from .membership import (
     HarmonicMap,
     MembershipReport,
     Verdict,
+    _UNIT_ROUNDOFF,
     _polish_argmax,
     coefficient_sufficient,
     harmonic_membership,
@@ -241,9 +242,10 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     each ring's grid values of p, q, u and v come from one 4-column
     circle_values transform.  Where a first-order bound proves the ring
     positive, ``ring(r)`` returns the grid minimum; every other positive
-    grid minimum is polished by _polish_argmax (Brent's method, about 14
-    points) on the negated objective, each point of it one power-matrix
-    product of the four series.  With
+    grid minimum is polished by _polish_argmax (Brent's method, about 7
+    points, down to the objective's rounding error, below) on the negated
+    objective, each point of it one power-matrix product of the four
+    series.  With
     P_k = |p_k| + |q_k|, U_k = |u_k| + |v_k| and Sm(X) = sum k^m X_k r^k,
     N = alpha - |gamma| (_ring_numerator) has |N'(theta)| <= B1 =
     S1(U) S0(P) + S0(U) S1(P), as |j - k| <= j + k in each of its four
@@ -272,6 +274,24 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     terms the powers no longer carry, as for the quadratic term at a
     starlike radius near 1/(2 lam) from lam = 1e155 on.  High powers that
     underflow next to a much larger low-order term cost nothing.
+
+    The polish stops at err, a bound on the rounding error of one
+    objective value from the same sums, to first order in u (Higham,
+    ch. 3).  A polish point t is one row e^{i t k} r^k times the
+    coefficients: t k rounds once, at most 2 pi (1 + 1/n) k u, and exp and
+    the product by r^k add about 3 u, so each term is off by (7 k + 3) u
+    of its modulus at most, and the complex dot product of d + 1 terms
+    adds (d + 3) u of the sum of their moduli.  So p and q together are
+    off by at most eP = (7 S1(P) + (d + 6) S0(P)) u + lost_p, and u and v
+    by eU = (7 S1(U) + (d + 6) S0(U)) u + lost_u.  With W = |p| + |q| and
+    V = |u| + |v| at t, N is off by at most 2 (eU W + V eP) + 8 u V W, W
+    by eP + 2 u W, and |N| <= 2 V W, so N / W^2 is off by at most
+    ((2 eU + 22 u V) W + 6 V eP) / W^2.  Within the bracket, one cell
+    either side of the grid angle, W is at least its grid value less
+    step S1(P) and V at most its grid value plus step S1(U), as
+    |dW/dtheta| <= S1(P) and |dV/dtheta| <= S1(U); err takes those
+    bounds, and is 0, the fixed-width stop, when the first is not
+    positive.
     """
     if kind is RadiusKind.STARLIKE:
         p, q, offset, zeros = a, b, 0.0, 1
@@ -293,6 +313,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     step = _TWO_PI / angles
     eps = circle_values_error(angles)
     tiny = np.finfo(float).tiny
+    degree = len(powers) - 1
 
     def ring(r: float) -> tuple[float, float]:
         raw = r ** powers
@@ -345,8 +366,19 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
             return -_ring_objective(
                 *((np.exp(1j * t * powers) * rk) @ coeffs).tolist())
 
+        # The objective's rounding error at any polish point, from the
+        # bounds on |p| + |q| and |u| + |v| over the bracket (see the
+        # docstring).
+        w_lo = float(abs(vals[0, k]) + abs(vals[1, k])) - step * s1p
+        err = 0.0
+        if w_lo > 0.0:
+            v_hi = float(abs(vals[2, k]) + abs(vals[3, k])) + step * s1u
+            ep = _UNIT_ROUNDOFF * (7.0 * s1p + (degree + 6) * s0p) + lost_p
+            eu = _UNIT_ROUNDOFF * (7.0 * s1u + (degree + 6) * s0u) + lost_u
+            err = (((2.0 * eu + 22.0 * _UNIT_ROUNDOFF * v_hi) * w_lo
+                    + 6.0 * v_hi * ep) / (w_lo * w_lo))
         least, angle = _polish_argmax(at, float(thetas[k]), -float(grid[k]),
-                                      step)
+                                      step, err)
         return -least, angle
 
     return ring

@@ -41,7 +41,8 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 _UNIT_ROUNDOFF = 2.0**-53
 # The smallest positive (subnormal) double.
 _SMALLEST_SUBNORMAL = 2.0**-1074
-# Every polish over a circle angle stops once its bracket is this narrow.
+# Every polish over a circle angle stops once its bracket is this narrow,
+# or earlier where the objective's rounding error hides what lies inside.
 _POLISH_WIDTH = 1e-9
 # The zeta sweep's pruning margin, 256 u: it covers the rounding of a row
 # value, of its bound and of a probe value (see zeta_family_sup).
@@ -117,11 +118,12 @@ class MembershipReport:
     justification: str
 
 
-def _polish_argmax(fn, t0: float, v0: float, step: float
+def _polish_argmax(fn, t0: float, v0: float, step: float, err: float = 0.0
                    ) -> tuple[float, float]:
     """Brent's polish of ``fn(t)``, a scalar objective of the angle, over
     the two grid cells of width ``step`` around the grid argmax ``t0``,
-    whose grid value is ``v0``: the only one-dimensional search.
+    whose grid value is ``v0``: the only one-dimensional search.  ``err``
+    is the caller's bound on the rounding error of one value of ``fn``.
 
     Brent's method (Algorithms for Minimization without Derivatives, 1973,
     ch. 5), turned to a maximum: it starts at x = t0 with value v0, which
@@ -129,22 +131,42 @@ def _polish_argmax(fn, t0: float, v0: float, step: float
     best point so far.  Each step tries the vertex of the parabola through
     the three best points, and takes it only when it is finite, lies
     inside the bracket and moves less than half the step before last; else
-    it takes a golden-section step into the larger side.  No step is
-    shorter than _POLISH_WIDTH / 4, and the search stops once a and b both
-    lie within _POLISH_WIDTH / 2 of x, so the bracket is at most
-    _POLISH_WIDTH wide.  On a smooth peak the parabolic steps converge
-    superlinearly: about 14 evaluations where golden section alone takes
-    about 37.  A point replaces x only when its value is strictly larger,
-    so a flat or NaN objective only shrinks the bracket around t0.
-    Callers pass the first argmax, and ties keep the earlier point, so
-    they resolve to the smallest angle.
+    it takes a golden-section step into the larger side.  A point replaces
+    x only when its value is strictly larger, so a flat or NaN objective
+    only shrinks the bracket around t0.  Callers pass the first argmax,
+    and ties keep the earlier point, so they resolve to the smallest
+    angle.
+
+    The search stops once a and b both lie within a half-width h of x,
+    and no step is shorter than h / 2.  With err = 0, h = _POLISH_WIDTH / 2,
+    so the bracket ends at most _POLISH_WIDTH wide: about 14 evaluations
+    on a smooth peak, where golden section alone takes about 37.  A peak
+    of curvature k is flat to within err over sqrt(err / k) of its top,
+    far wider than that width for an O(1) objective, so points closer
+    than that read only rounding (Brent ties his own stop to the
+    objective's resolution).  With err > 0, h is therefore sqrt(err / k),
+    never below _POLISH_WIDTH / 2, with k the largest curvature of the
+    parabolas through the three best points x, w, v so far that the
+    values' errors cannot spoil: errors up to err move that curvature by
+    at most err c, c = (|x - w| + |x - v| + |v - w|) / |(x-w)(x-v)(v-w)|,
+    and a parabola counts only when err c is at most half its curvature.
+    A peak of curvature k inside the bracket then lies at most about err
+    above the value at x.  h never grows, so a later parabola spoiled by
+    the errors cannot end the search early; once one shows the three best
+    points inside the errors, a step that is not parabolic goes h / 2 from
+    x into the larger side, which closes that side where a golden step
+    would only shrink it.  A smooth peak then takes about 6 evaluations.
+    The grid value v0 enters the parabolas as one more value.
     """
-    tol, tol2 = 0.25 * _POLISH_WIDTH, 0.5 * _POLISH_WIDTH
+    tol2 = half = 0.5 * _POLISH_WIDTH
+    tol = 0.5 * half
+    curv = 0.0
+    noisy = False
     a, b = float(t0 - step), float(t0 + step)
     x = w = v = float(t0)
     fx = fw = fv = float(v0)
     d = e = 0.0
-    while x - a > tol2 or b - x > tol2:
+    while x - a > half or b - x > half:
         m = 0.5 * (a + b)
         parabolic = False
         if abs(e) > tol:
@@ -160,9 +182,14 @@ def _polish_argmax(fn, t0: float, v0: float, step: float
                 q = -q
             parabolic = (0.0 < q < math.inf and abs(p) < 0.5 * q * abs(e)
                          and q * (a - x) < p < q * (b - x))
-        if parabolic:
+        if noisy and not parabolic:
+            # The three best points lie within the values' errors: close
+            # the larger side from x, where a golden step would only shrink
+            # it.
+            e = d = tol if m > x else -tol
+        elif parabolic:
             e, d = d, p / q
-            if x + d - a < tol2 or b - x - d < tol2:
+            if x + d - a < half or b - x - d < half:
                 d = tol if m > x else -tol
         else:
             e = (a if x >= m else b) - x
@@ -184,17 +211,48 @@ def _polish_argmax(fn, t0: float, v0: float, step: float
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
                 v, fv = u, fu
+        noisy = False
+        if err > 0.0 and x != w != v != x:
+            # The parabola through x, w and v has curvature s / den, and
+            # err c = err (|x - w| + |x - v| + |v - w|) / den bounds what
+            # the values' errors move it by.
+            xw, xv, vw = x - w, x - v, v - w
+            den = xw * xv * vw
+            s = xv * (fx - fw) - xw * (fx - fv)
+            if den < 0.0:
+                s, den = -s, -den
+            if not 2.0 * err * (abs(xw) + abs(xv) + abs(vw)) <= s:
+                noisy = curv > 0.0
+            elif s > curv * den:
+                curv = s / den
+                half = max(tol2, math.sqrt(err / curv))
+                tol = 0.5 * half
     if fx > v0:
         return float(fx), float(x % _TWO_PI)
     return float(v0), float(t0)
 
 
 def _paired_polish(F1: AnalyticSeries, F2: AnalyticSeries, t0: float,
-                   v0: float, step: float) -> tuple[float, float]:
+                   v0: float, step: float, top: float | None = None
+                   ) -> tuple[float, float]:
     """_polish_argmax of |F1| + |F2| from the grid argmax ``t0`` with grid
-    value ``v0``, each polish point two eval_series calls, about 14 points
+    value ``v0``, each polish point two eval_series calls, about 6 points
     per polish: the one objective of every paired circle maximum.  A
-    value whose modulus overflows reads as infinity, as on the grid."""
+    value whose modulus overflows reads as infinity, as on the grid.
+
+    The polish stops at err = 8 (d + 1) u S, with S = ``top``, the sum of
+    |c_k| over both series (_sup_at_one's, recomputed when None), d the
+    larger degree and u = 2^-53.  It bounds the rounding error of one
+    value (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3
+    and 5): cmath.exp puts z within 2 u of e^{it} (cos and sin within an
+    ulp each), which moves each series by at most 2 u sum k |c_k|, so
+    both by 2 d u S; Horner's complex product (sqrt(2) gamma_2) and sum
+    per coefficient leave each value within 3.9 d u S of the series at z;
+    the two moduli and their sum add 2 u S.  That is 5.9 d u S + 2 u S in
+    all, within err.  Subnormal terms have an absolute error that err
+    leaves out; a smaller err only polishes longer.  A non-finite err
+    polishes to _POLISH_WIDTH.
+    """
 
     def at(t: float) -> float:
         z = cmath.exp(1j * t)
@@ -204,7 +262,12 @@ def _paired_polish(F1: AnalyticSeries, F2: AnalyticSeries, t0: float,
         except OverflowError:
             return math.inf
 
-    return _polish_argmax(at, t0, v0, step)
+    if top is None:
+        top = sum(map(abs, F1.coeffs)) + sum(map(abs, F2.coeffs))
+    d = max(len(F1.coeffs), len(F2.coeffs)) - 1
+    err = 8 * (d + 1) * _UNIT_ROUNDOFF * top
+    return _polish_argmax(at, t0, v0, step,
+                          err if math.isfinite(err) else 0.0)
 
 
 def _sup_at_one(F1: AnalyticSeries, F2: AnalyticSeries
@@ -303,7 +366,7 @@ def _transform_sup(F1: AnalyticSeries, F2: AnalyticSeries, cols: np.ndarray,
     vals = np.abs(np.polyval(cols[::-1, :, None], np.exp(1j * ts)))
     vals[0] += vals[1]
     k = int(np.argmax(vals[0]))
-    return _paired_polish(F1, F2, ts[k], vals[0, k], step)
+    return _paired_polish(F1, F2, ts[k], vals[0, k], step, top)
 
 
 def _classify(measured_sup: float, params: ClassParams) -> Verdict:
@@ -398,28 +461,31 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
     modulus of va and vb and a, b = va / s, vb / s, row k at angle j is
     |a_j + zeta_k b_j|^2 <= (|a_j| + |b_j|)^2, and its bound there is
     ((|va_j| + |vb_j|) / s)^2, read from the moduli the candidate rule
-    already holds.  Each row's maximum is at least its maximum over every
-    16th angle, the probe, so at least L, the least probe maximum over
-    the rows.  Every row value and bound is at most 4, as |a|, |b| <= 1,
-    and u = 2^-53.  A computed row value exceeds the exact bound by at
-    most 49 u: 16 u from rounding a and b (numpy divides by s through its
-    reciprocal, two roundings), 4 u from the rounded cos and sin, 29 u
+    already holds.  Here s is 2^-e, the power of two with 2^e times the
+    largest modulus in [1/2, 1), and the division is a product by 2^e, in
+    two steps when 2^e passes the double range: exact above the underflow
+    range, and finite however small that modulus is.  (Dividing by the
+    modulus itself, numpy multiplies by its reciprocal, which overflows
+    when the modulus is subnormal.)  Each row's maximum is at least its
+    maximum over every 16th angle, the probe, so at least L, the least
+    probe maximum over the rows.  Every row value and bound is at most 4,
+    as |a|, |b| <= 1, and u = 2^-53.  A computed row value exceeds the
+    exact bound by at most 33 u: 4 u from the rounded cos and sin, 29 u
     from the rank-3 terms and their dot product.  A computed bound lies
-    at most 36 u below the exact one: the two moduli (hypot, within an
-    ulp each), their sum, the quotient and the square, 9 u relative.
-    The probe and the product take the same dot products in different
-    BLAS calls, so a row's computed maximum is at least L - 58 u.  An
-    angle whose computed bound lies below L - 143 u is therefore no row's
-    argmax, and the margin _ROW_MARGIN = 256 u covers that with room for
-    underflow.  A NaN bound, or a NaN L, drops nothing.  The kept angles
-    stay in increasing order, so the first-index tie rule of np.argmax
-    picks the same angle as on the whole grid: ``sups`` are the whole
-    grid's bit for bit, which the tests check against the unpruned
-    product.  About 9-17 % of the angles stay at degree 64, under 5 % from
-    degree 128 on.  The probe, like the product, runs in blocks of about
-    2**14 values.  On the smallest grid, n = 256, no angle is dropped:
-    there the probe costs more than the whole product, about 35 us at 256
-    samples.
+    at most 28 u below the exact one: the two moduli (hypot, within an
+    ulp each), their sum and the square, 7 u relative.  The probe and the
+    product take the same dot products in different BLAS calls, so a
+    row's computed maximum is at least L - 58 u.  An angle whose computed
+    bound lies below L - 119 u is therefore no row's argmax, and the
+    margin _ROW_MARGIN = 256 u covers that with room for underflow.  A
+    NaN bound, or a NaN L, drops nothing.  The kept angles stay in
+    increasing order, so the first-index tie rule of np.argmax picks the
+    same angle as on the whole grid: ``sups`` are the whole grid's bit for
+    bit, which the tests check against the unpruned product.  About
+    9-17 % of the angles stay at degree 64, under 5 % from degree 128 on.
+    The probe, like the product, runs in blocks of about 2**14 values.  On
+    the smallest grid, n = 256, no angle is dropped: there the probe costs
+    more than the whole product, about 35 us at 256 samples.
     """
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
@@ -435,9 +501,16 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
         raise ParameterError("boundary values overflow")
     va, vb = vals[:, 0], vals[:, 1]
     phases, zetas, trig = _zeta_rows(zeta_samples)
-    # Scaling by the largest modulus keeps the squares finite wherever the
-    # moduli are.
-    s = float(np.max(mods)) or 1.0
+    # Powers of two that bring the largest modulus into [1/2, 1) keep the
+    # squares finite wherever the moduli are; a subnormal one needs two, as
+    # their product then passes the double range.
+    e = -math.frexp(float(np.max(mods)))[1]
+    powers = (2.0**1023, 2.0**(e - 1023)) if e > 1023 else (2.0**e,)
+
+    def scaled(x):
+        for c in powers:
+            x = x * c
+        return x
 
     def row_blocks(js, reduce):
         # |a + e^{i phi} b|^2 = |a|^2 + |b|^2 + 2 Re(e^{i phi} b conj(a)) at
@@ -448,7 +521,7 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
         # enough to reuse freed memory rather than map fresh pages; each
         # has two rows at least, as a one-row product takes numpy's
         # matrix-vector path, which rounds differently.
-        a, b = va[js] / s, vb[js] / s
+        a, b = scaled(va[js]), scaled(vb[js])
         w = np.multiply(b, np.conj(a))
         quad = np.stack([a.real**2 + a.imag**2 + b.real**2 + b.imag**2,
                          2.0 * w.real, -2.0 * w.imag])
@@ -460,7 +533,7 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
         # Only angles that can be some row's argmax enter the product: see
         # the docstring for the bound, the probe and the margin.
         least = np.min(row_blocks(slice(None, None, 16), np.max))
-        bound = grid / s
+        bound = scaled(grid)
         bound *= bound
         keep = (~(bound < least - _ROW_MARGIN)).nonzero()[0]
         ks = keep[row_blocks(keep, np.argmax)]

@@ -575,6 +575,41 @@ class TestHarmonicRadius:
         assert rings == 80 < 145
         assert len(polished) == 21 < 57
 
+    def test_ring_polish_stops_at_its_rounding_error(self, monkeypatch):
+        # An undecided ring's polish stops where its objective drops by the
+        # rounding error of one evaluation: the certificates keep their
+        # ring counts and radii, with about 7 points per polished ring
+        # where a polish down to the 1e-9 width took about 13.
+        exact, points = [False], []
+
+        def polish(fn, t0, v0, step, err=0.0):
+            calls = []
+
+            def at(t):
+                calls.append(t)
+                return fn(t)
+
+            out = _polish_argmax(at, t0, v0, step, 0.0 if exact[0] else err)
+            if not exact[0]:
+                points.append(len(calls))
+            return out
+
+        monkeypatch.setattr(geometry, "_polish_argmax", polish)
+        rng = np.random.default_rng(43)
+        for d in (3, 4, 6, 8, 12, 16, 24, 32, 48, 64):
+            for kind in (*RadiusKind, *RadiusKind):
+                params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
+                f = random_member(d, params, rng,
+                                  fill=float(rng.uniform(0.5, 0.95)))
+                exact[0] = True
+                want = harmonic_radius_certify(f, params, kind)
+                exact[0] = False
+                got = harmonic_radius_certify(f, params, kind)
+                assert got.rings == want.rings
+                assert abs(got.radius - want.radius) <= 1e-15 * want.radius
+        assert len(points) >= 40
+        assert np.mean(points) <= 9
+
     def test_radius_search_matches_bisection_in_fewer_rings(self):
         # Every radius lies within tol of a plain bisection on the same
         # rings, and the secant search tests fewer rings in total.

@@ -275,6 +275,27 @@ def scaled(F, scale):
     return AnalyticSeries(tuple(c * scale for c in F.coeffs))
 
 
+def near_tie_maps():
+    """Two-peak maps as in the benchmark's near-tie workload: an m-way tied
+    deficiency modulus split by 1e-3 noise."""
+    rng = np.random.default_rng(29)
+    maps = []
+    for d in (4, 5, 7, 8, 11):
+        for j in range(6):
+            h = np.zeros(d + 1, dtype=complex)
+            h[1], h[2] = 1.0, -1.0
+            h[d] = -rng.uniform(0.5, 1.0) * cmath.exp(
+                1j * rng.uniform(0, 2 * math.pi)) / (d - 1)
+            h[2:] += 1e-3 * (rng.standard_normal(d - 1)
+                             + 1j * rng.standard_normal(d - 1))
+            g = np.zeros(d + 1, dtype=complex)
+            if j % 2:
+                g[2:] = 1e-3 * (rng.standard_normal(d - 1)
+                                + 1j * rng.standard_normal(d - 1))
+            maps.append(make_map(h, g))
+    return maps
+
+
 class TestScanMatchesHorner:
     """The scan runs Horner only at the transform's candidate angles, yet
     returns the full Horner scan's (sup, angle) bit for bit."""
@@ -320,23 +341,8 @@ class TestScanMatchesHorner:
         assert sum(map(math.isnan, sups)) >= 4
 
     def test_near_tie_maps(self):
-        # Two-peak maps as in the benchmark's near-tie workload: an m-way
-        # tied deficiency modulus split by 1e-3 noise.
-        rng = np.random.default_rng(29)
-        for d in (4, 5, 7, 8, 11):
-            for j in range(6):
-                h = np.zeros(d + 1, dtype=complex)
-                h[1], h[2] = 1.0, -1.0
-                h[d] = -rng.uniform(0.5, 1.0) * cmath.exp(
-                    1j * rng.uniform(0, 2 * math.pi)) / (d - 1)
-                h[2:] += 1e-3 * (rng.standard_normal(d - 1)
-                                 + 1j * rng.standard_normal(d - 1))
-                g = np.zeros(d + 1, dtype=complex)
-                if j % 2:
-                    g[2:] = 1e-3 * (rng.standard_normal(d - 1)
-                                    + 1j * rng.standard_normal(d - 1))
-                f = make_map(h, g)
-                self.assert_same(deficiency(f.h), deficiency(f.g))
+        for f in near_tie_maps():
+            self.assert_same(deficiency(f.h), deficiency(f.g))
 
     def test_nearly_flat_modulus(self, polyval_points):
         # |z^d + 1e-14 e^{2i} z^2| stays within 1e-14 of 1, inside the
@@ -360,6 +366,62 @@ class TestScanMatchesHorner:
             assert len(polyval_points) == 1 and 1 <= polyval_points[0] <= 8
 
 
+class TestPolishStop:
+    """Every paired circle maximum stops its polish where the peak drops by
+    err = 8 (d + 1) u S, the rounding error of one evaluation of
+    |F1| + |F2| (S the coefficient sum of both series, u = 2^-53): the
+    sups stay within err of a polish down to _POLISH_WIDTH, in about half
+    its points."""
+
+    @staticmethod
+    def polish_switch(monkeypatch):
+        """A switch that runs every membership polish with err = 0, and
+        the point counts of the polishes made with err."""
+        import harmcert.membership as membership
+
+        exact, points = [False], []
+
+        def polish(fn, t0, v0, step, err=0.0):
+            at, angles = counted(fn)
+            out = _polish_argmax(at, t0, v0, step, 0.0 if exact[0] else err)
+            if not exact[0]:
+                points.append(len(angles))
+            return out
+
+        monkeypatch.setattr(membership, "_polish_argmax", polish)
+        return exact, points
+
+    def test_sups_stay_within_err_of_the_width_stop(self, monkeypatch):
+        exact, points = self.polish_switch(monkeypatch)
+        rng = np.random.default_rng(32)
+        maps = [random_member(d, ClassParams(lam=1.0), rng)
+                for d in (2, 3, 5, 9, 17, 33, 64, 100, 127, 257, 509, 1024)]
+        maps += near_tie_maps()
+        pairs = [(deficiency(f.h), deficiency(f.g)) for f in maps]
+        for scale in (1e200, 1e-200, 1e-300):
+            for d in (3, 9, 33, 100):
+                f = random_member(d, ClassParams(lam=1.0), rng)
+                pairs.append((scaled(deficiency(f.h), scale),
+                              scaled(deficiency(f.g), scale)))
+        for F1, F2 in pairs:
+            exact[0] = True
+            want, _ = paired_boundary_sup(F1, F2)
+            exact[0] = False
+            got, _ = paired_boundary_sup(F1, F2)
+            d = max(F1.degree, F2.degree)
+            err = 8 * (d + 1) * 2.0**-53 * math.fsum(
+                map(abs, F1.coeffs + F2.coeffs))
+            assert want - err <= got, (want, got, err)
+        for f in maps:
+            params = ClassParams(lam=1.0)
+            exact[0] = True
+            want = harmonic_membership(f, params).verdict
+            exact[0] = False
+            assert harmonic_membership(f, params).verdict is want
+        # The width stop took about 14 points per polish.
+        assert np.mean(points) <= 8
+
+
 def counted(fn):
     """fn and the list of the angles it is called at."""
     angles = []
@@ -373,7 +435,8 @@ def counted(fn):
 
 class TestPolish:
     """_polish_argmax's contract: Brent's method over [t0 - step, t0 + step]
-    from the grid point (t0, v0), down to a bracket _POLISH_WIDTH wide,
+    from the grid point (t0, v0), down to a bracket _POLISH_WIDTH wide, or
+    to the width where the peak drops by the evaluation error err,
     returning a strictly larger value and its angle, else (v0, t0)."""
 
     def test_smooth_peaks_in_few_evaluations(self):
@@ -401,6 +464,64 @@ class TestPolish:
             assert abs(x - s) <= _POLISH_WIDTH
             assert v >= fn(t0)
 
+    def test_noisy_peaks_stop_at_the_noise(self):
+        # The same peaks, each value off by up to err at random: the search
+        # stops once the peak drops by err across the bracket, not at the
+        # width, and reads a value at most 2 err below the peak.
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            step = 2 * math.pi / int(rng.choice([256, 1024, 16384, 65536]))
+            s = rng.uniform(0.1, 6.1)
+            t0 = s + rng.uniform(-0.99, 0.99) * step
+            w, c = rng.uniform(1.0, 20.0), rng.uniform(-0.5, 0.5)
+            err = 10 ** rng.uniform(-16, -10)
+            noise = np.random.default_rng(int(rng.integers(2**32)))
+
+            def fn(t):
+                return (-math.sin(w * (t - s)) ** 2 * (1 + c * math.sin(t - s))
+                        + err * noise.uniform(-1.0, 1.0))
+
+            v0 = fn(t0)
+            at, angles = counted(fn)
+            v, x = _polish_argmax(at, t0, v0, step, err)
+            assert len(angles) <= 12
+            assert all(abs(t - t0) < step for t in angles)
+            assert v >= -2 * err and v >= v0
+
+    @pytest.mark.parametrize("noise", ["uniform", "wave"])
+    def test_spoiled_curvature_never_widens_the_stop(self, noise):
+        # -k (t - s)^2 with errors up to err: near the peak the parabola
+        # through three close points reads the errors, not k.  The search
+        # ends only when the evaluated points next to x lie within
+        # sqrt(1.5 err / k) of it on both sides, the width an estimate
+        # within its error bound allows; trusting the last parabola left
+        # them up to 4 sqrt(err / k) away.
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            step = 2 * math.pi / int(rng.choice([256, 1024, 16384]))
+            s = rng.uniform(0.1, 6.1)
+            t0 = s + rng.uniform(-0.99, 0.99) * step
+            k = rng.uniform(1.0, 400.0)
+            err = 10 ** rng.uniform(-15, -11)
+            width = math.sqrt(err / k)
+            phase = rng.uniform(0, 2 * math.pi)
+            draws = np.random.default_rng(int(rng.integers(2**32)))
+
+            def fn(t):
+                if noise == "wave":
+                    e = math.sin((t - s) / (0.2 * width) + phase)
+                else:
+                    e = draws.uniform(-1.0, 1.0)
+                return -k * (t - s) ** 2 + err * e
+
+            at, angles = counted(fn)
+            v, x = _polish_argmax(at, t0, fn(t0), step, err)
+            seen = angles + [t0 - step, t0, t0 + step]
+            right = min(t for t in seen if t > x)
+            left = max(t for t in seen if t < x)
+            assert max(right - x, x - left) <= math.sqrt(1.5) * width
+            assert v >= -2 * err
+
     def test_grid_point_is_kept_without_a_larger_value(self):
         # A peak at t0 itself: nothing beats v0, so t0 comes back exactly.
         at, angles = counted(lambda t: -(t - 1.0) ** 2)
@@ -420,19 +541,21 @@ class TestPolish:
     @pytest.mark.parametrize("value", [1.0, math.inf, math.nan, "mixed"])
     def test_flat_and_non_finite_objectives_terminate(self, value, v0):
         # Golden section alone would take about 37 steps; no parabola is
-        # taken through equal, infinite or NaN values.
+        # taken through equal, infinite or NaN values, and none of them
+        # gives a curvature that widens the stop when err > 0.
         def fn(t):
             if value == "mixed":
                 return math.nan if t < 2.0 else 1.0 + (t - 2.0) ** 2
             return value
 
-        at, angles = counted(fn)
-        v, x = _polish_argmax(at, 2.0, v0, 0.02)
-        assert len(angles) <= 60
-        assert v >= v0
-        if not fn(2.01) > v0:
-            # No value beats the grid point's: it comes back unchanged.
-            assert (v, x) == (v0, 2.0)
+        for err in (0.0, 1e-12, 1.0):
+            at, angles = counted(fn)
+            v, x = _polish_argmax(at, 2.0, v0, 0.02, err)
+            assert len(angles) <= 60
+            assert v >= v0
+            if not fn(2.01) > v0:
+                # No value beats the grid point's: it comes back unchanged.
+                assert (v, x) == (v0, 2.0)
 
 
 class TestOverflowingInput:
@@ -627,9 +750,9 @@ class TestStableFamily:
         original = membership._paired_polish
         calls = []
 
-        def low(A, B, t0, v0, step):
+        def low(A, B, t0, v0, step, top):
             calls.append(A)
-            sup, angle = original(A, B, t0, v0, step)
+            sup, angle = original(A, B, t0, v0, step, top)
             return 0.99 * sup, angle
 
         monkeypatch.setattr(membership, "_paired_polish", low)
@@ -764,8 +887,10 @@ class TestZetaFamilySweep:
             vals = circle_values(cols, n)
         va, vb = np.ascontiguousarray(vals.T)
         phases = 2 * math.pi * np.arange(zeta_samples) / zeta_samples
-        s = float(np.max(np.abs(vals))) or 1.0
-        a, b = va / s, vb / s
+        # a, b: va, vb times the power of two that brings their largest
+        # modulus into [1/2, 1), exact however small that modulus is.
+        e = -math.frexp(float(np.max(np.abs(vals))))[1]
+        a, b = (np.ldexp(x.view(float), e).view(complex) for x in (va, vb))
         # b * conj(a) in this order: numpy may swap the operands of an
         # operator on a large temporary, and the rounded product with them.
         w = np.multiply(b, np.conj(a))
@@ -823,6 +948,18 @@ class TestZetaFamilySweep:
             self.assert_rows_unpruned(scaled(deficiency(f.h), scale),
                                       scaled(deficiency(f.g), scale))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_largest_modulus(self):
+        # A largest modulus of 1.6e-310 has no finite reciprocal.  Scaled
+        # by that reciprocal, every row read angle 0, |A(1)| = 1.166e-310,
+        # and the second map raised an overflow warning.  With B = 0 every
+        # section is A, so every row is the grid maximum of |A|.
+        for h in ((0, 1, 1e-310, 3e-311j), (0, 1, 1e-310)):
+            f = make_map(h)
+            rep = stable_family_check(f, ClassParams(lam=1.0), 8)
+            assert np.all(rep.scan.sups >= (1 - 1e-3) * rep.harmonic_sup)
+            self.assert_rows_unpruned(deficiency(f.h), ZERO, 8)
+
     def test_pruned_rows_with_mirror_tied_peaks(self):
         # Real coefficients make |A + zeta B| at zeta and conj(zeta) mirror
         # images, so the rows' peaks come in tied pairs t, 2 pi - t.
@@ -835,7 +972,7 @@ class TestZetaFamilySweep:
             self.assert_rows_unpruned(deficiency(f.h), deficiency(f.g))
 
     def test_family_max_makes_one_scalar_polish(self, monkeypatch):
-        # The paired sup's single-cell polish, about 15 points with two
+        # The paired sup's single-cell polish, about 7 points with two
         # evaluations each, plus the witness phase's two.
         import harmcert.membership as membership
 
@@ -852,7 +989,7 @@ class TestZetaFamilySweep:
                               np.random.default_rng(degree))
             calls.clear()
             zeta_family_sup(deficiency(f.h), deficiency(f.g), 256)
-            assert 0 < len(calls) <= 40
+            assert 0 < len(calls) <= 20
 
     def test_rows_make_no_evaluation_beyond_the_paired_scan(
             self, polyval_points):
