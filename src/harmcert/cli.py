@@ -43,7 +43,6 @@ _VERDICT_EXIT = {
     Verdict.MEMBER: EXIT_MEMBER,
     Verdict.NON_MEMBER: EXIT_NON_MEMBER,
     Verdict.BOUNDARY_SHARP: EXIT_BOUNDARY_SHARP,
-    Verdict.INCONCLUSIVE: EXIT_INPUT_ERROR,
 }
 
 # curve_svg draws the images of these inner circles, each from this many

@@ -39,8 +39,6 @@ _TWO_PI = 2.0 * math.pi
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 # Unit roundoff of a double.
 _UNIT_ROUNDOFF = 2.0**-53
-# The smallest positive (subnormal) double.
-_SMALLEST_SUBNORMAL = 2.0**-1074
 # Every polish over a circle angle stops once its bracket is this narrow,
 # or earlier where the objective's rounding error hides what lies inside.
 _POLISH_WIDTH = 1e-9
@@ -60,7 +58,6 @@ class Verdict(Enum):
     MEMBER = "Member"
     BOUNDARY_SHARP = "BoundarySharp"
     NON_MEMBER = "NonMember"
-    INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
@@ -139,12 +136,11 @@ def _polish_argmax(fn, t0: float, v0: float, step: float, err: float = 0.0
 
     The search stops once a and b both lie within a half-width h of x,
     and no step is shorter than h / 2.  With err = 0, h = _POLISH_WIDTH / 2,
-    so the bracket ends at most _POLISH_WIDTH wide: about 14 evaluations
-    on a smooth peak, where golden section alone takes about 37.  A peak
-    of curvature k is flat to within err over sqrt(err / k) of its top,
-    far wider than that width for an O(1) objective, so points closer
-    than that read only rounding (Brent ties his own stop to the
-    objective's resolution).  With err > 0, h is therefore sqrt(err / k),
+    so the bracket ends at most _POLISH_WIDTH wide.  A peak of curvature k
+    is flat to within err over sqrt(err / k) of its top, far wider than
+    that width for an O(1) objective, so points closer than that read
+    only rounding (Brent ties his own stop to the objective's
+    resolution).  With err > 0, h is therefore sqrt(err / k),
     never below _POLISH_WIDTH / 2, with k the largest curvature of the
     parabolas through the three best points x, w, v so far that the
     values' errors cannot spoil: errors up to err move that curvature by
@@ -232,49 +228,40 @@ def _polish_argmax(fn, t0: float, v0: float, step: float, err: float = 0.0
     return float(v0), float(t0)
 
 
-def _paired_polish(F1: AnalyticSeries, F2: AnalyticSeries, t0: float,
-                   v0: float, step: float, top: float | None = None
+def _paired_polish(c1: list[complex], c2: list[complex], t0: float,
+                   v0: float, step: float, top: float
                    ) -> tuple[float, float]:
-    """_polish_argmax of |F1| + |F2| from the grid argmax ``t0`` with grid
+    """_polish_argmax of |F1| + |F2|, F1 and F2 the series with
+    coefficients ``c1`` and ``c2``, from the grid argmax ``t0`` with grid
     value ``v0``, each polish point two eval_series calls, about 6 points
-    per polish: the one objective of every paired circle maximum.  A
-    value whose modulus overflows reads as infinity, as on the grid.
+    per polish: the one objective of every paired circle maximum.
 
     The polish stops at err = 8 (d + 1) u S, with S = ``top``, the sum of
-    |c_k| over both series (_sup_at_one's, recomputed when None), d the
-    larger degree and u = 2^-53.  It bounds the rounding error of one
-    value (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3
-    and 5): cmath.exp puts z within 2 u of e^{it} (cos and sin within an
-    ulp each), which moves each series by at most 2 u sum k |c_k|, so
-    both by 2 d u S; Horner's complex product (sqrt(2) gamma_2) and sum
-    per coefficient leave each value within 3.9 d u S of the series at z;
-    the two moduli and their sum add 2 u S.  That is 5.9 d u S + 2 u S in
-    all, within err.  Subnormal terms have an absolute error that err
-    leaves out; a smaller err only polishes longer.  A non-finite err
-    polishes to _POLISH_WIDTH.
+    |c_k| over both series or a bound on it, d the larger degree and
+    u = 2^-53.  It bounds
+    the rounding error of one value (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3 and 5): cmath.exp puts z within 2 u of
+    e^{it} (cos and sin within an ulp each), which moves each series by at
+    most 2 u sum k |c_k|, so both by 2 d u S; Horner's complex product
+    (sqrt(2) gamma_2) and sum per coefficient leave each value within
+    3.9 d u S of the series at z; the two moduli and their sum add 2 u S.
+    That is 5.9 d u S + 2 u S in all, within err.  The scans pass S < 1
+    (_scaled_columns), so no value overflows.
     """
 
     def at(t: float) -> float:
         z = cmath.exp(1j * t)
-        a, b = eval_series(F1, z), eval_series(F2, z)
-        try:
-            return abs(a) + abs(b)
-        except OverflowError:
-            return math.inf
+        return abs(eval_series(c1, z)) + abs(eval_series(c2, z))
 
-    if top is None:
-        top = sum(map(abs, F1.coeffs)) + sum(map(abs, F2.coeffs))
-    d = max(len(F1.coeffs), len(F2.coeffs)) - 1
-    err = 8 * (d + 1) * _UNIT_ROUNDOFF * top
-    return _polish_argmax(at, t0, v0, step,
-                          err if math.isfinite(err) else 0.0)
+    err = 8 * max(len(c1), len(c2)) * _UNIT_ROUNDOFF * top
+    return _polish_argmax(at, t0, v0, step, err)
 
 
 def _sup_at_one(F1: AnalyticSeries, F2: AnalyticSeries
                 ) -> tuple[tuple[float, float] | None, float]:
     """The circle maximum of |F1| + |F2| and its angle 0.0 when z = 1
-    attains it, else None; and S, the bound below, which the scan's error
-    bound reads too.
+    attains it, else None; and S, the bound below, which the scan's
+    scaling reads too.
 
     The maximum lies between two cheap values: |F1(1)| + |F2(1)|, the
     moduli of the coefficient sums, which z = 1 attains, and S, the sum of
@@ -297,6 +284,31 @@ def _sup_at_one(F1: AnalyticSeries, F2: AnalyticSeries
     return None, top
 
 
+def _scaled_columns(F1: AnalyticSeries, F2: AnalyticSeries, top: float
+                    ) -> tuple[np.ndarray, int, float]:
+    """coefficient_columns(F1, F2) times 2^e, e, and S' < 1, a bound on
+    their coefficient sum: the one scaling of a paired circle maximum.
+    With S = ``top`` finite, 2^e S lies in [1/2, 1) and S' = 2^e S; else
+    2^e times the largest modulus lies below 2^-b, b the bit length of
+    twice the column length, and S' = 1.  A product by 2^e is exact short
+    of underflow, which only moduli below 2^-1021 S meet, and so is every
+    rounding after it wherever its unscaled twin is normal: ordinary
+    scales read the same bits, and every scale costs what scale 1 does.
+    The maxima are divided by 2^e once, at the end.
+    """
+    cols = coefficient_columns(F1, F2)
+    if math.isfinite(top):
+        e = -math.frexp(top)[1]
+        top = math.ldexp(top, e)
+    else:
+        e = (-math.frexp(float(np.abs(cols).max()))[1]
+             - (2 * len(cols)).bit_length())
+        top = 1.0
+    flat = cols.view(float)
+    np.ldexp(flat, e, out=flat)
+    return cols, e, top
+
+
 def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
                         ) -> tuple[float, float]:
     """Maximum of |F1| + |F2| over the unit circle and the angle attaining
@@ -304,69 +316,64 @@ def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
 
     When _sup_at_one decides the maximum from the coefficients, it returns
     the value at z = 1 with angle 0.0, with no scan.  Otherwise it returns
-    what a Horner scan gives: the grid values of |F1| + |F2| by np.polyval
-    at t_j = j (2 pi / n), j < n = scan_angles(degree), then _paired_polish
-    from the first grid argmax, so ties resolve to the smallest angle.
-    Overflow is silent; _classify rejects a non-finite maximum.
+    what a Horner scan of the coefficients scaled by _scaled_columns gives,
+    divided by the scale: the grid values of |F1| + |F2| by np.polyval at
+    t_j = j (2 pi / n), j < n = scan_angles(degree), then _paired_polish
+    from the first grid argmax, so ties resolve to the smallest angle.  A
+    maximum past the double range reads +inf; _classify rejects it.
 
-    Horner runs at a few of those angles only.  One 2-column circle_values
+    Horner runs at a few of those angles only: one 2-column circle_values
     transform gives every grid value in O(n log n), within err of its
-    Horner value (below).  The candidates are the grid points whose
-    transform value lies within 2 err of the transform's maximum; Horner
-    runs there alone.  A point left out has a Horner value below
-    max - err, and the transform's argmax, a candidate, has one of at
-    least max - err, so the first Horner argmax is a candidate and the
-    result is the full scan's bit for bit.
+    Horner value (below), and Horner runs only at the candidates, whose
+    transform value lies within 2 err of the transform's maximum.  A point
+    left out has a Horner value below max - err, and the transform's
+    argmax has one of at least max - err, so the first Horner argmax is a
+    candidate and the result is the full scan's bit for bit.
 
     err bounds |transform value - Horner value| at a grid point.  With S
-    the coefficient sum of both series (from _sup_at_one), d the degree
-    and u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 5 and 24): the transform is within circle_values_error(n) S of the
-    values at the roots of unity w_j.  t_j carries three roundings (of
-    2 pi, the step and the product), so it is within 6 pi u < 19 u of
-    2 pi j / n, and exp adds under 2 u: z_j lies within 21 u of w_j, which
-    moves each series by at most 21 u sum k |c_k| <= 21 d u S.  Horner at
-    z_j, one complex product (error sqrt(2) gamma_2) and one sum per
-    coefficient, is within about 4 d u S of the series there, and the
-    moduli and their sum round each side by 3 u S at most.  So
+    the scaled coefficient sum of both series, d the degree and u = 2^-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5 and
+    24): the transform is within circle_values_error(n) S of the values at
+    the roots of unity w_j.  t_j carries three roundings (of 2 pi, the
+    step and the product), so it is within 6 pi u < 19 u of 2 pi j / n,
+    and exp adds under 2 u: z_j lies within 21 u of w_j, which moves each
+    series by at most 21 u sum k |c_k| <= 21 d u S.  Horner at z_j, one
+    complex product (error sqrt(2) gamma_2) and one sum per coefficient,
+    is within about 4 d u S of the series there, and the moduli and their
+    sum round each side by 3 u S at most.  So
     err = (circle_values_error(n) + 32 (d + 1) u) S leaves room for the
-    rounding of S and of the floor max - 2 err, and 16 (n + d) 2^-1074 is
-    added for products that underflow, whose absolute error the relative
-    model misses.  Where the floor is not finite, or 2 S overflows so that
-    a Horner partial sum might, every grid point is a candidate: the full
-    Horner scan, overflow included.
+    rounding of S and of the floor max - 2 err.  As S < 1, a term that
+    underflows is off by at most 2^-1074, far inside err.
     """
     decided, top = _sup_at_one(F1, F2)
     if decided:
         return decided
-    cols = coefficient_columns(F1, F2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mods = np.abs(circle_values(cols, scan_angles(len(cols) - 1)))
-        return _transform_sup(F1, F2, cols, mods[:, 0] + mods[:, 1], top)
+    cols, e, top = _scaled_columns(F1, F2, top)
+    mods = np.abs(circle_values(cols, scan_angles(len(cols) - 1)))
+    return _transform_sup(F1, F2, cols, e, mods[:, 0] + mods[:, 1], top)
 
 
 def _transform_sup(F1: AnalyticSeries, F2: AnalyticSeries, cols: np.ndarray,
-                   grid: np.ndarray, top: float) -> tuple[float, float]:
-    """paired_boundary_sup below its z = 1 exit: the candidate Horner
-    rule and the polish, from ``grid``, the sums |F1| + |F2| of the moduli
-    of the 2-column transform of ``cols`` (= coefficient_columns(F1, F2))
-    on n = scan_angles(degree) angles, with ``top`` from _sup_at_one.  The
-    zeta sweep passes the transform it reads its sections from, so its
-    family maximum is this one bit for bit.  Callers ignore overflow."""
+                   e: int, grid: np.ndarray, top: float
+                   ) -> tuple[float, float]:
+    """paired_boundary_sup below its z = 1 exit, from ``grid``, the sums
+    |F1| + |F2| of the moduli of the transform of ``cols``, ``e`` and
+    ``top`` from _scaled_columns.  The zeta sweep passes the transform it
+    reads its sections from, so its family maximum is this one."""
     n, d = len(grid), len(cols) - 1
     step = _TWO_PI / n
-    err = ((circle_values_error(n) + 32 * (d + 1) * _UNIT_ROUNDOFF) * top
-           + 16 * (n + d) * _SMALLEST_SUBNORMAL)
-    floor = float(grid.max()) - 2.0 * err
-    if math.isfinite(floor) and math.isfinite(2.0 * top):
-        idx = (grid >= floor).nonzero()[0]
-    else:
-        idx = np.arange(n)
-    ts = idx * step
+    err = (circle_values_error(n) + 32 * (d + 1) * _UNIT_ROUNDOFF) * top
+    ts = (grid >= float(grid.max()) - 2.0 * err).nonzero()[0] * step
     vals = np.abs(np.polyval(cols[::-1, :, None], np.exp(1j * ts)))
     vals[0] += vals[1]
     k = int(np.argmax(vals[0]))
-    return _paired_polish(F1, F2, ts[k], vals[0, k], step, top)
+    sup, angle = _paired_polish(cols[:len(F1.coeffs), 0].tolist(),
+                                cols[:len(F2.coeffs), 1].tolist(),
+                                ts[k], vals[0, k], step, top)
+    try:
+        return math.ldexp(sup, -e), angle
+    except OverflowError:
+        return math.inf, angle
 
 
 def _classify(measured_sup: float, params: ClassParams) -> Verdict:
@@ -433,9 +440,9 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
                     ) -> ZetaFamilyScan:
     """Max over unimodular zeta of the boundary sup of A + zeta B.
 
-    One 2-column circle_values transform gives the values va, vb of A and B
-    on n = scan_angles(degree) angles; the sections and the family maximum
-    are both read from it.
+    One transform of _scaled_columns' columns gives va, vb, the values of
+    A and B times 2^e on n = scan_angles(degree) angles; the sections and
+    the family maximum are read from it, and divided by 2^e at the end.
 
     The maximum over every zeta has a closed form: pointwise, max over
     zeta of |A + zeta B| is |A| + |B|, reached at
@@ -457,60 +464,38 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
         sups[k] <= sup |A + zeta_k B| <= sups[k] + M2 pi^2 / (2 n^2).
 
     The product reads only the angles that can be some row's argmax, and
-    builds its rank-3 terms at those angles alone.  With s the largest
-    modulus of va and vb and a, b = va / s, vb / s, row k at angle j is
-    |a_j + zeta_k b_j|^2 <= (|a_j| + |b_j|)^2, and its bound there is
-    ((|va_j| + |vb_j|) / s)^2, read from the moduli the candidate rule
-    already holds.  Here s is 2^-e, the power of two with 2^e times the
-    largest modulus in [1/2, 1), and the division is a product by 2^e, in
-    two steps when 2^e passes the double range: exact above the underflow
-    range, and finite however small that modulus is.  (Dividing by the
-    modulus itself, numpy multiplies by its reciprocal, which overflows
-    when the modulus is subnormal.)  Each row's maximum is at least its
-    maximum over every 16th angle, the probe, so at least L, the least
-    probe maximum over the rows.  Every row value and bound is at most 4,
-    as |a|, |b| <= 1, and u = 2^-53.  A computed row value exceeds the
-    exact bound by at most 33 u: 4 u from the rounded cos and sin, 29 u
-    from the rank-3 terms and their dot product.  A computed bound lies
-    at most 28 u below the exact one: the two moduli (hypot, within an
-    ulp each), their sum and the square, 7 u relative.  The probe and the
-    product take the same dot products in different BLAS calls, so a
-    row's computed maximum is at least L - 58 u.  An angle whose computed
-    bound lies below L - 119 u is therefore no row's argmax, and the
-    margin _ROW_MARGIN = 256 u covers that with room for underflow.  A
-    NaN bound, or a NaN L, drops nothing.  The kept angles stay in
-    increasing order, so the first-index tie rule of np.argmax picks the
-    same angle as on the whole grid: ``sups`` are the whole grid's bit for
-    bit, which the tests check against the unpruned product.  About
-    9-17 % of the angles stay at degree 64, under 5 % from degree 128 on.
-    The probe, like the product, runs in blocks of about 2**14 values.  On
-    the smallest grid, n = 256, no angle is dropped: there the probe costs
-    more than the whole product, about 35 us at 256 samples.
+    builds its rank-3 terms at those angles alone.  Row k at angle j is
+    |va_j + zeta_k vb_j|^2 <= (|va_j| + |vb_j|)^2, the square of the grid
+    value the candidate rule holds, at most 4 as the scaled coefficient
+    sum is below 1; each row's maximum is at least L, the least over the
+    rows of their maxima over every 16th angle (the probe).  With
+    u = 2^-53, a computed row value exceeds the exact bound by at most
+    33 u (4 u from the rounded cos and sin, 29 u from the rank-3 terms and
+    their dot product), and a computed bound lies at most 28 u below the
+    exact one (two hypot moduli, their sum and the square, 7 u relative).
+    The probe and the product take the same dot products in different
+    BLAS calls, so a row's computed maximum is at least L - 58 u, and an
+    angle whose computed bound lies below L - 119 u is no row's argmax:
+    the margin _ROW_MARGIN = 256 u covers that with room for underflow.
+    The kept angles stay in increasing order, so np.argmax's first-index
+    tie rule picks the same angle as on the whole grid: ``sups`` are the
+    whole grid's bit for bit, which the tests check against the unpruned
+    product.  On the smallest grid, n = 256, no angle is dropped: there
+    the probe costs more than the whole product.
     """
     if zeta_samples < 8:
         raise ParameterError("need at least 8 zeta samples")
     decided, top = _sup_at_one(A, B)
-    cols = coefficient_columns(A, B)
+    cols, e, top = _scaled_columns(A, B, top)
     n = scan_angles(len(cols) - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = circle_values(cols, n)
-        mods = np.abs(vals)
-        grid = mods[:, 0] + mods[:, 1]
-        max_sup, angle = decided or _transform_sup(A, B, cols, grid, top)
+    vals = circle_values(cols, n)
+    mods = np.abs(vals)
+    grid = mods[:, 0] + mods[:, 1]
+    max_sup, angle = decided or _transform_sup(A, B, cols, e, grid, top)
     if not math.isfinite(max_sup):
         raise ParameterError("boundary values overflow")
     va, vb = vals[:, 0], vals[:, 1]
     phases, zetas, trig = _zeta_rows(zeta_samples)
-    # Powers of two that bring the largest modulus into [1/2, 1) keep the
-    # squares finite wherever the moduli are; a subnormal one needs two, as
-    # their product then passes the double range.
-    e = -math.frexp(float(np.max(mods)))[1]
-    powers = (2.0**1023, 2.0**(e - 1023)) if e > 1023 else (2.0**e,)
-
-    def scaled(x):
-        for c in powers:
-            x = x * c
-        return x
 
     def row_blocks(js, reduce):
         # |a + e^{i phi} b|^2 = |a|^2 + |b|^2 + 2 Re(e^{i phi} b conj(a)) at
@@ -521,7 +506,7 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
         # enough to reuse freed memory rather than map fresh pages; each
         # has two rows at least, as a one-row product takes numpy's
         # matrix-vector path, which rounds differently.
-        a, b = scaled(va[js]), scaled(vb[js])
+        a, b = va[js], vb[js]
         w = np.multiply(b, np.conj(a))
         quad = np.stack([a.real**2 + a.imag**2 + b.real**2 + b.imag**2,
                          2.0 * w.real, -2.0 * w.imag])
@@ -533,22 +518,19 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
         # Only angles that can be some row's argmax enter the product: see
         # the docstring for the bound, the probe and the margin.
         least = np.min(row_blocks(slice(None, None, 16), np.max))
-        bound = scaled(grid)
-        bound *= bound
-        keep = (~(bound < least - _ROW_MARGIN)).nonzero()[0]
+        keep = (~(grid * grid < least - _ROW_MARGIN)).nonzero()[0]
         ks = keep[row_blocks(keep, np.argmax)]
     else:
         ks = row_blocks(slice(None), np.argmax)
-    sups = np.abs(va[ks] + zetas * vb[ks])
+    with np.errstate(over="ignore"):
+        sups = np.ldexp(np.abs(va[ks] + zetas * vb[ks]), -e)
 
     z = cmath.exp(1j * angle)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b = eval_series(A, z), eval_series(B, z)
+    a = eval_series(cols[:len(A.coeffs), 0].tolist(), z)
+    b = eval_series(cols[:len(B.coeffs), 1].tolist(), z)
     witness = (cmath.phase(a) - cmath.phase(b)) % _TWO_PI
-    return ZetaFamilyScan(
-        phases=phases.copy(), sups=sups, max_sup=max_sup,
-        witness_phase=witness
-    )
+    return ZetaFamilyScan(phases=phases.copy(), sups=sups, max_sup=max_sup,
+                          witness_phase=witness)
 
 
 @dataclass(frozen=True)
@@ -573,13 +555,11 @@ def stable_family_check(f: HarmonicMap, params: ClassParams,
     ConsistencyError.
 
     ``harmonic_sup`` is harmonic_membership's ``measured_sup`` bit for
-    bit: zeta_family_sup reads it with paired_boundary_sup's candidate
-    Horner rule and polish, from the transform its rows come from.  The
-    polished maximum is at least the grid's |va| + |vb| less that rule's
-    transform error bound, and the grid bounds each section's grid value,
-    so the gap checks the sweep's row product against the maximum, not
-    the transform: a transform error moves the sections and the grid
-    alike.  The tests check each row against a rebuilt section's scan.
+    bit (see ZetaFamilyScan).  It is at least the grid's |va| + |vb| less
+    the candidate rule's error bound, and the grid bounds each section's
+    grid value, so the gap checks the sweep's row product against the
+    maximum, not the transform, whose errors move the sections and the
+    grid alike.
     """
     scan = zeta_family_sup(deficiency(f.h), deficiency(f.g), zeta_samples)
     harmonic_sup = scan.max_sup

@@ -102,10 +102,12 @@ def scan_angles(degree: int) -> int:
     return min(p << (-(-floor // p) - 1).bit_length() for p in odd)
 
 
-def eval_series(F: AnalyticSeries, z: complex) -> complex:
-    """Horner evaluation of F at a point; exact for polynomials."""
+def eval_series(coeffs: Sequence[complex], z: complex) -> complex:
+    """Horner evaluation at a point of the series whose coefficients, from
+    c_0 up, are ``coeffs`` (an AnalyticSeries' ``coeffs``, or scaled ones);
+    exact for polynomials."""
     acc = 0j
-    for c in reversed(F.coeffs):
+    for c in reversed(coeffs):
         acc = acc * z + c
     return acc
 

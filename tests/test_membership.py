@@ -230,12 +230,12 @@ class TestCoefficientExit:
 
     def test_overflowing_sums_fall_through_to_the_scan(self, scan_calls):
         # 1e307 (z^2 + ... + z^20) lines up at z = 1, but its sum
-        # overflows, so the exit decides nothing and the scan overflows.
+        # overflows, so the exit decides nothing, and the scan's maximum,
+        # 1.9e308, reads +inf.
         F = AnalyticSeries((0, 0) + (1e307,) * 19)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sup, _ = paired_boundary_sup(F, ZERO)
+        sup, _ = paired_boundary_sup(F, ZERO)
         assert scan_calls["polyval"] > 0
-        assert not math.isfinite(sup)
+        assert sup == math.inf
 
 
 @pytest.fixture
@@ -252,23 +252,31 @@ def polyval_points(monkeypatch):
     return points
 
 
-def horner_scan(F1, F2):
+def horner_scan(F1, F2, scale=False):
     """The full Horner scan, rebuilt from public pieces: |F1| + |F2| by
     eval_array on all scan_angles(degree) angles, then _paired_polish from
-    the first grid argmax, below the z = 1 exit."""
+    the first grid argmax, below the z = 1 exit.  With ``scale``, it scans
+    the coefficients times 2^e of _scaled_columns and divides by 2^e at
+    the end, as the scan does."""
     import harmcert.membership as membership
 
-    decided, _ = membership._sup_at_one(F1, F2)
+    decided, top = membership._sup_at_one(F1, F2)
     if decided:
         return decided
+    e = 0
+    if scale:
+        cols, e, top = membership._scaled_columns(F1, F2, top)
+        F1, F2 = (AnalyticSeries(cols[:len(F.coeffs), j])
+                  for j, F in enumerate((F1, F2)))
     n = scan_angles(max(F1.degree, F2.degree))
     thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        zs = np.exp(1j * thetas)
-        vals = abs(eval_array(F1, zs)) + abs(eval_array(F2, zs))
-        k = int(np.argmax(vals))
-        return membership._paired_polish(F1, F2, thetas[k], vals[k],
-                                         2.0 * math.pi / n)
+    zs = np.exp(1j * thetas)
+    vals = abs(eval_array(F1, zs)) + abs(eval_array(F2, zs))
+    k = int(np.argmax(vals))
+    sup, angle = membership._paired_polish(F1.coeffs, F2.coeffs, thetas[k],
+                                           vals[k], 2.0 * math.pi / n, top)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(sup, -e)), angle
 
 
 def scaled(F, scale):
@@ -301,9 +309,9 @@ class TestScanMatchesHorner:
     returns the full Horner scan's (sup, angle) bit for bit."""
 
     @staticmethod
-    def assert_same(F1, F2):
+    def assert_same(F1, F2, scale=False):
         got = paired_boundary_sup(F1, F2)
-        want = horner_scan(F1, F2)
+        want = horner_scan(F1, F2, scale)
         assert [x.hex() for x in got] == [x.hex() for x in want], (got, want)
         return got
 
@@ -317,28 +325,43 @@ class TestScanMatchesHorner:
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200, 1e-300, 1e-320])
     def test_coefficient_scales(self, scale):
-        # At 1e-320 the coefficients are subnormal: the transform's
-        # absolute underflow error joins its bound.
+        # Down to 1e-200 the scan is the unscaled Horner scan's bit for bit.
+        # Below, the unscaled scan's own error bounds are subnormal (the
+        # polish's err is about 1e-314 at 1e-300), and the referee scans
+        # the same power-of-two-scaled coefficients the scan does.
         rng = np.random.default_rng(27)
+        tiny = scale < 1e-250
         for degree in (2, 3, 5, 9, 17, 33, 100):
             for _ in range(2):
                 f = random_member(degree, ClassParams(lam=1.0), rng)
                 A, B = deficiency(f.h), deficiency(f.g)
-                sup, _ = self.assert_same(scaled(A, scale), scaled(B, scale))
-                assert math.isfinite(sup)
-                self.assert_same(scaled(A, scale), ZERO)
+                sup, _ = self.assert_same(scaled(A, scale), scaled(B, scale),
+                                          tiny)
+                assert 0.0 < sup < math.inf
+                self.assert_same(scaled(A, scale), ZERO, tiny)
 
     def test_overflow_both_ways(self):
         # Moduli 5e307 at scattered phases: the coefficient sum overflows,
-        # so every angle goes to Horner as in the full scan, and most
-        # maxima read NaN either way.
+        # so the scan scales by the largest modulus, and a maximum past the
+        # double range reads +inf, which membership and the family check
+        # reject.
         sups = []
         for degree in (5, 9, 33):
             A = AnalyticSeries((0, 0) + tuple(
                 5e307 * cmath.exp(1j * k * k) for k in range(2, degree + 1)))
             for B in (ZERO, scaled(A, 0.5)):
-                sups.append(self.assert_same(A, B)[0])
-        assert sum(map(math.isnan, sups)) >= 4
+                sup, _ = self.assert_same(A, B, scale=True)
+                sups.append(sup)
+                if sup == math.inf:
+                    # h and g whose deficiency images are about A and B.
+                    h, g = (tuple(c / (1 - k) for k, c in
+                                  enumerate(F.coeffs[2:], 2)) for F in (A, B))
+                    f = make_map((0, 1) + h, (0, 0) + g)
+                    for check in (harmonic_membership, stable_family_check):
+                        with pytest.raises(ParameterError, match="overflow"):
+                            check(f, ClassParams(lam=1.0))
+        assert sups.count(math.inf) >= 4
+        assert all(sup > 1e308 for sup in sups)
 
     def test_near_tie_maps(self):
         for f in near_tie_maps():
@@ -364,6 +387,52 @@ class TestScanMatchesHorner:
             polyval_points.clear()
             paired_boundary_sup(deficiency(f.h), deficiency(f.g))
             assert len(polyval_points) == 1 and 1 <= polyval_points[0] <= 8
+
+
+class TestPowerOfTwoScaling:
+    """The class condition is homogeneous: the deficiency coefficients
+    times 2^k have every circle maximum times 2^k.  The scans scale each
+    map once by a power of two, so wherever every coefficient stays normal
+    they return exactly 2^k times the same maxima, at the same angles and
+    phases."""
+
+    @staticmethod
+    def times(F, k):
+        return AnalyticSeries(tuple(
+            complex(math.ldexp(c.real, k), math.ldexp(c.imag, k))
+            for c in F.coeffs))
+
+    @staticmethod
+    def normal_range(A, B):
+        """The k in -1000..1000, in steps of 40, that keep every nonzero
+        coefficient part at least 2^-1022 and the coefficient sum below
+        2^1023, so that every maximum stays finite."""
+        parts = [abs(x) for c in A.coeffs + B.coeffs
+                 for x in (c.real, c.imag) if x]
+        total = math.fsum(map(abs, A.coeffs + B.coeffs))
+        lo = -1022 - math.frexp(min(parts))[1] + 1
+        hi = 1023 - math.frexp(total)[1]
+        return [k for k in range(-1000, 1001, 40) if lo <= k <= hi]
+
+    def test_maxima_scale_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        maps = [random_member(d, ClassParams(lam=1.0), rng)
+                for d in (2, 3, 5, 9, 17, 33, 100)]
+        maps += near_tie_maps()
+        for f in maps:
+            A, B = deficiency(f.h), deficiency(f.g)
+            sup, angle = paired_boundary_sup(A, B)
+            scan = zeta_family_sup(A, B, 64)
+            ks = self.normal_range(A, B)
+            assert len(ks) >= 45
+            for k in ks:
+                Ak, Bk = self.times(A, k), self.times(B, k)
+                got = paired_boundary_sup(Ak, Bk)
+                assert got == (math.ldexp(sup, k), angle), (k, got)
+                scan_k = zeta_family_sup(Ak, Bk, 64)
+                assert scan_k.max_sup == math.ldexp(scan.max_sup, k)
+                assert np.array_equal(scan_k.sups, np.ldexp(scan.sups, k))
+                assert scan_k.witness_phase == scan.witness_phase
 
 
 class TestPolishStop:
@@ -805,8 +874,8 @@ class TestStableFamily:
             family = stable_family_check(f, params, 64)
             assert family.harmonic_sup.hex() == rep.measured_sup.hex()
             z = cmath.exp(1j * rep.witness_angle)
-            a = eval_series(deficiency(f.h), z)
-            b = eval_series(deficiency(f.g), z)
+            a = eval_series(deficiency(f.h).coeffs, z)
+            b = eval_series(deficiency(f.g).coeffs, z)
             phase = (cmath.phase(a) - cmath.phase(b)) % (2 * math.pi)
             assert family.scan.witness_phase.hex() == phase.hex()
 
@@ -876,21 +945,27 @@ class TestZetaFamilySweep:
             assert abs(scan.max_sup - sup) <= 1e-14 * sup
 
     @staticmethod
-    def unpruned_rows(A, B, zeta_samples):
+    def unpruned_rows(A, B, zeta_samples, scale=False):
         """Every row's grid argmax from the rank-3 product on all
         scan_angles(degree) angles, in blocks of about 2**14 values and two
         rows at least, and its |va + zeta vb| there: the sweep's rows with
-        no angle pruned."""
-        cols = coefficient_columns(A, B)
+        no angle pruned.  With ``scale``, va and vb are the values of the
+        coefficients times 2^e of _scaled_columns, and the rows are divided
+        by 2^e at the end, as the sweep does."""
+        import harmcert.membership as membership
+
+        cols, e = coefficient_columns(A, B), 0
+        if scale:
+            cols, e, _ = membership._scaled_columns(
+                A, B, membership._sup_at_one(A, B)[1])
         n = scan_angles(len(cols) - 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = circle_values(cols, n)
+        vals = circle_values(cols, n)
         va, vb = np.ascontiguousarray(vals.T)
         phases = 2 * math.pi * np.arange(zeta_samples) / zeta_samples
         # a, b: va, vb times the power of two that brings their largest
         # modulus into [1/2, 1), exact however small that modulus is.
-        e = -math.frexp(float(np.max(np.abs(vals))))[1]
-        a, b = (np.ldexp(x.view(float), e).view(complex) for x in (va, vb))
+        s = -math.frexp(float(np.max(np.abs(vals))))[1]
+        a, b = (np.ldexp(x.view(float), s).view(complex) for x in (va, vb))
         # b * conj(a) in this order: numpy may swap the operands of an
         # operator on a large temporary, and the rounded product with them.
         w = np.multiply(b, np.conj(a))
@@ -901,11 +976,12 @@ class TestZetaFamilySweep:
         rows = max(2, 2**14 // n)
         ks = np.concatenate([np.argmax(trig[r:r + rows] @ quad, axis=1)
                              for r in range(0, zeta_samples, rows)])
-        return phases, np.abs(va[ks] + np.exp(1j * phases) * vb[ks])
+        return phases, np.ldexp(
+            np.abs(va[ks] + np.exp(1j * phases) * vb[ks]), -e)
 
-    def assert_rows_unpruned(self, A, B, zeta_samples=256):
+    def assert_rows_unpruned(self, A, B, zeta_samples=256, scale=False):
         scan = zeta_family_sup(A, B, zeta_samples)
-        phases, sups = self.unpruned_rows(A, B, zeta_samples)
+        phases, sups = self.unpruned_rows(A, B, zeta_samples, scale)
         assert [x.hex() for x in scan.phases] == [x.hex() for x in phases]
         assert [x.hex() for x in scan.sups] == [x.hex() for x in sups]
 
@@ -953,12 +1029,15 @@ class TestZetaFamilySweep:
         # A largest modulus of 1.6e-310 has no finite reciprocal.  Scaled
         # by that reciprocal, every row read angle 0, |A(1)| = 1.166e-310,
         # and the second map raised an overflow warning.  With B = 0 every
-        # section is A, so every row is the grid maximum of |A|.
+        # section is A, so every row is the grid maximum of |A|.  The
+        # unscaled transform of subnormal coefficients carries their
+        # absolute rounding, so the referee transforms the same
+        # power-of-two-scaled coefficients the sweep does.
         for h in ((0, 1, 1e-310, 3e-311j), (0, 1, 1e-310)):
             f = make_map(h)
             rep = stable_family_check(f, ClassParams(lam=1.0), 8)
             assert np.all(rep.scan.sups >= (1 - 1e-3) * rep.harmonic_sup)
-            self.assert_rows_unpruned(deficiency(f.h), ZERO, 8)
+            self.assert_rows_unpruned(deficiency(f.h), ZERO, 8, scale=True)
 
     def test_pruned_rows_with_mirror_tied_peaks(self):
         # Real coefficients make |A + zeta B| at zeta and conj(zeta) mirror
