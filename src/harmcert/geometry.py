@@ -35,6 +35,7 @@ from .series import (
     ZERO,
     AnalyticSeries,
     EvalGrid,
+    _derived,
     circle_values,
     circle_values_error,
     coefficient_columns,
@@ -215,8 +216,9 @@ def _ring_numerator(p, q, u, v):
     gamma = v conj(p) + conj(u) q, so its least value is alpha - |gamma|.
     Arrays and Python complex numbers alike have the methods used here.
     """
-    alpha = (u * p.conjugate() + v * q.conjugate()).real
-    return alpha - abs(v * p.conjugate() + u.conjugate() * q)
+    pc = p.conjugate()
+    alpha = (u * pc + v * q.conjugate()).real
+    return alpha - abs(v * pc + u.conjugate() * q)
 
 
 def _ring_objective(p, q, u, v):
@@ -237,7 +239,20 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     once, on p + q.  ``ring(r)`` returns the minimum of the objective on
     |z| = r and the angle attaining it, or -inf when that count is not
     proven to be 1 (STARLIKE) or 0 (CONVEX), at the grid angle where
-    |p + q| is smallest.  u = z p' + offset p and v = z q' + offset q are
+    |p + q| is smallest.  The count is proven once per closure: it keeps
+    the largest radius R whose count came out as the allowed one, and a
+    ring at r <= R skips D = p + q, its moduli, the cell test and the
+    angle sum.  The zeros of D inside |z| < r are among those inside
+    |z| < R, where D has none (CONVEX) or only the origin's (STARLIKE), so
+    no zero lies on the smaller ring and its count is the allowed one too;
+    the objective, the proof and the polish run as on any ring.  Nothing
+    outlives the closure.  The argument principle reads the count from
+    the grid: along one cell D moves by at most delta = step S1(P), as
+    |z D'| <= S1(P) below, and each grid value of D is off by at most
+    eps S0(P) + lost_p (below), so a ring fails unless every grid value
+    has |D| > eps S0(P) + lost_p + delta (1 + 1/pi); then D has no zero
+    on the ring and each cell turns arg D by the principal angle between
+    its grid values.  u = z p' + offset p and v = z q' + offset q are
     series too, with coefficients (k + offset) p_k and (k + offset) q_k, so
     each ring's grid values of p, q, u and v come from one 4-column
     circle_values transform.  Where a first-order bound proves the ring
@@ -314,8 +329,11 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     eps = circle_values_error(angles)
     tiny = np.finfo(float).tiny
     degree = len(powers) - 1
+    # The largest ring whose zero count came out as the allowed one.
+    counted = 0.0
 
     def ring(r: float) -> tuple[float, float]:
+        nonlocal counted
         raw = r ** powers
         top = float(np.max(top_terms * raw))
         if not top >= tiny:
@@ -334,20 +352,24 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
             lost_u = step_err * float(U[under].sum())
             if not (lost_p <= eps * s0p and lost_u <= eps * s0u):
                 return math.nan, 0.0
-        # D moves by at most delta along one grid cell.  If delta stays
-        # below pi (|D(z_k)| - delta) on every cell, D has no zero on the
-        # ring and each cell turns arg D by the principal angle of
-        # D(z_{k+1}) / D(z_k), so their sum counts the zeros inside.
-        delta = step * s1p
-        D = vals[0] + vals[1]
-        mod = np.abs(D)
-        j = int(np.argmin(mod))
-        if delta >= math.pi * (mod[j] - delta):
-            return -math.inf, float(thetas[j])
-        turn = (float(np.angle(D[1:] * np.conj(D[:-1])).sum())
-                + float(np.angle(D[0] * np.conj(D[-1]))))
-        if round(turn / _TWO_PI) != zeros:
-            return -math.inf, float(thetas[j])
+        if r > counted:
+            # D moves by at most delta along one grid cell, and each grid
+            # value of D is off by at most eps s0p + lost_p.  If delta
+            # stays below pi (|D(z_k)| - eps s0p - lost_p - delta) on
+            # every cell, D has no zero on the ring and each cell turns
+            # arg D by the principal angle of D(z_{k+1}) / D(z_k), so
+            # their sum counts the zeros inside.
+            delta = step * s1p
+            D = vals[0] + vals[1]
+            mod = np.abs(D)
+            j = int(np.argmin(mod))
+            if delta >= math.pi * (mod[j] - eps * s0p - lost_p - delta):
+                return -math.inf, float(thetas[j])
+            turn = (float(np.angle(D[1:] * np.conj(D[:-1])).sum())
+                    + float(np.angle(D[0] * np.conj(D[-1]))))
+            if round(turn / _TWO_PI) != zeros:
+                return -math.inf, float(thetas[j])
+            counted = r
         num = _ring_numerator(*vals)
         grid = num / (np.abs(vals[0]) + np.abs(vals[1])) ** 2
         k = int(np.argmin(grid))
@@ -541,7 +563,7 @@ def _second_derivative(F: AnalyticSeries) -> AnalyticSeries:
 
 def _euler_image(F: AnalyticSeries) -> AnalyticSeries:
     # z^2 F'' + z F' - F acts coefficientwise as c_n -> (n^2 - 1) c_n.
-    return AnalyticSeries(tuple((n * n - 1) * c for n, c in enumerate(F.coeffs)))
+    return _derived(tuple((n * n - 1) * c for n, c in enumerate(F.coeffs)))
 
 
 def _differential_test(h: AnalyticSeries, g: AnalyticSeries,

@@ -19,6 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import ClassVar
 
 from ._lazy import np
@@ -590,8 +591,9 @@ def coefficient_sufficient(f: HarmonicMap, params: ClassParams
                            ) -> CoefficientSufficiency:
     """Sum (n-1)(|a_n| + |b_n|) and compare strictly against lam."""
     total = 0.0
-    for n in range(2, f.degree + 1):
-        total += (n - 1) * (abs(f.h.coeff(n)) + abs(f.g.coeff(n)))
+    for n, (a, b) in enumerate(
+            zip_longest(f.h.coeffs[2:], f.g.coeffs[2:], fillvalue=0j), 2):
+        total += (n - 1) * (abs(a) + abs(b))
     return CoefficientSufficiency(sufficient=total < params.lam, total=total)
 
 
@@ -613,10 +615,11 @@ def coefficient_bounds_audit(f: HarmonicMap, params: ClassParams
     relative once the bound passes 1, as in the stable-family gap.
     """
     out = []
-    for n in range(2, f.degree + 1):
+    for n, pair in enumerate(
+            zip_longest(f.h.coeffs[2:], f.g.coeffs[2:], fillvalue=0j), 2):
         bound = params.lam / (n - 1)
-        for side, series_ in (("a", f.h), ("b", f.g)):
-            value = abs(series_.coeff(n))
+        for side, c in zip("ab", pair):
+            value = abs(c)
             out.append(BoundsAuditEntry(
                 index=n,
                 side=side,

@@ -156,10 +156,38 @@ def circle_values_error(n: int) -> float:
     return 8.0 * 2.0 ** -53 * math.ceil(math.log2(n)) * math.sqrt(n)
 
 
+def _derived(cs: tuple[complex, ...]) -> AnalyticSeries:
+    """AnalyticSeries(cs) for coefficients derived from checked ones.
+
+    The derived series (derivative, deficiency, hadamard and the Euler
+    image) multiply coefficients that the validating constructor already
+    made Python complex numbers with finite moduli, so ``cs`` needs no
+    ``complex()`` and, when the sum of its moduli is finite, no
+    per-coefficient check: the trailing zeros are stripped and the series
+    built as is.  When that sum is not finite, a product overflowed (or
+    many large moduli add up past the double range), and the validating
+    constructor decides: it raises the same ParameterError on an
+    overflowed coefficient or modulus, and accepts finite ones whose sum
+    alone overflows.
+    """
+    try:
+        checked = math.isfinite(sum(map(abs, cs)))
+    except OverflowError:
+        checked = False
+    if not checked:
+        return AnalyticSeries(cs)
+    n = len(cs)
+    while n > 1 and cs[n - 1] == 0:
+        n -= 1
+    F = object.__new__(AnalyticSeries)
+    object.__setattr__(F, "coeffs", cs[:n])
+    return F
+
+
 def derivative(F: AnalyticSeries) -> AnalyticSeries:
     if F.degree == 0:
         return ZERO
-    return AnalyticSeries(tuple(n * c for n, c in enumerate(F.coeffs))[1:])
+    return _derived(tuple(n * c for n, c in enumerate(F.coeffs))[1:])
 
 
 def deficiency(F: AnalyticSeries) -> AnalyticSeries:
@@ -167,14 +195,16 @@ def deficiency(F: AnalyticSeries) -> AnalyticSeries:
 
     Coefficientwise: c_n -> (1 - n) c_n, so the constant term is preserved,
     the linear term is annihilated, and higher terms flip sign and grow.
+    The image is built from F's checked coefficients by _derived, with the
+    validating constructor's result and errors.
     """
-    return AnalyticSeries(tuple((1 - n) * c for n, c in enumerate(F.coeffs)))
+    return _derived(tuple((1 - n) * c for n, c in enumerate(F.coeffs)))
 
 
 def hadamard(F1: AnalyticSeries, F2: AnalyticSeries) -> AnalyticSeries:
     """Coefficientwise product; the result is truncated to the shorter input."""
     n = min(len(F1.coeffs), len(F2.coeffs))
-    return AnalyticSeries(tuple(F1.coeffs[k] * F2.coeffs[k] for k in range(n)))
+    return _derived(tuple(F1.coeffs[k] * F2.coeffs[k] for k in range(n)))
 
 
 def linear_combination(

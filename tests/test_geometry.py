@@ -45,6 +45,7 @@ from harmcert.series import (
     AnalyticSeries,
     EvalGrid,
     circle_values,
+    circle_values_error,
     default_grid,
     derivative,
     linear_combination,
@@ -431,6 +432,88 @@ class TestRadiusCertify:
                     assert nearest > 1.0 - tol
                 else:
                     assert cert.radius < nearest
+
+
+class TestZeroCountOnce:
+    """Each certificate proves its zero count once, on its largest ring."""
+
+    def test_rings_inside_a_counted_ring_skip_the_count(self, monkeypatch):
+        # Every count takes np.angle; a ring at or below the largest ring
+        # whose count came out as the allowed one takes none.
+        counts = []
+        angle = np.angle
+
+        def counting(*args):
+            counts.append(None)
+            return angle(*args)
+
+        monkeypatch.setattr(np, "angle", counting)
+        rng = np.random.default_rng(7)
+        for j in range(8):
+            d = int(rng.integers(3, 65))
+            f = random_member(d, ClassParams(8.0), rng)
+            kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
+            ring = _section_rings(f.h, f.g, kind)
+            rings, counted = [], 0.0
+
+            def logged(r):
+                before = len(counts)
+                out = ring(r)
+                rings.append((r, len(counts) > before, out[0] > -math.inf))
+                return out
+
+            monkeypatch.setattr(geometry, "_section_rings",
+                                lambda *args: logged)
+            cert = harmonic_radius_certify(f, ClassParams(8.0), kind)
+            assert cert.rings == len(rings) >= 5
+            assert cert.radius < 1.0
+            for r, took_count, allowed in rings:
+                if r <= counted:
+                    assert not took_count
+                elif took_count and allowed:
+                    counted = r
+            assert 0 < sum(took for _, took, _ in rings) < len(rings) / 2
+
+    def test_counted_ring_leaves_smaller_rings_unchanged(self):
+        # ring(r) after a larger ring was counted equals ring(r) from a
+        # fresh closure, value and angle to the last bit.
+        rng = np.random.default_rng(11)
+        for j in range(24):
+            d = int(rng.integers(3, 65))
+            params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
+            f = random_member(d, params, rng)
+            kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
+            cert = harmonic_radius_certify(f, params, kind)
+            outer = min(cert.radius, 1.0 - 1e-4)
+            warm = _section_rings(f.h, f.g, kind)
+            assert warm(outer)[0] > 0.0
+            for r in outer * rng.uniform(0.05, 1.0, 4):
+                fresh = _section_rings(f.h, f.g, kind)(float(r))
+                again = warm(float(r))
+                assert [x.hex() for x in again] == [x.hex() for x in fresh]
+
+    def test_least_modulus_within_the_rounding_term_fails(self):
+        # On |z| = 1/2, D = z (1 + 2 x z) for z + 2 x z^2 has its least
+        # modulus (1 - x) / 2 at the grid angle pi.  x is chosen so that
+        # this modulus exceeds the cell bound delta (1 + 1/pi) by m times
+        # the grid values' rounding term eps S0(P): for m < 1 the ring
+        # fails its zero count, which a test without the rounding term
+        # would have taken; for m = 2 it passes, and the ring minimum of
+        # the functional, negative here, is returned.
+        n = scan_angles(2)
+        k = 2 * math.pi / n * (1 + 1 / math.pi)
+        eps = circle_values_error(n)
+
+        def ring_at(m):
+            # (1 - x) = k (1 + 2 x) + m eps (1 + x), each side over r = 1/2.
+            x = (1 - k - m * eps) / (1 + 2 * k + m * eps)
+            F = AnalyticSeries((0, 1, 2 * x))
+            return _section_rings(F, ZERO, RadiusKind.STARLIKE)(0.5)
+
+        for m in (0.25, 0.5, 0.75):
+            assert ring_at(m) == (-math.inf, math.pi)
+        value, _ = ring_at(2.0)
+        assert -math.inf < value < 0.0
 
 
 class TestHarmonicRadius:

@@ -1156,6 +1156,29 @@ class TestCoefficientSufficient:
             assert rep.measured_sup <= out.total + params.sup_tolerance
 
 
+    def test_total_and_audit_follow_the_index_order(self):
+        # Both walk the coefficient tuples, the shorter one zero-padded, in
+        # the order of the per-index definition, so total is bit for bit
+        # sum over n of (n - 1) (|a_n| + |b_n|), n = 2..degree.
+        rng = np.random.default_rng(61)
+        params = ClassParams(lam=1.0)
+        for dh, dg in ((1, 7), (7, 1), (9, 4), (4, 9), (6, 6), (1, 0)):
+            h = (0, 1) + tuple(rng.standard_normal(max(dh - 1, 0))
+                               + 1j * rng.standard_normal(max(dh - 1, 0)))
+            g = (0, 0) + tuple(rng.standard_normal(max(dg - 1, 0))
+                               + 1j * rng.standard_normal(max(dg - 1, 0)))
+            f = make_map(h, g)
+            total = 0.0
+            entries = []
+            for n in range(2, f.degree + 1):
+                total += (n - 1) * (abs(f.h.coeff(n)) + abs(f.g.coeff(n)))
+                entries += [(n, "a", abs(f.h.coeff(n))),
+                            (n, "b", abs(f.g.coeff(n)))]
+            assert coefficient_sufficient(f, params).total.hex() == total.hex()
+            audit = coefficient_bounds_audit(f, params)
+            assert [(e.index, e.side, e.value) for e in audit] == entries
+
+
 class TestBoundsAudit:
     def test_sharp_passes_at_equality(self):
         lam, n = 1.0, 5

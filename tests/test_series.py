@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from horner import eval_array
 
 from harmcert.errors import ParameterError
+from harmcert.geometry import _euler_image
 from harmcert.series import (
     AnalyticSeries,
     EvalGrid,
@@ -300,6 +301,68 @@ class TestHadamard:
         ones = AnalyticSeries((1,) * (F.degree + 1))
         lhs = derivative(hadamard(F, ones))
         assert lhs.coeffs == derivative(F).coeffs
+
+
+def bits(F):
+    return [(c.real.hex(), c.imag.hex()) for c in F.coeffs]
+
+
+class TestDerivedSeries:
+    """derivative, deficiency, hadamard and the Euler image build their
+    results from checked coefficients, with the validating constructor's
+    result and errors."""
+
+    @staticmethod
+    def derived(F, G):
+        cs = F.coeffs
+        return (
+            (derivative(F), tuple(n * c for n, c in enumerate(cs))[1:]),
+            (deficiency(F), tuple((1 - n) * c for n, c in enumerate(cs))),
+            (hadamard(F, G), tuple(a * b for a, b in zip(cs, G.coeffs))),
+            (_euler_image(F), tuple((n * n - 1) * c
+                                    for n, c in enumerate(cs))),
+        )
+
+    @given(float_coeffs, float_coeffs)
+    @settings(max_examples=100)
+    def test_equal_to_the_validating_constructor(self, cf, cg):
+        F, G = AnalyticSeries(tuple(cf)), AnalyticSeries(tuple(cg))
+        for got, cs in self.derived(F, G):
+            want = AnalyticSeries(cs)
+            assert bits(got) == bits(want)
+            assert got == want
+            assert all(type(c) is complex for c in got.coeffs)
+
+    def test_trailing_zeros_stripped(self):
+        assert deficiency(AnalyticSeries((0, 1))).coeffs == (0j,)
+        assert deficiency(AnalyticSeries((0, 1))).degree == 0
+        F = AnalyticSeries((0, 1, 0.5))
+        G = AnalyticSeries((0, 1, 0, 2))
+        assert hadamard(F, G).coeffs == (0j, 1 + 0j)
+        assert _euler_image(AnalyticSeries((2, 1))).coeffs == (-2 + 0j,)
+        assert derivative(AnalyticSeries((3, 1e-300))).coeffs == (1e-300 + 0j,)
+
+    def test_overflowing_image_raises_the_same_error(self):
+        # -2 (0.7e308 + 0.7e308 i) has finite parts and an overflowing
+        # modulus; -2 (1e308) overflows itself.
+        for c, what in ((0.7e308 + 0.7e308j, "coefficient moduli"),
+                        (1e308 + 0j, "coefficients")):
+            F = AnalyticSeries((0, 1, 0, c))
+            cs = tuple((1 - n) * c for n, c in enumerate(F.coeffs))
+            with pytest.raises(ParameterError) as want:
+                AnalyticSeries(cs)
+            with pytest.raises(ParameterError) as got:
+                deficiency(F)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith(f"{what} must be finite")
+            assert str(got.value).endswith("at index 3")
+
+    def test_finite_image_whose_modulus_sum_overflows_is_accepted(self):
+        F = AnalyticSeries((0, 1, 1e308, 0.5e308))
+        image = deficiency(F)
+        assert image.coeffs == (0j, 0j, -1e308 + 0j, -1e308 + 0j)
+        assert math.isinf(sum(map(abs, image.coeffs)))
+        assert image == AnalyticSeries((0, 0, -1e308, -1e308))
 
 
 class TestLinearCombination:
