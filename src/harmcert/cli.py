@@ -153,12 +153,12 @@ def parse_function_file(text: str) -> FunctionFile:
     h = _parse_coeffs(obj["h_coeffs"], "h_coeffs")
     if len(h) < 2:
         raise FunctionFileError("h_coeffs: need at least the first two entries")
-    if _modulus(h[0]) > COEFF_TOL:
+    if h[0] != 0:
         raise FunctionFileError("h_coeffs[0]: series must vanish at the origin")
     if _modulus(h[1] - 1.0) > COEFF_TOL:
         raise FunctionFileError("h_coeffs[1]: linear coefficient must be 1")
     g = _parse_coeffs(obj["g_coeffs"], "g_coeffs")
-    if len(g) >= 1 and _modulus(g[0]) > COEFF_TOL:
+    if len(g) >= 1 and g[0] != 0:
         raise FunctionFileError(
             "g_coeffs[0]: co-analytic part must vanish at the origin"
         )

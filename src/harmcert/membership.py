@@ -15,7 +15,6 @@ misclassifying them through a naive strict comparison.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,6 +29,7 @@ from .series import (
     circle_values,
     circle_values_error,
     coefficient_columns,
+    count_at_least,
     deficiency,
     eval_series,
     scan_angles,
@@ -43,9 +43,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 # Every polish over a circle angle stops once its bracket is this narrow,
 # or earlier where the objective's rounding error hides what lies inside.
 _POLISH_WIDTH = 1e-9
-# The zeta sweep's pruning margin, 256 u: it covers the rounding of a row
-# value, of its bound and of a probe value (see zeta_family_sup).
-_ROW_MARGIN = 2.0**-45
 
 _JUSTIFICATION = (
     "sum of moduli of two deficiency images vanishing at the origin (the "
@@ -87,8 +84,8 @@ class ClassParams:
 class HarmonicMap:
     """Pair (h, g) for the map h + conj(g).
 
-    h carries the normalization c0 = 0, c1 = 1; g must vanish to second
-    order (no constant and no linear coefficient).
+    h carries the normalization c0 = 0 exactly, c1 = 1 within COEFF_TOL;
+    g has c0 = 0 exactly and a linear coefficient within COEFF_TOL of 0.
     """
 
     h: AnalyticSeries
@@ -99,7 +96,7 @@ class HarmonicMap:
             raise NormalizationError(
                 "analytic part must have c0 = 0 and c1 = 1"
             )
-        if abs(self.g.coeff(0)) > COEFF_TOL or abs(self.g.coeff(1)) > COEFF_TOL:
+        if self.g.coeff(0) != 0 or abs(self.g.coeff(1)) > COEFF_TOL:
             raise NormalizationError("co-analytic linear term must vanish")
 
     @property
@@ -407,34 +404,17 @@ def harmonic_membership(f: HarmonicMap, params: ClassParams
 class ZetaFamilyScan:
     """Boundary suprema of the sections A + zeta B over sampled zeta.
 
-    ``sups[k]`` is the grid maximum of the section at ``phases[k]``, within
-    a proven bound below its sup (see zeta_family_sup), so a sampled lower
-    bound on ``max_sup``, the sup over every unimodular zeta, which the
-    section with phase ``witness_phase`` attains.  ``max_sup`` and the
-    angle behind ``witness_phase`` are paired_boundary_sup(A, B), bit for
-    bit, read from the transform that ``sups`` come from.
+    ``section_max``, the largest grid value of the sections at the phases
+    2 pi k / m, k < m = zeta_samples, is a sampled lower bound on
+    ``max_sup``, the sup over every unimodular zeta, which the section with
+    phase ``witness_phase`` attains (see zeta_family_sup).  ``max_sup`` and
+    the angle behind ``witness_phase`` are paired_boundary_sup(A, B), bit
+    for bit, read from the transform that ``section_max`` comes from.
     """
 
-    phases: np.ndarray
-    sups: np.ndarray
+    section_max: float
     max_sup: float
     witness_phase: float
-
-
-@functools.lru_cache(maxsize=1)
-def _zeta_rows(zeta_samples: int) -> tuple[np.ndarray, np.ndarray,
-                                           np.ndarray]:
-    """The sweep's phases 2 pi k / m, k < m = zeta_samples, their zetas
-    e^{i phase} and the rows [1, cos, sin] of its rank-3 product: the same
-    for every map, so read-only and cached for the last count, which
-    keeps at most one set of rows alive."""
-    phases = _TWO_PI * np.arange(zeta_samples) / zeta_samples
-    zetas = np.exp(1j * phases)
-    trig = np.stack([np.ones(zeta_samples), np.cos(phases), np.sin(phases)],
-                    axis=1)
-    for rows in (phases, zetas, trig):
-        rows.flags.writeable = False
-    return phases, zetas, trig
 
 
 def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
@@ -444,6 +424,7 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
     One transform of _scaled_columns' columns gives va, vb, the values of
     A and B times 2^e on n = scan_angles(degree) angles; the sections and
     the family maximum are read from it, and divided by 2^e at the end.
+    ``zeta_samples`` is an integer m >= 8 (see count_at_least).
 
     The maximum over every zeta has a closed form: pointwise, max over
     zeta of |A + zeta B| is |A| + |B|, reached at
@@ -453,84 +434,43 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
     candidate Horner rule and polish.  The witness phase is
     arg A - arg B at that angle, arg A(1) - arg B(1) at the exit.  A
     non-finite ``max_sup`` raises ParameterError before any section is
-    read.  The transform is taken either way: the rows need it.
+    read.  The transform is taken either way: the sections need it.
 
-    Each zeta row's grid argmax comes from a real rank-3 product, and
-    ``sups`` holds the grid maximum itself.  With
-    M2 = sum k^2 (|A_k| + |B_k|), every section F = A + zeta B has
-    |F''(theta)| <= M2.  Its true maximiser lies within pi/n of a grid
-    angle, and there F is orthogonal to F' (|F| has zero slope), so up to
-    rounding
-
-        sups[k] <= sup |A + zeta_k B| <= sups[k] + M2 pi^2 / (2 n^2).
-
-    The product reads only the angles that can be some row's argmax, and
-    builds its rank-3 terms at those angles alone.  Row k at angle j is
-    |va_j + zeta_k vb_j|^2 <= (|va_j| + |vb_j|)^2, the square of the grid
-    value the candidate rule holds, at most 4 as the scaled coefficient
-    sum is below 1; each row's maximum is at least L, the least over the
-    rows of their maxima over every 16th angle (the probe).  With
-    u = 2^-53, a computed row value exceeds the exact bound by at most
-    33 u (4 u from the rounded cos and sin, 29 u from the rank-3 terms and
-    their dot product), and a computed bound lies at most 28 u below the
-    exact one (two hypot moduli, their sum and the square, 7 u relative).
-    The probe and the product take the same dot products in different
-    BLAS calls, so a row's computed maximum is at least L - 58 u, and an
-    angle whose computed bound lies below L - 119 u is no row's argmax:
-    the margin _ROW_MARGIN = 256 u covers that with room for underflow.
-    The kept angles stay in increasing order, so np.argmax's first-index
-    tie rule picks the same angle as on the whole grid: ``sups`` are the
-    whole grid's bit for bit, which the tests check against the unpruned
-    product.  On the smallest grid, n = 256, no angle is dropped: there
-    the probe costs more than the whole product.
+    ``section_max`` is the largest |va_j + zeta_k vb_j| over the angles j
+    and the sampled zeta_k = e^{2 pi i k / m}.  As |va + e^{i phi} vb|^2 =
+    |va|^2 + |vb|^2 + 2 |va| |vb| cos(phi - arg va + arg vb), the phase
+    nearest arg va_j - arg vb_j, k = rint(m arg(va_j conj(vb_j)) / 2 pi),
+    gives angle j's largest sampled value: one per angle, not m.  It lies
+    within pi / m of the best phase, so it reads between the grid value
+    |va_j| + |vb_j| and that value times sqrt(cos(pi / m)); only angles
+    whose grid value reaches grid.max() sqrt(cos(pi / m)) are read.  The
+    values lie below 2 (the scaled coefficient sum is below 1) and carry a
+    few tens of u = 2^-53 of rounding, so that floor is lowered by
+    2^-45 = 256 u.  With M2 = sum k^2 (|A_k| + |B_k|), |F''| <= M2 for
+    every section F, whose maximiser lies within pi/n of a grid angle where
+    |F| has zero slope; so up to rounding section_max lies within
+    M2 pi^2 / (2 n^2) below the largest sampled section's sup.
     """
-    if zeta_samples < 8:
-        raise ParameterError("need at least 8 zeta samples")
+    m = count_at_least(zeta_samples, 8, "zeta_samples")
     decided, top = _sup_at_one(A, B)
     cols, e, top = _scaled_columns(A, B, top)
-    n = scan_angles(len(cols) - 1)
-    vals = circle_values(cols, n)
+    vals = circle_values(cols, scan_angles(len(cols) - 1))
     mods = np.abs(vals)
     grid = mods[:, 0] + mods[:, 1]
     max_sup, angle = decided or _transform_sup(A, B, cols, e, grid, top)
     if not math.isfinite(max_sup):
         raise ParameterError("boundary values overflow")
-    va, vb = vals[:, 0], vals[:, 1]
-    phases, zetas, trig = _zeta_rows(zeta_samples)
-
-    def row_blocks(js, reduce):
-        # |a + e^{i phi} b|^2 = |a|^2 + |b|^2 + 2 Re(e^{i phi} b conj(a)) at
-        # the angles js: each zeta row's reduction over them is that of a
-        # real rank-3 product.  The explicit np.multiply fixes the operand
-        # order of the rounded complex product, which an operator may swap
-        # on a large temporary.  Blocks of about 2**14 values stay small
-        # enough to reuse freed memory rather than map fresh pages; each
-        # has two rows at least, as a one-row product takes numpy's
-        # matrix-vector path, which rounds differently.
-        a, b = va[js], vb[js]
-        w = np.multiply(b, np.conj(a))
-        quad = np.stack([a.real**2 + a.imag**2 + b.real**2 + b.imag**2,
-                         2.0 * w.real, -2.0 * w.imag])
-        rows = max(2, 2**14 // quad.shape[1])
-        return np.concatenate([reduce(trig[r:r + rows] @ quad, axis=1)
-                               for r in range(0, zeta_samples, rows)])
-
-    if n > 256:
-        # Only angles that can be some row's argmax enter the product: see
-        # the docstring for the bound, the probe and the margin.
-        least = np.min(row_blocks(slice(None, None, 16), np.max))
-        keep = (~(grid * grid < least - _ROW_MARGIN)).nonzero()[0]
-        ks = keep[row_blocks(keep, np.argmax)]
-    else:
-        ks = row_blocks(slice(None), np.argmax)
+    floor = float(grid.max()) * math.sqrt(math.cos(math.pi / m)) - 2.0**-45
+    va, vb = vals[grid >= floor].T
+    k = np.rint(np.angle(va * np.conj(vb)) * (m / _TWO_PI)) % m
+    zetas = np.exp(1j * (_TWO_PI * k / m))
     with np.errstate(over="ignore"):
-        sups = np.ldexp(np.abs(va[ks] + zetas * vb[ks]), -e)
-
+        section_max = float(np.ldexp(np.max(np.abs(va + zetas * vb)), -e))
     z = cmath.exp(1j * angle)
     a = eval_series(cols[:len(A.coeffs), 0].tolist(), z)
     b = eval_series(cols[:len(B.coeffs), 1].tolist(), z)
     witness = (cmath.phase(a) - cmath.phase(b)) % _TWO_PI
-    return ZetaFamilyScan(phases=phases.copy(), sups=sups, max_sup=max_sup,
+    return ZetaFamilyScan(section_max=section_max, max_sup=max_sup,
                           witness_phase=witness)
 
 
@@ -558,13 +498,13 @@ def stable_family_check(f: HarmonicMap, params: ClassParams,
     ``harmonic_sup`` is harmonic_membership's ``measured_sup`` bit for
     bit (see ZetaFamilyScan).  It is at least the grid's |va| + |vb| less
     the candidate rule's error bound, and the grid bounds each section's
-    grid value, so the gap checks the sweep's row product against the
+    grid value, so the gap checks the sampled sections against the
     maximum, not the transform, whose errors move the sections and the
     grid alike.
     """
     scan = zeta_family_sup(deficiency(f.h), deficiency(f.g), zeta_samples)
     harmonic_sup = scan.max_sup
-    top = float(np.max(scan.sups))
+    top = scan.section_max
     gap = max(0.0, top - harmonic_sup)
     if gap > params.sup_tolerance * max(1.0, harmonic_sup):
         raise ConsistencyError(

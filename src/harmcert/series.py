@@ -63,9 +63,10 @@ class AnalyticSeries:
         return self.coeffs[n] if 0 <= n <= self.degree else 0j
 
     def is_normalized(self) -> bool:
-        """True when c_0 = 0 and c_1 = 1, within COEFF_TOL."""
-        return (abs(self.coeff(0)) <= COEFF_TOL
-                and abs(self.coeff(1) - 1.0) <= COEFF_TOL)
+        """True when c_0 = 0 exactly and c_1 = 1 within COEFF_TOL: a zero
+        off the origin, however near, would leave the starlike ring test
+        a zero it counts as the origin's."""
+        return self.coeff(0) == 0 and abs(self.coeff(1) - 1.0) <= COEFF_TOL
 
 
 ZERO = AnalyticSeries((0j,))
@@ -226,6 +227,16 @@ def linear_combination(
     return AnalyticSeries(tuple(out))
 
 
+def count_at_least(n, least: int, name: str) -> int:
+    """``n`` as an int when it is an int or a numpy integer, but not a
+    bool, of at least ``least``; else ParameterError."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or n < least):
+        raise ParameterError(
+            f"{name} must be an integer of at least {least}, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class EvalGrid:
     """Polar sample grid strictly inside the unit disk, for the interior
@@ -246,13 +257,9 @@ class EvalGrid:
             raise ParameterError("grid radii must lie in [0, 1)")
         if any(b < a for a, b in zip(radii, radii[1:])):
             raise ParameterError("grid radii must be sorted")
-        n = self.angles_per_ring
-        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                or n < 1):
-            raise ParameterError(
-                f"angles_per_ring must be a positive integer, got {n!r}")
         object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "angles_per_ring", int(n))
+        object.__setattr__(self, "angles_per_ring", count_at_least(
+            self.angles_per_ring, 1, "angles_per_ring"))
 
     def points(self) -> np.ndarray:
         """All grid points r * exp(i theta), flattened ring by ring."""

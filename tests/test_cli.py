@@ -159,6 +159,23 @@ class TestCheckCommand:
         assert payload["zeta_family_max"] > 1e199
         assert captured.err == ""
 
+    @pytest.mark.parametrize("old, new, message", [
+        ('"h_coeffs": [\n    [0, 0]', '"h_coeffs": [\n    [1e-13, 0]',
+         "h_coeffs[0]: series must vanish at the origin"),
+        ('"g_coeffs": [\n    [0, 0]', '"g_coeffs": [\n    [0, -1e-300]',
+         "g_coeffs[0]: co-analytic part must vanish at the origin"),
+    ], ids=["h", "g"])
+    def test_nonzero_constant_exits_three(self, tmp_path, capsys, old, new,
+                                          message):
+        # The constant terms must be exactly 0: a zero of h off the origin
+        # would pass the starlike ring test as the origin's.
+        text = IDENTITY_TEXT.replace(old, new)
+        assert text != IDENTITY_TEXT
+        path = write(tmp_path, "bad.json", text)
+        assert main(["check", path]) == EXIT_INPUT_ERROR
+        assert message in capsys.readouterr().err
+        assert main(["radius", path, "--kind", "starlike"]) == EXIT_INPUT_ERROR
+
     def test_bad_file_exits_three(self, tmp_path, capsys):
         bad = IDENTITY_TEXT.replace(
             '"g_coeffs": [\n    [0, 0],\n    [0, 0]',

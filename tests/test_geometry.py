@@ -356,6 +356,20 @@ class TestRadiusCertify:
         with pytest.raises(ParameterError):
             radius_certify(AnalyticSeries((0, 2, 1)), RadiusKind.STARLIKE)
 
+    def test_rejects_a_zero_near_the_origin(self):
+        # The starlike ring test allows one zero inside the ring, the one at
+        # the origin.  With c0 = 1e-12 the zero sits at -1e-12, where
+        # Re(z F'/F) reads -99 on the circle of radius 1e-14 around it;
+        # such a series once certified radius 1.0 (and with a third
+        # coefficient 1e9, 4.66e-10), so c0 must be exactly 0.
+        for coeffs in ((1e-12, 1), (1e-12, 1, 1e9)):
+            with pytest.raises(ParameterError):
+                radius_certify(AnalyticSeries(coeffs), RadiusKind.STARLIKE)
+        with pytest.raises(ParameterError):
+            harmonic_radius_certify(
+                HarmonicMap(AnalyticSeries((1e-12, 1, 0.2)), ZERO),
+                ClassParams(lam=1.0), RadiusKind.STARLIKE)
+
     @pytest.mark.parametrize("tol", [0.0, 1e-40, 1e-20, 2.0 ** -51, 0.5])
     def test_rejects_tol_out_of_range(self, tol):
         # Below 2^-50 a bracket near 1 may hold no float strictly inside

@@ -431,7 +431,7 @@ class TestPowerOfTwoScaling:
                 assert got == (math.ldexp(sup, k), angle), (k, got)
                 scan_k = zeta_family_sup(Ak, Bk, 64)
                 assert scan_k.max_sup == math.ldexp(scan.max_sup, k)
-                assert np.array_equal(scan_k.sups, np.ldexp(scan.sups, k))
+                assert scan_k.section_max == math.ldexp(scan.section_max, k)
                 assert scan_k.witness_phase == scan.witness_phase
 
 
@@ -733,6 +733,12 @@ class TestHarmonicMembership:
     def test_rejects_coanalytic_linear_term(self):
         with pytest.raises(NormalizationError):
             make_map((0, 1), (0, 0.1))
+        # COEFF_TOL covers the linear coefficients only: both constant
+        # terms must be exactly 0.
+        for h, g in (((1e-13, 1), (0,)), ((0, 1), (5e-324j,))):
+            with pytest.raises(NormalizationError):
+                make_map(h, g)
+        assert make_map((-0.0, 1 + 1e-13), (-0.0, 1e-13)).degree == 1
 
     def test_half_mass_conjugate_quadratic(self):
         for lam in (0.5, 1.0, 2.0):
@@ -757,7 +763,7 @@ class TestStableFamily:
     def test_constant_modulus_sections(self):
         f = make_map((0, 1), (0, 0, 0.2))
         rep = stable_family_check(f, ClassParams(lam=1.0), zeta_samples=64)
-        assert rep.scan.sups == pytest.approx(np.full(64, 0.2), abs=1e-12)
+        assert rep.scan.section_max == pytest.approx(0.2, abs=1e-12)
         assert rep.scan.max_sup == pytest.approx(0.2, abs=1e-10)
         assert rep.gap <= 1e-10
 
@@ -775,6 +781,18 @@ class TestStableFamily:
     def test_too_few_samples(self):
         with pytest.raises(ParameterError):
             stable_family_check(make_map((0, 1)), ClassParams(lam=1.0), zeta_samples=4)
+
+    def test_sample_count_must_be_an_integer(self):
+        # The nearest-phase rule would read any real count; like
+        # EvalGrid.angles_per_ring, the count is an int or numpy integer,
+        # but not a bool.
+        f, params = make_map((0, 1, 0.1), (0, 0, 0.2j)), ClassParams(lam=1.0)
+        for bad in (8.5, 8.0, True, "8", np.int64(7), np.float64(16)):
+            with pytest.raises(ParameterError, match="zeta_samples"):
+                stable_family_check(f, params, bad)
+        ref = stable_family_check(f, params, 9)
+        for good in (np.int64(9), np.int32(9), np.uint8(9)):
+            assert stable_family_check(f, params, good) == ref
 
     def test_association_identity_sampled(self):
         rng = np.random.default_rng(53)
@@ -883,8 +901,8 @@ class TestStableFamily:
 class TestZetaFamilySweep:
     def test_sections_match_rebuilt_section_scans(self):
         # Reference: rebuild every section A + zeta B and scan it on its own.
-        # A row is a grid maximum, so it lies below the section sup by at
-        # most the curvature bound M2 pi^2 / (2 n^2).
+        # section_max is a grid maximum, so it lies below the largest
+        # section sup by at most the curvature bound M2 pi^2 / (2 n^2).
         rng = np.random.default_rng(71)
         for i in range(12):
             params = ClassParams(lam=float(rng.uniform(0.2, 6.0)))
@@ -895,13 +913,13 @@ class TestZetaFamilySweep:
             m2 = sum(k * k * (abs(A.coeff(k)) + abs(B.coeff(k)))
                      for k in range(max(A.degree, B.degree) + 1))
             bound = m2 * math.pi**2 / (2 * n * n)
-            zetas = np.exp(1j * scan.phases)
-            for sup, zeta in zip(scan.sups, zetas):
-                section = linear_combination([(1, A), (zeta, B)])
-                ref, _ = paired_boundary_sup(section, ZERO)
-                assert ref - bound - 1e-12 * max(1.0, ref) <= sup
-                assert sup <= ref * (1.0 + 1e-12)
-            assert scan.max_sup >= np.max(scan.sups)
+            m = (8, 16, 24)[i % 3]
+            ref = max(paired_boundary_sup(linear_combination(
+                [(1, A), (cmath.exp(2j * math.pi * k / m), B)]), ZERO)[0]
+                for k in range(m))
+            assert ref - bound - 1e-12 * max(1.0, ref) <= scan.section_max
+            assert scan.section_max <= ref * (1.0 + 1e-12)
+            assert scan.max_sup >= scan.section_max
 
     def test_family_max_is_the_paired_sup(self):
         # Pointwise the best phase is arg A - arg B, where the section reads
@@ -941,51 +959,41 @@ class TestZetaFamilySweep:
             A, B = deficiency(f.h), deficiency(f.g)
             scan = zeta_family_sup(A, B, 8)
             sup, _ = paired_boundary_sup(A, B)
-            assert sup - np.max(scan.sups) > 1e-3
+            assert sup - scan.section_max > 1e-3
             assert abs(scan.max_sup - sup) <= 1e-14 * sup
 
     @staticmethod
-    def unpruned_rows(A, B, zeta_samples, scale=False):
-        """Every row's grid argmax from the rank-3 product on all
-        scan_angles(degree) angles, in blocks of about 2**14 values and two
-        rows at least, and its |va + zeta vb| there: the sweep's rows with
-        no angle pruned.  With ``scale``, va and vb are the values of the
-        coefficients times 2^e of _scaled_columns, and the rows are divided
-        by 2^e at the end, as the sweep does."""
+    def brute_section_max(A, B, zeta_samples, scale=False):
+        """max |va + zeta_k vb| over the whole zeta_samples x n matrix of
+        sampled zeta_k = e^{2 pi i k / m} and n = scan_angles(degree)
+        angles, in blocks of rows.  With ``scale``, va and vb are the values
+        of the coefficients times 2^e of _scaled_columns, and the maximum
+        is divided by 2^e at the end, as the sweep does."""
         import harmcert.membership as membership
 
         cols, e = coefficient_columns(A, B), 0
         if scale:
             cols, e, _ = membership._scaled_columns(
                 A, B, membership._sup_at_one(A, B)[1])
-        n = scan_angles(len(cols) - 1)
-        vals = circle_values(cols, n)
-        va, vb = np.ascontiguousarray(vals.T)
-        phases = 2 * math.pi * np.arange(zeta_samples) / zeta_samples
-        # a, b: va, vb times the power of two that brings their largest
-        # modulus into [1/2, 1), exact however small that modulus is.
-        s = -math.frexp(float(np.max(np.abs(vals))))[1]
-        a, b = (np.ldexp(x.view(float), s).view(complex) for x in (va, vb))
-        # b * conj(a) in this order: numpy may swap the operands of an
-        # operator on a large temporary, and the rounded product with them.
-        w = np.multiply(b, np.conj(a))
-        quad = np.stack([a.real**2 + a.imag**2 + b.real**2 + b.imag**2,
-                         2.0 * w.real, -2.0 * w.imag])
-        trig = np.stack([np.ones(zeta_samples), np.cos(phases),
-                         np.sin(phases)], axis=1)
-        rows = max(2, 2**14 // n)
-        ks = np.concatenate([np.argmax(trig[r:r + rows] @ quad, axis=1)
-                             for r in range(0, zeta_samples, rows)])
-        return phases, np.ldexp(
-            np.abs(va[ks] + np.exp(1j * phases) * vb[ks]), -e)
+        vals = circle_values(cols, scan_angles(len(cols) - 1))
+        va, vb = vals[:, 0], vals[:, 1]
+        zetas = np.exp(1j * (2 * math.pi * np.arange(zeta_samples)
+                             / zeta_samples))
+        rows = max(1, 2**18 // len(va))
+        top = max(float(np.max(np.abs(va + zetas[r:r + rows, None] * vb)))
+                  for r in range(0, zeta_samples, rows))
+        return math.ldexp(top, -e)
 
-    def assert_rows_unpruned(self, A, B, zeta_samples=256, scale=False):
-        scan = zeta_family_sup(A, B, zeta_samples)
-        phases, sups = self.unpruned_rows(A, B, zeta_samples, scale)
-        assert [x.hex() for x in scan.phases] == [x.hex() for x in phases]
-        assert [x.hex() for x in scan.sups] == [x.hex() for x in sups]
+    def assert_section_max(self, A, B, samples=(8, 9, 256, 1000),
+                           scale=False):
+        # The nearest phase at each angle against every phase at every
+        # angle: equal up to the rounding of one value, 4 u relative.
+        for m in samples:
+            got = zeta_family_sup(A, B, m).section_max
+            want = self.brute_section_max(A, B, m, scale)
+            assert abs(got - want) <= 4 * 2.0**-53 * want, (m, got, want)
 
-    def test_pruned_rows_match_the_full_product(self):
+    def test_section_max_matches_the_full_matrix(self):
         # Random members from degree 2 to 1024 and the same maps with one
         # coefficient bumped past lam / (n - 1), as non-members.  Degrees
         # 127, 257 and 509 have grids of 2^13, 2^4 3 7^3 and 2 3^3 5 11^2
@@ -995,60 +1003,61 @@ class TestZetaFamilySweep:
                                     509, 1024)):
             f = random_member(degree, ClassParams(lam=1.0), rng)
             A, B = deficiency(f.h), deficiency(f.g)
-            samples = (8, 64, 256)[i % 3]
-            self.assert_rows_unpruned(A, B, samples)
+            samples = ((8, 9, 256, 1000)[i % 4],)
+            self.assert_section_max(A, B, samples)
             n = int(rng.integers(2, degree + 1))
             bumped = list(f.h.coeffs)
             phase = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             bumped[n] = 1.3 * phase / (n - 1)
-            self.assert_rows_unpruned(deficiency(AnalyticSeries(bumped)), B,
-                                      samples)
+            self.assert_section_max(deficiency(AnalyticSeries(bumped)), B,
+                                    samples)
 
     def test_flat_modulus_keeps_every_angle(self):
-        # One dominant monomial: |A| + |B| is flat within the pruning
-        # margin, so every angle stays, and each row's argmax is a tie at
-        # the rounding level that must resolve to the same first index.
+        # One dominant monomial: |A| + |B| is flat within the rounding
+        # margin, so every angle stays, and the largest section value is a
+        # tie at the rounding level.
         for d in (3, 9, 40):
             A = AnalyticSeries((0, 0, 1e-16 * cmath.exp(2j)) + (0,) * (d - 3)
                                + (1,))
             for B in (ZERO, AnalyticSeries((0, 0, 1e-17j)),
                       AnalyticSeries((0,) * d + (0.5,))):
-                self.assert_rows_unpruned(A, B)
+                self.assert_section_max(A, B)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    def test_pruned_rows_at_extreme_scales(self, scale):
+    def test_section_max_at_extreme_scales(self, scale):
         rng = np.random.default_rng(201)
         for degree in (2, 5, 12, 40, 130):
             f = random_member(degree, ClassParams(lam=1.0), rng)
-            self.assert_rows_unpruned(scaled(deficiency(f.h), scale),
-                                      scaled(deficiency(f.g), scale))
+            self.assert_section_max(scaled(deficiency(f.h), scale),
+                                    scaled(deficiency(f.g), scale))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_largest_modulus(self):
         # A largest modulus of 1.6e-310 has no finite reciprocal.  Scaled
-        # by that reciprocal, every row read angle 0, |A(1)| = 1.166e-310,
-        # and the second map raised an overflow warning.  With B = 0 every
-        # section is A, so every row is the grid maximum of |A|.  The
-        # unscaled transform of subnormal coefficients carries their
-        # absolute rounding, so the referee transforms the same
-        # power-of-two-scaled coefficients the sweep does.
+        # by that reciprocal, every section read angle 0,
+        # |A(1)| = 1.166e-310, and the second map raised an overflow
+        # warning.  With B = 0 every section is A.  The unscaled transform
+        # of subnormal coefficients carries their absolute rounding, so the
+        # referee transforms the same power-of-two-scaled coefficients the
+        # sweep does.
         for h in ((0, 1, 1e-310, 3e-311j), (0, 1, 1e-310)):
             f = make_map(h)
             rep = stable_family_check(f, ClassParams(lam=1.0), 8)
-            assert np.all(rep.scan.sups >= (1 - 1e-3) * rep.harmonic_sup)
-            self.assert_rows_unpruned(deficiency(f.h), ZERO, 8, scale=True)
+            assert rep.scan.section_max >= (1 - 1e-3) * rep.harmonic_sup
+            self.assert_section_max(deficiency(f.h), ZERO, scale=True)
 
-    def test_pruned_rows_with_mirror_tied_peaks(self):
+    def test_section_max_with_mirror_tied_peaks(self):
         # Real coefficients make |A + zeta B| at zeta and conj(zeta) mirror
-        # images, so the rows' peaks come in tied pairs t, 2 pi - t.
+        # images, so the sections' peaks come in tied pairs t, 2 pi - t.
         rng = np.random.default_rng(6)
-        for _ in range(40):
+        for i in range(40):
             k = np.arange(2, int(rng.integers(3, 60)) + 1)
             f = make_map(
                 (0, 1) + tuple(0.3 * rng.standard_normal(len(k)) / k**2),
                 (0, 0) + tuple(0.3 * rng.standard_normal(len(k)) / k**2))
-            self.assert_rows_unpruned(deficiency(f.h), deficiency(f.g))
+            self.assert_section_max(deficiency(f.h), deficiency(f.g),
+                                    ((8, 9, 256, 1000)[i % 4],))
 
     def test_family_max_makes_one_scalar_polish(self, monkeypatch):
         # The paired sup's single-cell polish, about 7 points with two
@@ -1072,7 +1081,7 @@ class TestZetaFamilySweep:
 
     def test_rows_make_no_evaluation_beyond_the_paired_scan(
             self, polyval_points):
-        # The rows are read off the sweep's one FFT transform, so its only
+        # The sections are read off the sweep's one FFT transform, so its only
         # Horner evaluation is the paired scan's: one np.polyval over the
         # candidate angles that paired_boundary_sup evaluates.
         for degree in (3, 64, 256):
@@ -1103,19 +1112,20 @@ class TestZetaFamilySweep:
 
     def test_memory_stays_below_the_zeta_angle_matrix(self):
         # The full 256 x 16384 complex grid alone would take 64 MiB.  The
-        # sweep holds the 512 KiB transform, its moduli and small product
-        # blocks, about 1.2 MiB at peak; rank-3 terms built on every angle
-        # before pruning took 2.55 MiB.
+        # sweep holds the 512 KiB transform, its moduli and one value per
+        # kept angle, about 0.9 MiB at peak at any sample count: 2^40
+        # samples take no more than 256.
         params = ClassParams(lam=1.0)
         f = random_member(256, params, np.random.default_rng(5))
         A, B = deficiency(f.h), deficiency(f.g)
-        tracemalloc.start()
-        try:
-            zeta_family_sup(A, B, 256)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        for samples in (256, 2**40):
+            tracemalloc.start()
+            try:
+                zeta_family_sup(A, B, samples)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, samples
 
 
 class TestCoefficientSufficient:

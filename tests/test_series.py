@@ -78,6 +78,11 @@ class TestConstruction:
         assert AnalyticSeries((0, 1, 5)).is_normalized()
         assert not AnalyticSeries((0.1, 1)).is_normalized()
         assert not AnalyticSeries((0, 0.5)).is_normalized()
+        # COEFF_TOL = 1e-12 bounds the linear coefficient's error only: a
+        # zero of F off the origin, however near, is no normalized series.
+        assert AnalyticSeries((-0.0, 1 + 1e-13)).is_normalized()
+        for c0 in (1e-12, 1e-300, 5e-324j):
+            assert not AnalyticSeries((c0, 1)).is_normalized()
 
 
 class TestEval:
