@@ -11,15 +11,17 @@ Catalog keys:
   f6     plain Gauss tail            g_n = eta t_{n-2}           (215)
   p1/p2/p3  f4/f5/f6 at a = b = -s, where t_k = 0 for k > s  (216-218)
 
-with t_k = (a)_k (b)_k / (k! (c)_k) from specfun.hyper_coefficients, the
-one Gauss-term recurrence.  One CatalogParams record names, checks and
-builds a map (make_example) and evaluates the paper's condition on it
-(condition): the number in parentheses, which holds when a closed-form
-sum drops below lam/|eta|.  That sum times |eta| is the coefficient mass
-sum (n-1)|g_n| of the map before truncation.  For 216-218 it is finite
-and its closed forms are the paper's Gamma quotients (Chu-Vandermonde).
-All comparisons are strict: equality is reported as not holding, with a
-flag.
+with t_k = (a)_k (b)_k / (k! (c)_k) from specfun's one Gauss-term
+recurrence.  One CatalogParams record names, checks and builds a map
+(make_example) and evaluates the paper's condition on it (condition): the
+number in parentheses, which holds when a closed-form sum drops below
+lam/|eta|.  That sum times |eta| is the coefficient mass sum (n-1)|g_n| of
+the map before truncation.  The record says which series it is: f4-f6
+have positive a, b, c, and their sums are Gamma closed forms
+(specfun.gauss_value); p1-p3 terminate at t_s, and their sums are finite
+ones (specfun.partial_sum), whose closed forms are the paper's Gamma
+quotients (Chu-Vandermonde).  All comparisons are strict: equality is
+reported as not holding, with a flag.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .membership import ClassParams, HarmonicMap
 from .series import AnalyticSeries
 from .specfun import (
     HypergeomParams,
+    _terms,
     gauss_value,
-    hyper_coefficients,
+    partial_sum,
     weighted_gauss_value,
 )
 
@@ -122,8 +125,9 @@ def _require_eta(eta: complex) -> None:
 
 
 def _require_tail(name: str, hp: HypergeomParams) -> None:
-    """Domain of f4-f6: positive a, b, c and a large enough gap."""
-    if not (hp.a > 0.0 and hp.b > 0.0 and hp.c > 0.0):
+    """Domain of f4-f6: positive a, b (hp has a positive c) and a large
+    enough gap."""
+    if not (hp.a > 0.0 and hp.b > 0.0):
         raise ParameterError(f"{name} needs positive a, b, c")
     gap = hp.c - hp.a - hp.b
     least = _MIN_GAP[ENTRIES[name].family]
@@ -151,37 +155,14 @@ def _gauss_triple(p: CatalogParams) -> HypergeomParams:
     return HypergeomParams(p.a, p.b, p.c)
 
 
-def hyper_family_coeffs(kind: str, a: float, b: float, c: float,
-                        eta: complex, truncation: int) -> list[complex]:
-    """Co-analytic coefficients b_2..b_truncation of f4, f5 or f6.
-
-    Low-level stream with no domain guards; CatalogParams checks them.
-    """
-    if kind not in _MIN_GAP:
-        raise ParameterError(f"not a tail family: {kind!r}")
-    terms = hyper_coefficients(HypergeomParams(a, b, c), truncation - 1)
-    if kind == "f5":
-        return [eta * t for t in terms[1:]]
-    if kind == "f4":
-        return [eta * (t / (k + 1)) for k, t in enumerate(terms[:-1])]
-    return [eta * t for t in terms[:-1]]
-
-
-def poly_family_coeffs(kind: str, s: int, c: float,
-                       eta: complex) -> list[complex]:
-    """Co-analytic coefficients b_2.. of p1, p2 or p3: f4, f5 or f6 at
-    a = b = -s up to z^{s+2}, less p2's last entry eta t_{s+1} = 0.
-
-    Low-level stream with no domain guards; CatalogParams checks them.
-    """
-    if kind not in ("p1", "p2", "p3"):
-        raise ParameterError(f"not a polynomial family: {kind!r}")
-    coeffs = hyper_family_coeffs(ENTRIES[kind].family, -s, -s, c, eta, s + 2)
-    return coeffs[:-1] if kind == "p2" else coeffs
-
-
 def make_example(params: CatalogParams) -> HarmonicMap:
-    """Build the named example map."""
+    """Build the named example map.
+
+    The Gauss terms are read one at a time and stop at the first one that
+    is 0 (the rest are 0 too) or not finite (AnalyticSeries then raises
+    ParameterError on its coefficient), so a p1-p3 map costs no more than
+    its finite, nonzero terms, whatever s.
+    """
     name, lam, n, eta = params.name, params.lam, params.n, params.eta
     if name == "eq13":
         return HarmonicMap(
@@ -202,13 +183,20 @@ def make_example(params: CatalogParams) -> HarmonicMap:
     if name == "f3":
         return HarmonicMap(h=AnalyticSeries((0, 1, lam * eta)),
                            g=AnalyticSeries((0j,)))
-    if "s" in ENTRIES[name].fields:
-        coeffs = poly_family_coeffs(name, params.s, params.c, eta)
-    else:
-        coeffs = hyper_family_coeffs(name, params.a, params.b, params.c, eta,
-                                     params.truncation)
+    # g_n = eta t_{n-shift}, divided by n - 1 for f4, up to z^truncation;
+    # p1-p3 end at t_s, their last nonzero term.
+    entry = ENTRIES[name]
+    shift = 1 if entry.family == "f5" else 2
+    last = params.s if "s" in entry.fields else params.truncation - shift
+    coeffs = [0j, 0j]
+    for k, t in enumerate(_terms(_gauss_triple(params), last)):
+        if k + shift >= 2:
+            coeffs.append(eta * (t / (k + 1)) if entry.family == "f4"
+                          else eta * t)
+        if t == 0.0 or not math.isfinite(t):
+            break
     return HarmonicMap(h=AnalyticSeries((0, 1)),
-                       g=AnalyticSeries((0j, 0j) + tuple(coeffs)))
+                       g=AnalyticSeries(tuple(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -217,19 +205,6 @@ class ConditionReport:
     lhs: float
     rhs: float
     at_equality: bool
-
-
-def _tail_lhs(family: str, hp: HypergeomParams) -> float:
-    """Left-hand side of a condition on f4 (Gauss value), f5 (scaled by
-    ab/(c-a-b-1); 0 at a = b = 0, whatever c) or f6 (first moment)."""
-    if family == "f4":
-        return gauss_value(hp)
-    if family == "f5":
-        ab = hp.a * hp.b
-        if ab == 0.0:
-            return 0.0
-        return (ab / (hp.c - hp.a - hp.b - 1.0)) * gauss_value(hp)
-    return weighted_gauss_value(hp)
 
 
 def _compare(lhs: float, lam: float, eta: complex) -> ConditionReport:
@@ -256,14 +231,22 @@ def condition(params: CatalogParams) -> ConditionReport:
       215 (f6)  (ab/(c-a-b-1) + 1) F, the first moment sum (n+1) t_n
 
     216-218 (p1-p3) are 213-215 at a = b = -s, where the Gauss series
-    terminates and each lhs is an exact finite sum.  Their closed forms
+    terminates and each lhs is a finite sum up to t_s.  Their closed forms
     (Chu-Vandermonde) are Gamma(c) Gamma(c+2s) / Gamma(c+s)^2, times
     s^2/(c+2s-1) for 217 and (c+s^2+2s-1)/(c+2s-1) for 218; the sums stay
     finite where those Gamma values overflow.  Names without a condition
     raise ParameterError.
     """
-    family = ENTRIES[params.name].family
-    if family is None:
+    entry = ENTRIES[params.name]
+    if entry.family is None:
         raise ParameterError(f"{params.name} has no closed-form condition")
-    return _compare(_tail_lhs(family, _gauss_triple(params)), params.lam,
-                    params.eta)
+    hp = _gauss_triple(params)
+    weighted = entry.family == "f6"  # the first moment sum (n+1) t_n
+    if "s" in entry.fields:
+        lhs = partial_sum(hp, params.s, weighted)
+    else:
+        lhs = weighted_gauss_value(hp) if weighted else gauss_value(hp)
+    if entry.family == "f5":  # 0 at a = b = 0, whatever c
+        ab = hp.a * hp.b
+        lhs = 0.0 if ab == 0.0 else (ab / (hp.c - hp.a - hp.b - 1.0)) * lhs
+    return _compare(lhs, params.lam, params.eta)

@@ -39,6 +39,7 @@ from .series import (
     circle_values,
     circle_values_error,
     coefficient_columns,
+    count_at_least,
     derivative,
     hadamard,
     linear_combination,
@@ -684,9 +685,9 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
     1 + 2 lam.  The minimum gap between non-adjacent samples is a
     desk-scale injectivity proxy.  The samples are equispaced, so h and g
     are evaluated on them by one 2-column circle_values transform.
+    ``samples`` is an integer of at least 512 (see count_at_least).
     """
-    if samples < 512:
-        raise ParameterError("need at least 512 samples")
+    samples = count_at_least(samples, 512, "samples")
     _require_member(f, params, "curve audit needs a class member")
     thetas = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
     h, g = circle_values(coefficient_columns(f.h, f.g), samples).T

@@ -9,13 +9,7 @@ import math
 
 import numpy as np
 
-from harmcert.catalog import (
-    CatalogParams,
-    condition,
-    hyper_family_coeffs,
-    make_example,
-    poly_family_coeffs,
-)
+from harmcert.catalog import CatalogParams, condition, make_example
 from harmcert.cli import (
     EXIT_BOUNDARY_SHARP,
     EXIT_MEMBER,
@@ -53,9 +47,10 @@ from harmcert.specfun import (
     HypergeomParams,
     gauss_value,
     hyper_coefficients,
-    pochhammer,
     weighted_gauss_value,
 )
+from test_catalog import family_rule
+from test_specfun import exact_terms
 
 LEVELS = (0.5, 1.0, 2.0)
 SHARP_INDICES = range(2, 9)
@@ -155,11 +150,12 @@ def test_criterion_3_coefficient_laws():
 
 def test_criterion_4_special_functions():
     rng = np.random.default_rng(404)
-    worst_rec = max(
-        abs(pochhammer(x, 65) - pochhammer(x, 64) * (x + 64))
-        / pochhammer(x, 65)
-        for x in rng.uniform(1e-6, 50.0, size=1000)
-    )
+    worst_rec = 0.0
+    for _ in range(100):
+        a, b, c = (float(x) for x in rng.uniform(1e-3, 50.0, size=3))
+        got = hyper_coefficients(HypergeomParams(a, b, c), 64)
+        for t, (num, den) in zip(got, exact_terms(a, b, c, 64)):
+            worst_rec = max(worst_rec, abs(t - num / den) / (num / den))
     ok = worst_rec <= 1e-12
 
     worst_gauss = 0.0
@@ -196,7 +192,7 @@ def test_criterion_4_special_functions():
         worst_weighted = max(worst_weighted, rel)
     ok &= worst_weighted <= 1e-8
 
-    ok &= pochhammer(1.0, 4) == 24.0
+    ok &= hyper_coefficients(HypergeomParams(1, 1, 1), 4) == [1.0] * 5
     ok &= abs(gauss_value(HypergeomParams(1, 1, 3)) - 2.0) <= 2e-12
     ok &= abs(weighted_gauss_value(HypergeomParams(1, 1, 4)) - 3.0) <= 3e-12
     _report(
@@ -389,13 +385,12 @@ def test_criterion_10_special_function_chain():
         s = int(rng.integers(0, 8))
         c = float(rng.uniform(0.3, 8.0))
         eta = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)) or 0.5
+        terms = hyper_coefficients(HypergeomParams(-s, -s, c), s + 3)
         for pk, fk in (("p1", "f4"), ("p2", "f5"), ("p3", "f6")):
-            poly = poly_family_coeffs(pk, s, c, eta)
-            tail = hyper_family_coeffs(fk, -float(s), -float(s), c, eta, s + 4)
-            width = max(len(poly), len(tail))
-            poly = poly + [0j] * (width - len(poly))
-            tail = tail + [0j] * (width - len(tail))
-            exact &= poly == tail
+            poly = make_example(CatalogParams(name=pk, lam=1.0, eta=eta,
+                                              s=s, c=c)).g
+            tail = (0j, 0j, *family_rule(fk, terms, eta))
+            exact &= poly == AnalyticSeries(tail)
     ok &= exact
     _report("criterion 10: threshold-to-membership chains", ok,
             f"holds per family {held_counts}")

@@ -1,17 +1,12 @@
 import math
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from harmcert.catalog import (
-    CatalogParams,
-    condition,
-    hyper_family_coeffs,
-    make_example,
-    poly_family_coeffs,
-)
+from harmcert.catalog import CatalogParams, condition, make_example
 from harmcert.errors import ParameterError
 from harmcert.membership import (
     ClassParams,
@@ -19,7 +14,19 @@ from harmcert.membership import (
     coefficient_sufficient,
     harmonic_membership,
 )
-from harmcert.specfun import HypergeomParams, gauss_value, pochhammer
+from harmcert.series import AnalyticSeries
+from harmcert.specfun import HypergeomParams, gauss_value, hyper_coefficients
+from test_specfun import exact_terms
+
+
+def family_rule(family, terms, eta):
+    """g_2..g_T of the tail family from the Gauss terms t_0..t_{T-1}:
+    eta t_{n-2}/(n-1) (f4), eta t_{n-1} (f5) or eta t_{n-2} (f6)."""
+    if family == "f5":
+        return [eta * t for t in terms[1:]]
+    if family == "f4":
+        return [eta * (t / (k + 1)) for k, t in enumerate(terms[:-1])]
+    return [eta * t for t in terms[:-1]]
 
 
 class TestMakeExample:
@@ -58,12 +65,12 @@ class TestMakeExample:
 
     def test_tail_coefficients_match_quotient_oracle(self):
         a, b, c = 0.7, 1.3, 5.5
-        coeffs = hyper_family_coeffs("f4", a, b, c, 1.0, 12)
-        for n in range(2, 13):
-            k = n - 2
-            want = (pochhammer(a, k) * pochhammer(b, k)
-                    / (pochhammer(c, k) * math.factorial(n - 1)))
-            assert coeffs[n - 2] == pytest.approx(want, rel=1e-13)
+        g = make_example(CatalogParams(name="f4", lam=1.0, a=a, b=b, c=c,
+                                       truncation=12)).g
+        assert g.degree == 12
+        for n, (num, den) in enumerate(exact_terms(a, b, c, 10), start=2):
+            want = num / (den * (n - 1))
+            assert g.coeff(n) == pytest.approx(want, rel=1e-13)
 
     def test_polynomial_families(self):
         m = make_example(CatalogParams(name="p3", lam=1.0, s=0, c=2.0))
@@ -165,6 +172,7 @@ class TestMakeExample:
 class TestTerminatingIdentity:
     def test_bit_exact_specialization(self):
         rng = np.random.default_rng(83)
+        ab_rng = np.random.default_rng(84)
         pairs = (("p1", "f4"), ("p2", "f5"), ("p3", "f6"))
         for _ in range(40):
             s = int(rng.integers(0, 9))
@@ -175,13 +183,19 @@ class TestTerminatingIdentity:
             eta = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
             if eta == 0:
                 eta = 0.5 + 0j
+            terms = hyper_coefficients(HypergeomParams(-s, -s, c), s + 3)
             for pk, fk in pairs:
-                poly = poly_family_coeffs(pk, s, c, eta)
-                tail = hyper_family_coeffs(fk, -float(s), -float(s), c, eta, s + 4)
-                width = max(len(poly), len(tail))
-                poly = poly + [0j] * (width - len(poly))
-                tail = tail + [0j] * (width - len(tail))
+                poly = make_example(CatalogParams(name=pk, lam=1.0, eta=eta,
+                                                  s=s, c=c)).g
+                tail = AnalyticSeries((0j, 0j) + tuple(
+                    family_rule(fk, terms, eta)))
                 assert poly == tail  # bit-for-bit
+                a, b = (float(x) for x in ab_rng.uniform(0.1, 3.0, size=2))
+                p = CatalogParams(name=fk, lam=1.0, eta=eta, a=a, b=b,
+                                  c=a + b + 1.5, truncation=s + 4)
+                tail = family_rule(fk, hyper_coefficients(
+                    HypergeomParams(a, b, p.c), s + 3), eta)
+                assert make_example(p).g.coeffs == (0j, 0j, *tail)
 
     def test_truncation_stability(self):
         # Tail mass beyond degree 64 must already be negligible; the drawn
@@ -331,6 +345,44 @@ class TestPolyCondition:
             make_example(CatalogParams(name="p1", lam=1.0, s=1, c=math.nan))
 
 
+class TestRecordDecidesTheSeries:
+    """p1-p3 are terminating Gauss series and f4-f6 positive ones because
+    their records say so; no tolerance reads it from the floats."""
+
+    @pytest.mark.parametrize("name, degree, lhs", [
+        ("p1", 4, 59999999999999.0), ("p2", 3, None), ("p3", 4, None),
+    ])
+    def test_tiny_positive_c(self, name, degree, lhs):
+        # c = 1e-13 is positive: a 1e-12 tolerance once read it as c = 0 and
+        # refused the record it had accepted.
+        p = CatalogParams(name=name, lam=1.0, s=2, c=1e-13)
+        assert make_example(p).g.degree == degree
+        rep = condition(p)
+        assert math.isfinite(rep.lhs) and not rep.holds
+        assert lhs is None or rep.lhs == lhs
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+    def test_overflowing_terms_stop_the_map(self, name):
+        # With c = 2 the terms pass the double range after about 20 of them;
+        # the stream stops at the first, so s = 10^12 costs what s = 30 does.
+        start = time.perf_counter()
+        with pytest.raises(ParameterError,
+                           match="coefficients must be finite, got .* at "):
+            make_example(CatalogParams(name=name, lam=1.0, s=10**12, c=2.0))
+        assert time.perf_counter() - start < 1.0
+
+    def test_underflowing_terms_stop_the_map_and_the_sum(self):
+        # At c = 1e300, t_1 = 1e-276 and t_2 underflows to 0, and so does
+        # every later term: the map and the sum end there.
+        start = time.perf_counter()
+        p = CatalogParams(name="p1", lam=2.0, s=10**12, c=1e300)
+        assert make_example(p).g.coeffs == (0j, 0j, 1 + 0j,
+                                            1e24 / 1e300 / 2 + 0j)
+        rep = condition(p)
+        assert rep.lhs == 1.0 and rep.holds
+        assert time.perf_counter() - start < 1.0
+
+
 class TestPaperClosedForms:
     """The paper's closed forms for p1-p3 and 216-218, computed here directly,
     not through the tail-family code the catalog shares with f4-f6."""
@@ -359,7 +411,8 @@ class TestPaperClosedForms:
                     "p3": [(w, 7 * m + 1) for m, w in enumerate(weights)],
                 }
                 for kind, exact in want.items():
-                    coeffs = poly_family_coeffs(kind, s, c, eta)
+                    coeffs = make_example(CatalogParams(
+                        name=kind, lam=1.0, eta=eta, s=s, c=c)).g.coeffs[2:]
                     assert len(coeffs) == len(exact)
                     for got, (w, rounds) in zip(coeffs, exact):
                         gamma = Fraction(rounds, 2**53 - rounds)

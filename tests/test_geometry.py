@@ -998,6 +998,18 @@ class TestBoundaryCurve:
         with pytest.raises(ParameterError):
             boundary_curve_audit(make_map((0, 1)), ClassParams(lam=1.0), 256)
 
+    @pytest.mark.parametrize("bad", [511, 1024.0, True, "2048"])
+    def test_samples_must_be_an_integer_of_at_least_512(self, bad):
+        with pytest.raises(ParameterError,
+                           match="samples must be an integer of at least 512"):
+            boundary_curve_audit(make_map((0, 1)), ClassParams(lam=1.0), bad)
+
+    def test_numpy_integer_samples(self):
+        audit = boundary_curve_audit(make_map((0, 1)), ClassParams(lam=1.0),
+                                     np.int64(600))
+        assert type(audit.thetas) is np.ndarray and len(audit.thetas) == 600
+        assert len(audit.points) == 600
+
     def test_rejects_non_member(self):
         with pytest.raises(NonMemberError):
             boundary_curve_audit(make_map((0, 1, 1.9)), ClassParams(lam=1.0), 512)

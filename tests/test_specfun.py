@@ -9,19 +9,9 @@ from harmcert.specfun import (
     HypergeomParams,
     gauss_value,
     hyper_coefficients,
-    pochhammer,
+    partial_sum,
     weighted_gauss_value,
 )
-
-
-def series_terms_by_quotients(a, b, c, N):
-    """Independent oracle for the coefficient stream: direct Pochhammer quotients."""
-    out = []
-    for n in range(N + 1):
-        num = pochhammer(a, n) * pochhammer(b, n)
-        den = math.factorial(n) * pochhammer(c, n)
-        out.append(num / den)
-    return out
 
 
 def exact_terms(a, b, c, N):
@@ -63,80 +53,18 @@ def partial_sum_with_tail(p, rel_target=1e-9, cap=400_000):
         N *= 2
 
 
-class TestPochhammer:
-    def test_empty_product(self):
-        assert pochhammer(3.0, 0) == 1.0
-
-    def test_rising(self):
-        assert pochhammer(2.0, 3) == 24.0
-
-    def test_hits_zero(self):
-        assert pochhammer(-2.0, 3) == 0.0
-
-    def test_gamma_bridge(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            x = rng.uniform(1e-3, 10.0)
-            n = int(rng.integers(0, 21))
-            expected = math.gamma(x + n) / math.gamma(x)
-            assert pochhammer(x, n) == pytest.approx(expected, rel=1e-10)
-
-    def test_recurrence_across_lgamma_branch(self):
-        # (x)_65 comes from lgamma, (x)_64 from the plain product; the
-        # recurrence (x)_65 = (x)_64 (x + 64) joins the two branches.
-        rng = np.random.default_rng(17)
-        for x in rng.uniform(1e-6, 50.0, size=1000):
-            lhs = pochhammer(x, 65)
-            assert abs(lhs - pochhammer(x, 64) * (x + 64)) / lhs <= 1e-12
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(ParameterError):
-            pochhammer(1.0, -1)
-
-    def test_long_products_match_the_loop(self):
-        # Past 64 factors the lgamma difference is used; it must agree with
-        # the plain product, also where x + n passes Gamma's range (~171.6).
-        rng = np.random.default_rng(65)
-        for _ in range(300):
-            x = float(rng.uniform(1e-2, 150.0))
-            n = int(rng.integers(65, 300))
-            acc = 1.0
-            for k in range(n):
-                acc *= x + k
-            got = pochhammer(x, n)
-            if math.isinf(acc):
-                assert got == math.inf
-            else:
-                assert abs(got - acc) <= 1e-12 * acc
-
-    def test_past_gamma_range_stays_finite(self):
-        # Gamma(215) overflows a double; (150)_65 is about 5.66e146.
-        assert pochhammer(150.0, 65) == pytest.approx(5.664898802873e146,
-                                                      rel=1e-12)
-        assert pochhammer(150.0, 400) == math.inf
-
-    def test_against_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(66)
-        for _ in range(100):
-            x = float(rng.uniform(1e-2, 500.0))
-            n = int(rng.integers(65, 200))
-            want = float(mpmath.rf(x, n))
-            got = pochhammer(x, n)
-            if math.isinf(want):
-                assert got == math.inf
-            else:
-                assert abs(got - want) <= 1e-12 * want
-
-
 class TestHypergeomParams:
     def test_rejects_nonpositive_integer_c(self):
         for bad in (0.0, -1.0, -7.0):
             with pytest.raises(ParameterError):
                 HypergeomParams(1.0, 1.0, bad)
 
-    def test_allows_negative_non_integer_c(self):
-        HypergeomParams(1.0, 1.0, -0.5)
+    def test_c_must_be_positive(self):
+        # No tolerance: every c > 0 is a triple, every c <= 0 is not.
+        assert HypergeomParams(-2, -2, 1e-13).c == 1e-13
+        for bad in (-0.5, -1e-300, -0.0):
+            with pytest.raises(ParameterError, match="c must be positive"):
+                HypergeomParams(1.0, 1.0, bad)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -145,12 +73,6 @@ class TestHypergeomParams:
         args[slot] = bad
         with pytest.raises(ParameterError, match="must be finite"):
             HypergeomParams(*args)
-
-    def test_terminating_index(self):
-        assert HypergeomParams(-3, 1, 2).terminating_index() == 3
-        assert HypergeomParams(-3, -1, 2).terminating_index() == 1
-        assert HypergeomParams(0.5, 1, 2).terminating_index() is None
-        assert HypergeomParams(0.0, 1, 2).terminating_index() == 0
 
 
 class TestHyperCoefficients:
@@ -173,7 +95,7 @@ class TestHyperCoefficients:
             c = rng.uniform(0.3, 6.0)
             p = HypergeomParams(a, b, c)
             got = hyper_coefficients(p, 12)
-            want = series_terms_by_quotients(a, b, c, 12)
+            want = [num / den for num, den in exact_terms(p.a, p.b, p.c, 12)]
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -224,10 +146,14 @@ class TestGaussValue:
         assert float(np.sum(terms)) == pytest.approx(2.0, abs=3e-4)
 
     def test_terminating_two_terms(self):
+        # F(-1, -1; c; 1) = 1 + 1/c: the two-term sum, and Gauss's closed
+        # form (Chu-Vandermonde) within the rounding of its lgamma values.
         for c in (1.5, 4.0, 9.0):
-            assert gauss_value(HypergeomParams(-1, -1, c)) == pytest.approx(
+            p = HypergeomParams(-1, -1, c)
+            assert partial_sum(p, 1, weighted=False) == pytest.approx(
                 1.0 + 1.0 / c, rel=1e-15
             )
+            assert gauss_value(p) == pytest.approx(1.0 + 1.0 / c, rel=1e-13)
 
     def test_consistency_with_partial_sums(self):
         rng = np.random.default_rng(41)
@@ -242,10 +168,6 @@ class TestGaussValue:
             floor = 1e-12 * abs(total)
             assert abs(gauss_value(p) - total) <= bound + floor
             checked += 1
-
-    def test_divergent_raises(self):
-        with pytest.raises(ParameterError):
-            gauss_value(HypergeomParams(2.0, 2.0, 3.0))
 
     def test_value_past_the_double_range_is_inf(self):
         # F(1000, 1000; 2000.5; 1) = Gamma(2000.5) Gamma(0.5) / Gamma(1000.5)^2
@@ -279,9 +201,12 @@ class TestWeightedGaussValue:
 
     def test_terminating(self):
         for c in (2.0, 3.5, 8.0):
-            assert weighted_gauss_value(HypergeomParams(-1, -1, c)) == pytest.approx(
+            p = HypergeomParams(-1, -1, c)
+            assert partial_sum(p, 1, weighted=True) == pytest.approx(
                 1.0 + 2.0 / c, rel=1e-15
             )
+            assert weighted_gauss_value(p) == pytest.approx(1.0 + 2.0 / c,
+                                                            rel=1e-13)
 
     def test_closed_form_vs_weighted_partial_sums(self):
         rng = np.random.default_rng(43)
@@ -295,17 +220,13 @@ class TestWeightedGaussValue:
             closed = weighted_gauss_value(p)
             assert closed == pytest.approx(direct, rel=1e-8)
 
-    def test_guard_raises(self):
-        with pytest.raises(ParameterError):
-            weighted_gauss_value(HypergeomParams(1.0, 1.0, 2.5))
-
 
 class TestTerminatingSums:
     @staticmethod
-    def full_sums(p):
-        """Both terminating sums over every term, left to right."""
+    def full_sums(p, N):
+        """Both sums over every term t_0..t_N, left to right."""
         plain = moment = 0.0
-        for n, t in enumerate(hyper_coefficients(p, p.terminating_index())):
+        for n, t in enumerate(hyper_coefficients(p, N)):
             plain += t
             moment += (n + 1.0) * t
         return plain, moment
@@ -313,16 +234,31 @@ class TestTerminatingSums:
     @pytest.mark.parametrize("a, b, c", [
         (-3, -3, 2.5), (-40, -40, 0.7), (-600, -600, 1.0), (-600, -600, 13.3),
         (-2000, -2000, 2.0),
-        # Mixed signs: terms of both signs, summed to the end.
-        (-5, -5, -2.5), (-4, -6, 1.5), (-7, 2.5, 3.0), (-300, -299, 1.0),
-        (-300, -300, -0.5), (-600, -599, 1.0), (-600, -600, -0.5),
+        # a != b: the series ends at t_s, s the least of -a and -b that
+        # is not negative; the terms of (-7, 2.5, 3.0) have both signs.
+        (-4, -6, 1.5), (-7, 2.5, 3.0), (-300, -299, 1.0), (-600, -599, 1.0),
     ])
     def test_bit_identical_to_the_full_sums(self, a, b, c):
         p = HypergeomParams(a, b, c)
-        assert (gauss_value(p), weighted_gauss_value(p)) == self.full_sums(p)
+        s = min(-x for x in (a, b) if x <= 0)
+        sums = (partial_sum(p, s, weighted=False),
+                partial_sum(p, s, weighted=True))
+        assert sums == self.full_sums(p, s)
 
-    def test_stops_once_the_sum_is_inf(self, monkeypatch):
-        # With a = b and c > 0 no term is negative, so +inf is final.
+    @pytest.mark.parametrize("a, b, c, N", [
+        (0.5, 0.5, 3.0, 2000), (0.3, 1.7, 2.9, 500), (2.5, 3.7, 1.1, 300),
+        (40.0, 40.0, 80.5, 64), (1e-200, 1e-200, 1.0, 100),
+    ])
+    def test_positive_triples_sum_their_terms(self, a, b, c, N):
+        # The partial sums of an f4-f6 tail, which a closed form less a
+        # partial sum bounds: the left-to-right float sums of the terms.
+        p = HypergeomParams(a, b, c)
+        assert (partial_sum(p, N, weighted=False),
+                partial_sum(p, N, weighted=True)) == self.full_sums(p, N)
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """Every term that partial_sum reads."""
         taken = []
         terms = specfun._terms
 
@@ -332,7 +268,18 @@ class TestTerminatingSums:
                 yield t
 
         monkeypatch.setattr(specfun, "_terms", counted)
+        return taken
+
+    def test_stops_once_the_sum_is_inf(self, taken):
+        # With a = b and c > 0 no term is negative, so +inf is final.
         p = HypergeomParams(-1e6, -1e6, 2.0)
-        assert gauss_value(p) == math.inf
-        assert weighted_gauss_value(p) == math.inf
+        assert partial_sum(p, 10**6, weighted=False) == math.inf
+        assert partial_sum(p, 10**6, weighted=True) == math.inf
         assert len(taken) < 100
+
+    def test_stops_at_a_zero_term(self, taken):
+        # s = 10^12 and c = 1e300: t_1 = 1e-276 and t_2 underflows to 0,
+        # after which every term is 0, so the sum is 1 + t_1 after 3 terms.
+        p = HypergeomParams(-1e12, -1e12, 1e300)
+        assert partial_sum(p, 10**12, weighted=False) == 1.0
+        assert taken == [1.0, 1e24 / 1e300, 0.0]
