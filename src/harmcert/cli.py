@@ -237,9 +237,14 @@ def curve_svg(f: HarmonicMap, audit) -> str:
     all_pts = np.concatenate([audit.points] + ring_paths)
     x = np.concatenate([all_pts.real, [0.0]])
     y = np.concatenate([-all_pts.imag, [0.0]])
-    margin = 0.05 * max(np.ptp(x), np.ptp(y), 1e-9)
-    x0, x1 = x.min() - margin, x.max() + margin
-    y0, y1 = y.min() - margin, y.max() + margin
+    # Python floats: past the double range they read inf, with no warning.
+    x0, x1, y0, y1 = (float(v) for v in (x.min(), x.max(), y.min(), y.max()))
+    margin = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
+    x0, x1, y0, y1 = x0 - margin, x1 + margin, y0 - margin, y1 + margin
+    if not math.isfinite(max(x1 - x0, y1 - y0)):
+        raise ParameterError(
+            "curve too large for an SVG: its view box passes the double "
+            "range")
     stroke = max(x1 - x0, y1 - y0) / 400.0
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
@@ -365,10 +370,12 @@ def _cmd_radius(args) -> int:
 def _cmd_curve(args) -> int:
     f, params = _load_map(args)
     audit = boundary_curve_audit(f, params, samples=args.samples)
+    # The SVG is drawn first: a curve it refuses leaves no file behind.
+    svg = curve_svg(f, audit) if args.svg else None
     if args.csv:
         write_text_atomic(args.csv, curve_csv(audit))
-    if args.svg:
-        write_text_atomic(args.svg, curve_svg(f, audit))
+    if svg is not None:
+        write_text_atomic(args.svg, svg)
     print(f"polygonal_length: {audit.polygonal_length}")
     print(f"max_lipschitz_ratio: {audit.max_lipschitz_ratio}")
     print(f"min_pairwise_gap: {audit.min_pairwise_gap}")

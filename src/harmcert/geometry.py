@@ -42,6 +42,7 @@ from .series import (
     count_at_least,
     derivative,
     hadamard,
+    ldexp_or_inf,
     linear_combination,
     scan_angles,
 )
@@ -181,8 +182,8 @@ def jacobian_bound_check(f: HarmonicMap, params: ClassParams,
     Each point scales |h'|, |g'| and 1 + 2 lam |z| by the power of two
     that brings the last into [1, 2): exact, so the ratio keeps every bit
     and no square overflows or underflows at an extreme lam.  The excess
-    is compared on the largest bound's scale, and max_violation leaves it
-    in Python floats, reading inf past the double range.  Rounding is no
+    is compared on the largest bound's scale, and max_violation reads it
+    back by ldexp_or_inf, inf past the double range.  Rounding is no
     violation: an excess counts only past sup_tolerance times the bound,
     which is at least 1.
     """
@@ -199,8 +200,8 @@ def jacobian_bound_check(f: HarmonicMap, params: ClassParams,
     counted = excess[jac - bound > params.sup_tolerance * bound]
     k = int(np.argmax(excess))
     return JacobianAudit(
-        max_violation=(float(counted.max(initial=0.0))
-                       * 2.0 ** -top * 2.0 ** -top),
+        max_violation=ldexp_or_inf(float(counted.max(initial=0.0)),
+                                   -2 * top),
         max_ratio=float(np.max(jac / bound)),
         sense_preserving=bool(np.all(hp > gp)),
         worst_point=complex(zs[k]),
@@ -231,7 +232,24 @@ def _ring_objective(p, q, u, v):
 
 def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     """Ring test of every section h + zeta g at once, as ``ring(r)``, on
-    n = scan_angles(max(a.degree, b.degree)) equispaced angles per ring.
+    n = scan_angles(max(a.degree, b.degree)) equispaced angles per ring,
+    the angle k step read as k times step = 2 pi / n.
+
+    From degree 16 up, where n0 = scan_angles(degree // 16) is at most
+    n / 4, each ring runs the tests below on n0 angles first, with that
+    grid's step and eps, and keeps what they decide: a grid objective
+    <= 0 is returned as the witness; a cell test that passes counts the
+    zeros, setting the counted radius or returning -inf; a grid minimum
+    that the first-order bound proves is returned as the minimum.  Each
+    of these holds at any n: the witness is a value of the objective at
+    one angle, and the cell test and the proof bound carry their grid's
+    own step and eps.  Anything else, a cell test that fails or a positive
+    minimum the bound leaves open, goes to the n angles, which run the
+    same tests and then the polish; a ring the coarse grid decides makes
+    one transform of n0 points instead of one of n.  Below degree 16 the
+    coarse grid would save too little to pay for the rings it leaves
+    open, and every ring reads the n angles alone.  The lost-precision
+    test below reads the eps of the n angles, once, before either grid.
 
     The denominators are D = p + zeta q, with p, q = a, b for STARLIKE and
     a', b' for CONVEX, and the functional is offset + Re(z D'/D) with
@@ -325,9 +343,12 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     sums = np.stack([P, powers * P, U, powers * U])
     top_terms = np.maximum(P, U)
     angles = scan_angles(max(a.degree, b.degree))
-    thetas = np.linspace(0.0, _TWO_PI, angles, endpoint=False)
-    step = _TWO_PI / angles
-    eps = circle_values_error(angles)
+    coarse = scan_angles(max(a.degree, b.degree) // 16)
+    # Each ring's grid levels, (n, step, eps), the coarse one first.
+    levels = [(n, _TWO_PI / n, circle_values_error(n))
+              for n in ((coarse, angles) if 4 * coarse <= angles
+                        else (angles,))]
+    eps = levels[-1][2]
     tiny = np.finfo(float).tiny
     degree = len(powers) - 1
     # The largest ring whose zero count came out as the allowed one.
@@ -341,7 +362,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
             return math.nan, 0.0
         e = -math.frexp(top)[1]
         rk = np.ldexp(raw, e)
-        vals = circle_values(coeffs * rk[:, None], angles).T
+        scaled = coeffs * rk[:, None]
         s0p, s1p, s0u, s1u = (sums @ rk).tolist()
         # Powers below the normal range, before or after the scaling, are
         # off by at most 2^-1073 times max(1, 2^e), once scaled.
@@ -353,35 +374,40 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
             lost_u = step_err * float(U[under].sum())
             if not (lost_p <= eps * s0p and lost_u <= eps * s0u):
                 return math.nan, 0.0
-        if r > counted:
-            # D moves by at most delta along one grid cell, and each grid
-            # value of D is off by at most eps s0p + lost_p.  If delta
-            # stays below pi (|D(z_k)| - eps s0p - lost_p - delta) on
-            # every cell, D has no zero on the ring and each cell turns
-            # arg D by the principal angle of D(z_{k+1}) / D(z_k), so
-            # their sum counts the zeros inside.
-            delta = step * s1p
-            D = vals[0] + vals[1]
-            mod = np.abs(D)
-            j = int(np.argmin(mod))
-            if delta >= math.pi * (mod[j] - eps * s0p - lost_p - delta):
-                return -math.inf, float(thetas[j])
-            turn = (float(np.angle(D[1:] * np.conj(D[:-1])).sum())
-                    + float(np.angle(D[0] * np.conj(D[-1]))))
-            if round(turn / _TWO_PI) != zeros:
-                return -math.inf, float(thetas[j])
-            counted = r
-        num = _ring_numerator(*vals)
-        grid = num / (np.abs(vals[0]) + np.abs(vals[1])) ** 2
-        k = int(np.argmin(grid))
-        if not grid[k] > 0.0:
-            # A grid point already fails the ring; polishing only lowers it.
-            return float(grid[k]), float(thetas[k])
-        proof = ((s1u * s0p + s0u * s1p) * math.pi / angles
-                 + 3.0 * eps * s0u * s0p
-                 + (lost_u * s0p + s0u * lost_p)) * (1.0 + eps)
-        if float(num.min()) > proof:
-            return float(grid[k]), float(thetas[k])
+        for n, step, eps_n in levels:
+            vals = circle_values(scaled, n).T
+            if r > counted:
+                # D moves by at most delta along one grid cell, and each
+                # grid value of D is off by at most eps_n s0p + lost_p.  If
+                # delta stays below pi (|D(z_k)| - eps_n s0p - lost_p -
+                # delta) on every cell, D has no zero on the ring and each
+                # cell turns arg D by the principal angle of
+                # D(z_{k+1}) / D(z_k), so their sum counts the zeros inside.
+                delta = step * s1p
+                D = vals[0] + vals[1]
+                mod = np.abs(D)
+                j = int(np.argmin(mod))
+                if delta >= math.pi * (mod[j] - eps_n * s0p - lost_p - delta):
+                    if n == angles:
+                        return -math.inf, j * step
+                    continue
+                turn = (float(np.angle(D[1:] * np.conj(D[:-1])).sum())
+                        + float(np.angle(D[0] * np.conj(D[-1]))))
+                if round(turn / _TWO_PI) != zeros:
+                    return -math.inf, j * step
+                counted = r
+            num = _ring_numerator(*vals)
+            grid = num / (np.abs(vals[0]) + np.abs(vals[1])) ** 2
+            k = int(np.argmin(grid))
+            if not grid[k] > 0.0:
+                # A grid point already fails the ring; polishing only
+                # lowers it.
+                return float(grid[k]), k * step
+            proof = ((s1u * s0p + s0u * s1p) * math.pi / n
+                     + 3.0 * eps_n * s0u * s0p
+                     + (lost_u * s0p + s0u * lost_p)) * (1.0 + eps_n)
+            if float(num.min()) > proof:
+                return float(grid[k]), k * step
 
         def at(t: float) -> float:
             # The negated objective at one angle, from one power-matrix row;
@@ -400,8 +426,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
             eu = _UNIT_ROUNDOFF * (7.0 * s1u + (degree + 6) * s0u) + lost_u
             err = (((2.0 * eu + 22.0 * _UNIT_ROUNDOFF * v_hi) * w_lo
                     + 6.0 * v_hi * ep) / (w_lo * w_lo))
-        least, angle = _polish_argmax(at, float(thetas[k]), -float(grid[k]),
-                                      step, err)
+        least, angle = _polish_argmax(at, k * step, -float(grid[k]), step, err)
         return -least, angle
 
     return ring
@@ -686,18 +711,30 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
     desk-scale injectivity proxy.  The samples are equispaced, so h and g
     are evaluated on them by one 2-column circle_values transform.
     ``samples`` is an integer of at least 512 (see count_at_least).
+
+    The length and the gap are measured on the samples scaled by the
+    power of two 2^e that brings their largest modulus into [1/2, 1), and
+    read back by ldexp_or_inf.  The scaling is exact while every scaled
+    part stays in the normal range, as it does unless lam is extreme, so
+    ordinary maps keep every bit; no difference or sum overflows at an
+    extreme lam, and either reads inf past the double range.
     """
     samples = count_at_least(samples, 512, "samples")
     _require_member(f, params, "curve audit needs a class member")
     thetas = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
     h, g = circle_values(coefficient_columns(f.h, f.g), samples).T
     pts = h + np.conj(g)
+    max_modulus = float(np.max(np.abs(pts)))
+    e = -math.frexp(max_modulus)[1]
+    # Real and imaginary parts, each scaled by 2^e.
+    scaled = np.ldexp(pts.view(float), e).view(complex)
+    length = float(np.sum(np.abs(np.diff(scaled, append=scaled[:1]))))
     lipschitz, _ = paired_boundary_sup(derivative(f.h), derivative(f.g))
     return CurveAudit(
         thetas=thetas,
         points=pts,
-        polygonal_length=float(np.sum(np.abs(np.diff(pts, append=pts[:1])))),
+        polygonal_length=ldexp_or_inf(length, -e),
         max_lipschitz_ratio=lipschitz,
-        min_pairwise_gap=_min_nonadjacent_gap(pts),
-        max_modulus=float(np.max(np.abs(pts))),
+        min_pairwise_gap=ldexp_or_inf(_min_nonadjacent_gap(scaled), -e),
+        max_modulus=max_modulus,
     )

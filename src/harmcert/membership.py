@@ -32,6 +32,7 @@ from .series import (
     count_at_least,
     deficiency,
     eval_series,
+    ldexp_or_inf,
     scan_angles,
 )
 
@@ -368,10 +369,7 @@ def _transform_sup(F1: AnalyticSeries, F2: AnalyticSeries, cols: np.ndarray,
     sup, angle = _paired_polish(cols[:len(F1.coeffs), 0].tolist(),
                                 cols[:len(F2.coeffs), 1].tolist(),
                                 ts[k], vals[0, k], step, top)
-    try:
-        return math.ldexp(sup, -e), angle
-    except OverflowError:
-        return math.inf, angle
+    return ldexp_or_inf(sup, -e), angle
 
 
 def _classify(measured_sup: float, params: ClassParams) -> Verdict:

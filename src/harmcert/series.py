@@ -157,6 +157,16 @@ def circle_values_error(n: int) -> float:
     return 8.0 * 2.0 ** -53 * math.ceil(math.log2(n)) * math.sqrt(n)
 
 
+def ldexp_or_inf(x: float, e: int) -> float:
+    """x 2^e for a non-negative x, as math.ldexp, but +inf where that
+    passes the double range and math.ldexp raises OverflowError: a
+    maximum, length or gap measured on values scaled by 2^-e, read back."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def _derived(cs: tuple[complex, ...]) -> AnalyticSeries:
     """AnalyticSeries(cs) for coefficients derived from checked ones.
 

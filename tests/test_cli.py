@@ -623,6 +623,32 @@ class TestCurveCommand:
         assert main(["curve", path, "--csv", "/nonexistent-dir/x.csv"]) \
             == EXIT_INPUT_ERROR
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_level_prints_no_overflow_warning(self, tmp_path, capsys):
+        # main turns any exception, a RuntimeWarning made an error included,
+        # into exit 3.  At lam = 1e308 the length reads inf and the SVG view
+        # box stays finite; at 1.7e308 the view box would pass the double
+        # range, so the SVG is refused by name, and no file is written.
+        for lam in ("1e308", "1.7e308"):
+            path = str(tmp_path / f"eq13-{lam}.json")
+            assert main(["example", "eq13", "--lambda", lam,
+                         "--out", path]) == 0
+            capsys.readouterr()
+            assert main(["curve", path]) == 0
+            out = capsys.readouterr().out
+            assert "polygonal_length: inf" in out
+        svg, csv = str(tmp_path / "curve.svg"), str(tmp_path / "curve.csv")
+        assert main(["curve", str(tmp_path / "eq13-1e308.json"),
+                     "--svg", svg]) == 0
+        box = open(svg).read().split('viewBox="')[1].split('"')[0]
+        assert all(math.isfinite(float(v)) for v in box.split())
+        capsys.readouterr()
+        code = main(["curve", str(tmp_path / "eq13-1.7e308.json"),
+                     "--svg", svg + "2", "--csv", csv])
+        assert code == EXIT_INPUT_ERROR
+        assert "view box" in capsys.readouterr().err
+        assert not os.path.exists(svg + "2") and not os.path.exists(csv)
+
     @pytest.mark.parametrize("flag", ["--csv", "--svg"])
     def test_failed_write_names_the_given_path(self, tmp_path, capsys, flag):
         path = write(tmp_path, "id.json", IDENTITY_TEXT)

@@ -66,6 +66,20 @@ def polished(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lengths(monkeypatch):
+    """The list of the lengths of every circle_values transform made by
+    harmcert.geometry."""
+    calls = []
+
+    def logging(coeffs, n):
+        calls.append(n)
+        return circle_values(coeffs, n)
+
+    monkeypatch.setattr(geometry, "circle_values", logging)
+    return calls
+
+
 def make_map(h_coeffs, g_coeffs=(0,)):
     return HarmonicMap(
         h=AnalyticSeries(tuple(h_coeffs)), g=AnalyticSeries(tuple(g_coeffs))
@@ -237,6 +251,23 @@ class TestJacobianBound:
         audit = jacobian_bound_check(f, ClassParams(lam=lam), default_grid())
         assert audit.max_ratio > 1.01
         assert audit.max_violation > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1e308, 1.79e308])
+    def test_violation_past_the_double_range_reads_inf(self, lam):
+        # Once 0.5 + lam |z| reaches 2^1023, scaling the excess back takes
+        # 2^2048: a member reads 0.  A map whose |h'| runs 2 % past the
+        # bound reads inf: its excess, near 1e614, lies past the double
+        # range.
+        params = ClassParams(lam=lam)
+        f = random_member(4, params, np.random.default_rng(0))
+        assert jacobian_bound_check(f, params, default_grid()).max_violation \
+            == 0.0
+        audit = jacobian_bound_check(make_map((0, 1, lam / 4)),
+                                     ClassParams(lam=lam / 4.08),
+                                     default_grid())
+        assert audit.max_ratio > 1.02
+        assert audit.max_violation == math.inf
 
     def test_identity(self):
         audit = jacobian_bound_check(
@@ -530,6 +561,74 @@ class TestZeroCountOnce:
         assert -math.inf < value < 0.0
 
 
+class TestCoarseRingGrid:
+    """From degree 16 up each ring runs its tests on scan_angles(d // 16)
+    angles first, and takes the full grid only for the rings left open."""
+
+    def test_every_decision_holds_on_a_dense_horner_grid(self, lengths):
+        # Oracle: the objective from Horner values on 8 times the full grid,
+        # plus the returned angle.  A positive ring minimum must have a
+        # positive dense minimum, and a ring minimum <= 0 a dense minimum at
+        # most that value plus rounding.
+        rng = np.random.default_rng(36)
+        coarse_pass = coarse_fail = full = 0
+        for d, radii in ((16, 4), (24, 4), (48, 4), (96, 3), (256, 2)):
+            for kind in RadiusKind:
+                params = ClassParams(lam=float(rng.uniform(1.0, 3.0)))
+                f = random_member(d, params, rng,
+                                  fill=float(rng.uniform(0.5, 0.95)))
+                edge = harmonic_radius_certify(f, params, kind).radius
+                if kind is RadiusKind.STARLIKE:
+                    p, q, offset = f.h, f.g, 0.0
+                else:
+                    p, q, offset = derivative(f.h), derivative(f.g), 1.0
+                ring = _section_rings(f.h, f.g, kind)
+                n = scan_angles(d)
+                dense = 2 * math.pi * np.arange(8 * n) / (8 * n)
+                # Rings well inside, near and past the certified radius.
+                for r in edge * np.append(rng.uniform(0.3, 0.95, radii),
+                                          rng.uniform(0.99, 1.2, radii)):
+                    r = min(float(r), 0.999)
+                    lengths.clear()
+                    value, angle = ring(r)
+                    if value == -math.inf:
+                        continue
+                    zs = r * np.exp(1j * np.append(dense, angle))
+                    P, Q = eval_array(p, zs), eval_array(q, zs)
+                    U = zs * eval_array(derivative(p), zs) + offset * P
+                    V = zs * eval_array(derivative(q), zs) + offset * Q
+                    least = float(np.min(_ring_objective(P, Q, U, V)))
+                    if value > 0.0:
+                        assert least > 0.0
+                    else:
+                        assert least <= value + 1e-9 * (1.0 + abs(value))
+                    if n in lengths:
+                        full += 1
+                    elif value > 0.0:
+                        coarse_pass += 1
+                    else:
+                        coarse_fail += 1
+        # Each way a ring ends was taken.
+        assert min(coarse_pass, coarse_fail, full) >= 5
+
+    def test_most_convex_rings_skip_the_full_grid(self, lengths):
+        # At degree 256 every ring took a full-length transform while each
+        # ring read the full grid; now 8 of the certificate's 18 do.
+        params = ClassParams(1.0)
+        f = random_member(256, params, np.random.default_rng(1))
+        cert = harmonic_radius_certify(f, params, RadiusKind.CONVEX)
+        assert lengths.count(scan_angles(256)) <= cert.rings / 2
+
+    def test_below_degree_16_rings_read_only_the_full_grid(self, lengths):
+        rng = np.random.default_rng(3)
+        for d in (3, 8, 15):
+            lengths.clear()
+            f = random_member(d, ClassParams(2.0), rng)
+            for kind in RadiusKind:
+                harmonic_radius_certify(f, ClassParams(2.0), kind)
+            assert set(lengths) == {scan_angles(d)}
+
+
 class TestHarmonicRadius:
     def test_analytic_reduction(self):
         f3 = make_map((0, 1, 1.0))
@@ -661,7 +760,9 @@ class TestHarmonicRadius:
         # A ring skips the polish where the first-order bound proves it
         # positive.  On these ten certificates a bisection polished 84
         # rings before that bound, and 57 of its 145 rings after it; the
-        # secant search takes 80 rings and polishes 21.
+        # secant search takes 81 rings and polishes 21.  (80 while every
+        # ring read the full grid: a ring that the coarse grid decides
+        # reports that grid's minimum, which moves the secant steps.)
         rng = np.random.default_rng(41)
         rings = 0
         for d in (3, 6, 12, 24, 48):
@@ -669,7 +770,7 @@ class TestHarmonicRadius:
                 params = ClassParams(lam=float(rng.uniform(0.5, 3.0)))
                 f = random_member(d, params, rng, fill=0.9)
                 rings += harmonic_radius_certify(f, params, kind).rings
-        assert rings == 80 < 145
+        assert rings == 81 < 145
         assert len(polished) == 21 < 57
 
     def test_ring_polish_stops_at_its_rounding_error(self, monkeypatch):
@@ -986,6 +1087,30 @@ class TestBoundaryCurve:
         curves.append(np.array([0, 1, 2], dtype=complex))
         for pts in curves:
             assert _min_nonadjacent_gap(pts) == brute_force_nonadjacent_gap(pts)
+
+    def test_scaled_length_and_gap_keep_every_bit(self):
+        # Measured on the samples scaled by a power of two and read back,
+        # length and gap are those of the samples themselves, bit for bit.
+        rng = np.random.default_rng(53)
+        for _ in range(8):
+            params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
+            f = random_member(int(rng.integers(2, 40)), params, rng)
+            audit = boundary_curve_audit(f, params, 512)
+            pts = audit.points
+            assert audit.polygonal_length == float(
+                np.sum(np.abs(np.diff(pts, append=pts[:1]))))
+            assert audit.min_pairwise_gap == _min_nonadjacent_gap(pts)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1e308, 1.7e308])
+    def test_extreme_lam_reads_inf_without_overflow(self, lam):
+        # eq13, z + lam/2 z^2 + lam/4 z^3: the curve's length passes the
+        # double range, its samples and their gap do not.
+        f = make_example(CatalogParams(name="eq13", lam=lam))
+        audit = boundary_curve_audit(f, ClassParams(lam=lam), 2048)
+        assert audit.polygonal_length == math.inf
+        assert math.isfinite(audit.max_modulus)
+        assert 0.0 < audit.min_pairwise_gap < audit.max_modulus
 
     def test_sharp_coanalytic(self):
         audit = boundary_curve_audit(
