@@ -58,8 +58,6 @@ from .membership import (
 )
 from .series import (
     AnalyticSeries,
-    EvalGrid,
-    default_grid,
     deficiency,
     derivative,
     hadamard,

@@ -22,6 +22,7 @@ from .catalog import ENTRIES, CatalogParams, condition, make_example
 from .errors import NonMemberError, ParameterError
 from .geometry import (
     RadiusKind,
+    _ring_values,
     boundary_curve_audit,
     harmonic_radius_certify,
 )
@@ -32,7 +33,7 @@ from .membership import (
     harmonic_membership,
     stable_family_check,
 )
-from .series import COEFF_TOL, AnalyticSeries, EvalGrid
+from .series import COEFF_TOL, AnalyticSeries
 
 EXIT_MEMBER = 0
 EXIT_NON_MEMBER = 1
@@ -220,19 +221,18 @@ def curve_csv(audit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_path(points, closed: bool = True) -> str:
+def _svg_path(points) -> str:
     parts = []
     for i, p in enumerate(points):
         cmd = "M" if i == 0 else "L"
         parts.append(f"{cmd} {p.real:.6g} {-p.imag:.6g}")
-    if closed:
-        parts.append("Z")
+    parts.append("Z")
     return " ".join(parts)
 
 
 def curve_svg(f: HarmonicMap, audit) -> str:
     """Closed polyline of the boundary image plus images of inner circles."""
-    h, g = EvalGrid(_SVG_RINGS, _SVG_RING_SAMPLES).values(f.h, f.g)
+    _, (h, g) = _ring_values(_SVG_RINGS, _SVG_RING_SAMPLES, 0, f.h, f.g)
     ring_paths = np.split(h + np.conj(g), len(_SVG_RINGS))
     all_pts = np.concatenate([audit.points] + ring_paths)
     x = np.concatenate([all_pts.real, [0.0]])

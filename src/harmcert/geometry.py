@@ -34,7 +34,6 @@ from .membership import (
 from .series import (
     ZERO,
     AnalyticSeries,
-    EvalGrid,
     _derived,
     circle_values,
     circle_values_error,
@@ -133,24 +132,50 @@ def _require_member(f: HarmonicMap, params: ClassParams, message: str
         raise NonMemberError(message)
 
 
-def growth_envelope_check(f: HarmonicMap, params: ClassParams,
-                          grid: EvalGrid) -> EnvelopeAudit:
-    """Audit the modulus and derivative envelopes on a disk grid.
+# The growth and Jacobian audits sample these rings, each at this many
+# equispaced angles, scaled by the 2^e that brings 1/2 + lam 0.96 into
+# [1, 2): on these rings every envelope lies within a factor of 8 of it.
+_AUDIT_RADII = tuple((k + 1) * 0.12 for k in range(8))
+_AUDIT_ANGLES = 128
 
-    At every grid point the map modulus must stay between
-    |z| - lam |z|^2 and |z| + lam |z|^2, and the derivative pair must obey
-    1 - 2 lam |z| <= |h'| - |g'| together with |h'| + |g'| <= 1 + 2 lam |z|.
+
+def _ring_values(radii, n: int, e: int, *series: AnalyticSeries):
+    """The points r e^{2 pi i j / n}, j < n, of each ring r in ``radii``,
+    ring by ring, and each series' values there times 2^e, one row per
+    series: one circle_values transform over coefficients x rings x
+    series of c_k r^k 2^e, exact while every scaled term stays normal."""
+    cols = coefficient_columns(*series)
+    r_k = np.asarray(radii) ** np.arange(len(cols))[:, None]
+    vals = circle_values(
+        math.ldexp(1.0, e) * (r_k[:, :, None] * cols[:, None]), n)
+    thetas = np.linspace(0.0, _TWO_PI, n, endpoint=False)
+    points = (np.asarray(radii)[:, None] * np.exp(1j * thetas)).ravel()
+    return points, vals.T.reshape(len(series), -1)
+
+
+def growth_envelope_check(f: HarmonicMap, params: ClassParams
+                          ) -> EnvelopeAudit:
+    """Audit the modulus and derivative envelopes on rings inside the disk.
+
+    At every point of 8 rings, radius 0.12 to 0.96, 128 angles each, the
+    map modulus must stay between |z| - lam |z|^2 and |z| + lam |z|^2, and
+    the derivative pair must obey 1 - 2 lam |z| <= |h'| - |g'| together
+    with |h'| + |g'| <= 1 + 2 lam |z|.  Values and envelopes are compared
+    scaled by a power of two, exact, and each violation and tightness is
+    read back by ldexp_or_inf, an infinity past the double range.
     Rounding is no violation: an excess counts only past sup_tolerance
     times the envelope's size at that point, and at least times 1.
     """
     _require_member(f, params, "envelope audit needs a class member")
     lam = params.lam
-    zs = grid.points()
+    e = 1 - math.frexp(0.5 + lam * _AUDIT_RADII[-1])[1]
+    zs, (h, g, hp, gp) = _ring_values(_AUDIT_RADII, _AUDIT_ANGLES, e, f.h,
+                                      f.g, derivative(f.h), derivative(f.g))
     r = np.abs(zs)
-    h, g, hp, gp = grid.values(f.h, f.g, derivative(f.h), derivative(f.g))
     af, hp, gp = np.abs([h + np.conj(g), hp, gp])
-    growth_lo, growth_hi = r - lam * r * r, r + lam * r * r
-    deriv_lo, deriv_hi = 1.0 - 2.0 * lam * r, 1.0 + 2.0 * lam * r
+    growth_lo, growth_hi = np.ldexp([r - lam * r * r, r + lam * r * r], e)
+    # 1 -+ 2 lam |z| as twice 1/2 -+ lam |z|, which stays finite.
+    deriv_lo, deriv_hi = np.ldexp([0.5 - lam * r, 0.5 + lam * r], e + 1)
     # Each excess with the envelope it is measured against.
     checks = {
         "growth_lower": (growth_lo - af, growth_lo),
@@ -158,13 +183,15 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams,
         "deriv_lower": (deriv_lo - (hp - gp), deriv_lo),
         "deriv_upper": (hp + gp - deriv_hi, deriv_hi),
     }
-    band = params.sup_tolerance
+    band, one = params.sup_tolerance, math.ldexp(1.0, e)
     violations = {
-        k: float(v[v > band * np.maximum(1.0, np.abs(env))].max(initial=0.0))
+        k: ldexp_or_inf(float(
+            v[v > band * np.maximum(one, np.abs(env))].max(initial=0.0)), -e)
         for k, (v, env) in checks.items()
     }
     excess = {k: v for k, (v, _) in checks.items()}
-    tightness = {k: float(-v.max()) for k, v in excess.items()}
+    tightness = {k: ldexp_or_inf(float(-v.max()), -e)
+                 for k, v in excess.items()}
     worst_key = max(excess, key=lambda k: excess[k].max())
     worst_point = complex(zs[int(np.argmax(excess[worst_key]))])
     return EnvelopeAudit(
@@ -175,36 +202,32 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams,
     )
 
 
-def jacobian_bound_check(f: HarmonicMap, params: ClassParams,
-                         grid: EvalGrid) -> JacobianAudit:
-    """Audit |h'|^2 - |g'|^2 against (1 + 2 lam |z|)^2 on a disk grid.
+def jacobian_bound_check(f: HarmonicMap, params: ClassParams
+                         ) -> JacobianAudit:
+    """Audit |h'|^2 - |g'|^2 against (1 + 2 lam |z|)^2 on the growth
+    audit's rings.
 
-    Each point scales |h'|, |g'| and 1 + 2 lam |z| by the power of two
-    that brings the last into [1, 2): exact, so the ratio keeps every bit
-    and no square overflows or underflows at an extreme lam.  The excess
-    is compared on the largest bound's scale, and max_violation reads it
-    back by ldexp_or_inf, inf past the double range.  Rounding is no
-    violation: an excess counts only past sup_tolerance times the bound,
-    which is at least 1.
+    |h'|, |g'| and 1 + 2 lam |z| are scaled by one power of two: exact, so
+    the ratio keeps every bit and no square overflows or underflows at an
+    extreme lam.  max_violation reads the excess back by ldexp_or_inf, inf
+    past the double range.  Rounding is no violation: an excess counts
+    only past sup_tolerance times the bound, which is at least 1.
     """
-    zs = grid.points()
-    # Half the bound, which stays finite for every lam.
-    half = 0.5 + params.lam * np.abs(zs)
-    e = -np.frexp(half)[1]
-    hp, gp = np.ldexp(
-        np.abs(grid.values(derivative(f.h), derivative(f.g))), e)
-    bound = np.ldexp(half, e + 1) ** 2
+    lam = params.lam
+    e = 1 - math.frexp(0.5 + lam * _AUDIT_RADII[-1])[1]
+    zs, vals = _ring_values(_AUDIT_RADII, _AUDIT_ANGLES, e,
+                            derivative(f.h), derivative(f.g))
+    hp, gp = np.abs(vals)
+    # Twice half the bound, which stays finite for every lam.
+    bound = np.ldexp(0.5 + lam * np.abs(zs), e + 1) ** 2
     jac = hp * hp - gp * gp
-    top = int(e.min())
-    excess = np.ldexp(jac - bound, 2 * (top - e))
-    counted = excess[jac - bound > params.sup_tolerance * bound]
-    k = int(np.argmax(excess))
+    excess = jac - bound
+    counted = excess[excess > params.sup_tolerance * bound]
     return JacobianAudit(
-        max_violation=ldexp_or_inf(float(counted.max(initial=0.0)),
-                                   -2 * top),
+        max_violation=ldexp_or_inf(float(counted.max(initial=0.0)), -2 * e),
         max_ratio=float(np.max(jac / bound)),
         sense_preserving=bool(np.all(hp > gp)),
-        worst_point=complex(zs[k]),
+        worst_point=complex(zs[int(np.argmax(excess))]),
     )
 
 
@@ -296,9 +319,16 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     scales r^k, and with it the grid values and the sums Sm, by the power
     of two that brings its largest term max(P_k, U_k) r^k near 1: exact,
     and no product of two values overflows or underflows at an extreme
-    lam.  A ring whose largest term is itself below the normal range (for
-    a normalized map, r below it) returns a NaN minimum, which marks lost
-    precision apart from the -inf of a zero count.  An r^k below the
+    lam.  Each value formed from the coefficients c_j of a and b, summed
+    with one other at most, is at most j^2 max(j - 1, 1) |c_j| (CONVEX,
+    p_k = (k + 1) a_{k+1}) or max(j^2, 1) |c_j| (STARLIKE); only where one
+    of these would reach 2^1023 are the columns of a and b first scaled
+    by the least power of two that keeps them below it, as scaling moves
+    low-order terms toward the subnormal range, and a coefficient that
+    loses bits to it raises ConsistencyError.  A ring whose largest term
+    is itself below the normal range (for a normalized map, r below it)
+    returns a NaN minimum, which marks lost precision apart from the -inf
+    of a zero count.  An r^k below the
     normal range, before or after that scaling, keeps only an absolute
     accuracy; summed over such k its errors, lost_p next to S0(P) and
     lost_u next to S0(U), move each grid value as the transform error
@@ -327,13 +357,25 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     bounds, and is 0, the fixed-width stop, when the first is not
     positive.
     """
-    if kind is RadiusKind.STARLIKE:
-        p, q, offset, zeros = a, b, 0.0, 1
-    else:
-        p, q, offset, zeros = derivative(a), derivative(b), 1.0, 0
+    pq = coefficient_columns(a, b)
+    j = np.arange(len(pq))
+    convex = kind is RadiusKind.CONVEX
+    if float(np.abs(pq).max()) * len(pq) ** 3 >= 2.0 ** 1022:
+        # The bounds of the values formed from column j, in units of |c_j|.
+        weight = np.maximum(j * j * (j - 1 if convex else 1), 1)
+        shift = min(0, 1023 - int((np.frexp(weight)[1] + np.frexp(
+            np.abs(pq).max(axis=1))[1]).max()))
+        parts = np.ldexp(pq.view(float), shift)
+        if not np.array_equal(np.ldexp(parts, -shift), pq.view(float)):
+            raise ConsistencyError(
+                "ring test lost precision: scaling the coefficients by "
+                f"2^{shift} to keep the ring terms finite rounds some")
+        pq = parts.view(complex)
+    offset, zeros = (1.0, 0) if convex else (0.0, 1)
+    if convex:
+        pq = j[1:, None] * pq[1:]  # the columns of a' and b'
     # Columns p, q, u, v, for the ring transform and the polish's
     # power-matrix product.
-    pq = coefficient_columns(p, q)
     powers = np.arange(len(pq))
     coeffs = np.hstack([pq, (powers + offset)[:, None] * pq])
     # Rows P, k P, U, k U: times r^powers they give S0(P), S1(P), S0(U) and

@@ -158,13 +158,14 @@ def circle_values_error(n: int) -> float:
 
 
 def ldexp_or_inf(x: float, e: int) -> float:
-    """x 2^e for a non-negative x, as math.ldexp, but +inf where that
+    """x 2^e, as math.ldexp, but an infinity of the sign of x where that
     passes the double range and math.ldexp raises OverflowError: a
-    maximum, length or gap measured on values scaled by 2^-e, read back."""
+    maximum, length, gap or excess measured on values scaled by 2^-e,
+    read back."""
     try:
         return math.ldexp(x, e)
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, x)
 
 
 def _derived(cs: tuple[complex, ...]) -> AnalyticSeries:
@@ -245,47 +246,3 @@ def count_at_least(n, least: int, name: str) -> int:
         raise ParameterError(
             f"{name} must be an integer of at least {least}, got {n!r}")
     return int(n)
-
-
-@dataclass(frozen=True)
-class EvalGrid:
-    """Polar sample grid strictly inside the unit disk, for the interior
-    audits; boundary scans take their angle count from scan_angles.
-
-    ``angles_per_ring`` is an int (a numpy integer too, but not a bool)
-    of at least 1.
-    """
-
-    radii: tuple[float, ...]
-    angles_per_ring: int
-
-    def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        if not radii:
-            raise ParameterError("grid needs at least one radius")
-        if any(not (0.0 <= r < 1.0) for r in radii):
-            raise ParameterError("grid radii must lie in [0, 1)")
-        if any(b < a for a, b in zip(radii, radii[1:])):
-            raise ParameterError("grid radii must be sorted")
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "angles_per_ring", count_at_least(
-            self.angles_per_ring, 1, "angles_per_ring"))
-
-    def points(self) -> np.ndarray:
-        """All grid points r * exp(i theta), flattened ring by ring."""
-        thetas = np.linspace(0.0, 2.0 * math.pi, self.angles_per_ring, endpoint=False)
-        return (np.asarray(self.radii)[:, None] * np.exp(1j * thetas)).ravel()
-
-    def values(self, *series: AnalyticSeries) -> np.ndarray:
-        """Each series at points(), one row per series, in one transform."""
-        cols = coefficient_columns(*series)
-        r_k = np.asarray(self.radii) ** np.arange(len(cols))[:, None]
-        vals = circle_values(r_k[:, :, None] * cols[:, None],
-                             self.angles_per_ring)
-        return vals.T.reshape(len(series), -1)
-
-
-def default_grid() -> EvalGrid:
-    """8 evenly spaced rings up to radius 0.96, 128 angles each."""
-    return EvalGrid(radii=tuple((k + 1) * 0.96 / 8 for k in range(8)),
-                    angles_per_ring=128)

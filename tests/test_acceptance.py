@@ -42,7 +42,7 @@ from harmcert.membership import (
     random_member,
     stable_family_check,
 )
-from harmcert.series import AnalyticSeries, EvalGrid
+from harmcert.series import AnalyticSeries
 from harmcert.specfun import (
     HypergeomParams,
     gauss_value,
@@ -236,24 +236,20 @@ def test_criterion_5_radii():
 
 def test_criterion_6_envelopes():
     rng = np.random.default_rng(606)
-    grid = EvalGrid(
-        radii=tuple((k + 1) * 0.95 / 8 for k in range(8)),
-        angles_per_ring=125,
-    )
     worst = 0.0
     for i in range(100):
         lam = LEVELS[i % 3]
         params = ClassParams(lam=lam)
         f = random_member(int(rng.integers(2, 9)), params, rng)
-        env = growth_envelope_check(f, params, grid)
-        jac = jacobian_bound_check(f, params, grid)
+        env = growth_envelope_check(f, params)
+        jac = jacobian_bound_check(f, params)
         worst = max(worst, env.max_violation, jac.max_violation)
     ok = worst <= 1e-9
 
     lam = 1.0
     f3 = make_example(CatalogParams(name="f3", lam=lam, eta=1.0))
-    env = growth_envelope_check(f3, ClassParams(lam=lam), grid)
-    jac = jacobian_bound_check(f3, ClassParams(lam=lam), grid)
+    env = growth_envelope_check(f3, ClassParams(lam=lam))
+    jac = jacobian_bound_check(f3, ClassParams(lam=lam))
     ok &= abs(env.tightness["growth_upper"]) <= 1e-9
     ok &= abs(jac.max_ratio - 1.0) <= 1e-9
     _report("criterion 6: growth and Jacobian envelopes", ok,

@@ -552,6 +552,35 @@ class TestRadiusCommand:
                 # precision, and the message says so.
                 assert "lost precision" in captured.err
 
+    @pytest.mark.parametrize("kind", ["convex", "starlike"])
+    @pytest.mark.parametrize("lam", ["5e307", "8.9e307", "1e308", "1.7e308"])
+    @pytest.mark.parametrize("name", ["eq13", "f3", "f_a", "f_b"])
+    def test_double_range_level_certifies_or_exits_three(
+            self, tmp_path, capsys, name, lam, kind):
+        # Unscaled, the ring columns (k + offset) c_k and the rows
+        # k (k + offset) |c_k| pass the double range here, and forming h'
+        # first overflows its coefficients for f3, f_a and f_b at 1e308.
+        out = str(tmp_path / f"{name}.json")
+        main(["example", name, "--lambda", lam, "--out", out])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["radius", out, "--kind", kind, "--json"])
+        captured = capsys.readouterr()
+        assert caught == []
+        assert "RuntimeWarning" not in captured.err
+        assert "must be finite" not in captured.err
+        if code == 0:
+            payload = json.loads(captured.out, parse_constant=pytest.fail)
+            floor = 1.0 / ((2.0 if kind == "starlike" else 4.0) * float(lam))
+            # Far below tol, the radius is the first halved ring that
+            # passes, within a factor of 2 of the largest.
+            assert payload["radius"] >= 0.5 * floor
+            assert payload["inner_margin"] > 0.0
+        else:
+            assert code == EXIT_INPUT_ERROR
+            assert captured.err.startswith("error: ConsistencyError:")
+
     @pytest.mark.parametrize("tol", ["1e-20", "1e-40"])
     def test_tol_below_float_resolution_exits_three(self, tmp_path, capsys,
                                                     tol):

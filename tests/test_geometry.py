@@ -16,9 +16,12 @@ from harmcert.errors import (
     ParameterError,
 )
 from harmcert.geometry import (
+    _AUDIT_ANGLES,
+    _AUDIT_RADII,
     RadiusKind,
     _min_nonadjacent_gap,
     _ring_objective,
+    _ring_values,
     _secant_search,
     _section_rings,
     boundary_curve_audit,
@@ -43,10 +46,8 @@ from harmcert.membership import (
 from harmcert.series import (
     ZERO,
     AnalyticSeries,
-    EvalGrid,
     circle_values,
     circle_values_error,
-    default_grid,
     derivative,
     linear_combination,
     scan_angles,
@@ -156,39 +157,63 @@ SYNTHETIC_RINGS = {
 }
 
 
+class TestRingValues:
+    @pytest.mark.parametrize("radii, n, degree", [
+        (_AUDIT_RADII, _AUDIT_ANGLES, 40),
+        ((0.0, 0.3, 0.9), 16, 12),
+        # 601 coefficients on 128 angles: circle_values folds them first.
+        ((0.5, 0.95), 128, 600),
+    ])
+    def test_values_match_horner_in_point_order(self, radii, n, degree):
+        rng = np.random.default_rng(degree)
+        series = [AnalyticSeries(tuple(
+            rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)))
+            for d in (degree, degree // 2, 1, 0)]
+        zs, got = _ring_values(radii, n, 0, *series)
+        assert zs.shape == (len(radii) * n,)
+        assert np.array_equal(np.abs(zs[::n]), np.asarray(radii))
+        assert got.shape == (4, len(zs))
+        # Horner at the returned points, so a value out of order fails too;
+        # the bound is 1e-13 of sum |c_k| |z|^k.
+        for F, row in zip(series, got):
+            mass = np.abs(F.coeffs) @ (np.abs(zs)[None, :]
+                                       ** np.arange(len(F.coeffs))[:, None])
+            assert np.all(np.abs(row - eval_array(F, zs)) <= 1e-13 * mass)
+        # Scaled by 2^e, every value is 2^e times the unscaled one.
+        for e in (-7, 5):
+            assert np.array_equal(_ring_values(radii, n, e, *series)[1],
+                                  2.0**e * got)
+
+
 class TestGrowthEnvelope:
     def test_sharp_quadratic_attains_upper(self):
         lam = 1.0
         f3 = make_map((0, 1, lam))
-        grid = default_grid()
-        audit = growth_envelope_check(f3, ClassParams(lam=lam), grid)
+        audit = growth_envelope_check(f3, ClassParams(lam=lam))
         assert audit.max_violation <= 1e-12
-        # Equality holds along the positive real axis, which the grid hits.
+        # Equality holds along the positive real axis, which the rings hit.
         assert audit.tightness["growth_upper"] <= 1e-9
         z = 0.5
         fz = eval_array(f3.h, z) + np.conj(eval_array(f3.g, z))
         assert abs(fz) == pytest.approx(abs(z) + lam * abs(z) ** 2, abs=1e-14)
 
     def test_identity_strictly_inside(self):
-        audit = growth_envelope_check(
-            make_map((0, 1)), ClassParams(lam=1.0), default_grid()
-        )
+        audit = growth_envelope_check(make_map((0, 1)), ClassParams(lam=1.0))
         assert audit.max_violation == 0.0
         assert audit.tightness["growth_upper"] > 0.0
 
     def test_random_members_clean(self):
         rng = np.random.default_rng(71)
         params = ClassParams(lam=1.0)
-        grid = default_grid()
         for _ in range(20):
             f = random_member(int(rng.integers(2, 9)), params, rng)
-            audit = growth_envelope_check(f, params, grid)
+            audit = growth_envelope_check(f, params)
             assert audit.max_violation <= 1e-9
 
     def test_rejects_non_member(self):
         f = make_map((0, 1, 1.9))
         with pytest.raises(NonMemberError):
-            growth_envelope_check(f, ClassParams(lam=1.0), default_grid())
+            growth_envelope_check(f, ClassParams(lam=1.0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lam", [1.0, 1e150, 1e300])
@@ -196,7 +221,7 @@ class TestGrowthEnvelope:
         # f3 attains both growth envelopes; rounding of |f| grows with lam
         # and must not count as a violation.
         f3 = make_map((0, 1, lam))
-        audit = growth_envelope_check(f3, ClassParams(lam=lam), default_grid())
+        audit = growth_envelope_check(f3, ClassParams(lam=lam))
         assert audit.max_violation == 0.0
         assert set(audit.violations.values()) == {0.0}
         assert audit.tightness["growth_upper"] <= 1e-9 * lam
@@ -208,10 +233,20 @@ class TestGrowthEnvelope:
         # see that the band does not hide a real excess.
         monkeypatch.setattr(geometry, "_require_member", lambda *args: None)
         f = make_map((0, 1, 1.01 * lam))
-        audit = growth_envelope_check(f, ClassParams(lam=lam), default_grid())
+        audit = growth_envelope_check(f, ClassParams(lam=lam))
         assert audit.violations["growth_upper"] > 0.0
         assert audit.violations["deriv_upper"] > 0.0
         assert audit.max_violation > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_lam_member_reads_no_violation(self):
+        # Unscaled, the transform of eq13's coefficients overflows at
+        # lam = 1.7e308, and so does 1 + 2 lam |z|.
+        lam = 1.7e308
+        f = make_example(CatalogParams(name="eq13", lam=lam))
+        audit = growth_envelope_check(f, ClassParams(lam=lam))
+        assert audit.max_violation == 0.0
+        assert all(t > 0.0 for t in audit.tightness.values())
 
 
 class TestJacobianBound:
@@ -221,7 +256,7 @@ class TestJacobianBound:
         # Past lam = 1e154 the squares of |h'| and 1 + 2 lam |z| overflow
         # unless the audit scales them first.
         f3 = make_map((0, 1, lam))
-        audit = jacobian_bound_check(f3, ClassParams(lam=lam), default_grid())
+        audit = jacobian_bound_check(f3, ClassParams(lam=lam))
         assert audit.max_ratio == pytest.approx(1.0, abs=1e-9)
         assert audit.sense_preserving
         # Rounding of the ratio, about 1e-15, is no violation at any lam.
@@ -232,15 +267,12 @@ class TestJacobianBound:
             assert jac == pytest.approx((1 + 2 * lam * z) ** 2, abs=1e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("h, lam", [((0, 1, 1e300), 1e300),
-                                        ((0, 1), 1.7e308)])
+    @pytest.mark.parametrize("h, lam", [((0, 1, 1e300), 1e300)])
     def test_extreme_lam_with_a_ring_at_the_centre(self, h, lam):
-        # At z = 0 the bound is 1 against about lam on the outer ring: a
-        # common scale would underflow its square to 0, and the ratio to
-        # 0 / 0.  At 1.7e308, 1 + 2 lam |z| itself passes the double range.
-        # Both maps attain the ratio 1 at z = 0.
-        grid = EvalGrid(radii=(0.0, 0.5), angles_per_ring=16)
-        audit = jacobian_bound_check(make_map(h), ClassParams(lam=lam), grid)
+        # The bound on the inner ring, 0.12, is about 8 times below the
+        # outer ring's, and both are read on the one scale of the outer
+        # ring.  The map attains the ratio 1 on the positive real axis.
+        audit = jacobian_bound_check(make_map(h), ClassParams(lam=lam))
         assert audit.max_ratio == pytest.approx(1.0, abs=1e-9)
         assert audit.sense_preserving
 
@@ -248,7 +280,7 @@ class TestJacobianBound:
     @pytest.mark.parametrize("lam", [1.0, 1e155, 1e300])
     def test_one_percent_past_the_bound_is_flagged(self, lam):
         f = make_map((0, 1, 1.01 * lam))
-        audit = jacobian_bound_check(f, ClassParams(lam=lam), default_grid())
+        audit = jacobian_bound_check(f, ClassParams(lam=lam))
         assert audit.max_ratio > 1.01
         assert audit.max_violation > 0.0
 
@@ -256,33 +288,38 @@ class TestJacobianBound:
     @pytest.mark.parametrize("lam", [1e308, 1.79e308])
     def test_violation_past_the_double_range_reads_inf(self, lam):
         # Once 0.5 + lam |z| reaches 2^1023, scaling the excess back takes
-        # 2^2048: a member reads 0.  A map whose |h'| runs 2 % past the
+        # 2^2046: a member reads 0.  A map whose |h'| runs 2 % past the
         # bound reads inf: its excess, near 1e614, lies past the double
         # range.
         params = ClassParams(lam=lam)
         f = random_member(4, params, np.random.default_rng(0))
-        assert jacobian_bound_check(f, params, default_grid()).max_violation \
-            == 0.0
+        assert jacobian_bound_check(f, params).max_violation == 0.0
         audit = jacobian_bound_check(make_map((0, 1, lam / 4)),
-                                     ClassParams(lam=lam / 4.08),
-                                     default_grid())
+                                     ClassParams(lam=lam / 4.08))
         assert audit.max_ratio > 1.02
         assert audit.max_violation == math.inf
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_lam_transform_stays_finite(self):
+        # Unscaled, the transform of h' = 1 + lam z overflows at 1.79e308.
+        lam = 1.79e308
+        audit = jacobian_bound_check(make_map((0, 1, lam / 2)),
+                                     ClassParams(lam=lam))
+        assert audit.max_violation == 0.0
+        assert audit.sense_preserving
+
     def test_identity(self):
-        audit = jacobian_bound_check(
-            make_map((0, 1)), ClassParams(lam=1.0), default_grid()
-        )
+        audit = jacobian_bound_check(make_map((0, 1)), ClassParams(lam=1.0))
         assert audit.max_violation == 0.0
         assert audit.sense_preserving
 
     def test_small_coanalytic(self):
         f = make_map((0, 1), (0, 0, 0.2))
-        grid = default_grid()
-        audit = jacobian_bound_check(f, ClassParams(lam=1.0), grid)
+        audit = jacobian_bound_check(f, ClassParams(lam=1.0))
         assert audit.max_violation == 0.0
         assert audit.sense_preserving
-        zs = grid.points()
+        zs = np.multiply.outer(np.linspace(0.12, 0.96, 8),
+                               np.exp(2j * np.pi * np.arange(128) / 128))
         want = 1.0 - 0.16 * np.abs(zs) ** 2
         got = (np.abs(eval_array(AnalyticSeries((1,)), zs)) ** 2
                - np.abs(eval_array(AnalyticSeries((0, 0.4)), zs)) ** 2)
@@ -290,6 +327,18 @@ class TestJacobianBound:
 
 
 class TestRadiusCertify:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaling_that_rounds_a_coefficient_is_refused(self):
+        # The convex row 4 * 1.5e308 passes the double range, so the
+        # columns are scaled by 2^-4, which takes 3e-308 into the subnormal
+        # range and rounds it.
+        F = AnalyticSeries((0, 1, 1.5e308, 3e-308))
+        with pytest.raises(ConsistencyError, match="rounds some"):
+            radius_certify(F, RadiusKind.CONVEX)
+        # Without that coefficient the scaling is exact.
+        F = AnalyticSeries((0, 1, 1.5e308))
+        assert radius_certify(F, RadiusKind.CONVEX).inner_margin > 0.0
+
     def test_sharp_quadratic_starlike(self):
         cert = radius_certify(AnalyticSeries((0, 1, 1)), RadiusKind.STARLIKE)
         assert cert.radius == pytest.approx(0.5, abs=1e-4)
@@ -1162,7 +1211,7 @@ class TestMemberGuard:
             for kind in RadiusKind:
                 harmonic_radius_certify(f1, params, kind)
             boundary_curve_audit(f1, params, 512)
-            growth_envelope_check(f1, params, default_grid())
+            growth_envelope_check(f1, params)
             assert scans == []
             # Only the fresh verdict on the result is scanned.
             out, rep = convolve_members(f1, f2, params)
@@ -1178,7 +1227,7 @@ class TestMemberGuard:
         calls = [
             lambda: harmonic_radius_certify(bad, params, RadiusKind.STARLIKE),
             lambda: boundary_curve_audit(bad, params, 512),
-            lambda: growth_envelope_check(bad, params, default_grid()),
+            lambda: growth_envelope_check(bad, params),
             lambda: convolve_members(good, bad, params),
             lambda: convex_combination([good, bad], [0.5, 0.5], params),
         ]

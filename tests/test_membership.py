@@ -783,9 +783,9 @@ class TestStableFamily:
             stable_family_check(make_map((0, 1)), ClassParams(lam=1.0), zeta_samples=4)
 
     def test_sample_count_must_be_an_integer(self):
-        # The nearest-phase rule would read any real count; like
-        # EvalGrid.angles_per_ring, the count is an int or numpy integer,
-        # but not a bool.
+        # The nearest-phase rule would read any real count; like the
+        # curve audit's samples, the count is an int or numpy integer, but
+        # not a bool.
         f, params = make_map((0, 1, 0.1), (0, 0, 0.2j)), ClassParams(lam=1.0)
         for bad in (8.5, 8.0, True, "8", np.int64(7), np.float64(16)):
             with pytest.raises(ParameterError, match="zeta_samples"):

@@ -12,9 +12,7 @@ from harmcert.errors import ParameterError
 from harmcert.geometry import _euler_image
 from harmcert.series import (
     AnalyticSeries,
-    EvalGrid,
     circle_values,
-    default_grid,
     deficiency,
     derivative,
     eval_series,
@@ -412,60 +410,3 @@ class TestLinearCombination:
             [(1, AnalyticSeries((0, 1))), (1j, AnalyticSeries((0, 0, 0.2)))]
         )
         assert got.coeff(2) == 0.2j
-
-
-class TestEvalGrid:
-    def test_points_stay_inside(self):
-        grid = default_grid()
-        assert np.all(np.abs(grid.points()) < 1.0)
-
-    def test_grid_shape_is_fixed(self):
-        grid = default_grid()
-        assert grid.radii == tuple((k + 1) * 0.12 for k in range(8))
-        assert grid.angles_per_ring == 128
-        for args, kwargs in (((6,), {}), ((), {"rings": 6}),
-                             ((), {"angles_per_ring": 64})):
-            with pytest.raises(TypeError):
-                default_grid(*args, **kwargs)
-
-    def test_rejects_radius_one(self):
-        with pytest.raises(ParameterError):
-            EvalGrid(radii=(0.5, 1.0), angles_per_ring=8)
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ParameterError):
-            EvalGrid(radii=(0.5, 0.2), angles_per_ring=8)
-
-    def test_point_count(self):
-        grid = EvalGrid(radii=(0.25, 0.5), angles_per_ring=16)
-        assert len(grid.points()) == 32
-
-    @pytest.mark.parametrize("angles", [2.5, 8.0, True, False, "8", None, 0, -3])
-    def test_rejects_non_integer_or_nonpositive_angle_count(self, angles):
-        with pytest.raises(ParameterError):
-            EvalGrid(radii=(0.5,), angles_per_ring=angles)
-
-    def test_accepts_numpy_integer_angle_count(self):
-        grid = EvalGrid(radii=(0.5,), angles_per_ring=np.int64(8))
-        assert grid.angles_per_ring == 8 and len(grid.points()) == 8
-
-    @pytest.mark.parametrize("grid, degree", [
-        (default_grid(), 40),
-        (EvalGrid(radii=(0.0, 0.3, 0.9), angles_per_ring=16), 12),
-        # 601 coefficients on 128 angles: circle_values folds them first.
-        (EvalGrid(radii=(0.5, 0.95), angles_per_ring=128), 600),
-    ])
-    def test_values_match_horner_in_point_order(self, grid, degree):
-        rng = np.random.default_rng(degree)
-        series = [AnalyticSeries(tuple(
-            rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)))
-            for d in (degree, degree // 2, 1, 0)]
-        got = grid.values(*series)
-        zs = grid.points()
-        assert got.shape == (4, len(zs))
-        # Horner at points() itself, so a value out of order fails too;
-        # the bound is assert_matches_horner's, 1e-13 of sum |c_k| |z|^k.
-        for F, row in zip(series, got):
-            mass = np.abs(F.coeffs) @ (np.abs(zs)[None, :]
-                                       ** np.arange(len(F.coeffs))[:, None])
-            assert np.all(np.abs(row - eval_array(F, zs)) <= 1e-13 * mass)
