@@ -360,7 +360,9 @@ def _cmd_radius(args) -> int:
     print(f"radius: {cert.radius}")
     print(f"inner_margin: {cert.inner_margin}")
     if cert.outer_witness is None:
-        print("outer_witness: none (capped at 1)")
+        # A capped radius proves only the disk inside the probe ring.
+        print(f"outer_witness: none (capped at 1; proven on "
+              f"|z| <= {1.0 - args.tol})")
     else:
         r, ang = cert.outer_witness
         print(f"outer_witness: radius={r}, angle={ang}")

@@ -65,8 +65,8 @@ class RadiusCertificate:
     a ring at most tol outside, and an angle on it, where that minimum
     dropped to zero or below or the zero count of the denominator was not
     the one allowed.  ``rings`` is the number of rings evaluated.  Each
-    passing ring is proven positive between its grid angles by a
-    first-order bound, or else polished there (_section_rings).
+    passing ring is proven positive between its grid angles by a chord
+    bound, or else polished there (_section_rings).
     """
 
     kind: RadiusKind
@@ -263,7 +263,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     grid's step and eps, and keeps what they decide: a grid objective
     <= 0 is returned as the witness; a cell test that passes counts the
     zeros, setting the counted radius or returning -inf; a grid minimum
-    that the first-order bound proves is returned as the minimum.  Each
+    that the chord bound proves is returned as the minimum.  Each
     of these holds at any n: the witness is a value of the objective at
     one angle, and the cell test and the proof bound carry their grid's
     own step and eps.  Anything else, a cell test that fails or a positive
@@ -297,23 +297,42 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     its grid values.  u = z p' + offset p and v = z q' + offset q are
     series too, with coefficients (k + offset) p_k and (k + offset) q_k, so
     each ring's grid values of p, q, u and v come from one 4-column
-    circle_values transform.  Where a first-order bound proves the ring
+    circle_values transform.  Where the chord bound below proves the ring
     positive, ``ring(r)`` returns the grid minimum; every other positive
     grid minimum is polished by _polish_argmax (Brent's method, about 7
     points, down to the objective's rounding error, below) on the negated
     objective, each point of it one power-matrix product of the four
-    series.  With
-    P_k = |p_k| + |q_k|, U_k = |u_k| + |v_k| and Sm(X) = sum k^m X_k r^k,
-    N = alpha - |gamma| (_ring_numerator) has |N'(theta)| <= B1 =
-    S1(U) S0(P) + S0(U) S1(P), as |j - k| <= j + k in each of its four
-    double sums, and every angle lies within pi/n of a grid angle.  Each
+    series.
+
+    With P_k = |p_k| + |q_k|, U_k = |u_k| + |v_k| and
+    Sm(X) = sum k^m X_k r^k, N = alpha - |gamma| (_ring_numerator) is the
+    least over unimodular zeta of N_zeta = alpha + Re(zeta gamma), and
+    each N_zeta is a trigonometric polynomial in theta: its terms
+    u_j conj(p_k) r^(j+k) e^{i (j-k) theta} and the like, four double
+    sums over j and k.  So |N_zeta''| <= |alpha''| + |gamma''| <=
+    sum (j - k)^2 U_j P_k r^(j+k) <= B2 = S2(U) S0(P) + S0(U) S2(P), as
+    (j - k)^2 <= j^2 + k^2 for j, k >= 0.  On a grid cell of width
+    h = 2 pi/n, a function whose second derivative is at most B2 in
+    modulus stays above the chord between its two end values less
+    B2 h^2/8, and that chord stays above the lesser end value, which is
+    at least the grid minimum of N.  So N_zeta, and with it N, stays
+    above that minimum less B2 (pi/n)^2 / 2 on the whole ring.  Each
     grid value of X is off by at most eps S0(X), with
     eps = circle_values_error(n) >= 1024 u (u = 2^-53), and N, four
     products of such values with a few u of rounding each, by at most
     3 eps S0(U) S0(P), about 1e-12 of it.  The factor 1 + eps covers the
     rounding of the coefficients and of the sums Sm.  So a grid minimum
-    of N above (B1 pi/n + 3 eps S0(U) S0(P)) (1 + eps) proves N > 0 on
-    the whole ring, and with it every section's functional.
+    of N above (B2 (pi/n)^2 / 2 + 3 eps S0(U) S0(P)) (1 + eps) proves
+    N > 0 on the whole ring, and with it every section's functional.
+    It is never weaker than the first-order bound B1 pi/n, with
+    B1 = S1(U) S0(P) + S0(U) S1(P) >= |N'|: S2 <= d S1 for the column
+    degree d, so B2 (pi/n)^2 / 2 <= B1 (pi/n) pi d / (2 n), and every grid
+    taken here has n >= max(256, 4 d - 60) > pi d / 2 (the coarse one
+    n >= 64 (D // 16) for the degree D >= d of a and b).  The S2 rows
+    are (k/d)^2 P_k and (k/d)^2 U_k, their sums multiplied by d^2: each
+    row entry is at most P_k or U_k, which the column scaling below keeps
+    finite, where k^2 P_k would overflow at an extreme lam.  S1 stays for
+    the zero count's cell bound and the polish's error bound.
 
     Every test above is homogeneous in the four series, so each ring
     scales r^k, and with it the grid values and the sums Sm, by the power
@@ -378,11 +397,15 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     # power-matrix product.
     powers = np.arange(len(pq))
     coeffs = np.hstack([pq, (powers + offset)[:, None] * pq])
-    # Rows P, k P, U, k U: times r^powers they give S0(P), S1(P), S0(U) and
-    # S1(U).  As z D' = sum k (p_k + zeta q_k) z^k, S1(P) bounds |z D'|.
+    # Rows P, k P, U, k U, (k/d)^2 P, (k/d)^2 U: times r^powers they give
+    # S0(P), S1(P), S0(U), S1(U) and S2(P), S2(U) over d^2.  As
+    # z D' = sum k (p_k + zeta q_k) z^k, S1(P) bounds |z D'|.
     P = np.abs(coeffs[:, 0]) + np.abs(coeffs[:, 1])
     U = np.abs(coeffs[:, 2]) + np.abs(coeffs[:, 3])
-    sums = np.stack([P, powers * P, U, powers * U])
+    degree = len(powers) - 1
+    d = max(degree, 1)
+    square = (powers / d) ** 2
+    sums = np.stack([P, powers * P, U, powers * U, square * P, square * U])
     top_terms = np.maximum(P, U)
     angles = scan_angles(max(a.degree, b.degree))
     coarse = scan_angles(max(a.degree, b.degree) // 16)
@@ -392,7 +415,6 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
                         else (angles,))]
     eps = levels[-1][2]
     tiny = np.finfo(float).tiny
-    degree = len(powers) - 1
     # The largest ring whose zero count came out as the allowed one.
     counted = 0.0
 
@@ -405,7 +427,9 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
         e = -math.frexp(top)[1]
         rk = np.ldexp(raw, e)
         scaled = coeffs * rk[:, None]
-        s0p, s1p, s0u, s1u = (sums @ rk).tolist()
+        s0p, s1p, s0u, s1u, s2p, s2u = (sums @ rk).tolist()
+        # B2 of the docstring, which bounds every |N_zeta''| on the ring.
+        b2 = (s2u * s0p + s0u * s2p) * (d * d)
         # Powers below the normal range, before or after the scaling, are
         # off by at most 2^-1073 times max(1, 2^e), once scaled.
         lost_p = lost_u = 0.0
@@ -445,7 +469,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
                 # A grid point already fails the ring; polishing only
                 # lowers it.
                 return float(grid[k]), k * step
-            proof = ((s1u * s0p + s0u * s1p) * math.pi / n
+            proof = (0.5 * b2 * (math.pi / n) ** 2
                      + 3.0 * eps_n * s0u * s0p
                      + (lost_u * s0p + s0u * lost_p)) * (1.0 + eps_n)
             if float(num.min()) > proof:
@@ -740,6 +764,12 @@ def _min_nonadjacent_gap(pts: np.ndarray) -> float:
     return best
 
 
+def _ldexp_series(F: AnalyticSeries, e: int) -> AnalyticSeries:
+    """F with every coefficient times 2^e; F itself for e = 0."""
+    return F if e == 0 else AnalyticSeries(
+        tuple(c * 2.0 ** e for c in F.coeffs))
+
+
 def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
                          samples: int = 2048) -> CurveAudit:
     """Sample the boundary image curve and audit length and Lipschitz data.
@@ -759,24 +789,33 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
     read back by ldexp_or_inf.  The scaling is exact while every scaled
     part stays in the normal range, as it does unless lam is extreme, so
     ordinary maps keep every bit; no difference or sum overflows at an
-    extreme lam, and either reads inf past the double range.
+    extreme lam, and either reads inf past the double range.  The
+    Lipschitz ratio is read back the same way from h' and g' of the
+    coefficients scaled by 2^s, s < 0 only where a derivative coefficient
+    k c_k could reach 2^1023, so that h' and g' stay finite: for f3, f_a
+    and f_b at lam = 1e308 the ratio, about 2 lam, reads inf.
     """
     samples = count_at_least(samples, 512, "samples")
     _require_member(f, params, "curve audit needs a class member")
     thetas = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-    h, g = circle_values(coefficient_columns(f.h, f.g), samples).T
+    cols = coefficient_columns(f.h, f.g)
+    h, g = circle_values(cols, samples).T
     pts = h + np.conj(g)
     max_modulus = float(np.max(np.abs(pts)))
     e = -math.frexp(max_modulus)[1]
     # Real and imaginary parts, each scaled by 2^e.
     scaled = np.ldexp(pts.view(float), e).view(complex)
     length = float(np.sum(np.abs(np.diff(scaled, append=scaled[:1]))))
-    lipschitz, _ = paired_boundary_sup(derivative(f.h), derivative(f.g))
+    # Each derivative coefficient k c_k is below 2^(top + bits of len(cols)).
+    top = math.frexp(float(np.abs(cols).max()))[1]
+    shift = min(0, 1023 - top - len(cols).bit_length())
+    lipschitz, _ = paired_boundary_sup(
+        *(derivative(_ldexp_series(F, shift)) for F in (f.h, f.g)))
     return CurveAudit(
         thetas=thetas,
         points=pts,
         polygonal_length=ldexp_or_inf(length, -e),
-        max_lipschitz_ratio=lipschitz,
+        max_lipschitz_ratio=ldexp_or_inf(lipschitz, -shift),
         min_pairwise_gap=ldexp_or_inf(_min_nonadjacent_gap(scaled), -e),
         max_modulus=max_modulus,
     )

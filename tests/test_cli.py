@@ -473,6 +473,25 @@ class TestRadiusCommand:
         assert main(["radius", path]) == 0
         assert "capped" in capsys.readouterr().out
 
+    def test_capped_witness_names_the_proven_ring(self, tmp_path, capsys):
+        # With tol = 0.4999 only the probe ring at 0.5001 is tested, and it
+        # passes, so the radius is capped at 1; the default tol finds a
+        # failing ring near 0.6523.  The witness line says which disk was
+        # proven; the radius and margin lines, which scripts parse, stay.
+        out = str(tmp_path / "eq13.json")
+        main(["example", "eq13", "--lambda", "1", "--out", out])
+        capsys.readouterr()
+        assert main(["radius", out, "--kind", "convex", "--tol",
+                     "0.4999"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "radius: 1.0"
+        assert lines[2].startswith("inner_margin: ")
+        assert lines[3] == ("outer_witness: none (capped at 1; proven on "
+                            "|z| <= 0.5001)")
+        assert main(["radius", out, "--kind", "convex"]) == 0
+        text = capsys.readouterr().out
+        assert float(text.split("radius: ")[1].splitlines()[0]) < 0.6524
+
     def test_non_member_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "fa.json")
         main(["example", "f_a", "--lambda", "1", "--out", out])
@@ -677,6 +696,23 @@ class TestCurveCommand:
         assert code == EXIT_INPUT_ERROR
         assert "view box" in capsys.readouterr().err
         assert not os.path.exists(svg + "2") and not os.path.exists(csv)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", ["1e308", "1.7e308"])
+    @pytest.mark.parametrize("name", ["f3", "f_a", "f_b"])
+    def test_lipschitz_ratio_past_the_double_range_reads_inf(
+            self, tmp_path, capsys, name, lam):
+        # h' = 1 + 2 lam z + ... has a coefficient past the double range
+        # here, so the ratio is read from coefficients scaled by a power of
+        # two: inf, as 1 + 2 lam itself, where forming h' once exited 3
+        # with "coefficients must be finite" on finite input.
+        path = str(tmp_path / f"{name}.json")
+        assert main(["example", name, "--lambda", lam, "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["curve", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "max_lipschitz_ratio: inf" in captured.out.splitlines()
 
     @pytest.mark.parametrize("flag", ["--csv", "--svg"])
     def test_failed_write_names_the_given_path(self, tmp_path, capsys, flag):

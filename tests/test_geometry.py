@@ -41,6 +41,7 @@ from harmcert.membership import (
     _polish_argmax,
     coefficient_sufficient,
     harmonic_membership,
+    paired_boundary_sup,
     random_member,
 )
 from harmcert.series import (
@@ -48,6 +49,7 @@ from harmcert.series import (
     AnalyticSeries,
     circle_values,
     circle_values_error,
+    coefficient_columns,
     derivative,
     linear_combination,
     scan_angles,
@@ -100,6 +102,41 @@ def brute_force_nonadjacent_gap(pts):
         d[(sep <= 1) | (sep >= n - 1)] = math.inf
         best = min(best, float(d.min()))
     return best
+
+
+def ring_parts(f, kind):
+    """The denominator parts p, q of kind's functional, and its offset."""
+    if kind is RadiusKind.STARLIKE:
+        return f.h, f.g, 0.0
+    return derivative(f.h), derivative(f.g), 1.0
+
+
+def ring_sums(p, q, offset, r):
+    """S0(P), S1(P), S2(P), S0(U), S1(U), S2(U) on the ring r, with
+    Sm(X) = sum k^m X_k r^k, P_k = |p_k| + |q_k| and U_k = (k + offset) P_k
+    (_section_rings)."""
+    P = np.abs(coefficient_columns(p, q)).sum(axis=1)
+    k = np.arange(len(P))
+    U = (k + offset) * P
+    return [float((k ** m * X * r ** k).sum()) for X in (P, U)
+            for m in range(3)]
+
+
+def ring_numerators(p, q, offset, r, n):
+    """The least numerator alpha - |gamma| over unimodular zeta at n
+    equispaced angles of the ring r, with u = z p' + offset p and v
+    likewise built from the derivatives' own values."""
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+
+    def on_ring(F):
+        return circle_values(np.asarray(F.coeffs) * r ** np.arange(
+            len(F.coeffs)), n)
+
+    P, Q = on_ring(p), on_ring(q)
+    U = r * z * on_ring(derivative(p)) + offset * P
+    V = r * z * on_ring(derivative(q)) + offset * Q
+    alpha = (U * np.conj(P) + V * np.conj(Q)).real
+    return alpha - np.abs(V * np.conj(P) + np.conj(U) * Q)
 
 
 def brute_force_radius(F, kind, r_steps=400, t_steps=720):
@@ -386,19 +423,22 @@ class TestRadiusCertify:
     def test_ring_minimum_is_polished_off_grid(self, polished):
         # For z + w z^2 with |w| = 1 the starlike functional on |z| = r is
         # Re((1 + 2 w z) / (1 + w z)), least at w z = -r.  Rotating by a
-        # third of a grid cell puts that minimum between grid angles.  At
-        # r = 0.45 the first-order bound does not prove the ring, so its
-        # grid minimum is polished.
-        r, phi = 0.45, 2 * math.pi / 256 / 3
+        # third of a grid cell puts that minimum between grid angles.  The
+        # chord bound proves the ring at r = 0.45, which the first-order
+        # bound left to the polish; at r = 0.4999 the minimum is too small
+        # for it, so the grid minimum is polished.
+        phi = 2 * math.pi / 256 / 3
         F = AnalyticSeries((0, 1, np.exp(1j * phi)))
         ring = _section_rings(F, ZERO, RadiusKind.STARLIKE)
+        assert ring(0.45)[0] > 0.0 and polished == []
+        r = 0.4999
         value, angle = ring(r)
         assert len(polished) == 1
-        assert value == pytest.approx((1 - 2 * r) / (1 - r), abs=1e-13)
+        assert value == pytest.approx((1 - 2 * r) / (1 - r), abs=2e-16)
         assert angle == pytest.approx(math.pi - phi, abs=1e-7)
 
     def test_proven_ring_returns_its_grid_minimum(self, polished):
-        # The same map at r = 0.3: the first-order bound proves the ring
+        # The same map at r = 0.3: the chord bound proves the ring
         # positive, so it reports the least of its grid values unpolished.
         r, phi = 0.3, 2 * math.pi / 256 / 3
         F = AnalyticSeries((0, 1, np.exp(1j * phi)))
@@ -621,16 +661,14 @@ class TestCoarseRingGrid:
         # most that value plus rounding.
         rng = np.random.default_rng(36)
         coarse_pass = coarse_fail = full = 0
-        for d, radii in ((16, 4), (24, 4), (48, 4), (96, 3), (256, 2)):
+        for d, radii in ((16, 4), (24, 4), (48, 4), (96, 3), (128, 2),
+                         (256, 2)):
             for kind in RadiusKind:
                 params = ClassParams(lam=float(rng.uniform(1.0, 3.0)))
                 f = random_member(d, params, rng,
                                   fill=float(rng.uniform(0.5, 0.95)))
                 edge = harmonic_radius_certify(f, params, kind).radius
-                if kind is RadiusKind.STARLIKE:
-                    p, q, offset = f.h, f.g, 0.0
-                else:
-                    p, q, offset = derivative(f.h), derivative(f.g), 1.0
+                p, q, offset = ring_parts(f, kind)
                 ring = _section_rings(f.h, f.g, kind)
                 n = scan_angles(d)
                 dense = 2 * math.pi * np.arange(8 * n) / (8 * n)
@@ -676,6 +714,86 @@ class TestCoarseRingGrid:
             for kind in RadiusKind:
                 harmonic_radius_certify(f, ClassParams(2.0), kind)
             assert set(lengths) == {scan_angles(d)}
+
+
+class TestChordBound:
+    """A ring is proven positive between its grid angles by the chord
+    bound (B2 (pi/n)^2 / 2 of _section_rings); these tests compare it with
+    the first-order bound (S1(U) S0(P) + S0(U) S1(P)) pi/n."""
+
+    def test_rings_only_the_chord_bound_proves_are_positive(self, polished,
+                                                            lengths):
+        # Rings near the certified radius that ring(r) passes without a
+        # polish, on whose deciding grid (the last transform's length n)
+        # the grid minimum of N lies at or below the first-order term, so
+        # only the chord bound can have proven them.  On 65536 angles N
+        # stays positive on each.
+        rng = np.random.default_rng(38)
+        chord_only = 0
+        for j in range(24):
+            d = int(rng.integers(2, 65))
+            params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
+            f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
+            kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
+            p, q, offset = ring_parts(f, kind)
+            ring = _section_rings(f.h, f.g, kind)
+            lo, hi = 0.01, 0.999
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if ring(mid)[0] > 0.0 else (lo, mid)
+            # The edge of the rings that pass, where the grid minimum is
+            # least, and rings up to a tenth inside it.
+            for r in (lo, *(lo * rng.uniform(0.9, 1.0, 7))):
+                polished.clear()
+                lengths.clear()
+                if not (ring(float(r))[0] > 0.0 and polished == []):
+                    continue
+                n = lengths[-1]
+                s0p, s1p, _, s0u, s1u, _ = ring_sums(p, q, offset, r)
+                first = (s1u * s0p + s0u * s1p) * math.pi / n
+                if ring_numerators(p, q, offset, r, n).min() > first:
+                    continue
+                chord_only += 1
+                assert ring_numerators(p, q, offset, r, 65536).min() > 0.0
+        assert chord_only >= 30
+
+    def test_chord_term_never_exceeds_the_first_order_term(self):
+        # On every grid a ring takes, scan_angles(d) and, from degree 16,
+        # scan_angles(d // 16), at radii across the disk.
+        rng = np.random.default_rng(256)
+        for d in (2, 3, 5, 8, 15, 16, 31, 47, 64, 100, 161, 256):
+            full, coarse = scan_angles(d), scan_angles(d // 16)
+            grids = (full, coarse) if 4 * coarse <= full else (full,)
+            for kind in RadiusKind:
+                params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
+                p, q, offset = ring_parts(random_member(d, params, rng), kind)
+                for r in rng.uniform(0.05, 0.999, 8):
+                    s0p, s1p, s2p, s0u, s1u, s2u = ring_sums(p, q, offset, r)
+                    for n in grids:
+                        chord = 0.5 * (math.pi / n) ** 2 * (s2u * s0p
+                                                            + s0u * s2p)
+                        first = math.pi / n * (s1u * s0p + s0u * s1p)
+                        assert chord <= first
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1e306, 1e307, 1.7e308])
+    @pytest.mark.parametrize("d", [16, 64, 200, 1000])
+    def test_extreme_lam_keeps_its_outcomes(self, d, lam):
+        # The S2 rows are (k/d)^2 P_k and (k/d)^2 U_k, never above the
+        # scaled P_k and U_k; rows k^2 P_k overflow here.  Each outcome is
+        # the one the first-order bound gave: the starlike rings run out of
+        # precision near 1/(2 lam), and the convex radius is the probe ring
+        # 1 - tol halved until a ring passes, after this many rings.
+        rings = {16: 1013, 64: 1009, 200: 1005, 1000: 1001}[d] + {
+            1e306: 0, 1e307: 3, 1.7e308: 7}[lam]
+        params = ClassParams(lam)
+        f = random_member(d, params, np.random.default_rng(d))
+        with pytest.raises(ConsistencyError, match="lost precision"):
+            harmonic_radius_certify(f, params, RadiusKind.STARLIKE)
+        cert = harmonic_radius_certify(f, params, RadiusKind.CONVEX)
+        assert cert.rings == rings
+        assert cert.radius == (1.0 - 1e-4) * 2.0 ** (1 - rings)
+        assert cert.inner_margin > 0.0
 
 
 class TestHarmonicRadius:
@@ -762,7 +880,7 @@ class TestHarmonicRadius:
 
     def test_unpolished_rings_are_positive_on_a_dense_grid(self, polished):
         # Every ring that ring(r) passes without a polish was proven
-        # positive by the first-order bound, so the least numerator
+        # positive by the chord bound, so the least numerator
         # alpha - |gamma| stays positive between its grid angles too: here
         # on a 64x oversampled grid, with u = z p' + offset p and v likewise
         # built from the derivatives' own values.
@@ -773,13 +891,9 @@ class TestHarmonicRadius:
             params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
             f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
             kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
-            if kind is RadiusKind.STARLIKE:
-                p, q, offset = f.h, f.g, 0.0
-            else:
-                p, q, offset = derivative(f.h), derivative(f.g), 1.0
+            p, q, offset = ring_parts(f, kind)
             ring = _section_rings(f.h, f.g, kind)
             n = 64 * scan_angles(d)
-            z = np.exp(2j * np.pi * np.arange(n) / n)
             # Random radii, plus the edge of the rings that pass: there the
             # grid minimum is small and the grid alone would accept rings
             # whose minimum between grid angles is negative.
@@ -793,25 +907,18 @@ class TestHarmonicRadius:
                 if not (value > 0.0 and len(polished) == before):
                     continue
                 proven += 1
-                def on_ring(F):
-                    rk = r ** np.arange(len(F.coeffs))
-                    return circle_values(np.asarray(F.coeffs) * rk, n)
-
-                P, Q = on_ring(p), on_ring(q)
-                U = r * z * on_ring(derivative(p)) + offset * P
-                V = r * z * on_ring(derivative(q)) + offset * Q
-                alpha = (U * np.conj(P) + V * np.conj(Q)).real
-                gamma = V * np.conj(P) + np.conj(U) * Q
-                assert float((alpha - np.abs(gamma)).min()) > 0.0
+                assert ring_numerators(p, q, offset, r, n).min() > 0.0
         assert proven >= 50
 
     def test_radius_certificates_polish_fewer_rings(self, polished):
-        # A ring skips the polish where the first-order bound proves it
-        # positive.  On these ten certificates a bisection polished 84
-        # rings before that bound, and 57 of its 145 rings after it; the
-        # secant search takes 81 rings and polishes 21.  (80 while every
-        # ring read the full grid: a ring that the coarse grid decides
-        # reports that grid's minimum, which moves the secant steps.)
+        # A ring skips the polish where a bound proves it positive.  On
+        # these ten certificates a bisection polished 84 rings before any
+        # bound, and 57 of its 145 rings after the first-order one; the
+        # secant search takes 81 rings and polished 21 of them under the
+        # first-order bound, 12 under the chord bound.  (80 rings while
+        # every ring read the full grid: a ring that the coarse grid
+        # decides reports that grid's minimum, which moves the secant
+        # steps.)
         rng = np.random.default_rng(41)
         rings = 0
         for d in (3, 6, 12, 24, 48):
@@ -820,13 +927,15 @@ class TestHarmonicRadius:
                 f = random_member(d, params, rng, fill=0.9)
                 rings += harmonic_radius_certify(f, params, kind).rings
         assert rings == 81 < 145
-        assert len(polished) == 21 < 57
+        assert len(polished) == 12 < 57
 
     def test_ring_polish_stops_at_its_rounding_error(self, monkeypatch):
         # An undecided ring's polish stops where its objective drops by the
         # rounding error of one evaluation: the certificates keep their
         # ring counts and radii, with about 7 points per polished ring
-        # where a polish down to the 1e-9 width took about 13.
+        # where a polish down to the 1e-9 width took about 13.  Three
+        # certificates of each kind per degree give 46 polished rings;
+        # two gave 30 once the chord bound proved more rings.
         exact, points = [False], []
 
         def polish(fn, t0, v0, step, err=0.0):
@@ -844,7 +953,7 @@ class TestHarmonicRadius:
         monkeypatch.setattr(geometry, "_polish_argmax", polish)
         rng = np.random.default_rng(43)
         for d in (3, 4, 6, 8, 12, 16, 24, 32, 48, 64):
-            for kind in (*RadiusKind, *RadiusKind):
+            for kind in (*RadiusKind,) * 3:
                 params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
                 f = random_member(d, params, rng,
                                   fill=float(rng.uniform(0.5, 0.95)))
@@ -894,10 +1003,7 @@ class TestHarmonicRadius:
             f = random_member(int(rng.integers(2, 13)), params, rng, fill=0.95)
             kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
             cert = harmonic_radius_certify(f, params, kind, tol)
-            if kind is RadiusKind.STARLIKE:
-                p, q, offset = f.h, f.g, 0.0
-            else:
-                p, q, offset = derivative(f.h), derivative(f.g), 1.0
+            p, q, offset = ring_parts(f, kind)
             zr = (cert.radius - tol) * z
             P, Q = eval_array(p, zr), eval_array(q, zr)
             W = zr * eval_array(derivative(p), zr) + offset * P
@@ -1104,6 +1210,24 @@ class TestBoundaryCurve:
         assert audit.polygonal_length <= (1 + 2 * lam) * 2 * math.pi + 1e-3
         assert audit.max_lipschitz_ratio <= 1 + 2 * lam + 1e-6
         assert audit.max_modulus <= 2.0 + 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1.0, 1e300, 1e308, 1.7e308])
+    @pytest.mark.parametrize("name", ["eq13", "f3", "f_a", "f_b"])
+    def test_lipschitz_ratio_is_the_derivatives_paired_maximum(self, name,
+                                                               lam):
+        # Read from coefficients scaled by a power of two only where a
+        # derivative coefficient k c_k would pass the double range, and
+        # scaled back: bit for bit the paired maximum of h' and g' while
+        # those are finite, inf once 1 + 2 lam is past the double range.
+        f = make_example(CatalogParams(name=name, lam=lam))
+        ratio = boundary_curve_audit(f, ClassParams(lam)).max_lipschitz_ratio
+        try:
+            hp, gp = derivative(f.h), derivative(f.g)
+        except ParameterError:
+            assert ratio == math.inf and 1.0 + 2.0 * lam == math.inf
+        else:
+            assert ratio == paired_boundary_sup(hp, gp)[0]
 
     def test_lipschitz_bound_covers_every_chord(self):
         rng = np.random.default_rng(43)
