@@ -380,7 +380,9 @@ def _cmd_curve(args) -> int:
         write_text_atomic(args.svg, svg)
     print(f"polygonal_length: {audit.polygonal_length}")
     print(f"max_lipschitz_ratio: {audit.max_lipschitz_ratio}")
-    print(f"min_pairwise_gap: {audit.min_pairwise_gap}")
+    gap = audit.min_pairwise_gap
+    print("min_pairwise_gap: " + ("unresolved (within the samples' rounding)"
+                                  if math.isnan(gap) else str(gap)))
     print(f"max_modulus: {audit.max_modulus}")
     return EXIT_MEMBER
 

@@ -62,11 +62,11 @@ class RadiusCertificate:
     the ring at the certified radius, or on the ring at 1 - tol for a
     capped radius (for g != 0 a lower bound on every section's
     functional); when the radius is below 1 the ``outer_witness`` records
-    a ring at most tol outside, and an angle on it, where that minimum
-    dropped to zero or below or the zero count of the denominator was not
-    the one allowed.  ``rings`` is the number of rings evaluated.  Each
-    passing ring is proven positive between its grid angles by a chord
-    bound, or else polished there (_section_rings).
+    a ring at most min(tol, witness / 128) outside, and an angle on it,
+    where that minimum dropped to zero or below or the zero count of the
+    denominator was not the one allowed.  ``rings`` is the number of rings
+    evaluated.  Each passing ring is proven positive between its grid
+    angles by a chord bound, or else polished there (_section_rings).
     """
 
     kind: RadiusKind
@@ -102,6 +102,9 @@ class DifferentialTestResult:
 
 @dataclass(frozen=True)
 class CurveAudit:
+    """boundary_curve_audit's result; ``min_pairwise_gap`` is NaN,
+    unresolved, where the least gap lies within the samples' rounding."""
+
     thetas: np.ndarray
     points: np.ndarray
     polygonal_length: float
@@ -153,6 +156,20 @@ def _ring_values(radii, n: int, e: int, *series: AnalyticSeries):
     return points, vals.T.reshape(len(series), -1)
 
 
+def _ldexp_series(F: AnalyticSeries, e: int) -> AnalyticSeries:
+    """F with every coefficient times 2^e; F itself for e = 0."""
+    return F if e == 0 else AnalyticSeries(
+        tuple(c * 2.0 ** e for c in F.coeffs))
+
+
+def _range_shift(order: int, *series: AnalyticSeries) -> int:
+    """The s <= 0 that keeps, over all of ``series``, the sum of the
+    moduli of k^order c_k 2^s below 2^1023: 0 but at a lam near 1e308."""
+    n = sum(len(F.coeffs) for F in series)
+    top = max(max(map(abs, F.coeffs)) for F in series)
+    return min(0, 1023 - math.frexp(top)[1] - (order + 1) * n.bit_length())
+
+
 def growth_envelope_check(f: HarmonicMap, params: ClassParams
                           ) -> EnvelopeAudit:
     """Audit the modulus and derivative envelopes on rings inside the disk.
@@ -160,17 +177,20 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams
     At every point of 8 rings, radius 0.12 to 0.96, 128 angles each, the
     map modulus must stay between |z| - lam |z|^2 and |z| + lam |z|^2, and
     the derivative pair must obey 1 - 2 lam |z| <= |h'| - |g'| together
-    with |h'| + |g'| <= 1 + 2 lam |z|.  Values and envelopes are compared
-    scaled by a power of two, exact, and each violation and tightness is
-    read back by ldexp_or_inf, an infinity past the double range.
+    with |h'| + |g'| <= 1 + 2 lam |z|.  Values, from coefficients times
+    2^s (_range_shift) where h' could overflow, and envelopes are compared
+    scaled by one power of two, and each violation and tightness is read
+    back by ldexp_or_inf, an infinity past the double range.
     Rounding is no violation: an excess counts only past sup_tolerance
     times the envelope's size at that point, and at least times 1.
     """
     _require_member(f, params, "envelope audit needs a class member")
     lam = params.lam
     e = 1 - math.frexp(0.5 + lam * _AUDIT_RADII[-1])[1]
-    zs, (h, g, hp, gp) = _ring_values(_AUDIT_RADII, _AUDIT_ANGLES, e, f.h,
-                                      f.g, derivative(f.h), derivative(f.g))
+    s = _range_shift(1, f.h, f.g)
+    H, G = _ldexp_series(f.h, s), _ldexp_series(f.g, s)
+    zs, (h, g, hp, gp) = _ring_values(_AUDIT_RADII, _AUDIT_ANGLES, e - s, H,
+                                      G, derivative(H), derivative(G))
     r = np.abs(zs)
     af, hp, gp = np.abs([h + np.conj(g), hp, gp])
     growth_lo, growth_hi = np.ldexp([r - lam * r * r, r + lam * r * r], e)
@@ -207,16 +227,17 @@ def jacobian_bound_check(f: HarmonicMap, params: ClassParams
     """Audit |h'|^2 - |g'|^2 against (1 + 2 lam |z|)^2 on the growth
     audit's rings.
 
-    |h'|, |g'| and 1 + 2 lam |z| are scaled by one power of two: exact, so
-    the ratio keeps every bit and no square overflows or underflows at an
-    extreme lam.  max_violation reads the excess back by ldexp_or_inf, inf
-    past the double range.  Rounding is no violation: an excess counts
+    |h'|, |g'| (formed as in growth_envelope_check) and 1 + 2 lam |z| are
+    scaled by one power of two, so no square overflows or underflows at
+    an extreme lam.  max_violation reads the excess back by ldexp_or_inf,
+    inf past the double range.  Rounding is no violation: an excess counts
     only past sup_tolerance times the bound, which is at least 1.
     """
     lam = params.lam
     e = 1 - math.frexp(0.5 + lam * _AUDIT_RADII[-1])[1]
-    zs, vals = _ring_values(_AUDIT_RADII, _AUDIT_ANGLES, e,
-                            derivative(f.h), derivative(f.g))
+    s = _range_shift(1, f.h, f.g)
+    zs, vals = _ring_values(_AUDIT_RADII, _AUDIT_ANGLES, e - s, *(
+        derivative(_ldexp_series(F, s)) for F in (f.h, f.g)))
     hp, gp = np.abs(vals)
     # Twice half the bound, which stays finite for every lam.
     bound = np.ldexp(0.5 + lam * np.abs(zs), e + 1) ** 2
@@ -260,19 +281,13 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
 
     From degree 16 up, where n0 = scan_angles(degree // 16) is at most
     n / 4, each ring runs the tests below on n0 angles first, with that
-    grid's step and eps, and keeps what they decide: a grid objective
-    <= 0 is returned as the witness; a cell test that passes counts the
-    zeros, setting the counted radius or returning -inf; a grid minimum
-    that the chord bound proves is returned as the minimum.  Each
-    of these holds at any n: the witness is a value of the objective at
-    one angle, and the cell test and the proof bound carry their grid's
-    own step and eps.  Anything else, a cell test that fails or a positive
-    minimum the bound leaves open, goes to the n angles, which run the
-    same tests and then the polish; a ring the coarse grid decides makes
-    one transform of n0 points instead of one of n.  Below degree 16 the
-    coarse grid would save too little to pay for the rings it leaves
-    open, and every ring reads the n angles alone.  The lost-precision
-    test below reads the eps of the n angles, once, before either grid.
+    grid's step and eps, and keeps what they decide, as each holds on any
+    grid: a grid objective <= 0 (the witness), a cell test that passes
+    (the zero count) and a grid minimum the chord bound proves.  A failed
+    cell test or a minimum the bound leaves open goes to the n angles,
+    which run the same tests and then the polish.  Below degree 16 the
+    coarse grid saves too little, and every ring reads the n angles
+    alone.  The lost-precision test reads the eps of the n angles, once.
 
     The denominators are D = p + zeta q, with p, q = a, b for STARLIKE and
     a', b' for CONVEX, and the functional is offset + Re(z D'/D) with
@@ -324,15 +339,12 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     rounding of the coefficients and of the sums Sm.  So a grid minimum
     of N above (B2 (pi/n)^2 / 2 + 3 eps S0(U) S0(P)) (1 + eps) proves
     N > 0 on the whole ring, and with it every section's functional.
-    It is never weaker than the first-order bound B1 pi/n, with
-    B1 = S1(U) S0(P) + S0(U) S1(P) >= |N'|: S2 <= d S1 for the column
-    degree d, so B2 (pi/n)^2 / 2 <= B1 (pi/n) pi d / (2 n), and every grid
-    taken here has n >= max(256, 4 d - 60) > pi d / 2 (the coarse one
-    n >= 64 (D // 16) for the degree D >= d of a and b).  The S2 rows
-    are (k/d)^2 P_k and (k/d)^2 U_k, their sums multiplied by d^2: each
-    row entry is at most P_k or U_k, which the column scaling below keeps
-    finite, where k^2 P_k would overflow at an extreme lam.  S1 stays for
-    the zero count's cell bound and the polish's error bound.
+    It is never weaker than the first-order bound B1 pi/n,
+    B1 = S1(U) S0(P) + S0(U) S1(P) >= |N'|, as S2 <= d S1 for the column
+    degree d and every grid here has n > pi d / 2.  The S2 rows are
+    (k/d)^2 P_k and (k/d)^2 U_k, their sums times d^2: k^2 P_k would
+    overflow at an extreme lam.  S1 stays for the zero count's cell bound
+    and the polish's error bound.
 
     Every test above is homogeneous in the four series, so each ring
     scales r^k, and with it the grid values and the sums Sm, by the power
@@ -347,16 +359,16 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     loses bits to it raises ConsistencyError.  A ring whose largest term
     is itself below the normal range (for a normalized map, r below it)
     returns a NaN minimum, which marks lost precision apart from the -inf
-    of a zero count.  An r^k below the
-    normal range, before or after that scaling, keeps only an absolute
-    accuracy; summed over such k its errors, lost_p next to S0(P) and
-    lost_u next to S0(U), move each grid value as the transform error
-    does, so they join the proof bound as lost_u S0(P) + S0(U) lost_p.  A
-    ring where either loss exceeds its transform error, eps S0(P) or
-    eps S0(U), returns NaN too: its zero count and polish would rest on
-    terms the powers no longer carry, as for the quadratic term at a
-    starlike radius near 1/(2 lam) from lam = 1e155 on.  High powers that
-    underflow next to a much larger low-order term cost nothing.
+    of a zero count.  An r^k below the normal range, before or after that
+    scaling, keeps only an absolute accuracy; summed over such k its
+    errors, lost_p next to S0(P) and lost_u next to S0(U), move each grid
+    value as the transform error does, so they join the proof bound as
+    lost_u S0(P) + S0(U) lost_p.  A ring where either loss exceeds its
+    transform error, eps S0(P) or eps S0(U), returns NaN too: its zero
+    count and polish would rest on terms the powers no longer carry, as
+    for the quadratic term at a starlike radius near 1/(2 lam) from
+    lam = 1e155 on.  High powers that underflow next to a much larger
+    low-order term cost nothing.
 
     The polish stops at err, a bound on the rounding error of one
     objective value from the same sums, to first order in u (Higham,
@@ -500,39 +512,38 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
 
 def _secant_search(ring, lo: float, m_lo: float, hi: float, m_hi: float,
                    hi_ang: float, tol: float) -> tuple[float, float, float]:
-    """Shrink [lo, hi] to at most tol; return lo, hi and hi's angle.
+    """Shrink [lo, hi] to w = max(min(tol, hi / 128), 2^-1072) at most;
+    return lo, hi and hi's angle.
 
-    ``ring(r)`` returns a ring's minimum and angle, and a ring passes when
-    its minimum is positive: lo passed with minimum m_lo, hi failed with
-    m_hi at hi_ang.  Each step tests one ring strictly inside the bracket
-    and moves lo to it if it passes, else hi, so lo always passed and hi
-    always failed.  The step is a safeguarded regula falsi on the stored
-    minima: their secant root lo + (hi - lo) m_lo / (m_lo - m_hi), moved
-    tol/2 past it away from the end that moved last, so that a good
-    estimate closes the bracket from the other side, and kept at least
-    tol/4 inside.  When the same end moves twice running, the other end's
-    stored minimum is halved (the Illinois rule of Dowell and Jarratt,
-    BIT 11, 1971), so a strongly curved minimum, as a convex ring's near a
-    zero of h', cannot pin one end.  A non-finite m_hi (a failed zero
-    count, lost precision, NaN) gives no secant, and the step bisects.  It
-    also bisects whenever the bracket is wider than its first width w
-    times 2^(-n/2) after n steps, so the width after n steps is at most
-    w 2^(-(n-1)/2), and the search ends within 2 ceil(log2(w / tol)) + 1
-    rings, about twice bisection's.  Bisections neither halve a stored
-    minimum nor count as an end's move: alternating with one-sided secant
-    steps, they would keep the Illinois rule from ever firing.  A
-    bisection shrinks the bracket only while it holds a float strictly
-    inside, which tol >= 2^-50 and hi < 1 ensure.
+    ``ring(r)`` returns a ring's minimum and angle; a ring passes when its
+    minimum is positive.  hi failed with m_hi at hi_ang; lo passed with
+    m_lo, or is the untested origin, 0 with a NaN m_lo.  Each step tests
+    one ring strictly inside the bracket and moves lo to it if it passes,
+    else hi: the secant root of the stored minima, moved w/2 away from the
+    end that moved last and kept w/4 inside.  When the same end moves twice
+    running, the other end's stored minimum is halved (the Illinois rule of
+    Dowell and Jarratt, BIT 11, 1971), so a strongly curved minimum cannot
+    pin one end.  A non-finite m_lo - m_hi (the origin, a failed zero
+    count, lost precision) gives no secant and the step bisects, so from
+    the origin hi is halved until a ring passes.  From the first ring to
+    pass, the step also bisects while the bracket is wider than its width
+    w0 there times 2^(-n/2) after n steps, so the search ends within
+    2 ceil(log2(w0 / w)) + 1 rings.  Bisections neither halve a stored
+    minimum nor count as an end's move, which would keep the Illinois rule
+    from firing.  w is tol down to a radius of 128 tol, relative below, and
+    w/4 exceeds the spacing of the floats in the bracket, so each step lies
+    strictly inside: hi / 512 and tol/4 >= 2^-52 do in the normal range
+    (hi < 1), 2^-1074 at a subnormal hi.
     """
     allowed = hi - lo
     lo_moved = True
-    while hi - lo > tol:
-        secant = hi - lo <= allowed and math.isfinite(m_hi)
+    while hi - lo > (w := max(min(tol, hi / 128), 2.0 ** -1072)):
+        secant = hi - lo <= allowed and math.isfinite(m_lo - m_hi)
         if secant:
             r = lo + (hi - lo) * m_lo / (m_lo - m_hi)
-            r += 0.5 * tol if lo_moved else -0.5 * tol
-            # Clamped in this order, a NaN estimate becomes lo + tol/4.
-            r = min(max(lo + 0.25 * tol, r), hi - 0.25 * tol)
+            r += 0.5 * w if lo_moved else -0.5 * w
+            # Clamped in this order, a NaN estimate becomes lo + w/4.
+            r = min(max(lo + 0.25 * w, r), hi - 0.25 * w)
         else:
             r = 0.5 * (lo + hi)
         allowed *= math.sqrt(0.5)
@@ -540,6 +551,8 @@ def _secant_search(ring, lo: float, m_lo: float, hi: float, m_hi: float,
         if m > 0.0:
             if secant and lo_moved:
                 m_hi *= 0.5
+            if math.isnan(m_lo):
+                allowed = hi - r
             lo, m_lo = r, m
         else:
             if secant and not lo_moved:
@@ -554,19 +567,16 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
              tol: float) -> RadiusCertificate:
     """One radius search over r for every section a + zeta b together.
 
-    Below a failing probe ring at 1 - tol the radius is halved until a
-    ring passes, however small that radius (a member at a huge lam passes
-    only near 1/lam), and each failing halved ring becomes the outer end;
-    then _secant_search shrinks the bracket to tol, so the witness stays
-    within tol of the radius.  Its lo is always the last ring to pass, so
-    that ring's minimum is reported as inner_margin.  ConsistencyError is
-    raised once the halving underflows to 0, or at the first failing ring
-    with a NaN minimum, which _section_rings returns when the powers r^k
-    lost the precision the test needs.  Refusing there is sound, and a
-    smaller ring keeps fewer of its powers in the normal range, on a scale
-    at least as large, so halving further is not tried.  A tol below
-    2^-50 raises ParameterError, as the search could not shrink a bracket
-    to it.
+    Below a failing probe ring at 1 - tol, one _secant_search from the
+    untested origin halves the probe until a ring passes, however small
+    the radius (a member at a huge lam passes only near 1/lam), and closes
+    the bracket to min(tol, hi / 128).  Its lo is always the last ring to
+    pass, whose minimum is reported as inner_margin.  ConsistencyError is
+    raised when no ring above 2^-1072 passes, and at a NaN minimum before
+    any ring passed: _section_rings returns one when the powers r^k lost
+    the precision the test needs, and smaller rings keep fewer of them.
+    A tol below 2^-50 raises ParameterError, as the search could not
+    shrink a bracket near 1 to it.
     """
     if not 2.0 ** -50 <= tol < 0.5:
         raise ParameterError("tol must lie in [2**-50, 0.5)")
@@ -580,6 +590,11 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
         m, ang = section_rings(r)
         if m > 0.0:
             passed = m
+        elif math.isnan(m) and math.isnan(passed):
+            raise ConsistencyError(
+                f"ring test lost precision at radius {r!r}: its powers "
+                "r^k fell below the normal range"
+            )
         return m, ang
 
     hi = 1.0 - tol
@@ -589,23 +604,12 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
             kind=kind, radius=1.0, inner_margin=m_hi,
             outer_witness=None, rings=rings,
         )
-    while True:
-        if math.isnan(m_hi):
-            raise ConsistencyError(
-                f"ring test lost precision at radius {hi!r}: its powers "
-                "r^k fell below the normal range"
-            )
-        lo = hi / 2.0
-        if lo == 0.0:
-            raise ConsistencyError("functional not positive near the origin")
-        m_lo, ang_lo = ring(lo)
-        if m_lo > 0.0:
-            break
-        hi, m_hi, hi_ang = lo, m_lo, ang_lo
-    lo, hi, hi_ang = _secant_search(ring, lo, m_lo, hi, m_hi, hi_ang, tol)
+    lo, hi, ang = _secant_search(ring, 0.0, math.nan, hi, m_hi, hi_ang, tol)
+    if lo == 0.0:
+        raise ConsistencyError("functional not positive near the origin")
     return RadiusCertificate(
         kind=kind, radius=lo, inner_margin=passed,
-        outer_witness=(hi, hi_ang), rings=rings,
+        outer_witness=(hi, ang), rings=rings,
     )
 
 
@@ -618,8 +622,8 @@ def radius_certify(F: AnalyticSeries, kind: RadiusKind,
     the functional is positive; by the minimum principle the
     functional is then positive on the whole closed sub-disk.  A radius of
     1 is returned capped when the ring at 1 - tol passes; below it, the
-    ring minimum guides a safeguarded secant search (_certify), and the
-    radius is a passing ring within tol of a failing one.
+    ring minimum guides a safeguarded secant search (_certify): the radius
+    is a passing ring, a failing one at most min(tol, witness / 128) out.
     """
     if not F.is_normalized():
         raise ParameterError("radius certification needs a normalized series")
@@ -633,24 +637,22 @@ def harmonic_radius_certify(f: HarmonicMap, params: ClassParams,
 
     A ring passes only when its least functional over every unimodular
     zeta is positive, so the result is at most the worst section's radius
-    up to ``tol``.  For a certified member it must reach the class floor,
-    1/(2 lam) for starlikeness and 1/(4 lam) for convexity, both capped at
-    1; falling short raises ConsistencyError.
+    up to the search's width, min(tol, witness / 128).  For a certified
+    member it must reach the class floor, 1/(2 lam) for starlikeness and
+    1/(4 lam) for convexity, both capped at 1, less the width the search
+    reached; falling short raises ConsistencyError.
     """
     _require_member(f, params, "radius certification needs a class member")
     cert = _certify(f.h, f.g, kind, tol)
     per_lam = 2.0 if kind is RadiusKind.STARLIKE else 4.0
     floor = min(1.0, 1.0 / (per_lam * params.lam))
-    if cert.radius < floor - tol:
+    width = cert.outer_witness[0] - cert.radius if cert.outer_witness else 0.0
+    if cert.radius < floor - width:
         raise ConsistencyError(
             f"certified {kind.value} radius {cert.radius!r} fell below the "
             f"class floor {floor!r}"
         )
     return cert
-
-
-def _second_derivative(F: AnalyticSeries) -> AnalyticSeries:
-    return derivative(derivative(F))
 
 
 def _euler_image(F: AnalyticSeries) -> AnalyticSeries:
@@ -660,15 +662,19 @@ def _euler_image(F: AnalyticSeries) -> AnalyticSeries:
 
 def _differential_test(h: AnalyticSeries, g: AnalyticSeries,
                        params: ClassParams, image,
-                       threshold: float) -> DifferentialTestResult:
+                       factor: float) -> DifferentialTestResult:
     """Boundary sup of |image(h)| + |image(g)|, which is the family sup of
-    |image(h) + zeta image(g)| over unimodular zeta, against ``threshold``
-    with no slack: the test is sufficient, so a sup above the threshold,
-    however slightly, proves nothing and fails.  The sharp quadratic
-    z + lam z^2 reads its threshold exactly and passes; a rotated one
-    whose measured sup rounds above the threshold fails."""
+    |image(h) + zeta image(g)| over unimodular zeta, against factor lam
+    with no slack: the test is sufficient, so a sup above it, however
+    slightly, proves nothing and fails.  The sharp quadratic z + lam z^2
+    reads its threshold exactly and passes.  Both sides are compared on
+    the coefficients times 2^s (_range_shift), finite at any lam, and read
+    back by ldexp_or_inf."""
     f = HarmonicMap(h=h, g=g)
-    measured, _ = paired_boundary_sup(image(h), image(g))
+    s = _range_shift(2, h, g)
+    measured, _ = paired_boundary_sup(
+        *(image(_ldexp_series(F, s)) for F in (h, g)))
+    threshold = factor * math.ldexp(params.lam, s)
     passes = measured <= threshold
     rep = harmonic_membership(f, params)
     if passes and rep.verdict is Verdict.NON_MEMBER:
@@ -676,8 +682,8 @@ def _differential_test(h: AnalyticSeries, g: AnalyticSeries,
             "sufficient test passed on a map the boundary scan rejects"
         )
     return DifferentialTestResult(
-        passes=passes, measured_max=measured, threshold=threshold,
-        membership=rep,
+        passes=passes, measured_max=ldexp_or_inf(measured, -s),
+        threshold=ldexp_or_inf(threshold, -s), membership=rep,
     )
 
 
@@ -690,8 +696,8 @@ def second_derivative_test(h: AnalyticSeries, g: AnalyticSeries,
     attained by the quadratic member with top coefficient lam, so no
     smaller constant works, and that member passes exactly at it.
     """
-    return _differential_test(h, g, params, _second_derivative,
-                              2.0 * params.lam)
+    return _differential_test(h, g, params,
+                              lambda F: derivative(derivative(F)), 2.0)
 
 
 def euler_operator_test(h: AnalyticSeries, g: AnalyticSeries,
@@ -699,7 +705,7 @@ def euler_operator_test(h: AnalyticSeries, g: AnalyticSeries,
     """Sufficient test via z^2 F'' + z F' - F, threshold 3 lam, same
     contract: it passes only when the measured supremum is at most 3 lam,
     with no tolerance."""
-    return _differential_test(h, g, params, _euler_image, 3.0 * params.lam)
+    return _differential_test(h, g, params, _euler_image, 3.0)
 
 
 def convolve_members(f1: HarmonicMap, f2: HarmonicMap, params: ClassParams
@@ -764,12 +770,6 @@ def _min_nonadjacent_gap(pts: np.ndarray) -> float:
     return best
 
 
-def _ldexp_series(F: AnalyticSeries, e: int) -> AnalyticSeries:
-    """F with every coefficient times 2^e; F itself for e = 0."""
-    return F if e == 0 else AnalyticSeries(
-        tuple(c * 2.0 ** e for c in F.coeffs))
-
-
 def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
                          samples: int = 2048) -> CurveAudit:
     """Sample the boundary image curve and audit length and Lipschitz data.
@@ -786,36 +786,35 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
 
     The length and the gap are measured on the samples scaled by the
     power of two 2^e that brings their largest modulus into [1/2, 1), and
-    read back by ldexp_or_inf.  The scaling is exact while every scaled
-    part stays in the normal range, as it does unless lam is extreme, so
-    ordinary maps keep every bit; no difference or sum overflows at an
-    extreme lam, and either reads inf past the double range.  The
-    Lipschitz ratio is read back the same way from h' and g' of the
-    coefficients scaled by 2^s, s < 0 only where a derivative coefficient
-    k c_k could reach 2^1023, so that h' and g' stay finite: for f3, f_a
-    and f_b at lam = 1e308 the ratio, about 2 lam, reads inf.
+    read back by ldexp_or_inf: exact while every scaled part stays normal,
+    as it does unless lam is extreme, and inf past the double range.  Each
+    sample is off by at most err = (circle_values_error(samples) + 2 u) S,
+    S the coefficient moduli's sum, from the transform and h + conj(g); a
+    gap at or below 2 err cannot be told from a crossing and reads NaN,
+    unresolved, as the gap 2 of f3 at lam = 1e308.  The Lipschitz ratio
+    is read back likewise from h' and g' of the coefficients times 2^s
+    (_range_shift): for f3, f_a and f_b at lam = 1e308 it reads inf.
     """
     samples = count_at_least(samples, 512, "samples")
     _require_member(f, params, "curve audit needs a class member")
-    thetas = np.linspace(0.0, _TWO_PI, samples, endpoint=False)
-    cols = coefficient_columns(f.h, f.g)
-    h, g = circle_values(cols, samples).T
+    h, g = circle_values(coefficient_columns(f.h, f.g), samples).T
     pts = h + np.conj(g)
     max_modulus = float(np.max(np.abs(pts)))
     e = -math.frexp(max_modulus)[1]
     # Real and imaginary parts, each scaled by 2^e.
     scaled = np.ldexp(pts.view(float), e).view(complex)
     length = float(np.sum(np.abs(np.diff(scaled, append=scaled[:1]))))
-    # Each derivative coefficient k c_k is below 2^(top + bits of len(cols)).
-    top = math.frexp(float(np.abs(cols).max()))[1]
-    shift = min(0, 1023 - top - len(cols).bit_length())
+    gap = ldexp_or_inf(_min_nonadjacent_gap(scaled), -e)
+    err = ((circle_values_error(samples) + 2.0 * _UNIT_ROUNDOFF)
+           * (sum(map(abs, f.h.coeffs)) + sum(map(abs, f.g.coeffs))))
+    shift = _range_shift(1, f.h, f.g)
     lipschitz, _ = paired_boundary_sup(
         *(derivative(_ldexp_series(F, shift)) for F in (f.h, f.g)))
     return CurveAudit(
-        thetas=thetas,
+        thetas=np.linspace(0.0, _TWO_PI, samples, endpoint=False),
         points=pts,
         polygonal_length=ldexp_or_inf(length, -e),
         max_lipschitz_ratio=ldexp_or_inf(lipschitz, -shift),
-        min_pairwise_gap=ldexp_or_inf(_min_nonadjacent_gap(scaled), -e),
+        min_pairwise_gap=gap if gap > 2.0 * err else math.nan,
         max_modulus=max_modulus,
     )

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from harmcert.catalog import ENTRIES
+from harmcert.catalog import ENTRIES, CatalogParams, make_example
 from harmcert.cli import (
     EXIT_BOUNDARY_SHARP,
     EXIT_INPUT_ERROR,
@@ -22,6 +22,8 @@ from harmcert.cli import (
     parse_function_file,
     serialize_function_file,
 )
+from harmcert.geometry import boundary_curve_audit
+from harmcert.membership import ClassParams
 
 IDENTITY_TEXT = """{
   "lambda": 1,
@@ -529,20 +531,20 @@ class TestRadiusCommand:
         payload = json.loads(capsys.readouterr().out,
                              parse_constant=pytest.fail)
         sharp = 1.0 / ((2.0 if kind == "starlike" else 4.0) * float(lam))
-        assert 0.5 * sharp <= payload["radius"] <= sharp
+        assert (1 - 2**-7) * sharp <= payload["radius"] <= sharp
         assert payload["inner_margin"] > 0.0
 
     def test_halved_witness_stays_next_to_the_radius(self, tmp_path, capsys):
-        # Every failing halved ring becomes the outer end, so the witness
-        # is the last ring that failed, not the probe's first halving.
+        # Every failing halved ring becomes the outer end, and the search
+        # then closes the bracket to 1/128 of the witness, far below tol.
         out = str(tmp_path / "f3.json")
         main(["example", "f3", "--lambda", "1e50", "--out", out])
         capsys.readouterr()
         assert main(["radius", out, "--kind", "convex", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out,
                              parse_constant=pytest.fail)
-        radius = payload["radius"]
-        assert 0.0 < radius < payload["outer_witness"]["radius"] <= 2 * radius
+        radius, witness = payload["radius"], payload["outer_witness"]["radius"]
+        assert 0.0 < radius < witness and witness - radius <= witness / 128
 
     @pytest.mark.parametrize("kind", ["convex", "starlike"])
     @pytest.mark.parametrize("lam", ["1e155", "1e200", "1e300"])
@@ -562,7 +564,7 @@ class TestRadiusCommand:
         sharp = 1.0 / ((2.0 if kind == "starlike" else 4.0) * float(lam))
         if code == 0:
             payload = json.loads(captured.out, parse_constant=pytest.fail)
-            assert 0.5 * sharp <= payload["radius"] <= sharp
+            assert (1 - 2**-7) * sharp <= payload["radius"] <= sharp
         else:
             assert code == EXIT_INPUT_ERROR
             assert captured.err.startswith("error:")
@@ -592,9 +594,9 @@ class TestRadiusCommand:
         if code == 0:
             payload = json.loads(captured.out, parse_constant=pytest.fail)
             floor = 1.0 / ((2.0 if kind == "starlike" else 4.0) * float(lam))
-            # Far below tol, the radius is the first halved ring that
-            # passes, within a factor of 2 of the largest.
-            assert payload["radius"] >= 0.5 * floor
+            # Far below tol, the search still closes to a relative
+            # width of 2^-7.
+            assert payload["radius"] >= (1 - 2**-7) * floor
             assert payload["inner_margin"] > 0.0
         else:
             assert code == EXIT_INPUT_ERROR
@@ -713,6 +715,27 @@ class TestCurveCommand:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "max_lipschitz_ratio: inf" in captured.out.splitlines()
+
+    @pytest.mark.parametrize("lam", ["1e308", "0.5"])
+    def test_gap_within_rounding_prints_unresolved(self, tmp_path, capsys,
+                                                   lam):
+        # z + lam z^2 takes the samples at theta and theta + pi 2 apart: at
+        # lam = 1e308 far below their rounding, where the gap once printed
+        # 0.0, a self-intersection.  At lam = 0.5 the gap prints as before.
+        path = str(tmp_path / "f3.json")
+        assert main(["example", "f3", "--lambda", lam, "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["curve", path]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("min_pairwise_gap: "))
+        if lam == "1e308":
+            assert line == ("min_pairwise_gap: unresolved (within the "
+                            "samples' rounding)")
+        else:
+            f = make_example(CatalogParams("f3", lam=0.5))
+            audit = boundary_curve_audit(f, ClassParams(0.5))
+            assert line == f"min_pairwise_gap: {audit.min_pairwise_gap}"
+            assert audit.min_pairwise_gap > 0.0
 
     @pytest.mark.parametrize("flag", ["--csv", "--svg"])
     def test_failed_write_names_the_given_path(self, tmp_path, capsys, flag):

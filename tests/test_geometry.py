@@ -535,6 +535,35 @@ class TestRadiusCertify:
         assert 0.0 < hi - lo <= tol
         assert len(calls) <= 2 * math.ceil(math.log2(width / tol)) + 2
 
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_RINGS) + ["below tol"])
+    def test_search_from_the_origin_halves_then_searches(self, name):
+        # From the untested origin, lo = 0 with a NaN minimum, every step
+        # bisects, and 0.5 * (0 + hi) is hi / 2 exactly: the rings are the
+        # probe halved until one passes, bit for bit, then the rings of the
+        # search started from that bracket.  Below tol the search goes on
+        # to a width of hi / 128.
+        fn = SYNTHETIC_RINGS.get(name, lambda r: (3e-9 - r, 0.5))
+        tol = 1e-4
+        calls, rest = [], []
+
+        def ring(r, log=calls):
+            log.append(r)
+            return fn(r)
+
+        hi = 1.0 - tol
+        out = _secant_search(ring, 0.0, math.nan, hi, *fn(hi), tol)
+        halved = [hi / 2.0]
+        while not fn(halved[-1])[0] > 0.0:
+            halved.append(halved[-1] / 2.0)
+        assert calls[:len(halved)] == halved
+        lo, hi = halved[-1], (halved[-2] if len(halved) > 1 else hi)
+        assert _secant_search(lambda r: ring(r, rest), lo, fn(lo)[0], hi,
+                              *fn(hi), tol) == out
+        assert calls[len(halved):] == rest
+        lo, hi, _ = out
+        assert fn(lo)[0] > 0.0 and not fn(hi)[0] > 0.0
+        assert 0.0 < hi - lo <= min(tol, hi / 128)
+
     def test_interior_zero_under_positive_probe_ring(self):
         # z + 10 z^2 vanishes at -0.1, yet the functional is positive on the
         # ring at 1 - tol: only the zero count stops a capped radius of 1.
@@ -780,20 +809,72 @@ class TestChordBound:
     @pytest.mark.parametrize("d", [16, 64, 200, 1000])
     def test_extreme_lam_keeps_its_outcomes(self, d, lam):
         # The S2 rows are (k/d)^2 P_k and (k/d)^2 U_k, never above the
-        # scaled P_k and U_k; rows k^2 P_k overflow here.  Each outcome is
-        # the one the first-order bound gave: the starlike rings run out of
-        # precision near 1/(2 lam), and the convex radius is the probe ring
-        # 1 - tol halved until a ring passes, after this many rings.
-        rings = {16: 1013, 64: 1009, 200: 1005, 1000: 1001}[d] + {
+        # scaled P_k and U_k; rows k^2 P_k overflow here.  The starlike
+        # rings run out of precision near 1/(2 lam).  The convex search
+        # halves the probe ring 1 - tol this many times until a ring
+        # passes, then closes the bracket to 1/128 of the witness, a few
+        # rings more, at or above the class floor less that width.
+        halvings = {16: 1013, 64: 1009, 200: 1005, 1000: 1001}[d] + {
             1e306: 0, 1e307: 3, 1.7e308: 7}[lam]
         params = ClassParams(lam)
         f = random_member(d, params, np.random.default_rng(d))
         with pytest.raises(ConsistencyError, match="lost precision"):
             harmonic_radius_certify(f, params, RadiusKind.STARLIKE)
         cert = harmonic_radius_certify(f, params, RadiusKind.CONVEX)
-        assert cert.rings == rings
-        assert cert.radius == (1.0 - 1e-4) * 2.0 ** (1 - rings)
+        witness, _ = cert.outer_witness
+        width = witness - cert.radius
+        assert 0.0 < width <= witness / 128
+        assert cert.radius >= 1.0 / (4.0 * lam) - width
+        assert halvings < cert.rings <= halvings + 16
         assert cert.inner_margin > 0.0
+
+
+class TestRadiusBelowTol:
+    # The rings z + lam z^2 took when a halving loop ran before the search
+    # and every radius below tol came from halving alone, 0.57-0.89 of the
+    # sharp one.
+    HALVED_RINGS = {(1e4, "Starlike"): 16, (1e4, "Convex"): 17,
+                    (1e100, "Starlike"): 335, (1e100, "Convex"): 336,
+                    (1e307, "Convex"): 1023}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam, kind", [
+        (1e4, RadiusKind.STARLIKE), (1e4, RadiusKind.CONVEX),
+        (1e100, RadiusKind.STARLIKE), (1e100, RadiusKind.CONVEX),
+        (1e307, RadiusKind.CONVEX)])
+    def test_sharp_quadratic_within_2_to_the_minus_7(self, lam, kind):
+        f = make_example(CatalogParams(name="f3", lam=lam))
+        sharp = 1.0 / ((2.0 if kind is RadiusKind.STARLIKE else 4.0) * lam)
+        cert = harmonic_radius_certify(f, ClassParams(lam), kind)
+        assert (1 - 2**-7) * sharp <= cert.radius <= sharp
+        witness, _ = cert.outer_witness
+        assert witness - cert.radius <= witness / 128
+        assert cert.rings <= self.HALVED_RINGS[lam, kind.value] + 16
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_starlike_at_1e307_still_loses_precision(self):
+        lam = 1e307
+        f = make_example(CatalogParams(name="f3", lam=lam))
+        with pytest.raises(ConsistencyError, match="lost precision"):
+            harmonic_radius_certify(f, ClassParams(lam), RadiusKind.STARLIKE)
+
+    def test_floor_check_refuses_a_radius_below_tol(self, monkeypatch):
+        # A ring test that fails every ring above 0.98 of the convex floor
+        # 2.5e-5, far below tol = 1e-4: the search resolves the radius to
+        # 1/128, so the floor less that width exposes it.  Checked against
+        # floor - tol, as it was, the radius could never fall short here.
+        lam = 1e4
+        floor = 1.0 / (4.0 * lam)
+        section_rings = geometry._section_rings
+
+        def mutant(a, b, kind):
+            ring = section_rings(a, b, kind)
+            return lambda r: (-math.inf, 0.0) if r > 0.98 * floor else ring(r)
+
+        monkeypatch.setattr(geometry, "_section_rings", mutant)
+        f = make_example(CatalogParams(name="f3", lam=lam))
+        with pytest.raises(ConsistencyError, match="below the class floor"):
+            harmonic_radius_certify(f, ClassParams(lam), RadiusKind.CONVEX)
 
 
 class TestHarmonicRadius:
@@ -1131,6 +1212,51 @@ def test_differential_tests_pass_sharp_quadratic_at_large_lam(lam, eta):
         assert out.membership.verdict is Verdict.BOUNDARY_SHARP
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [1e308, 1.7e308])
+@pytest.mark.parametrize("name", ["eq13", "f3", "f_a", "f_b"])
+def test_differential_tests_at_the_double_range(name, lam):
+    # h'' of z + lam z^2 is 2 lam, past the double range, and eq13's sup
+    # 2.5 lam lies above 2 lam although both read inf.  The images come
+    # from coefficients scaled by a power of two and meet the threshold
+    # scaled alike, so the sharp maps pass at it and eq13 fails.
+    f = make_example(CatalogParams(name=name, lam=lam))
+    params = ClassParams(lam=lam)
+    for runner in (second_derivative_test, euler_operator_test):
+        out = runner(f.h, f.g, params)
+        assert out.passes is (name != "eq13")
+        assert out.measured_max == out.threshold == math.inf
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 1e150])
+def test_differential_tests_read_unscaled_below_the_double_range(lam):
+    # Where no coefficient of an image nears the double range, each test
+    # measures the images themselves, bit for bit.
+    rng = np.random.default_rng(29)
+    params = ClassParams(lam=lam)
+    f = random_member(12, params, rng)
+    for runner, image, factor in (
+            (second_derivative_test, lambda F: derivative(derivative(F)),
+             2.0),
+            (euler_operator_test, geometry._euler_image, 3.0)):
+        out = runner(f.h, f.g, params)
+        assert out.measured_max == paired_boundary_sup(image(f.h),
+                                                       image(f.g))[0]
+        assert out.threshold == factor * lam
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam", [1e308, 1.7e308])
+@pytest.mark.parametrize("name", ["eq13", "f3", "f_a", "f_b"])
+def test_envelope_audits_at_the_double_range(name, lam):
+    # derivative(h) of z + lam z^2 overflows here; both audits form it from
+    # coefficients scaled by a power of two, and every member reads clean.
+    f = make_example(CatalogParams(name=name, lam=lam))
+    params = ClassParams(lam=lam)
+    assert growth_envelope_check(f, params).max_violation == 0.0
+    assert jacobian_bound_check(f, params).max_violation == 0.0
+
+
 class TestConvolution:
     def test_sharp_square(self):
         fb = make_map((0, 1), (0, 0, -1.0))
@@ -1284,6 +1410,21 @@ class TestBoundaryCurve:
         assert audit.polygonal_length == math.inf
         assert math.isfinite(audit.max_modulus)
         assert 0.0 < audit.min_pairwise_gap < audit.max_modulus
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["f3", "f_a", "f_b"])
+    def test_gap_within_rounding_reads_unresolved(self, name):
+        # The samples at theta and theta + pi lie 2 apart, far below their
+        # rounding next to points of modulus 1e308, so the audit cannot
+        # tell that gap from a crossing; it once read 0.0.
+        f = make_example(CatalogParams(name=name, lam=1e308))
+        audit = boundary_curve_audit(f, ClassParams(lam=1e308))
+        assert math.isnan(audit.min_pairwise_gap)
+        # At lam = 0.5 the same gap is resolved and read as before.
+        f = make_example(CatalogParams(name=name, lam=0.5))
+        audit = boundary_curve_audit(f, ClassParams(lam=0.5))
+        assert audit.min_pairwise_gap == _min_nonadjacent_gap(audit.points)
+        assert audit.min_pairwise_gap > 0.0
 
     def test_sharp_coanalytic(self):
         audit = boundary_curve_audit(
