@@ -156,18 +156,19 @@ def _ring_values(radii, n: int, e: int, *series: AnalyticSeries):
     return points, vals.T.reshape(len(series), -1)
 
 
-def _ldexp_series(F: AnalyticSeries, e: int) -> AnalyticSeries:
-    """F with every coefficient times 2^e; F itself for e = 0."""
-    return F if e == 0 else AnalyticSeries(
-        tuple(c * 2.0 ** e for c in F.coeffs))
-
-
-def _range_shift(order: int, *series: AnalyticSeries) -> int:
-    """The s <= 0 that keeps, over all of ``series``, the sum of the
-    moduli of k^order c_k 2^s below 2^1023: 0 but at a lam near 1e308."""
+def _range_shift(order: int, *series: AnalyticSeries):
+    """(s, *shifted): the s <= 0 that keeps, over all of ``series`` (n
+    coefficients), the sum of the moduli of k^order c_k 2^s and each
+    k^(order + 1) c_k 2^s below 2^1023, as 2^bit_length(n) > n, and each
+    series times 2^s, itself at s = 0.  s is 0 but at a lam near 1e308,
+    and may round small coefficients into the subnormal range."""
     n = sum(len(F.coeffs) for F in series)
     top = max(max(map(abs, F.coeffs)) for F in series)
-    return min(0, 1023 - math.frexp(top)[1] - (order + 1) * n.bit_length())
+    s = min(0, 1023 - math.frexp(top)[1] - (order + 1) * n.bit_length())
+    if s == 0:
+        return (0, *series)
+    return (s, *(AnalyticSeries(tuple(c * 2.0 ** s for c in F.coeffs))
+                 for F in series))
 
 
 def growth_envelope_check(f: HarmonicMap, params: ClassParams
@@ -187,8 +188,7 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams
     _require_member(f, params, "envelope audit needs a class member")
     lam = params.lam
     e = 1 - math.frexp(0.5 + lam * _AUDIT_RADII[-1])[1]
-    s = _range_shift(1, f.h, f.g)
-    H, G = _ldexp_series(f.h, s), _ldexp_series(f.g, s)
+    s, H, G = _range_shift(1, f.h, f.g)
     zs, (h, g, hp, gp) = _ring_values(_AUDIT_RADII, _AUDIT_ANGLES, e - s, H,
                                       G, derivative(H), derivative(G))
     r = np.abs(zs)
@@ -235,9 +235,9 @@ def jacobian_bound_check(f: HarmonicMap, params: ClassParams
     """
     lam = params.lam
     e = 1 - math.frexp(0.5 + lam * _AUDIT_RADII[-1])[1]
-    s = _range_shift(1, f.h, f.g)
-    zs, vals = _ring_values(_AUDIT_RADII, _AUDIT_ANGLES, e - s, *(
-        derivative(_ldexp_series(F, s)) for F in (f.h, f.g)))
+    s, H, G = _range_shift(1, f.h, f.g)
+    zs, vals = _ring_values(_AUDIT_RADII, _AUDIT_ANGLES, e - s,
+                            derivative(H), derivative(G))
     hp, gp = np.abs(vals)
     # Twice half the bound, which stays finite for every lam.
     bound = np.ldexp(0.5 + lam * np.abs(zs), e + 1) ** 2
@@ -350,13 +350,11 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     scales r^k, and with it the grid values and the sums Sm, by the power
     of two that brings its largest term max(P_k, U_k) r^k near 1: exact,
     and no product of two values overflows or underflows at an extreme
-    lam.  Each value formed from the coefficients c_j of a and b, summed
-    with one other at most, is at most j^2 max(j - 1, 1) |c_j| (CONVEX,
-    p_k = (k + 1) a_{k+1}) or max(j^2, 1) |c_j| (STARLIKE); only where one
-    of these would reach 2^1023 are the columns of a and b first scaled
-    by the least power of two that keeps them below it, as scaling moves
-    low-order terms toward the subnormal range, and a coefficient that
-    loses bits to it raises ConsistencyError.  A ring whose largest term
+    lam.  The columns of a and b are first shifted by _range_shift, at
+    order 2 for CONVEX and 1 for STARLIKE, which keeps the largest row
+    value from column j, k U_k <= 2 j^2 (j - 1) c or 2 j^2 c (c the
+    largest modulus), finite; a coefficient that loses bits to the shift
+    raises ConsistencyError.  A ring whose largest term
     is itself below the normal range (for a normalized map, r below it)
     returns a NaN minimum, which marks lost precision apart from the -inf
     of a zero count.  An r^k below the normal range, before or after that
@@ -388,23 +386,17 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     bounds, and is 0, the fixed-width stop, when the first is not
     positive.
     """
-    pq = coefficient_columns(a, b)
-    j = np.arange(len(pq))
     convex = kind is RadiusKind.CONVEX
-    if float(np.abs(pq).max()) * len(pq) ** 3 >= 2.0 ** 1022:
-        # The bounds of the values formed from column j, in units of |c_j|.
-        weight = np.maximum(j * j * (j - 1 if convex else 1), 1)
-        shift = min(0, 1023 - int((np.frexp(weight)[1] + np.frexp(
-            np.abs(pq).max(axis=1))[1]).max()))
-        parts = np.ldexp(pq.view(float), shift)
-        if not np.array_equal(np.ldexp(parts, -shift), pq.view(float)):
-            raise ConsistencyError(
-                "ring test lost precision: scaling the coefficients by "
-                f"2^{shift} to keep the ring terms finite rounds some")
-        pq = parts.view(complex)
+    shift, A, B = _range_shift(2 if convex else 1, a, b)
+    pq = coefficient_columns(A, B)
+    if shift and not np.array_equal(np.ldexp(pq.view(float), -shift),
+                                    coefficient_columns(a, b).view(float)):
+        raise ConsistencyError(
+            "ring test lost precision: scaling the coefficients by "
+            f"2^{shift} to keep the ring terms finite rounds some")
     offset, zeros = (1.0, 0) if convex else (0.0, 1)
     if convex:
-        pq = j[1:, None] * pq[1:]  # the columns of a' and b'
+        pq = np.arange(1, len(pq))[:, None] * pq[1:]  # a' and b'
     # Columns p, q, u, v, for the ring transform and the polish's
     # power-matrix product.
     powers = np.arange(len(pq))
@@ -671,9 +663,8 @@ def _differential_test(h: AnalyticSeries, g: AnalyticSeries,
     the coefficients times 2^s (_range_shift), finite at any lam, and read
     back by ldexp_or_inf."""
     f = HarmonicMap(h=h, g=g)
-    s = _range_shift(2, h, g)
-    measured, _ = paired_boundary_sup(
-        *(image(_ldexp_series(F, s)) for F in (h, g)))
+    s, H, G = _range_shift(2, h, g)
+    measured, _ = paired_boundary_sup(image(H), image(G))
     threshold = factor * math.ldexp(params.lam, s)
     passes = measured <= threshold
     rep = harmonic_membership(f, params)
@@ -807,9 +798,8 @@ def boundary_curve_audit(f: HarmonicMap, params: ClassParams,
     gap = ldexp_or_inf(_min_nonadjacent_gap(scaled), -e)
     err = ((circle_values_error(samples) + 2.0 * _UNIT_ROUNDOFF)
            * (sum(map(abs, f.h.coeffs)) + sum(map(abs, f.g.coeffs))))
-    shift = _range_shift(1, f.h, f.g)
-    lipschitz, _ = paired_boundary_sup(
-        *(derivative(_ldexp_series(F, shift)) for F in (f.h, f.g)))
+    shift, H, G = _range_shift(1, f.h, f.g)
+    lipschitz, _ = paired_boundary_sup(derivative(H), derivative(G))
     return CurveAudit(
         thetas=np.linspace(0.0, _TWO_PI, samples, endpoint=False),
         points=pts,

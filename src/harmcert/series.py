@@ -177,16 +177,22 @@ def _derived(cs: tuple[complex, ...]) -> AnalyticSeries:
     ``complex()`` and, when the sum of its moduli is finite, no
     per-coefficient check: the trailing zeros are stripped and the series
     built as is.  When that sum is not finite, a product overflowed (or
-    many large moduli add up past the double range), and the validating
-    constructor decides: it raises the same ParameterError on an
-    overflowed coefficient or modulus, and accepts finite ones whose sum
-    alone overflows.
+    many large moduli add up past the double range): ParameterError names
+    the first derived coefficient whose modulus passes the double range,
+    at its index, and finite ones whose sum alone overflows are accepted.
+    The validating constructor's "must be finite" would misdescribe the
+    input, which is finite.
     """
     try:
         checked = math.isfinite(sum(map(abs, cs)))
     except OverflowError:
         checked = False
     if not checked:
+        for n, c in enumerate(cs):
+            if not math.isfinite(math.hypot(c.real, c.imag)):
+                raise ParameterError(
+                    f"derived coefficient {c!r} at index {n} passes the "
+                    "double range")
         return AnalyticSeries(cs)
     n = len(cs)
     while n > 1 and cs[n - 1] == 0:
@@ -208,7 +214,8 @@ def deficiency(F: AnalyticSeries) -> AnalyticSeries:
     Coefficientwise: c_n -> (1 - n) c_n, so the constant term is preserved,
     the linear term is annihilated, and higher terms flip sign and grow.
     The image is built from F's checked coefficients by _derived, with the
-    validating constructor's result and errors.
+    validating constructor's result; a coefficient past the double range
+    raises ParameterError.
     """
     return _derived(tuple((1 - n) * c for n, c in enumerate(F.coeffs)))
 

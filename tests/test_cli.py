@@ -273,6 +273,26 @@ class TestCheckCommand:
         assert "OverflowError" not in captured.err
         assert "coefficient moduli must be finite" in captured.err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [
+        ["check"], ["check", "--zeta-samples", "8"], ["curve"], ["radius"],
+    ])
+    def test_finite_map_past_the_double_range_is_named(
+            self, tmp_path, capsys, command):
+        # z + 1e308 z^3 is finite and valid at lam = 1e308, but its
+        # deficiency image -2e308 z^3 passes the double range: the error
+        # names that, as "must be finite" would misdescribe the input.
+        obj = json.loads(IDENTITY_TEXT)
+        obj["lambda"] = 1e308
+        obj["h_coeffs"] += [[0, 0], [1e308, 0]]
+        path = write(tmp_path, "big.json", json.dumps(obj))
+        code = main([command[0], path, *command[1:]])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT_ERROR
+        assert captured.out == ""
+        assert "double range" in captured.err
+        assert "must be finite" not in captured.err
+
     @pytest.mark.parametrize("index, message", [
         (0, "h_coeffs[0]: series must vanish at the origin"),
         (1, "h_coeffs[1]: linear coefficient must be 1"),

@@ -20,6 +20,7 @@ from harmcert.geometry import (
     _AUDIT_RADII,
     RadiusKind,
     _min_nonadjacent_gap,
+    _range_shift,
     _ring_objective,
     _ring_values,
     _secant_search,
@@ -222,6 +223,35 @@ class TestRingValues:
                                   2.0**e * got)
 
 
+class TestRangeShift:
+    def test_no_shift_returns_the_series_themselves(self):
+        h, g = AnalyticSeries((0, 1, 0.5, 1e300)), AnalyticSeries((0, 0, 2j))
+        for order in (1, 2):
+            s, H, G = _range_shift(order, h, g)
+            assert s == 0 and H is h and G is g
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("h, g", [
+        ((0, 1, 1.7e308), (0,)),
+        ((0, 1, 1e308, 3 - 2j, 1e-300j), (0, 0, -0.5e308 + 0.25e308j)),
+        ((0, 1) + (1e306,) * 199, (0, 0, 1e306j)),
+    ])
+    def test_shift_scales_every_coefficient_exactly(self, order, h, g):
+        series = AnalyticSeries(h), AnalyticSeries(g)
+        s, *shifted = _range_shift(order, *series)
+        assert s < 0
+        for F, S in zip(series, shifted):
+            assert S.coeffs == tuple(
+                complex(math.ldexp(c.real, s), math.ldexp(c.imag, s))
+                for c in F.coeffs)
+            # Each k^(order + 1) c_k 2^s, and the sum of the moduli of
+            # k^order c_k 2^s, stay below 2^1023.
+            assert max(k ** (order + 1) * abs(c)
+                       for k, c in enumerate(S.coeffs)) < 2.0 ** 1023
+        assert sum(k ** order * abs(c) for S in shifted
+                   for k, c in enumerate(S.coeffs)) < 2.0 ** 1023
+
+
 class TestGrowthEnvelope:
     def test_sharp_quadratic_attains_upper(self):
         lam = 1.0
@@ -366,15 +396,24 @@ class TestJacobianBound:
 class TestRadiusCertify:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scaling_that_rounds_a_coefficient_is_refused(self):
-        # The convex row 4 * 1.5e308 passes the double range, so the
-        # columns are scaled by 2^-4, which takes 3e-308 into the subnormal
-        # range and rounds it.
+        # The convex row 4 * 1.5e308 passes the double range, so
+        # _range_shift scales the columns by 2^-10, which takes 3e-308 into
+        # the subnormal range and rounds it.
         F = AnalyticSeries((0, 1, 1.5e308, 3e-308))
         with pytest.raises(ConsistencyError, match="rounds some"):
             radius_certify(F, RadiusKind.CONVEX)
+        # The starlike rows are shifted by the same rule, at order 1 (by
+        # 2^-7), and round it too.
+        with pytest.raises(ConsistencyError, match="rounds some"):
+            radius_certify(F, RadiusKind.STARLIKE)
         # Without that coefficient the scaling is exact.
         F = AnalyticSeries((0, 1, 1.5e308))
         assert radius_certify(F, RadiusKind.CONVEX).inner_margin > 0.0
+        # The starlike rings then run, and lose their powers near
+        # 1/(2 lam), as at every lam from 1e155 on: no rounding is refused.
+        with pytest.raises(ConsistencyError,
+                           match="fell below the normal range"):
+            radius_certify(F, RadiusKind.STARLIKE)
 
     def test_sharp_quadratic_starlike(self):
         cert = radius_certify(AnalyticSeries((0, 1, 1)), RadiusKind.STARLIKE)

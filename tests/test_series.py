@@ -313,7 +313,7 @@ def bits(F):
 class TestDerivedSeries:
     """derivative, deficiency, hadamard and the Euler image build their
     results from checked coefficients, with the validating constructor's
-    result and errors."""
+    result, and name a derived coefficient past the double range."""
 
     @staticmethod
     def derived(F, G):
@@ -345,20 +345,24 @@ class TestDerivedSeries:
         assert _euler_image(AnalyticSeries((2, 1))).coeffs == (-2 + 0j,)
         assert derivative(AnalyticSeries((3, 1e-300))).coeffs == (1e-300 + 0j,)
 
-    def test_overflowing_image_raises_the_same_error(self):
+    def test_overflowing_image_names_the_double_range(self):
         # -2 (0.7e308 + 0.7e308 i) has finite parts and an overflowing
-        # modulus; -2 (1e308) overflows itself.
-        for c, what in ((0.7e308 + 0.7e308j, "coefficient moduli"),
-                        (1e308 + 0j, "coefficients")):
-            F = AnalyticSeries((0, 1, 0, c))
-            cs = tuple((1 - n) * c for n, c in enumerate(F.coeffs))
-            with pytest.raises(ParameterError) as want:
-                AnalyticSeries(cs)
+        # modulus; -2 (1e308) overflows itself.  The input is finite, so
+        # the error names the derived coefficient, not "must be finite".
+        for c, image in ((0.7e308 + 0.7e308j, "(-1.4e+308-1.4e+308j)"),
+                         (1e308 + 0j, "(-inf+0j)")):
             with pytest.raises(ParameterError) as got:
-                deficiency(F)
-            assert str(got.value) == str(want.value)
-            assert str(got.value).startswith(f"{what} must be finite")
-            assert str(got.value).endswith("at index 3")
+                deficiency(AnalyticSeries((0, 1, 0, c)))
+            assert str(got.value) == (f"derived coefficient {image} at "
+                                      "index 3 passes the double range")
+        # Every derived series reports the same way.
+        F = AnalyticSeries((0, 1, 0, 1e308))
+        for op, index in ((derivative, 2), (lambda F: hadamard(F, F), 3),
+                          (_euler_image, 3)):
+            with pytest.raises(ParameterError,
+                               match=f"at index {index} passes the double "
+                                     "range$"):
+                op(F)
 
     def test_finite_image_whose_modulus_sum_overflows_is_accepted(self):
         F = AnalyticSeries((0, 1, 1e308, 0.5e308))
