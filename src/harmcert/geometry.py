@@ -40,6 +40,7 @@ from .series import (
     coefficient_columns,
     count_at_least,
     derivative,
+    grid_floor,
     hadamard,
     ldexp_or_inf,
     linear_combination,
@@ -66,7 +67,7 @@ class RadiusCertificate:
     where that minimum dropped to zero or below or the zero count of the
     denominator was not the one allowed.  ``rings`` is the number of rings
     evaluated.  Each passing ring is proven positive between its grid
-    angles by a chord bound, or else polished there (_section_rings).
+    angles by series.grid_floor, or else polished there (_section_rings).
     """
 
     kind: RadiusKind
@@ -86,6 +87,10 @@ class EnvelopeAudit:
 
 @dataclass(frozen=True)
 class JacobianAudit:
+    """jacobian_bound_check's result.  ``sense_preserving`` is sampled: it
+    compares |h'| > |g'| at the 8 x 128 audit points (r <= 0.96) only, so
+    z + lam z^2 reads True at lam 0.6, 1 and 3, though h'(-1/(2 lam)) = 0."""
+
     max_violation: float
     max_ratio: float
     sense_preserving: bool
@@ -117,18 +122,9 @@ def _require_member(f: HarmonicMap, params: ClassParams, message: str
                     ) -> None:
     """Raise NonMemberError(message) unless f may be a class member.
 
-    The paper's coefficient condition is tried first and, when it holds,
-    the membership scan is skipped, as it could never say NonMember: on
-    the unit circle |h - z h'| + |g - z g'| is at most
-    total = sum (n-1)(|a_n| + |b_n|), and the scan's sup is that sum
-    evaluated at one angle by Horner (at the z = 1 exit, summed
-    coefficients), rounded by at most about 4 (d + 2) u
-    of total (complex Horner, Higham ch. 5; d the degree, u = 2^-53), as
-    is total itself.  So the measured sup is at most
-    total (1 + O(d u)) < lam (1 + O(d u)) < lam + band, since the band
-    of _classify is at least 1e-9 lam and d u stays far below that for
-    any degree a scan can evaluate.  Otherwise harmonic_membership decides.
-    """
+    A map that meets the paper's coefficient condition skips the scan: its
+    measured sup exceeds the coefficient sum S < lam by less than the err
+    of _classify, so the scan could not say NonMember."""
     if coefficient_sufficient(f, params).sufficient:
         return
     if harmonic_membership(f, params).verdict is Verdict.NON_MEMBER:
@@ -283,41 +279,35 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     n / 4, each ring runs the tests below on n0 angles first, with that
     grid's step and eps, and keeps what they decide, as each holds on any
     grid: a grid objective <= 0 (the witness), a cell test that passes
-    (the zero count) and a grid minimum the chord bound proves.  A failed
-    cell test or a minimum the bound leaves open goes to the n angles,
-    which run the same tests and then the polish.  Below degree 16 the
-    coarse grid saves too little, and every ring reads the n angles
-    alone.  The lost-precision test reads the eps of the n angles, once.
+    (the zero count) and a grid minimum that grid_floor proves.  A failed
+    cell test or a minimum left open goes to the n angles, which run the
+    same tests and then the polish.  The lost-precision test reads the
+    eps of the n angles, once.
 
     The denominators are D = p + zeta q, with p, q = a, b for STARLIKE and
     a', b' for CONVEX, and the functional is offset + Re(z D'/D) with
     offset 0 or 1.  Where _ring_objective is positive no section vanishes,
     so the zero count inside the ring, the same for every zeta, is taken
     once, on p + q.  ``ring(r)`` returns the minimum of the objective on
-    |z| = r and the angle attaining it, or -inf when that count is not
-    proven to be 1 (STARLIKE) or 0 (CONVEX), at the grid angle where
-    |p + q| is smallest.  The count is proven once per closure: it keeps
-    the largest radius R whose count came out as the allowed one, and a
-    ring at r <= R skips D = p + q, its moduli, the cell test and the
-    angle sum.  The zeros of D inside |z| < r are among those inside
-    |z| < R, where D has none (CONVEX) or only the origin's (STARLIKE), so
-    no zero lies on the smaller ring and its count is the allowed one too;
-    the objective, the proof and the polish run as on any ring.  Nothing
-    outlives the closure.  The argument principle reads the count from
-    the grid: along one cell D moves by at most delta = step S1(P), as
-    |z D'| <= S1(P) below, and each grid value of D is off by at most
-    eps S0(P) + lost_p (below), so a ring fails unless every grid value
-    has |D| > eps S0(P) + lost_p + delta (1 + 1/pi); then D has no zero
-    on the ring and each cell turns arg D by the principal angle between
-    its grid values.  u = z p' + offset p and v = z q' + offset q are
-    series too, with coefficients (k + offset) p_k and (k + offset) q_k, so
-    each ring's grid values of p, q, u and v come from one 4-column
-    circle_values transform.  Where the chord bound below proves the ring
-    positive, ``ring(r)`` returns the grid minimum; every other positive
-    grid minimum is polished by _polish_argmax (Brent's method, about 7
-    points, down to the objective's rounding error, below) on the negated
-    objective, each point of it one power-matrix product of the four
-    series.
+    |z| = r and the angle attaining it, or -inf at the grid angle where
+    |p + q| is smallest when that count is not proven to be 1 (STARLIKE)
+    or 0 (CONVEX).  The closure keeps R, the largest radius whose count
+    came out as the allowed one, and a ring at r <= R skips the count: the
+    zeros of D inside |z| < r are among those inside |z| < R.  The
+    argument principle reads the count from the grid: along one cell D
+    moves by at most delta = step S1(P), as |z D'| <= S1(P), and each grid
+    value of D is off by at most eps S0(P) + lost_p (below), so a ring
+    fails unless every grid value has |D| > eps S0(P) + lost_p +
+    delta (1 + 1/pi); then D has no zero on the ring and each cell turns
+    arg D by the principal angle between its grid values.
+    u = z p' + offset p and v = z q' + offset q have coefficients
+    (k + offset) p_k and (k + offset) q_k, so one 4-column circle_values
+    transform gives each ring's grid values of p, q, u and v.  Where
+    series.grid_floor proves the ring positive, ``ring(r)`` returns the
+    grid minimum; every other positive grid minimum is polished by
+    _polish_argmax (Brent's method, about 7 points, down to the
+    objective's rounding error, below) on the negated objective, each
+    point one power-matrix product of the four series.
 
     With P_k = |p_k| + |q_k|, U_k = |u_k| + |v_k| and
     Sm(X) = sum k^m X_k r^k, N = alpha - |gamma| (_ring_numerator) is the
@@ -326,47 +316,32 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     u_j conj(p_k) r^(j+k) e^{i (j-k) theta} and the like, four double
     sums over j and k.  So |N_zeta''| <= |alpha''| + |gamma''| <=
     sum (j - k)^2 U_j P_k r^(j+k) <= B2 = S2(U) S0(P) + S0(U) S2(P), as
-    (j - k)^2 <= j^2 + k^2 for j, k >= 0.  On a grid cell of width
-    h = 2 pi/n, a function whose second derivative is at most B2 in
-    modulus stays above the chord between its two end values less
-    B2 h^2/8, and that chord stays above the lesser end value, which is
-    at least the grid minimum of N.  So N_zeta, and with it N, stays
-    above that minimum less B2 (pi/n)^2 / 2 on the whole ring.  Each
-    grid value of X is off by at most eps S0(X), with
-    eps = circle_values_error(n) >= 1024 u (u = 2^-53), and N, four
+    (j - k)^2 <= j^2 + k^2 for j, k >= 0.  Each grid value of X is off
+    by at most eps S0(X), with eps = circle_values_error(n), and N, four
     products of such values with a few u of rounding each, by at most
-    3 eps S0(U) S0(P), about 1e-12 of it.  The factor 1 + eps covers the
-    rounding of the coefficients and of the sums Sm.  So a grid minimum
-    of N above (B2 (pi/n)^2 / 2 + 3 eps S0(U) S0(P)) (1 + eps) proves
-    N > 0 on the whole ring, and with it every section's functional.
-    It is never weaker than the first-order bound B1 pi/n,
-    B1 = S1(U) S0(P) + S0(U) S1(P) >= |N'|, as S2 <= d S1 for the column
-    degree d and every grid here has n > pi d / 2.  The S2 rows are
-    (k/d)^2 P_k and (k/d)^2 U_k, their sums times d^2: k^2 P_k would
-    overflow at an extreme lam.  S1 stays for the zero count's cell bound
-    and the polish's error bound.
+    3 eps S0(U) S0(P).  As every N_zeta reads at least N at each grid
+    angle, a positive grid_floor of N's grid values with that b2 and err
+    proves every N_zeta, so N and every section's functional, positive
+    on the whole ring.  The S2 rows are (k/d)^2 P_k and (k/d)^2 U_k, their
+    sums times d^2: k^2 P_k would overflow at an extreme lam.
 
     Every test above is homogeneous in the four series, so each ring
     scales r^k, and with it the grid values and the sums Sm, by the power
     of two that brings its largest term max(P_k, U_k) r^k near 1: exact,
     and no product of two values overflows or underflows at an extreme
-    lam.  The columns of a and b are first shifted by _range_shift, at
-    order 2 for CONVEX and 1 for STARLIKE, which keeps the largest row
-    value from column j, k U_k <= 2 j^2 (j - 1) c or 2 j^2 c (c the
-    largest modulus), finite; a coefficient that loses bits to the shift
-    raises ConsistencyError.  A ring whose largest term
-    is itself below the normal range (for a normalized map, r below it)
-    returns a NaN minimum, which marks lost precision apart from the -inf
-    of a zero count.  An r^k below the normal range, before or after that
-    scaling, keeps only an absolute accuracy; summed over such k its
-    errors, lost_p next to S0(P) and lost_u next to S0(U), move each grid
-    value as the transform error does, so they join the proof bound as
-    lost_u S0(P) + S0(U) lost_p.  A ring where either loss exceeds its
+    lam.  The columns of a and b are first shifted by _range_shift (order
+    2 for CONVEX, 1 for STARLIKE), which keeps every row value finite; a
+    coefficient that loses bits to the shift raises ConsistencyError.  A
+    ring whose largest term is itself below the normal range returns a
+    NaN minimum, which marks lost precision apart from the -inf of a zero
+    count.  An r^k below the normal range, before or after the scaling,
+    keeps only an absolute accuracy; summed over such k its errors,
+    lost_p next to S0(P) and lost_u next to S0(U), join grid_floor's err
+    as lost_u S0(P) + S0(U) lost_p.  A ring where either loss exceeds its
     transform error, eps S0(P) or eps S0(U), returns NaN too: its zero
     count and polish would rest on terms the powers no longer carry, as
     for the quadratic term at a starlike radius near 1/(2 lam) from
-    lam = 1e155 on.  High powers that underflow next to a much larger
-    low-order term cost nothing.
+    lam = 1e155 on.
 
     The polish stops at err, a bound on the rounding error of one
     objective value from the same sums, to first order in u (Higham,
@@ -447,12 +422,8 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
         for n, step, eps_n in levels:
             vals = circle_values(scaled, n).T
             if r > counted:
-                # D moves by at most delta along one grid cell, and each
-                # grid value of D is off by at most eps_n s0p + lost_p.  If
-                # delta stays below pi (|D(z_k)| - eps_n s0p - lost_p -
-                # delta) on every cell, D has no zero on the ring and each
-                # cell turns arg D by the principal angle of
-                # D(z_{k+1}) / D(z_k), so their sum counts the zeros inside.
+                # The docstring's cell test, then the argument principle:
+                # each cell turns arg D by the principal angle.
                 delta = step * s1p
                 D = vals[0] + vals[1]
                 mod = np.abs(D)
@@ -473,10 +444,8 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
                 # A grid point already fails the ring; polishing only
                 # lowers it.
                 return float(grid[k]), k * step
-            proof = (0.5 * b2 * (math.pi / n) ** 2
-                     + 3.0 * eps_n * s0u * s0p
-                     + (lost_u * s0p + s0u * lost_p)) * (1.0 + eps_n)
-            if float(num.min()) > proof:
+            if grid_floor(num, b2, 3.0 * eps_n * s0u * s0p
+                          + lost_u * s0p + s0u * lost_p) > 0.0:
                 return float(grid[k]), k * step
 
         def at(t: float) -> float:

@@ -8,8 +8,8 @@ modulus (or the sum of the two moduli, which is subharmonic) attains its
 supremum only on the boundary circle.  A boundary maximum at or below lam
 therefore certifies the strict interior inequality, and functions whose
 boundary maximum equals lam exactly are genuine members sitting at the
-sharp constant.  The scanner reports them as BoundarySharp instead of
-misclassifying them through a naive strict comparison.
+sharp constant.  The scanner reports them, and any sup its rounding bound
+cannot tell from lam, as BoundarySharp, not by a naive strict comparison.
 """
 
 from __future__ import annotations
@@ -63,16 +63,13 @@ class Verdict(Enum):
 class ClassParams:
     """Level lam > 0, the only field.
 
-    The verdict band around lam is max(boundary_band, sup_tolerance * lam);
-    both tolerances are fixed class constants, not settable per call.
-    ``sup_tolerance`` also bounds the stable-family gap and the
-    coefficient-bound audit; the sufficient differential tests take no
-    slack.
+    Verdicts read the sup's own rounding bound (_classify).
+    ``sup_tolerance``, a class constant, bounds the stable-family gap and
+    the coefficient-bound, growth and Jacobian audits.
     """
 
     lam: float
     sup_tolerance: ClassVar[float] = 1e-9
-    boundary_band: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
@@ -256,11 +253,25 @@ def _paired_polish(c1: list[complex], c2: list[complex], t0: float,
     return _polish_argmax(at, t0, v0, step, err)
 
 
+class _Sup(tuple):
+    """A paired circle maximum (sup, angle) with ``err`` = 16 (d + 1) u S,
+    d + 1 = ``length`` and S = ``top`` 2^-e the coefficient sum of both
+    series (scaled by 2^e and read back, so finite where the sum
+    overflows): it covers _sup_at_one's 7 m u S, m <= 2 (d + 1), and
+    _paired_polish's 8 (d + 1) u S, the two bounds on the rounding of sup."""
+
+    def __new__(cls, sup: float, angle: float, length: int, top: float,
+                e: int = 0):
+        pair = super().__new__(cls, (sup, angle))
+        pair.err = ldexp_or_inf(16 * length * _UNIT_ROUNDOFF * top, -e)
+        return pair
+
+
 def _sup_at_one(F1: AnalyticSeries, F2: AnalyticSeries
-                ) -> tuple[tuple[float, float] | None, float]:
+                ) -> tuple[_Sup | None, float]:
     """The circle maximum of |F1| + |F2| and its angle 0.0 when z = 1
-    attains it, else None; and S, the bound below, which the scan's
-    scaling reads too.
+    attains it, as a _Sup, else None; and S, the bound below, which the
+    scan's scaling reads too.
 
     The maximum lies between two cheap values: |F1(1)| + |F2(1)|, the
     moduli of the coefficient sums, which z = 1 attains, and S, the sum of
@@ -279,7 +290,8 @@ def _sup_at_one(F1: AnalyticSeries, F2: AnalyticSeries
     m = len(F1.coeffs) + len(F2.coeffs)
     if (math.isfinite(at_one)
             and at_one >= top * (1.0 - 4 * m * _UNIT_ROUNDOFF)):
-        return (at_one, 0.0), top
+        length = max(len(F1.coeffs), len(F2.coeffs))
+        return _Sup(at_one, 0.0, length, top), top
     return None, top
 
 
@@ -319,7 +331,8 @@ def paired_boundary_sup(F1: AnalyticSeries, F2: AnalyticSeries
     divided by the scale: the grid values of |F1| + |F2| by np.polyval at
     t_j = j (2 pi / n), j < n = scan_angles(degree), then _paired_polish
     from the first grid argmax, so ties resolve to the smallest angle.  A
-    maximum past the double range reads +inf; _classify rejects it.
+    maximum past the double range reads +inf; _classify rejects it.  The
+    pair is a _Sup, whose ``err`` bounds the maximum's rounding.
 
     Horner runs at a few of those angles only: one 2-column circle_values
     transform gives every grid value in O(n log n), within err of its
@@ -369,18 +382,19 @@ def _transform_sup(F1: AnalyticSeries, F2: AnalyticSeries, cols: np.ndarray,
     sup, angle = _paired_polish(cols[:len(F1.coeffs), 0].tolist(),
                                 cols[:len(F2.coeffs), 1].tolist(),
                                 ts[k], vals[0, k], step, top)
-    return ldexp_or_inf(sup, -e), angle
+    return _Sup(ldexp_or_inf(sup, -e), angle, d + 1, top, e)
 
 
-def _classify(measured_sup: float, params: ClassParams) -> Verdict:
-    """The band around lam is absolute, widened to ``sup_tolerance * lam``
-    once the rounding of a sup near a large lam outgrows it."""
+def _classify(measured_sup: float, err: float, params: ClassParams
+              ) -> Verdict:
+    """NonMember when measured_sup - err > lam, Member when
+    measured_sup + err < lam, else BoundarySharp: ``err`` is the sup's own
+    rounding bound (_Sup), and no tolerance widens it."""
     if not math.isfinite(measured_sup):
         raise ParameterError("boundary values overflow")
-    band = max(params.boundary_band, params.sup_tolerance * params.lam)
-    if measured_sup > params.lam + band:
+    if measured_sup - err > params.lam:
         return Verdict.NON_MEMBER
-    if measured_sup < params.lam - band:
+    if measured_sup + err < params.lam:
         return Verdict.MEMBER
     return Verdict.BOUNDARY_SHARP
 
@@ -388,9 +402,10 @@ def _classify(measured_sup: float, params: ClassParams) -> Verdict:
 def harmonic_membership(f: HarmonicMap, params: ClassParams
                         ) -> MembershipReport:
     """Three-way membership verdict for a harmonic map."""
-    sup, angle = paired_boundary_sup(deficiency(f.h), deficiency(f.g))
+    sup, angle = found = paired_boundary_sup(deficiency(f.h),
+                                             deficiency(f.g))
     return MembershipReport(
-        verdict=_classify(sup, params),
+        verdict=_classify(sup, found.err, params),
         measured_sup=sup,
         margin=params.lam - sup,
         witness_angle=angle,
@@ -424,15 +439,12 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
     the family maximum are read from it, and divided by 2^e at the end.
     ``zeta_samples`` is an integer m >= 8 (see count_at_least).
 
-    The maximum over every zeta has a closed form: pointwise, max over
-    zeta of |A + zeta B| is |A| + |B|, reached at
-    zeta = e^{i(arg A - arg B)}.  So ``max_sup`` and its angle are
-    paired_boundary_sup(A, B): _sup_at_one when z = 1 attains the
-    coefficient bound, else _transform_sup on this transform, the one
-    candidate Horner rule and polish.  The witness phase is
-    arg A - arg B at that angle, arg A(1) - arg B(1) at the exit.  A
+    Pointwise, max over zeta of |A + zeta B| is |A| + |B|, reached at
+    zeta = e^{i(arg A - arg B)}, so ``max_sup`` and its angle are
+    paired_boundary_sup(A, B), its _transform_sup read from this
+    transform, and the witness phase is arg A - arg B at that angle.  A
     non-finite ``max_sup`` raises ParameterError before any section is
-    read.  The transform is taken either way: the sections need it.
+    read.
 
     ``section_max`` is the largest |va_j + zeta_k vb_j| over the angles j
     and the sampled zeta_k = e^{2 pi i k / m}.  As |va + e^{i phi} vb|^2 =
@@ -444,10 +456,11 @@ def zeta_family_sup(A: AnalyticSeries, B: AnalyticSeries, zeta_samples: int
     whose grid value reaches grid.max() sqrt(cos(pi / m)) are read.  The
     values lie below 2 (the scaled coefficient sum is below 1) and carry a
     few tens of u = 2^-53 of rounding, so that floor is lowered by
-    2^-45 = 256 u.  With M2 = sum k^2 (|A_k| + |B_k|), |F''| <= M2 for
-    every section F, whose maximiser lies within pi/n of a grid angle where
-    |F| has zero slope; so up to rounding section_max lies within
-    M2 pi^2 / (2 n^2) below the largest sampled section's sup.
+    2^-45 = 256 u.  With M2 = sum k^2 (|A_k| + |B_k|), each section F has
+    |F''| <= M2, so Re(F e^{-i phi}), phi the phase of F at its maximiser,
+    has its maximum there and |F| above it; by series.grid_floor, up to
+    rounding section_max lies within M2 pi^2 / (2 n^2) below the largest
+    sampled section's sup.
     """
     m = count_at_least(zeta_samples, 8, "zeta_samples")
     decided, top = _sup_at_one(A, B)

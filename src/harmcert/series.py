@@ -157,6 +157,23 @@ def circle_values_error(n: int) -> float:
     return 8.0 * 2.0 ** -53 * math.ceil(math.log2(n)) * math.sqrt(n)
 
 
+def grid_floor(values, b2: float, err: float) -> float:
+    """min(values) - (b2 (pi/n)^2 / 2 + err) (1 + circle_values_error(n)),
+    a floor on the circle of a real trigonometric polynomial f with
+    |f''| <= b2, from its values on the n angles 2 pi j / n, each off by
+    at most err; -grid_floor(-values, b2, err) is a ceiling of its maximum.
+
+    On a cell of width h = 2 pi / n, f stays above the chord between its
+    end values less b2 h^2 / 8 = b2 (pi/n)^2 / 2, and the chord above the
+    lesser end value, at least min(values) - err.  The factor covers the
+    few u (u = 2^-53) of rounding in b2 and err; the one rounding of the
+    subtraction keeps the sign, so a positive floor proves f > 0.
+    """
+    chord = 0.5 * b2 * (math.pi / len(values)) ** 2
+    return float(np.min(values)) - (chord + err) * (
+        1.0 + circle_values_error(len(values)))
+
+
 def ldexp_or_inf(x: float, e: int) -> float:
     """x 2^e, as math.ldexp, but an infinity of the sign of x where that
     passes the double range and math.ldexp raises OverflowError: a

@@ -93,8 +93,8 @@ def test_criterion_1_sharp_membership(tmp_path, capsys):
         rep = harmonic_membership(half, params)
         ok &= rep.verdict is Verdict.MEMBER
         ok &= abs(rep.margin - lam / 2) <= 1e-6
-    # At large lam the rounding of a sup near lam outgrows the absolute
-    # band, so the band scales with lam there.
+    # At large lam the rounding of a sup near lam grows with lam, and so
+    # does the verdict's rounding bound.
     for lam in (3e9, 1e10, 1e12):
         params = ClassParams(lam=lam)
         cases = [make_example(CatalogParams(name=name, lam=lam))

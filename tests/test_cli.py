@@ -111,6 +111,20 @@ class TestCheckCommand:
         assert code == EXIT_BOUNDARY_SHARP
         assert "BoundarySharp" in captured
 
+    def test_verdicts_near_lam_follow_the_rounding_bound(self, tmp_path,
+                                                         capsys):
+        # z + 1.0000009 z^2 at lambda 1 has sup 1.0000009, far past its
+        # rounding above lam: no member, so check and radius exit 1.
+        # z + 0.9999995 z^2 lies as far below: a member, exit 0 and 0.
+        for c, code in (("1.0000009", EXIT_NON_MEMBER),
+                        ("0.9999995", EXIT_MEMBER)):
+            path = write(tmp_path, "q.json", json.dumps(
+                {"lambda": 1, "h_coeffs": [[0, 0], [1, 0], [float(c), 0]],
+                 "g_coeffs": [[0, 0]], "meta": {}}))
+            assert main(["check", path]) == code, c
+            assert main(["radius", path]) == code, c
+        capsys.readouterr()
+
     def test_identity_exits_zero(self, tmp_path, capsys):
         path = write(tmp_path, "id.json", IDENTITY_TEXT)
         assert main(["check", path]) == EXIT_MEMBER

@@ -786,8 +786,8 @@ class TestCoarseRingGrid:
 
 class TestChordBound:
     """A ring is proven positive between its grid angles by the chord
-    bound (B2 (pi/n)^2 / 2 of _section_rings); these tests compare it with
-    the first-order bound (S1(U) S0(P) + S0(U) S1(P)) pi/n."""
+    bound (series.grid_floor with B2 of _section_rings); these tests
+    compare it with the first-order bound (S1(U) S0(P) + S0(U) S1(P)) pi/n."""
 
     def test_rings_only_the_chord_bound_proves_are_positive(self, polished,
                                                             lengths):
@@ -1175,14 +1175,15 @@ class TestSecondDerivativeTest:
 
     def test_no_slack_above_the_threshold(self):
         # |h''| = 2.000000001 > 2 lam: a sufficient test proves nothing
-        # there, though the map is BoundarySharp within the verdict band.
+        # there, and the sup 1 + 5e-10 lies far past its rounding above
+        # lam, so the map is no member.
         h = AnalyticSeries((0, 1, 1 + 5e-10))
         for runner, threshold in ((second_derivative_test, 2.0),
                                   (euler_operator_test, 3.0)):
             out = runner(h, AnalyticSeries((0,)), ClassParams(lam=1.0))
             assert out.measured_max > threshold
             assert not out.passes
-            assert out.membership.verdict is Verdict.BOUNDARY_SHARP
+            assert out.membership.verdict is Verdict.NON_MEMBER
 
     @pytest.mark.parametrize("lam", [1e-7, 0.3, 1.0, 2.5, 1e150])
     def test_sharp_quadratic_passes_at_the_threshold(self, lam):

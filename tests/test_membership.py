@@ -10,6 +10,7 @@ from horner import eval_array
 from harmcert.catalog import CatalogParams, make_example
 from harmcert.errors import (
     ConsistencyError,
+    NonMemberError,
     NormalizationError,
     ParameterError,
 )
@@ -63,7 +64,6 @@ class TestClassParams:
 
     def test_tolerances_are_class_constants(self):
         assert ClassParams(lam=1.0).sup_tolerance == 1e-9
-        assert ClassParams(lam=1.0).boundary_band == 1e-6
 
 
 class TestBoundarySup:
@@ -749,7 +749,7 @@ class TestHarmonicMembership:
 
     def test_overflowing_boundary_gets_no_verdict(self):
         # Finite coefficients whose boundary values overflow: the measured
-        # supremum is not finite, so no band, sharp or otherwise, applies.
+        # supremum is not finite, so no verdict, sharp or otherwise, applies.
         f = make_map((0, 1) + (5e306,) * 19)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ParameterError, match="overflow"):
@@ -757,6 +757,64 @@ class TestHarmonicMembership:
             with pytest.raises(ParameterError, match="overflow"):
                 harmonic_membership(HarmonicMap(f.h, ZERO),
                                     ClassParams(lam=1.0))
+
+
+class TestVerdictRule:
+    """_classify decides from the sup's own rounding bound: NonMember when
+    sup - err > lam, Member when sup + err < lam, else BoundarySharp."""
+
+    @staticmethod
+    def quadratic(c):
+        return make_map((0, 1, c))
+
+    @staticmethod
+    def at_pi(c):
+        # -c z^2 / 2 + c z^3 / 4: deficiency c z^2 / 2 - c z^3 / 2, whose
+        # modulus reaches its coefficient sum c at z = -1 only, so the
+        # maximum is scanned, not read at z = 1.
+        return make_map((0, 1, -c / 2, c / 4))
+
+    def test_quadratics_just_past_and_below_lam(self):
+        params = ClassParams(lam=1.0)
+        f = self.quadratic(1.0000009)
+        assert harmonic_membership(f, params).verdict is Verdict.NON_MEMBER
+        for kind in RadiusKind:
+            with pytest.raises(NonMemberError):
+                harmonic_radius_certify(f, params, kind)
+        f = self.quadratic(0.9999995)
+        assert harmonic_membership(f, params).verdict is Verdict.MEMBER
+        assert harmonic_radius_certify(f, params, RadiusKind.STARLIKE).radius > 0
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 7.0, 1e100])
+    @pytest.mark.parametrize("shape", ["quadratic", "at_pi"])
+    def test_offsets_from_lam(self, lam, shape):
+        make = getattr(self, shape)
+        params = ClassParams(lam=lam)
+        if shape == "at_pi":
+            rep = harmonic_membership(make(lam), params)
+            assert rep.witness_angle == pytest.approx(math.pi, abs=1e-6)
+        for offset in (1e-7, 1e-10, 1e-13):
+            above = harmonic_membership(make(lam * (1 + offset)), params)
+            below = harmonic_membership(make(lam * (1 - offset)), params)
+            assert above.verdict is Verdict.NON_MEMBER, offset
+            assert below.verdict is Verdict.MEMBER, offset
+        for c in (math.nextafter(lam, 0.0), lam, math.nextafter(lam, math.inf)):
+            rep = harmonic_membership(make(c), params)
+            assert rep.verdict is Verdict.BOUNDARY_SHARP, c
+
+    @pytest.mark.parametrize("lam", [1e-7, 1e-3, 0.3, 1.0, 2.5, 1e10, 1e100,
+                                     1e300])
+    def test_sharp_catalog_maps_stay_sharp(self, lam):
+        params = ClassParams(lam=lam)
+        cases = [make_example(CatalogParams(name="eq13", lam=lam))]
+        cases += [make_example(CatalogParams(name=name, lam=lam, n=n))
+                  for name in ("f_a", "f_b") for n in (2, 3, 5, 8)]
+        cases += [make_example(CatalogParams(name="f3", lam=lam,
+                                             eta=cmath.exp(0.37j * k)))
+                  for k in range(17)]
+        for f in cases:
+            rep = harmonic_membership(f, params)
+            assert rep.verdict is Verdict.BOUNDARY_SHARP, f
 
 
 class TestStableFamily:
@@ -1199,7 +1257,7 @@ class TestBoundsAudit:
         assert not any(e.violated for e in entries)
         # f3's a_2 has modulus lam up to rounding, which at a large lam
         # exceeds an absolute tolerance: the bound is checked relative to
-        # itself, as the scan's verdict band is.
+        # itself.
         for lam in (1e8, 1e10, 1e15, 1e100):
             params = ClassParams(lam=lam)
             for k in range(200):

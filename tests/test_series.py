@@ -13,9 +13,11 @@ from harmcert.geometry import _euler_image
 from harmcert.series import (
     AnalyticSeries,
     circle_values,
+    circle_values_error,
     deficiency,
     derivative,
     eval_series,
+    grid_floor,
     hadamard,
     linear_combination,
     scan_angles,
@@ -191,6 +193,44 @@ class TestCircleValues:
         coeffs = rng.standard_normal(601) + 1j * rng.standard_normal(601)
         assert_matches_horner(coeffs,
                               circle_values(on_ring(coeffs, r), 512), r)
+
+
+class TestGridFloor:
+    def test_tight_on_a_minimum_mid_cell(self):
+        # -cos(d (t - pi/n)) on n = 64 d angles has every minimum, -1, at a
+        # cell's middle, pi/n from both ends, where the chord bound is
+        # tight: the floor lies below -1 by (d pi/n)^4 / 24 and rounding.
+        err = 2.0**-50
+        for d in range(2, 257):
+            n = 64 * d
+            values = -np.cos(d * (np.arange(n) * (2 * math.pi / n)
+                                  - math.pi / n))
+            floor = grid_floor(values, float(d * d), err)
+            x = d * math.pi / n
+            slack = (x * x / 2 + err) * circle_values_error(n) + 2 * err
+            assert floor <= -1.0, d
+            assert floor >= -1.0 - x**4 / 24 - err - slack, d
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_below_a_dense_oracle(self, seed):
+        # A random real trigonometric polynomial Re sum c_k e^{ikt} of
+        # degree 2-64 on a grid of 3-8 points per degree, its values from
+        # circle_values with that transform's error bound: the floor lies
+        # below the minimum on 65536 angles, and at most the chord and
+        # error terms below it.
+        rng = np.random.default_rng(seed)
+        degree = int(rng.integers(2, 65))
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(
+            degree + 1)
+        c *= rng.uniform(0.1, 10.0, degree + 1) ** 2
+        b2 = float(np.sum(np.arange(degree + 1) ** 2 * np.abs(c)))
+        n = int(rng.integers(3, 9)) * degree
+        err = circle_values_error(n) * float(np.abs(c).sum())
+        floor = grid_floor(circle_values(c, n).real, b2, err)
+        dense = circle_values(c, 65536).real.min()
+        chord = 0.5 * b2 * (math.pi / n) ** 2
+        assert floor <= dense
+        assert floor >= dense - 1.01 * (chord + err) - 1e-9 * abs(dense)
 
 
 class TestDerivative:
