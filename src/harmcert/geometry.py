@@ -59,15 +59,16 @@ class RadiusKind(Enum):
 class RadiusCertificate:
     """Largest ring radius at which the ring test passed.
 
-    ``inner_margin`` is the positive minimum that the search measured on
-    the ring at the certified radius, or on the ring at 1 - tol for a
-    capped radius (for g != 0 a lower bound on every section's
-    functional); when the radius is below 1 the ``outer_witness`` records
-    a ring at most min(tol, witness / 128) outside, and an angle on it,
-    where that minimum dropped to zero or below or the zero count of the
-    denominator was not the one allowed.  ``rings`` is the number of rings
-    evaluated.  Each passing ring is proven positive between its grid
-    angles by series.grid_floor, or else polished there (_section_rings).
+    ``inner_margin`` is the least N / S0(P)^2 (_section_rings) that the
+    search measured on the ring at the certified radius, or on the ring at
+    1 - tol for a capped radius: positive, and at the angle measured every
+    section's functional exceeds it.  When the radius is below 1 the
+    ``outer_witness`` records a ring at most min(tol, witness / 128)
+    outside, and an angle on it, where that minimum dropped to zero or
+    below or the zero count of the denominator was not the one allowed.
+    ``rings`` is the number of rings evaluated.  Each passing ring is
+    proven positive between its grid angles by series.grid_floor, or else
+    polished there (_section_rings).
     """
 
     kind: RadiusKind
@@ -263,13 +264,6 @@ def _ring_numerator(p, q, u, v):
     return alpha - abs(v * pc + u.conjugate() * q)
 
 
-def _ring_objective(p, q, u, v):
-    """_ring_numerator over (|p| + |q|)^2.  As |D| <= |p| + |q|, a positive
-    result bounds every section's functional from below; for q = 0 it is
-    the functional."""
-    return _ring_numerator(p, q, u, v) / (abs(p) + abs(q)) ** 2
-
-
 def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     """Ring test of every section h + zeta g at once, as ``ring(r)``, on
     n = scan_angles(max(a.degree, b.degree)) equispaced angles per ring,
@@ -278,7 +272,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     From degree 16 up, where n0 = scan_angles(degree // 16) is at most
     n / 4, each ring runs the tests below on n0 angles first, with that
     grid's step and eps, and keeps what they decide, as each holds on any
-    grid: a grid objective <= 0 (the witness), a cell test that passes
+    grid: a grid value of N <= 0 (the witness), a cell test that passes
     (the zero count) and a grid minimum that grid_floor proves.  A failed
     cell test or a minimum left open goes to the n angles, which run the
     same tests and then the polish.  The lost-precision test reads the
@@ -286,10 +280,10 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
 
     The denominators are D = p + zeta q, with p, q = a, b for STARLIKE and
     a', b' for CONVEX, and the functional is offset + Re(z D'/D) with
-    offset 0 or 1.  Where _ring_objective is positive no section vanishes,
-    so the zero count inside the ring, the same for every zeta, is taken
-    once, on p + q.  ``ring(r)`` returns the minimum of the objective on
-    |z| = r and the angle attaining it, or -inf at the grid angle where
+    offset 0 or 1.  Where N (below) is positive no section vanishes, so
+    the zero count inside the ring, the same for every zeta, is taken
+    once, on p + q.  ``ring(r)`` returns the least N / S0(P)^2 on |z| = r
+    and the angle attaining it, or -inf at the grid angle where
     |p + q| is smallest when that count is not proven to be 1 (STARLIKE)
     or 0 (CONVEX).  The closure keeps R, the largest radius whose count
     came out as the allowed one, and a ring at r <= R skips the count: the
@@ -305,9 +299,9 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     transform gives each ring's grid values of p, q, u and v.  Where
     series.grid_floor proves the ring positive, ``ring(r)`` returns the
     grid minimum; every other positive grid minimum is polished by
-    _polish_argmax (Brent's method, about 7 points, down to the
-    objective's rounding error, below) on the negated objective, each
-    point one power-matrix product of the four series.
+    _polish_argmax (Brent's method, about 7 points, down to N's rounding
+    error, below) on -N, each point one power-matrix product of the four
+    series.
 
     With P_k = |p_k| + |q_k|, U_k = |u_k| + |v_k| and
     Sm(X) = sum k^m X_k r^k, N = alpha - |gamma| (_ring_numerator) is the
@@ -322,14 +316,18 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     3 eps S0(U) S0(P).  As every N_zeta reads at least N at each grid
     angle, a positive grid_floor of N's grid values with that b2 and err
     proves every N_zeta, so N and every section's functional, positive
-    on the whole ring.  The S2 rows are (k/d)^2 P_k and (k/d)^2 U_k, their
-    sums times d^2: k^2 P_k would overflow at an extreme lam.
+    on the whole ring.  Each section's functional is N_zeta / |D|^2, and
+    |D| <= |p| + |q| <= S0(P), so where N > 0 it is at least
+    N / S0(P)^2, the value ``ring(r)`` reports.  The S2 rows are
+    (k/d)^2 P_k and (k/d)^2 U_k, their sums times d^2: k^2 P_k would
+    overflow at an extreme lam.
 
     Every test above is homogeneous in the four series, so each ring
     scales r^k, and with it the grid values and the sums Sm, by the power
     of two that brings its largest term max(P_k, U_k) r^k near 1: exact,
     and no product of two values overflows or underflows at an extreme
-    lam.  The columns of a and b are first shifted by _range_shift (order
+    lam; N / S0(P)^2 cancels that power, so rings compare on one scale.
+    The columns of a and b are first shifted by _range_shift (order
     2 for CONVEX, 1 for STARLIKE), which keeps every row value finite; a
     coefficient that loses bits to the shift raises ConsistencyError.  A
     ring whose largest term is itself below the normal range returns a
@@ -343,23 +341,17 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     for the quadratic term at a starlike radius near 1/(2 lam) from
     lam = 1e155 on.
 
-    The polish stops at err, a bound on the rounding error of one
-    objective value from the same sums, to first order in u (Higham,
+    The polish stops at err, a bound on the rounding error of one value
+    of N from the same sums, to first order in u (Higham,
     ch. 3).  A polish point t is one row e^{i t k} r^k times the
     coefficients: t k rounds once, at most 2 pi (1 + 1/n) k u, and exp and
     the product by r^k add about 3 u, so each term is off by (7 k + 3) u
     of its modulus at most, and the complex dot product of d + 1 terms
     adds (d + 3) u of the sum of their moduli.  So p and q together are
     off by at most eP = (7 S1(P) + (d + 6) S0(P)) u + lost_p, and u and v
-    by eU = (7 S1(U) + (d + 6) S0(U)) u + lost_u.  With W = |p| + |q| and
-    V = |u| + |v| at t, N is off by at most 2 (eU W + V eP) + 8 u V W, W
-    by eP + 2 u W, and |N| <= 2 V W, so N / W^2 is off by at most
-    ((2 eU + 22 u V) W + 6 V eP) / W^2.  Within the bracket, one cell
-    either side of the grid angle, W is at least its grid value less
-    step S1(P) and V at most its grid value plus step S1(U), as
-    |dW/dtheta| <= S1(P) and |dV/dtheta| <= S1(U); err takes those
-    bounds, and is 0, the fixed-width stop, when the first is not
-    positive.
+    by eU = (7 S1(U) + (d + 6) S0(U)) u + lost_u.  As |p| + |q| <= S0(P)
+    and |u| + |v| <= S0(U), N is off by at most
+    err = 2 (eU S0(P) + S0(U) eP) + 8 u S0(U) S0(P).
     """
     convex = kind is RadiusKind.CONVEX
     shift, A, B = _range_shift(2 if convex else 1, a, b)
@@ -438,35 +430,26 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
                     return -math.inf, j * step
                 counted = r
             num = _ring_numerator(*vals)
-            grid = num / (np.abs(vals[0]) + np.abs(vals[1])) ** 2
-            k = int(np.argmin(grid))
-            if not grid[k] > 0.0:
-                # A grid point already fails the ring; polishing only
-                # lowers it.
-                return float(grid[k]), k * step
-            if grid_floor(num, b2, 3.0 * eps_n * s0u * s0p
-                          + lost_u * s0p + s0u * lost_p) > 0.0:
-                return float(grid[k]), k * step
+            k = int(np.argmin(num))
+            # A grid point <= 0 already fails the ring, as polishing only
+            # lowers it; a proven ring keeps its grid minimum.
+            if not num[k] > 0.0 or grid_floor(
+                    num, b2, 3.0 * eps_n * s0u * s0p
+                    + lost_u * s0p + s0u * lost_p) > 0.0:
+                return float(num[k]) / (s0p * s0p), k * step
 
         def at(t: float) -> float:
-            # The negated objective at one angle, from one power-matrix row;
+            # The negated numerator at one angle, from one power-matrix row;
             # the arithmetic after it is on Python complex numbers.
-            return -_ring_objective(
+            return -_ring_numerator(
                 *((np.exp(1j * t * powers) * rk) @ coeffs).tolist())
 
-        # The objective's rounding error at any polish point, from the
-        # bounds on |p| + |q| and |u| + |v| over the bracket (see the
-        # docstring).
-        w_lo = float(abs(vals[0, k]) + abs(vals[1, k])) - step * s1p
-        err = 0.0
-        if w_lo > 0.0:
-            v_hi = float(abs(vals[2, k]) + abs(vals[3, k])) + step * s1u
-            ep = _UNIT_ROUNDOFF * (7.0 * s1p + (degree + 6) * s0p) + lost_p
-            eu = _UNIT_ROUNDOFF * (7.0 * s1u + (degree + 6) * s0u) + lost_u
-            err = (((2.0 * eu + 22.0 * _UNIT_ROUNDOFF * v_hi) * w_lo
-                    + 6.0 * v_hi * ep) / (w_lo * w_lo))
-        least, angle = _polish_argmax(at, k * step, -float(grid[k]), step, err)
-        return -least, angle
+        # The numerator's rounding error at any polish point (docstring).
+        ep = _UNIT_ROUNDOFF * (7.0 * s1p + (degree + 6) * s0p) + lost_p
+        eu = _UNIT_ROUNDOFF * (7.0 * s1u + (degree + 6) * s0u) + lost_u
+        err = 2.0 * (eu * s0p + s0u * ep) + 8.0 * _UNIT_ROUNDOFF * s0u * s0p
+        least, angle = _polish_argmax(at, k * step, -float(num[k]), step, err)
+        return -least / (s0p * s0p), angle
 
     return ring
 

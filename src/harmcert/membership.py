@@ -111,7 +111,7 @@ class MembershipReport:
     justification: str
 
 
-def _polish_argmax(fn, t0: float, v0: float, step: float, err: float = 0.0
+def _polish_argmax(fn, t0: float, v0: float, step: float, err: float
                    ) -> tuple[float, float]:
     """Brent's polish of ``fn(t)``, a scalar objective of the angle, over
     the two grid cells of width ``step`` around the grid argmax ``t0``,

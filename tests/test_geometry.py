@@ -21,7 +21,7 @@ from harmcert.geometry import (
     RadiusKind,
     _min_nonadjacent_gap,
     _range_shift,
-    _ring_objective,
+    _ring_numerator,
     _ring_values,
     _secant_search,
     _section_rings,
@@ -138,6 +138,21 @@ def ring_numerators(p, q, offset, r, n):
     V = r * z * on_ring(derivative(q)) + offset * Q
     alpha = (U * np.conj(P) + V * np.conj(Q)).real
     return alpha - np.abs(V * np.conj(P) + np.conj(U) * Q)
+
+
+def least_section_functional(f, kind, r, n=8192, zetas=64):
+    """Oracle: the least functional of the sections h + zeta g, for zetas
+    equispaced unimodular zeta, on n equispaced angles of the ring r, from
+    Horner values: Re((u + zeta v) conj(D)) / |D|^2 with D = p + zeta q,
+    u = z p' + offset p and v = z q' + offset q."""
+    p, q, offset = ring_parts(f, kind)
+    zeta = np.exp(2j * np.pi * np.arange(zetas) / zetas)[:, None]
+    z = r * np.exp(2j * np.pi * np.arange(n) / n)
+    P, Q = eval_array(p, z), eval_array(q, z)
+    U = z * eval_array(derivative(p), z) + offset * P
+    V = z * eval_array(derivative(q), z) + offset * Q
+    D = P + zeta * Q
+    return float(np.min(((U + zeta * V) * np.conj(D)).real / np.abs(D) ** 2))
 
 
 def brute_force_radius(F, kind, r_steps=400, t_steps=720):
@@ -461,7 +476,9 @@ class TestRadiusCertify:
 
     def test_ring_minimum_is_polished_off_grid(self, polished):
         # For z + w z^2 with |w| = 1 the starlike functional on |z| = r is
-        # Re((1 + 2 w z) / (1 + w z)), least at w z = -r.  Rotating by a
+        # Re((1 + 2 w z) / (1 + w z)), least at w z = -r, and the ring
+        # reports N / S0(P)^2 = Re((1 + 2 w z) conj(1 + w z)) / (1 + r)^2,
+        # least there too, at (1 - r)(1 - 2 r) / (1 + r)^2.  Rotating by a
         # third of a grid cell puts that minimum between grid angles.  The
         # chord bound proves the ring at r = 0.45, which the first-order
         # bound left to the polish; at r = 0.4999 the minimum is too small
@@ -473,23 +490,25 @@ class TestRadiusCertify:
         r = 0.4999
         value, angle = ring(r)
         assert len(polished) == 1
-        assert value == pytest.approx((1 - 2 * r) / (1 - r), abs=2e-16)
+        assert value == pytest.approx(
+            (1 - r) * (1 - 2 * r) / (1 + r) ** 2, abs=2e-16)
         assert angle == pytest.approx(math.pi - phi, abs=1e-7)
 
     def test_proven_ring_returns_its_grid_minimum(self, polished):
         # The same map at r = 0.3: the chord bound proves the ring
-        # positive, so it reports the least of its grid values unpolished.
+        # positive, so it reports the least of its grid values of
+        # N / S0(P)^2 unpolished.
         r, phi = 0.3, 2 * math.pi / 256 / 3
         F = AnalyticSeries((0, 1, np.exp(1j * phi)))
         value, angle = _section_rings(F, ZERO, RadiusKind.STARLIKE)(r)
         assert polished == []
         z = r * np.exp(2j * math.pi * np.arange(256) / 256)
         wz = np.exp(1j * phi) * z
-        grid = ((1 + 2 * wz) / (1 + wz)).real
+        grid = ((1 + 2 * wz) * np.conj(1 + wz)).real / (1 + r) ** 2
         k = int(np.argmin(grid))
         assert value == pytest.approx(float(grid[k]), abs=1e-13)
         assert angle == 2 * math.pi * k / 256
-        assert value > (1 - 2 * r) / (1 - r)
+        assert value > (1 - r) * (1 - 2 * r) / (1 + r) ** 2
 
     def test_inner_margin_is_the_certified_rings_minimum(self):
         # The certificate reports the minimum that the search measured on
@@ -723,7 +742,7 @@ class TestCoarseRingGrid:
     angles first, and takes the full grid only for the rings left open."""
 
     def test_every_decision_holds_on_a_dense_horner_grid(self, lengths):
-        # Oracle: the objective from Horner values on 8 times the full grid,
+        # Oracle: N / S0(P)^2 from Horner values on 8 times the full grid,
         # plus the returned angle.  A positive ring minimum must have a
         # positive dense minimum, and a ring minimum <= 0 a dense minimum at
         # most that value plus rounding.
@@ -752,7 +771,9 @@ class TestCoarseRingGrid:
                     P, Q = eval_array(p, zs), eval_array(q, zs)
                     U = zs * eval_array(derivative(p), zs) + offset * P
                     V = zs * eval_array(derivative(q), zs) + offset * Q
-                    least = float(np.min(_ring_objective(P, Q, U, V)))
+                    s0p = ring_sums(p, q, offset, r)[0]
+                    least = float(np.min(_ring_numerator(P, Q, U, V))) / (
+                        s0p * s0p)
                     if value > 0.0:
                         assert least > 0.0
                     else:
@@ -768,7 +789,7 @@ class TestCoarseRingGrid:
 
     def test_most_convex_rings_skip_the_full_grid(self, lengths):
         # At degree 256 every ring took a full-length transform while each
-        # ring read the full grid; now 8 of the certificate's 18 do.
+        # ring read the full grid; now 3 of the certificate's 13 do.
         params = ClassParams(1.0)
         f = random_member(256, params, np.random.default_rng(1))
         cert = harmonic_radius_certify(f, params, RadiusKind.CONVEX)
@@ -968,11 +989,12 @@ class TestHarmonicRadius:
         with pytest.raises(NonMemberError):
             harmonic_radius_certify(f, ClassParams(lam=1.0), RadiusKind.STARLIKE)
 
-    def test_ring_objective_is_brute_force_minimum(self):
+    def test_ring_numerator_is_brute_force_minimum(self):
         # Sections F = h + zeta g evaluated directly: the starlike numerator
-        # Re(z F' conj(F)) and the convex one Re((F' + z F'') conj(F')),
-        # least over 20000 phases, lie within the phase step's reach of
-        # the closed form alpha - |gamma|, never below it.
+        # N_zeta = Re(z F' conj(F)) and the convex one
+        # Re((F' + z F'') conj(F')), least over 20000 phases, lie within
+        # the phase step's reach of the closed form alpha - |gamma|, never
+        # below it.
         rng = np.random.default_rng(97)
         zetas = np.exp(2j * np.pi * np.arange(20000) / 20000)
         for _ in range(12):
@@ -991,10 +1013,9 @@ class TestHarmonicRadius:
             for sections, k, offset in cases:
                 brute = sections.min(axis=1)
                 scale = 1.0 + np.abs(sections).max()
-                closed = _ring_objective(H[k], G[k],
+                closed = _ring_numerator(H[k], G[k],
                                          z * H[k + 1] + offset * H[k],
                                          z * G[k + 1] + offset * G[k])
-                closed *= (np.abs(H[k]) + np.abs(G[k])) ** 2
                 assert np.all(closed <= brute + 1e-12 * scale)
                 assert np.all(brute - closed <= 1e-7 * scale)
 
@@ -1038,7 +1059,9 @@ class TestHarmonicRadius:
         # first-order bound, 12 under the chord bound.  (80 rings while
         # every ring read the full grid: a ring that the coarse grid
         # decides reports that grid's minimum, which moves the secant
-        # steps.)
+        # steps.)  Rings that report N / S0(P)^2, one quantity on one
+        # scale, take 79 rings and polish 10, where N / (|p| + |q|)^2
+        # took 81 and polished 12.
         rng = np.random.default_rng(41)
         rings = 0
         for d in (3, 6, 12, 24, 48):
@@ -1046,19 +1069,20 @@ class TestHarmonicRadius:
                 params = ClassParams(lam=float(rng.uniform(0.5, 3.0)))
                 f = random_member(d, params, rng, fill=0.9)
                 rings += harmonic_radius_certify(f, params, kind).rings
-        assert rings == 81 < 145
-        assert len(polished) == 12 < 57
+        assert rings == 79 < 145
+        assert len(polished) == 10 < 57
 
     def test_ring_polish_stops_at_its_rounding_error(self, monkeypatch):
-        # An undecided ring's polish stops where its objective drops by the
-        # rounding error of one evaluation: the certificates keep their
+        # An undecided ring's polish stops where its numerator N drops by
+        # the rounding error of one evaluation: the certificates keep their
         # ring counts and radii, with about 7 points per polished ring
         # where a polish down to the 1e-9 width took about 13.  Three
-        # certificates of each kind per degree give 46 polished rings;
-        # two gave 30 once the chord bound proved more rings.
+        # certificates of each kind per degree give 52 polished rings (46
+        # while rings reported N / (|p| + |q|)^2); two gave 30 once the
+        # chord bound proved more rings.
         exact, points = [False], []
 
-        def polish(fn, t0, v0, step, err=0.0):
+        def polish(fn, t0, v0, step, err):
             calls = []
 
             def at(t):
@@ -1143,6 +1167,70 @@ class TestHarmonicRadius:
                 for k in range(8)
             )
             assert cert.radius <= worst + tol
+
+    def test_inner_margin_is_below_every_sections_functional(self):
+        # Dense oracle: on the ring whose minimum the certificate reports,
+        # every section's functional on 8192 angles x 64 zeta is positive
+        # and at least inner_margin.  A third of the maps are capped
+        # starlike certificates of degree 32 to 64, decided on the coarse
+        # grid; rings that reported N / (|p| + |q|)^2 overstated the
+        # margin on 5 of these 48, by up to 2 %.
+        rng = np.random.default_rng(1)
+        capped = 0
+        for j in range(48):
+            if j % 3 == 2:
+                d, lam = int(rng.integers(32, 65)), rng.uniform(0.25, 0.5)
+                kind = RadiusKind.STARLIKE
+            else:
+                d, lam = int(rng.integers(2, 65)), rng.uniform(0.25, 3.0)
+                kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 3]
+            params = ClassParams(lam=float(lam))
+            f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
+            cert = harmonic_radius_certify(f, params, kind)
+            r = 1.0 - 1e-4 if cert.radius == 1.0 else cert.radius
+            least = least_section_functional(f, kind, r)
+            assert least > 0.0 and least >= cert.inner_margin, (j, least)
+            capped += cert.radius == 1.0 and d >= 32 and j % 3 == 2
+        assert capped >= 12
+
+    def test_polish_values_lie_within_their_error_bound(self, polished):
+        # At random angles in each polish's bracket, the numerator N that
+        # the polish reads from one power-matrix row, on the ring's scale
+        # 2^e, lies within 2 err of N from Horner values: err bounds the
+        # row's rounding, and the Horner values' own is smaller.
+        rng = np.random.default_rng(44)
+        checked = 0
+        for j in range(24):
+            d = int(rng.integers(2, 65))
+            params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
+            f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
+            kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
+            p, q, offset = ring_parts(f, kind)
+            P = np.abs(coefficient_columns(p, q)).sum(axis=1)
+            k = np.arange(len(P))
+            ring = _section_rings(f.h, f.g, kind)
+            lo, hi = 0.01, 0.999
+            for _ in range(30):
+                mid = 0.5 * (lo + hi)
+                polished.clear()
+                lo, hi = (mid, hi) if ring(mid)[0] > 0.0 else (lo, mid)
+                if not polished:
+                    continue
+                at, t0, _, step, err = polished[0]
+                # The ring's scale: the largest term max(P_k, U_k) r^k,
+                # U_k = (k + offset) P_k, brought into [1/2, 1).
+                e = -math.frexp(float(np.max(
+                    np.maximum(1.0, k + offset) * P * mid ** k)))[1]
+                for t in t0 + step * rng.uniform(-1.0, 1.0, 8):
+                    z = mid * np.exp(1j * t)
+                    pv, qv = eval_array(p, z), eval_array(q, z)
+                    uv = z * eval_array(derivative(p), z) + offset * pv
+                    vv = z * eval_array(derivative(q), z) + offset * qv
+                    N = math.ldexp(float(_ring_numerator(pv, qv, uv, vv)),
+                                   2 * e)
+                    assert abs(-at(float(t)) - N) <= 2.0 * err
+                    checked += 1
+        assert checked >= 200
 
     def test_degree_256_memory(self):
         params = ClassParams(lam=1.0)

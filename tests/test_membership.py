@@ -450,7 +450,7 @@ class TestPolishStop:
 
         exact, points = [False], []
 
-        def polish(fn, t0, v0, step, err=0.0):
+        def polish(fn, t0, v0, step, err):
             at, angles = counted(fn)
             out = _polish_argmax(at, t0, v0, step, 0.0 if exact[0] else err)
             if not exact[0]:
@@ -522,7 +522,7 @@ class TestPolish:
                 return -math.sin(w * (t - s)) ** 2 * (1 + c * math.sin(t - s))
 
             at, angles = counted(fn)
-            v, x = _polish_argmax(at, t0, fn(t0), step)
+            v, x = _polish_argmax(at, t0, fn(t0), step, 0.0)
             assert len(angles) <= 20
             assert all(abs(t - t0) < step for t in angles)
             # The points next to x on either side span at most the width.
@@ -594,7 +594,7 @@ class TestPolish:
     def test_grid_point_is_kept_without_a_larger_value(self):
         # A peak at t0 itself: nothing beats v0, so t0 comes back exactly.
         at, angles = counted(lambda t: -(t - 1.0) ** 2)
-        assert _polish_argmax(at, 1.0, 0.0, 0.01) == (0.0, 1.0)
+        assert _polish_argmax(at, 1.0, 0.0, 0.01, 0.0) == (0.0, 1.0)
         assert 1.0 not in angles
 
     def test_angle_wraps_into_the_circle(self):
@@ -602,7 +602,7 @@ class TestPolish:
         def fn(t):
             return -math.sin(t + 1e-3) ** 2
 
-        v, x = _polish_argmax(fn, 0.0, fn(0.0), 0.01)
+        v, x = _polish_argmax(fn, 0.0, fn(0.0), 0.01, 0.0)
         assert abs(x - (2 * math.pi - 1e-3)) <= _POLISH_WIDTH
         assert v > fn(0.0)
 
