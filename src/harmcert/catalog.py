@@ -72,7 +72,7 @@ _MIN_GAP = {"f4": 0.0, "f5": 1.0, "f6": 1.0}
 class CatalogParams:
     """Everything a catalog map and its condition may need.  Each name reads
     the fields ENTRIES lists for it; only those must be set and are checked,
-    here and nowhere else."""
+    here and nowhere else.  |eta| may pass 1 by one ulp, hypot's rounding."""
 
     name: str
     lam: float
@@ -120,7 +120,7 @@ def _require_eta(eta: complex) -> None:
     if eta == 0:
         raise ParameterError("eta must be nonzero")
     # hypot, not abs: abs raises OverflowError past the double range.
-    if not math.hypot(eta.real, eta.imag) <= 1.0 + 1e-12:
+    if not math.hypot(eta.real, eta.imag) <= 1.0 + math.ulp(1.0):
         raise ParameterError("eta must lie in the closed unit disk")
 
 
@@ -208,15 +208,15 @@ class ConditionReport:
 
 
 def _compare(lhs: float, lam: float, eta: complex) -> ConditionReport:
-    """Whether lhs < lam/|eta| holds strictly, with equality decided between
-    finite values only.  An overflowed rhs exceeds every finite lhs, and an
-    lhs of +inf (positive terms past the double range) every finite rhs;
-    any other non-finite pair raises ParameterError."""
+    """Whether lhs < lam/|eta| holds strictly, with equality, |lhs - rhs|
+    at most 1e-12 rhs, decided between finite values only.  An overflowed
+    rhs exceeds every finite lhs, and an lhs of +inf (positive terms past
+    the double range) every finite rhs; any other non-finite pair raises
+    ParameterError."""
     rhs = lam / abs(eta)
     if not (math.isfinite(lhs) or (lhs == math.inf and math.isfinite(rhs))):
         raise ParameterError(f"cannot compare lhs {lhs!r} with rhs {rhs!r}")
-    at_equality = (math.isfinite(rhs)
-                   and abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)))
+    at_equality = math.isfinite(rhs) and abs(lhs - rhs) <= 1e-12 * rhs
     return ConditionReport(holds=lhs < rhs and not at_equality, lhs=lhs,
                            rhs=rhs, at_equality=at_equality)
 

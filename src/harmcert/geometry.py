@@ -32,6 +32,7 @@ from .membership import (
     paired_boundary_sup,
 )
 from .series import (
+    COEFF_TOL,
     ZERO,
     AnalyticSeries,
     _derived,
@@ -180,7 +181,8 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams
     scaled by one power of two, and each violation and tightness is read
     back by ldexp_or_inf, an infinity past the double range.
     Rounding is no violation: an excess counts only past sup_tolerance
-    times the envelope's size at that point, and at least times 1.
+    times the upper envelope at that point, positive where a lower one
+    crosses zero.
     """
     _require_member(f, params, "envelope audit needs a class member")
     lam = params.lam
@@ -193,24 +195,22 @@ def growth_envelope_check(f: HarmonicMap, params: ClassParams
     growth_lo, growth_hi = np.ldexp([r - lam * r * r, r + lam * r * r], e)
     # 1 -+ 2 lam |z| as twice 1/2 -+ lam |z|, which stays finite.
     deriv_lo, deriv_hi = np.ldexp([0.5 - lam * r, 0.5 + lam * r], e + 1)
-    # Each excess with the envelope it is measured against.
+    # Each excess with the upper envelope its slack is measured against.
     checks = {
-        "growth_lower": (growth_lo - af, growth_lo),
+        "growth_lower": (growth_lo - af, growth_hi),
         "growth_upper": (af - growth_hi, growth_hi),
-        "deriv_lower": (deriv_lo - (hp - gp), deriv_lo),
+        "deriv_lower": (deriv_lo - (hp - gp), deriv_hi),
         "deriv_upper": (hp + gp - deriv_hi, deriv_hi),
     }
-    band, one = params.sup_tolerance, math.ldexp(1.0, e)
     violations = {
         k: ldexp_or_inf(float(
-            v[v > band * np.maximum(one, np.abs(env))].max(initial=0.0)), -e)
-        for k, (v, env) in checks.items()
+            v[v > params.sup_tolerance * hi].max(initial=0.0)), -e)
+        for k, (v, hi) in checks.items()
     }
-    excess = {k: v for k, (v, _) in checks.items()}
     tightness = {k: ldexp_or_inf(float(-v.max()), -e)
-                 for k, v in excess.items()}
-    worst_key = max(excess, key=lambda k: excess[k].max())
-    worst_point = complex(zs[int(np.argmax(excess[worst_key]))])
+                 for k, (v, _) in checks.items()}
+    worst = max((v for v, _ in checks.values()), key=np.max)
+    worst_point = complex(zs[int(np.argmax(worst))])
     return EnvelopeAudit(
         max_violation=max(violations.values()),
         violations=violations,
@@ -228,7 +228,7 @@ def jacobian_bound_check(f: HarmonicMap, params: ClassParams
     scaled by one power of two, so no square overflows or underflows at
     an extreme lam.  max_violation reads the excess back by ldexp_or_inf,
     inf past the double range.  Rounding is no violation: an excess counts
-    only past sup_tolerance times the bound, which is at least 1.
+    only past sup_tolerance times the bound.
     """
     lam = params.lam
     e = 1 - math.frexp(0.5 + lam * _AUDIT_RADII[-1])[1]
@@ -670,15 +670,19 @@ def convolve_members(f1: HarmonicMap, f2: HarmonicMap, params: ClassParams
 
 def convex_combination(fs, weights, params: ClassParams
                        ) -> tuple[HarmonicMap, MembershipReport]:
-    """Weighted average of members; the class is closed under this."""
+    """Weighted average of members; the class is closed under this.
+    Weights must lie in [0, 1] exactly and sum to 1 within COEFF_TOL; they
+    are divided by their sum, which keeps the theorem's hypothesis."""
     fs = list(fs)
     weights = [float(w) for w in weights]
     if not fs or len(fs) != len(weights):
         raise ParameterError("need matching non-empty maps and weights")
-    if not all(-1e-12 <= w <= 1.0 + 1e-12 for w in weights):
+    if not all(0.0 <= w <= 1.0 for w in weights):
         raise ParameterError("weights must lie in [0, 1]")
-    if abs(sum(weights) - 1.0) > 1e-12:
+    total = sum(weights)
+    if abs(total - 1.0) > COEFF_TOL:
         raise ParameterError("weights must sum to 1")
+    weights = [w / total for w in weights]
     for f in fs:
         _require_member(f, params, "convex combination needs member inputs")
     h = linear_combination([(w, f.h) for w, f in zip(weights, fs)])

@@ -63,9 +63,11 @@ class Verdict(Enum):
 class ClassParams:
     """Level lam > 0, the only field.
 
-    Verdicts read the sup's own rounding bound (_classify).
-    ``sup_tolerance``, a class constant, bounds the stable-family gap and
-    the coefficient-bound, growth and Jacobian audits.
+    Verdicts read the sup's own rounding bound (_classify).  One slack
+    rule serves the stable-family gap and the coefficient-bound, growth
+    and Jacobian audits: an excess over a bound counts only past the class
+    constant ``sup_tolerance`` times that bound.  Like the class, it is
+    unchanged when lam and every coefficient from z^2 on scale together.
     """
 
     lam: float
@@ -502,9 +504,8 @@ def stable_family_check(f: HarmonicMap, params: ClassParams,
     The map obeys the harmonic inequality exactly when every section
     h + zeta g, |zeta| = 1, obeys the analytic one; pointwise the sup over
     zeta of |A + zeta B| is |A| + |B|, so the harmonic sup is the family
-    maximum and no sampled section may exceed it.  An excess above
-    sup_tolerance, relative once the sup passes 1, raises
-    ConsistencyError.
+    maximum and no sampled section may exceed it.  A gap above
+    sup_tolerance times the harmonic sup raises ConsistencyError.
 
     ``harmonic_sup`` is harmonic_membership's ``measured_sup`` bit for
     bit (see ZetaFamilyScan).  It is at least the grid's |va| + |vb| less
@@ -517,7 +518,7 @@ def stable_family_check(f: HarmonicMap, params: ClassParams,
     harmonic_sup = scan.max_sup
     top = scan.section_max
     gap = max(0.0, top - harmonic_sup)
-    if gap > params.sup_tolerance * max(1.0, harmonic_sup):
+    if gap > params.sup_tolerance * harmonic_sup:
         raise ConsistencyError(
             f"section sup {top!r} disagrees with harmonic sup "
             f"{harmonic_sup!r} by {gap!r}"
@@ -562,8 +563,8 @@ def coefficient_bounds_audit(f: HarmonicMap, params: ClassParams
     """Check |a_n| and |b_n| against lam/(n-1); violations force rejection.
 
     The bound is necessary for membership, so any violated entry implies
-    the boundary scan must return NonMember.  The slack is sup_tolerance,
-    relative once the bound passes 1, as in the stable-family gap.
+    the boundary scan must return NonMember.  An entry is violated when
+    it exceeds its bound by more than sup_tolerance times the bound.
     """
     out = []
     for n, pair in enumerate(
@@ -572,13 +573,8 @@ def coefficient_bounds_audit(f: HarmonicMap, params: ClassParams
         for side, c in zip("ab", pair):
             value = abs(c)
             out.append(BoundsAuditEntry(
-                index=n,
-                side=side,
-                value=value,
-                bound=bound,
-                violated=(value
-                          > bound + params.sup_tolerance * max(1.0, bound)),
-            ))
+                index=n, side=side, value=value, bound=bound,
+                violated=value > bound * (1.0 + params.sup_tolerance)))
     return out
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import time
@@ -27,6 +28,31 @@ def family_rule(family, terms, eta):
     if family == "f4":
         return [eta * (t / (k + 1)) for k, t in enumerate(terms[:-1])]
     return [eta * t for t in terms[:-1]]
+
+
+class TestEtaBand:
+    def test_eta_passes_one_by_hypot_rounding_only(self):
+        # A band of 1e-12 let through maps that check calls NonMember.
+        for eta in (1.0000000000005, 1.0 + 2.0**-51, 0.6 + 0.8000001j):
+            with pytest.raises(ParameterError, match="unit disk"):
+                CatalogParams(name="f3", lam=1.0, eta=eta)
+        eta = 1.0 + 2.0**-52
+        for lam in (1e-300, 1.0, 1e300):
+            f = make_example(CatalogParams(name="f3", lam=lam, eta=eta))
+            rep = harmonic_membership(f, ClassParams(lam))
+            assert rep.verdict is Verdict.BOUNDARY_SHARP
+
+    def test_computed_unit_values_pass(self):
+        t = np.linspace(-50.0, 50.0, 4001)
+        etas = ([cmath.exp(1j * x) for x in t] + list(np.exp(1j * t))
+                + list(np.cos(t) + 1j * np.sin(t)))
+        for c in range(1, 100):
+            for a in range(1, c):
+                b = math.isqrt(c * c - a * a)
+                if a * a + b * b == c * c:
+                    etas.append(complex(a / c, b / c))
+        for eta in etas:
+            CatalogParams(name="f3", lam=1.0, eta=complex(eta))
 
 
 class TestMakeExample:
@@ -343,6 +369,33 @@ class TestPolyCondition:
         with pytest.raises(ParameterError,
                            match="c must be positive and finite, got nan"):
             make_example(CatalogParams(name="p1", lam=1.0, s=1, c=math.nan))
+
+
+class TestRelativeEquality:
+    """Equality is |lhs - rhs| <= 1e-12 rhs, so no answer depends on the
+    size of lam."""
+
+    @pytest.mark.parametrize("ab", [1e-7, 1e-150])
+    def test_condition_214_far_from_equality(self, ab):
+        # lhs is about a b / 2: rhs 20 lhs is 1e-13 and 1e-299.  An
+        # absolute floor of 1e-12 once read both as lhs equals rhs.
+        lhs = condition(CatalogParams(name="f5", lam=1.0, a=ab, b=ab,
+                                      c=3)).lhs
+        for lam, holds in ((20 * lhs, True), (lhs / 20, False)):
+            rep = condition(CatalogParams(name="f5", lam=lam, a=ab, b=ab,
+                                          c=3))
+            assert rep.lhs == lhs
+            assert (rep.holds, rep.at_equality) == (holds, False)
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p3"])
+    def test_exact_equality_is_flagged(self, name):
+        for eta in (1.0, -1.0, 1j):
+            lhs = condition(CatalogParams(name=name, lam=1.0, eta=eta, s=3,
+                                          c=2.0)).lhs
+            rep = condition(CatalogParams(name=name, lam=lhs, eta=eta, s=3,
+                                          c=2.0))
+            assert rep.rhs == lhs
+            assert (rep.holds, rep.at_equality) == (False, True)
 
 
 class TestRecordDecidesTheSeries:

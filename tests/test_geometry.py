@@ -321,6 +321,17 @@ class TestGrowthEnvelope:
         assert audit.max_violation > 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eta", [1.0, -1.0, 1j])
+    def test_lower_envelope_crossing_zero_is_no_violation(self, eta):
+        # r - lam r^2 and 1 - 2 lam r vanish on an audit ring at these lam;
+        # the slack is measured against the upper envelope, never zero.
+        lams = [1 / (0.12 * k) for k in range(1, 9)]
+        for lam in lams + [0.5 / 0.96, 0.5 / 0.12, 1e-300, 1e300]:
+            f = make_example(CatalogParams(name="f3", lam=lam, eta=eta))
+            audit = growth_envelope_check(f, ClassParams(lam=lam))
+            assert audit.max_violation == 0.0, lam
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_lam_member_reads_no_violation(self):
         # Unscaled, the transform of eq13's coefficients overflows at
         # lam = 1.7e308, and so does 1 + 2 lam |z|.
@@ -1440,6 +1451,20 @@ class TestConvexCombination:
             convex_combination([f, f], [0.7, 0.7], ClassParams(lam=1.0))
         with pytest.raises(ParameterError):
             convex_combination([f, f], [1.5, -0.5], ClassParams(lam=1.0))
+
+    def test_weights_keep_the_theorem_hypothesis(self):
+        # Weights a little outside [0, 1], or summing a little past 1, once
+        # pushed a combination of sharp maps past lam.
+        params = ClassParams(lam=1.0)
+        f, g = (make_example(CatalogParams(name="f3", lam=1.0, eta=eta))
+                for eta in (-1.0, 1.0))
+        with pytest.raises(ParameterError, match=r"lie in \[0, 1\]"):
+            convex_combination([f, g], [-1e-12, 1 + 1e-12], params)
+        _, rep = convex_combination([g, g], [0.5 + 5e-13, 0.5], params)
+        assert rep.verdict is Verdict.BOUNDARY_SHARP
+        for k in (3, 7, 10, 100, 1000):
+            _, rep = convex_combination([g] * k, [1 / k] * k, params)
+            assert rep.verdict is Verdict.BOUNDARY_SHARP
 
     @pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan],
                                          [math.inf, 0.0], [1.0, -math.inf]])

@@ -17,7 +17,10 @@ from harmcert.errors import (
 from harmcert.geometry import (
     RadiusKind,
     boundary_curve_audit,
+    convex_combination,
+    euler_operator_test,
     harmonic_radius_certify,
+    second_derivative_test,
 )
 from harmcert.membership import (
     _POLISH_WIDTH,
@@ -1289,6 +1292,16 @@ class TestBoundsAudit:
         # Largest coefficient is a lower bound for the boundary maximum.
         assert rep.measured_sup >= 1.5 * lam - 1e-9
 
+    @pytest.mark.parametrize("lam", [1e-13, 1e-20, 1e-300])
+    def test_violation_below_lam_one_is_flagged(self, lam):
+        # |a_2| = 1e-12 is 10 to 1e288 times its bound lam: the slack is
+        # relative to the bound, never an absolute floor that hides it.
+        f = make_map((0, 1, 1e-12))
+        params = ClassParams(lam=lam)
+        bad = [e for e in coefficient_bounds_audit(f, params) if e.violated]
+        assert [(e.index, e.side) for e in bad] == [(2, "a")]
+        assert harmonic_membership(f, params).verdict is Verdict.NON_MEMBER
+
 
 class TestRandomMember:
     def test_mass_hits_target(self):
@@ -1304,3 +1317,80 @@ class TestRandomMember:
         for _ in range(20):
             f = random_member(int(rng.integers(2, 10)), params, rng)
             assert harmonic_membership(f, params).verdict is Verdict.MEMBER
+
+
+def scale_invariance_maps():
+    """(f, lam): random members of degree 2 to 33 at lam 0.5, 1 and 3, each
+    also with its top coefficient pushed 20 % past its bound lam/(n-1),
+    and the sharp catalog maps f3, f_a, f_b and eq13 at lam 1."""
+    rng = np.random.default_rng(44)
+    maps = []
+    for lam in (0.5, 1.0, 3.0):
+        for _ in range(4):
+            f = random_member(int(rng.integers(2, 34)), ClassParams(lam), rng)
+            h = list(f.h.coeffs)
+            n = len(h) - 1
+            h[n] *= 1.2 * lam / ((n - 1) * abs(h[n]))
+            maps += [(f, lam), (make_map(h, f.g.coeffs), lam)]
+    for name in ("f3", "f_a", "f_b", "eq13"):
+        maps.append((make_example(CatalogParams(
+            name=name, lam=1.0, n=5, eta=cmath.exp(0.7j))), 1.0))
+    return maps
+
+
+def scale_map(f, t):
+    """f with every coefficient from z^2 on times t."""
+    return make_map(f.h.coeffs[:2] + tuple(t * c for c in f.h.coeffs[2:]),
+                    f.g.coeffs[:2] + tuple(t * c for c in f.g.coeffs[2:]))
+
+
+class TestScaleInvariance:
+    """The class condition, the coefficient bounds and the differential
+    tests are homogeneous: scaling lam and every coefficient from z^2 on
+    by one factor changes none of them, so no answer may change either.
+    Powers of two scale exactly, down to 2^-1000 and up to 2^900."""
+
+    EXPONENTS = (-1000, -200, -60, -40, -30, -20, 0, 20, 200, 900)
+
+    @staticmethod
+    def answers(f, lam):
+        params = ClassParams(lam)
+        try:
+            stable_family_check(f, params, 64)
+            consistent = True
+        except ConsistencyError:
+            consistent = False
+        return (harmonic_membership(f, params).verdict,
+                coefficient_sufficient(f, params).sufficient,
+                [e.violated for e in coefficient_bounds_audit(f, params)],
+                consistent,
+                second_derivative_test(f.h, f.g, params).passes,
+                euler_operator_test(f.h, f.g, params).passes)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_answers_do_not_depend_on_the_size_of_lam(self):
+        maps = scale_invariance_maps()
+        base = [self.answers(f, lam) for f, lam in maps]
+        # The pushed maps are flagged and rejected at scale 1.
+        for verdict, _, flags, *_ in base[1:24:2]:
+            assert verdict is Verdict.NON_MEMBER and any(flags)
+        for k in self.EXPONENTS:
+            t = math.ldexp(1.0, k)
+            got = [self.answers(scale_map(f, t), lam * t) for f, lam in maps]
+            assert got == base, k
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_convex_combination_verdicts_do_not_depend_on_lam(self):
+        maps = scale_invariance_maps()
+        # Three member pairs at one lam each, and the sharp f3 with f_a.
+        pairs = [(maps[i][0], maps[i + 2][0], maps[i][1])
+                 for i in (0, 8, 16)] + [(maps[24][0], maps[25][0], 1.0)]
+
+        def verdicts(t):
+            return [convex_combination(
+                [scale_map(f1, t), scale_map(f2, t)], [0.25, 0.75],
+                ClassParams(lam * t))[1].verdict for f1, f2, lam in pairs]
+
+        base = verdicts(1.0)
+        for k in self.EXPONENTS:
+            assert verdicts(math.ldexp(1.0, k)) == base, k
