@@ -431,11 +431,15 @@ class TestExampleCommand:
         assert "s must not exceed the double range" in captured.err
 
     def test_overflowing_eta_exits_three(self, capsys):
-        argv = ["example", "f3", "--eta", "1.5e308+1.5e308j"]
-        assert main(argv) == EXIT_INPUT_ERROR
-        err = capsys.readouterr().err
-        assert "OverflowError" not in err
-        assert "eta must lie in the closed unit disk" in err
+        # |eta| may pass 1 only by hypot's own rounding: 1 + 5e-13, which a
+        # band of 1e-12 let through into a map that check calls NonMember,
+        # is refused too.
+        for extra in (["--eta", "1.5e308+1.5e308j"],
+                      ["--eta", "1.0000000000005", "--lambda", "1"]):
+            assert main(["example", "f3", *extra]) == EXIT_INPUT_ERROR, extra
+            err = capsys.readouterr().err
+            assert "OverflowError" not in err
+            assert "eta must lie in the closed unit disk" in err
 
     def test_ignored_flags_are_not_validated(self, capsys):
         # eq13 reads none of truncation, n and eta.
@@ -789,6 +793,12 @@ class TestHyperCommand:
         text = capsys.readouterr().out
         assert code == EXIT_MEMBER
         assert float(text.split("lhs: ")[1].splitlines()[0]) == pytest.approx(2.0)
+        # An lhs of 5.0e-15 against an rhs of 1e-13: an absolute equality
+        # band of 1e-12 read it as lhs equals rhs.
+        code = main(["hyper", "--which", "214", "--a", "1e-7", "--b", "1e-7",
+                     "--c", "3", "--lambda", "1e-13"])
+        assert code == EXIT_MEMBER
+        assert "holds: True" in capsys.readouterr().out.splitlines()
 
     def test_equality_fails(self, capsys):
         code = main(["hyper", "--which", "215", "--a", "1", "--b", "1",

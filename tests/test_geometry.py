@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from horner import eval_array
+from horner import eval_array, least_section_functional, ring_parts
 
 from harmcert import geometry
 from harmcert.catalog import CatalogParams, make_example
@@ -105,13 +105,6 @@ def brute_force_nonadjacent_gap(pts):
     return best
 
 
-def ring_parts(f, kind):
-    """The denominator parts p, q of kind's functional, and its offset."""
-    if kind is RadiusKind.STARLIKE:
-        return f.h, f.g, 0.0
-    return derivative(f.h), derivative(f.g), 1.0
-
-
 def ring_sums(p, q, offset, r):
     """S0(P), S1(P), S2(P), S0(U), S1(U), S2(U) on the ring r, with
     Sm(X) = sum k^m X_k r^k, P_k = |p_k| + |q_k| and U_k = (k + offset) P_k
@@ -138,21 +131,6 @@ def ring_numerators(p, q, offset, r, n):
     V = r * z * on_ring(derivative(q)) + offset * Q
     alpha = (U * np.conj(P) + V * np.conj(Q)).real
     return alpha - np.abs(V * np.conj(P) + np.conj(U) * Q)
-
-
-def least_section_functional(f, kind, r, n=8192, zetas=64):
-    """Oracle: the least functional of the sections h + zeta g, for zetas
-    equispaced unimodular zeta, on n equispaced angles of the ring r, from
-    Horner values: Re((u + zeta v) conj(D)) / |D|^2 with D = p + zeta q,
-    u = z p' + offset p and v = z q' + offset q."""
-    p, q, offset = ring_parts(f, kind)
-    zeta = np.exp(2j * np.pi * np.arange(zetas) / zetas)[:, None]
-    z = r * np.exp(2j * np.pi * np.arange(n) / n)
-    P, Q = eval_array(p, z), eval_array(q, z)
-    U = z * eval_array(derivative(p), z) + offset * P
-    V = z * eval_array(derivative(q), z) + offset * Q
-    D = P + zeta * Q
-    return float(np.min(((U + zeta * V) * np.conj(D)).real / np.abs(D) ** 2))
 
 
 def brute_force_radius(F, kind, r_steps=400, t_steps=720):
