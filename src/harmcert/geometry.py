@@ -264,19 +264,34 @@ def _ring_numerator(p, q, u, v):
     return alpha - abs(v * pc + u.conjugate() * q)
 
 
+def _ring_levels(degree: int) -> tuple[int, ...]:
+    """The grids a ring of that degree reads, coarsest first: from the
+    ladder scan_angles(degree // 16), scan_angles(degree // 4),
+    scan_angles(degree), a level is kept when it is at most a quarter of
+    the next level kept.  So below degree 16 a ring reads one grid, from
+    16 to 63 it starts at scan_angles(degree // 4) (256 angles at degree
+    16, as scan_angles(1)), and from 64 on at scan_angles(degree // 16),
+    with three levels."""
+    levels = (scan_angles(degree),)
+    for n in (scan_angles(degree // 4), scan_angles(degree // 16)):
+        if 4 * n <= levels[0]:
+            levels = (n, *levels)
+    return levels
+
+
 def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     """Ring test of every section h + zeta g at once, as ``ring(r)``, on
     n = scan_angles(max(a.degree, b.degree)) equispaced angles per ring,
     the angle k step read as k times step = 2 pi / n.
 
-    From degree 16 up, where n0 = scan_angles(degree // 16) is at most
-    n / 4, each ring runs the tests below on n0 angles first, with that
-    grid's step and eps, and keeps what they decide, as each holds on any
-    grid: a grid value of N <= 0 (the witness), a cell test that passes
-    (the zero count) and a grid minimum that grid_floor proves.  A failed
-    cell test or a minimum left open goes to the n angles, which run the
-    same tests and then the polish.  The lost-precision test reads the
-    eps of the n angles, once.
+    Each ring runs the tests below on the grids of _ring_levels(degree),
+    coarsest first, each with its own step and eps, and stops at the first
+    that decides it, as each decision holds on any grid: a grid value of
+    N <= 0 (the witness), a cell test that passes (the zero count) and a
+    grid minimum that grid_floor proves.  A failed cell test or a minimum
+    left open goes to the next level; the last, n angles, runs the same
+    tests and then the polish.  The lost-precision test reads the eps of
+    the n angles, once.
 
     The denominators are D = p + zeta q, with p, q = a, b for STARLIKE and
     a', b' for CONVEX, and the functional is offset + Re(z D'/D) with
@@ -378,13 +393,10 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     square = (powers / d) ** 2
     sums = np.stack([P, powers * P, U, powers * U, square * P, square * U])
     top_terms = np.maximum(P, U)
-    angles = scan_angles(max(a.degree, b.degree))
-    coarse = scan_angles(max(a.degree, b.degree) // 16)
-    # Each ring's grid levels, (n, step, eps), the coarse one first.
+    # Each ring's grid levels, (n, step, eps), the coarsest first.
     levels = [(n, _TWO_PI / n, circle_values_error(n))
-              for n in ((coarse, angles) if 4 * coarse <= angles
-                        else (angles,))]
-    eps = levels[-1][2]
+              for n in _ring_levels(max(a.degree, b.degree))]
+    angles, _, eps = levels[-1]
     tiny = np.finfo(float).tiny
     # The largest ring whose zero count came out as the allowed one.
     counted = 0.0
@@ -507,20 +519,80 @@ def _secant_search(ring, lo: float, m_lo: float, hi: float, m_hi: float,
     return lo, hi, hi_ang
 
 
+def _coefficient_radius(a: AnalyticSeries, b: AnalyticSeries,
+                        kind: RadiusKind, below: float) -> float:
+    """Goodman's radius r_c: the largest r < ``below`` with
+    sum_{n>=2} n^m (|a_n| + |b_n|) r^(n-1) <= |a_1| - |b_1| in floating
+    point, m = 1 for STARLIKE and 2 for CONVEX, or 0 when none is found;
+    a is normalized and |b_1| <= COEFF_TOL, as _certify's callers check.
+
+    A normalized analytic F with sum_{n>=2} n |c_n| <= 1 is starlike
+    (Goodman, Proc. AMS 8, 1957), and F is convex when z F' is starlike
+    (Alexander's theorem).  Divided by its linear coefficient
+    a_1 + zeta b_1, of modulus at least |a_1| - |b_1|, and taken as
+    F(r z) / r, each section h + zeta g meets that hypothesis for every
+    r < r_c, so every ring below r_c passes in exact arithmetic.  r_c is
+    where the search starts, not a proof: only a ring that passes is
+    reported.
+
+    The sum g(r) of the weights w_n r^(n-1) is read from the coefficients
+    times 2^s (_range_shift at order m), where every w_n and their sum
+    stay finite at any lam; both sides scale alike.  log g is convex in
+    x = log r, so Newton's method on it from the right, started at
+    ``below``, stays right of the root, up to rounding, and converges;
+    its slope is g's mean power, sum (n - 1) w_n r^(n-1) / g, at least 1.
+    Each step costs one O(degree) pass, and r is multiplied by e^step,
+    step the move in x, which keeps r's relative accuracy down to a
+    subnormal r_c.  After a step of at most 2^-30, or 64 steps, r goes
+    down by 1, 2, 4, ... ulps until g(r) reads at most the bound.
+    """
+    m = 2 if kind is RadiusKind.CONVEX else 1
+    _, A, B = _range_shift(m, a, b)
+    cols = np.abs(coefficient_columns(A, B))
+    bound = float(cols[1, 0] - cols[1, 1])
+    powers = np.arange(1, len(cols) - 1)
+    weights = (powers + 1.0) ** m * (cols[2:, 0] + cols[2:, 1])
+    # Rows w_n and (n - 1) w_n / d, d the top power: times r^(n-1) they
+    # give g and g's mean power times g / d, at most g, where the sum of
+    # (n - 1) w_n r^(n-1) could overflow.
+    d = len(powers)
+    rows = np.stack([weights, powers / d * weights])
+
+    r = below
+    for _ in range(64):
+        g, slope = (rows @ r ** powers).tolist()
+        if not g > 0.0 or r == below and g <= bound:
+            break
+        step = math.log(bound / g) / (d * (slope / g))
+        r *= math.exp(step)
+        if abs(step) <= 2.0 ** -30:
+            break
+    r = min(r, math.nextafter(below, 0.0))
+    ulps = 1.0
+    while r > 0.0 and float(weights @ r ** powers) > bound:
+        r -= ulps * math.ulp(r)
+        ulps *= 2.0
+    return max(r, 0.0)
+
+
 def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
              tol: float) -> RadiusCertificate:
     """One radius search over r for every section a + zeta b together.
 
-    Below a failing probe ring at 1 - tol, one _secant_search from the
-    untested origin halves the probe until a ring passes, however small
-    the radius (a member at a huge lam passes only near 1/lam), and closes
-    the bracket to min(tol, hi / 128).  Its lo is always the last ring to
-    pass, whose minimum is reported as inner_margin.  ConsistencyError is
-    raised when no ring above 2^-1072 passes, and at a NaN minimum before
-    any ring passed: _section_rings returns one when the powers r^k lost
-    the precision the test needs, and smaller rings keep fewer of them.
-    A tol below 2^-50 raises ParameterError, as the search could not
-    shrink a bracket near 1 to it.
+    Below a failing probe ring at 1 - tol, one ring is tested at Goodman's
+    radius r_c (_coefficient_radius), which the sections meet from their
+    coefficients alone.  When it passes, one _secant_search runs from it;
+    otherwise, from the untested origin, halving the probe until a ring
+    passes, however small the radius (a member at a huge lam passes only
+    near 1/lam).  Either closes the bracket to min(tol, hi / 128).  Its lo
+    is always the last ring to pass, whose minimum is reported as
+    inner_margin.  ConsistencyError is raised when no ring above 2^-1072
+    passes, and at a NaN minimum of the search before any ring passed:
+    _section_rings returns one when the powers r^k lost the precision the
+    test needs, and smaller rings keep fewer of them.  A NaN at r_c only
+    leaves the search to start from the origin.  A tol below 2^-50 raises
+    ParameterError, as the search could not shrink a bracket near 1 to
+    it.
     """
     if not 2.0 ** -50 <= tol < 0.5:
         raise ParameterError("tol must lie in [2**-50, 0.5)")
@@ -548,7 +620,14 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
             kind=kind, radius=1.0, inner_margin=m_hi,
             outer_witness=None, rings=rings,
         )
-    lo, hi, ang = _secant_search(ring, 0.0, math.nan, hi, m_hi, hi_ang, tol)
+    lo, m_lo = 0.0, math.nan
+    r_c = _coefficient_radius(a, b, kind, hi)
+    if r_c > 0.0:
+        rings += 1
+        m, _ = section_rings(r_c)
+        if m > 0.0:
+            lo, m_lo, passed = r_c, m, m
+    lo, hi, ang = _secant_search(ring, lo, m_lo, hi, m_hi, hi_ang, tol)
     if lo == 0.0:
         raise ConsistencyError("functional not positive near the origin")
     return RadiusCertificate(

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ from harmcert.geometry import (
     RadiusKind,
     _min_nonadjacent_gap,
     _range_shift,
+    _ring_levels,
     _ring_numerator,
     _ring_values,
     _secant_search,
@@ -727,18 +729,21 @@ class TestZeroCountOnce:
 
 
 class TestCoarseRingGrid:
-    """From degree 16 up each ring runs its tests on scan_angles(d // 16)
-    angles first, and takes the full grid only for the rings left open."""
+    """From degree 16 up each ring runs its tests on the coarser levels of
+    _ring_levels first, and takes the next level only for the rings left
+    open."""
 
     def test_every_decision_holds_on_a_dense_horner_grid(self, lengths):
         # Oracle: N / S0(P)^2 from Horner values on 8 times the full grid,
         # plus the returned angle.  A positive ring minimum must have a
         # positive dense minimum, and a ring minimum <= 0 a dense minimum at
-        # most that value plus rounding.
+        # most that value plus rounding.  The level that decided a ring is
+        # its last transform's: the full grid, or the coarse or middle one
+        # of the ladder (scan_angles(d // 16), scan_angles(d // 4)).
         rng = np.random.default_rng(36)
-        coarse_pass = coarse_fail = full = 0
-        for d, radii in ((16, 4), (24, 4), (48, 4), (96, 3), (128, 2),
-                         (256, 2)):
+        ends = collections.Counter()
+        for d, radii in ((16, 4), (24, 4), (48, 4), (64, 3), (96, 3),
+                         (128, 2), (160, 2), (256, 2)):
             for kind in RadiusKind:
                 params = ClassParams(lam=float(rng.uniform(1.0, 3.0)))
                 f = random_member(d, params, rng,
@@ -746,11 +751,15 @@ class TestCoarseRingGrid:
                 edge = harmonic_radius_certify(f, params, kind).radius
                 p, q, offset = ring_parts(f, kind)
                 ring = _section_rings(f.h, f.g, kind)
-                n = scan_angles(d)
+                levels = _ring_levels(d)
+                n = levels[-1]
                 dense = 2 * math.pi * np.arange(8 * n) / (8 * n)
-                # Rings well inside, near and past the certified radius.
-                for r in edge * np.append(rng.uniform(0.3, 0.95, radii),
-                                          rng.uniform(0.99, 1.2, radii)):
+                # Rings well inside, near, at and past the certified radius.
+                # The ring at it has the least margin, which a coarser
+                # level seldom decides.
+                for r in edge * np.concatenate([
+                        rng.uniform(0.3, 0.95, radii),
+                        rng.uniform(0.99, 1.2, radii), [1.0]]):
                     r = min(float(r), 0.999)
                     lengths.clear()
                     value, angle = ring(r)
@@ -767,18 +776,18 @@ class TestCoarseRingGrid:
                         assert least > 0.0
                     else:
                         assert least <= value + 1e-9 * (1.0 + abs(value))
-                    if n in lengths:
-                        full += 1
-                    elif value > 0.0:
-                        coarse_pass += 1
-                    else:
-                        coarse_fail += 1
-        # Each way a ring ends was taken.
-        assert min(coarse_pass, coarse_fail, full) >= 5
+                    level = ("full", "middle", "coarse")[
+                        len(levels) - 1 - levels.index(lengths[-1])]
+                    if level != "full":
+                        level = (level, value > 0.0)
+                    ends[level] += 1
+        # Each way a ring ends was taken: passed or failed on the coarse
+        # or the middle level, or on the full grid.
+        assert len(ends) == 5 and min(ends.values()) >= 5, ends
 
     def test_most_convex_rings_skip_the_full_grid(self, lengths):
         # At degree 256 every ring took a full-length transform while each
-        # ring read the full grid; now 3 of the certificate's 13 do.
+        # ring read the full grid; now 2 of the certificate's 9 do.
         params = ClassParams(1.0)
         f = random_member(256, params, np.random.default_rng(1))
         cert = harmonic_radius_certify(f, params, RadiusKind.CONVEX)
@@ -808,7 +817,7 @@ class TestChordBound:
         # stays positive on each.
         rng = np.random.default_rng(38)
         chord_only = 0
-        for j in range(24):
+        for j in range(32):
             d = int(rng.integers(2, 65))
             params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
             f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
@@ -836,12 +845,11 @@ class TestChordBound:
         assert chord_only >= 30
 
     def test_chord_term_never_exceeds_the_first_order_term(self):
-        # On every grid a ring takes, scan_angles(d) and, from degree 16,
-        # scan_angles(d // 16), at radii across the disk.
+        # On every level of the ladder a ring takes, at radii across the
+        # disk.
         rng = np.random.default_rng(256)
         for d in (2, 3, 5, 8, 15, 16, 31, 47, 64, 100, 161, 256):
-            full, coarse = scan_angles(d), scan_angles(d // 16)
-            grids = (full, coarse) if 4 * coarse <= full else (full,)
+            grids = _ring_levels(d)
             for kind in RadiusKind:
                 params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
                 p, q, offset = ring_parts(random_member(d, params, rng), kind)
@@ -924,6 +932,65 @@ class TestRadiusBelowTol:
         f = make_example(CatalogParams(name="f3", lam=lam))
         with pytest.raises(ConsistencyError, match="below the class floor"):
             harmonic_radius_certify(f, ClassParams(lam), RadiusKind.CONVEX)
+
+
+class TestCoefficientRadius:
+    """Goodman's coefficient radius r_c (_coefficient_radius) against the
+    ring search: every section meets the coefficient condition inside r_c,
+    so no ring below it can fail, and the search's failing ring lies at or
+    beyond it."""
+
+    @staticmethod
+    def outer(cert):
+        # The certified radius plus the search width: the failing ring, or
+        # 1 for a capped radius.
+        return cert.outer_witness[0] if cert.outer_witness else 1.0
+
+    def test_never_beyond_the_failing_ring_of_random_members(self):
+        rng = np.random.default_rng(25)
+        tol = 1e-4
+        below_one = at_least = 0
+        for j in range(300):
+            d = int(rng.integers(2, 65))
+            params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
+            f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
+            kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
+            r_c = geometry._coefficient_radius(f.h, f.g, kind, 1.0 - tol)
+            cert = harmonic_radius_certify(f, params, kind, tol)
+            assert 0.0 < r_c < 1.0 - tol
+            assert r_c <= self.outer(cert), (j, r_c, cert)
+            below_one += cert.radius < 1.0
+            at_least += r_c <= cert.radius < 1.0
+        # Almost every search below 1 starts from a passing ring at r_c
+        # (159 of 160 here).
+        assert below_one >= 150 and at_least >= below_one - 5
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("name", ["f3", "eq13", "f_a", "f_b"])
+    def test_never_beyond_the_failing_ring_of_catalog_maps(self, name, lam):
+        tol = 1e-4
+        f = make_example(CatalogParams(name=name, lam=lam))
+        for kind, per_lam in ((RadiusKind.STARLIKE, 2.0),
+                              (RadiusKind.CONVEX, 4.0)):
+            r_c = geometry._coefficient_radius(f.h, f.g, kind, 1.0 - tol)
+            cert = harmonic_radius_certify(f, ClassParams(lam), kind, tol)
+            assert 0.0 < r_c <= self.outer(cert)
+            if name == "f3":
+                # z + lam z^2 meets the condition with equality at its
+                # sharp radius; at or past the probe r_c lies just below it.
+                sharp = min(1.0 / (per_lam * lam), 1.0 - tol)
+                assert r_c == pytest.approx(sharp, rel=1e-15, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1e100, 1e300, 1.7e308])
+    def test_sharp_quadratic_at_an_extreme_lam(self, lam):
+        # The weights read the coefficients times 2^s, so they stay finite
+        # up to the double range; below 2^-1022 the radius keeps fewer bits.
+        f = make_example(CatalogParams(name="f3", lam=lam))
+        for kind, per_lam in ((RadiusKind.STARLIKE, 2.0),
+                              (RadiusKind.CONVEX, 4.0)):
+            r_c = geometry._coefficient_radius(f.h, f.g, kind, 1.0 - 1e-4)
+            assert r_c == pytest.approx(1.0 / (per_lam * lam), rel=1e-14)
 
 
 class TestHarmonicRadius:
@@ -1050,7 +1117,9 @@ class TestHarmonicRadius:
         # decides reports that grid's minimum, which moves the secant
         # steps.)  Rings that report N / S0(P)^2, one quantity on one
         # scale, take 79 rings and polish 10, where N / (|p| + |q|)^2
-        # took 81 and polished 12.
+        # took 81 and polished 12.  Rings on the fourfold grid ladder,
+        # searched from a passing ring at Goodman's coefficient radius,
+        # take 72 and polish 10.
         rng = np.random.default_rng(41)
         rings = 0
         for d in (3, 6, 12, 24, 48):
@@ -1058,7 +1127,7 @@ class TestHarmonicRadius:
                 params = ClassParams(lam=float(rng.uniform(0.5, 3.0)))
                 f = random_member(d, params, rng, fill=0.9)
                 rings += harmonic_radius_certify(f, params, kind).rings
-        assert rings == 79 < 145
+        assert rings == 72 < 145
         assert len(polished) == 10 < 57
 
     def test_ring_polish_stops_at_its_rounding_error(self, monkeypatch):
