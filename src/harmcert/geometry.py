@@ -66,10 +66,10 @@ class RadiusCertificate:
     section's functional exceeds it.  When the radius is below 1 the
     ``outer_witness`` records a ring at most min(tol, witness / 128)
     outside, and an angle on it, where that minimum dropped to zero or
-    below or the zero count of the denominator was not the one allowed.
-    ``rings`` is the number of rings evaluated.  Each passing ring is
-    proven positive between its grid angles by series.grid_floor, or else
-    polished there (_section_rings).
+    below or the zero count of the denominator was not the one allowed,
+    possibly the ring at Goodman's radius (_certify).  ``rings`` is the
+    number of rings evaluated.  Each passing ring is proven positive
+    between its grid angles by series.grid_floor, or else polished there.
     """
 
     kind: RadiusKind
@@ -282,7 +282,8 @@ def _ring_levels(degree: int) -> tuple[int, ...]:
 def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     """Ring test of every section h + zeta g at once, as ``ring(r)``, on
     n = scan_angles(max(a.degree, b.degree)) equispaced angles per ring,
-    the angle k step read as k times step = 2 pi / n.
+    the angle k step read as k times step = 2 pi / n, with
+    ``coefficient_radius(below)`` (_coefficient_radius) from its rows U_k.
 
     Each ring runs the tests below on the grids of _ring_levels(degree),
     coarsest first, each with its own step and eps, and stops at the first
@@ -370,12 +371,12 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     """
     convex = kind is RadiusKind.CONVEX
     shift, A, B = _range_shift(2 if convex else 1, a, b)
-    pq = coefficient_columns(A, B)
-    if shift and not np.array_equal(np.ldexp(pq.view(float), -shift),
-                                    coefficient_columns(a, b).view(float)):
+    if shift and any(F.coeffs != tuple(c * 2.0 ** -shift for c in S.coeffs)
+                     for F, S in ((a, A), (b, B))):
         raise ConsistencyError(
             "ring test lost precision: scaling the coefficients by "
             f"2^{shift} to keep the ring terms finite rounds some")
+    pq = coefficient_columns(A, B)
     offset, zeros = (1.0, 0) if convex else (0.0, 1)
     if convex:
         pq = np.arange(1, len(pq))[:, None] * pq[1:]  # a' and b'
@@ -392,6 +393,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     d = max(degree, 1)
     square = (powers / d) ** 2
     sums = np.stack([P, powers * P, U, powers * U, square * P, square * U])
+    bound = float(abs(coeffs[zeros, 0]) - abs(coeffs[zeros, 1]))
     top_terms = np.maximum(P, U)
     # Each ring's grid levels, (n, step, eps), the coarsest first.
     levels = [(n, _TWO_PI / n, circle_values_error(n))
@@ -463,7 +465,7 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
         least, angle = _polish_argmax(at, k * step, -float(num[k]), step, err)
         return -least / (s0p * s0p), angle
 
-    return ring
+    return ring, lambda below: _coefficient_radius(U[zeros + 1:], bound, below)
 
 
 def _secant_search(ring, lo: float, m_lo: float, hi: float, m_hi: float,
@@ -480,16 +482,21 @@ def _secant_search(ring, lo: float, m_lo: float, hi: float, m_hi: float,
     running, the other end's stored minimum is halved (the Illinois rule of
     Dowell and Jarratt, BIT 11, 1971), so a strongly curved minimum cannot
     pin one end.  A non-finite m_lo - m_hi (the origin, a failed zero
-    count, lost precision) gives no secant and the step bisects, so from
-    the origin hi is halved until a ring passes.  From the first ring to
+    count, lost precision) gives no secant, and the step bisects: at hi / 2
+    from the origin, so hi is halved until a ring passes, then at
+    sqrt(lo) sqrt(hi), the square root of hi / lo.  From the first ring to
     pass, the step also bisects while the bracket is wider than its width
-    w0 there times 2^(-n/2) after n steps, so the search ends within
-    2 ceil(log2(w0 / w)) + 1 rings.  Bisections neither halve a stored
+    w0 there times 2^(-n/2) after n steps.  A bisection shrinks the width
+    by 1/sqrt(2) at least while hi / lo <= K = (1 + sqrt(2))^2, and as no
+    step raises hi / lo, at most g = max(0, ceil(log2(ln(hi0 / lo0) /
+    ln K))) do not, [lo0, hi0] the bracket at the first pass: the width
+    stays within sqrt(2)^(1 + g) of w0 2^(-n/2), and the search ends within
+    2 ceil(log2(w0 / w)) + 1 + g rings.  Bisections neither halve a stored
     minimum nor count as an end's move, which would keep the Illinois rule
     from firing.  w is tol down to a radius of 128 tol, relative below, and
-    w/4 exceeds the spacing of the floats in the bracket, so each step lies
-    strictly inside: hi / 512 and tol/4 >= 2^-52 do in the normal range
-    (hi < 1), 2^-1074 at a subnormal hi.
+    w/4 exceeds the spacing of the floats in the bracket, so each step,
+    rounded, lies strictly inside: hi / 512 and tol/4 >= 2^-52 do in the
+    normal range (hi < 1), 2^-1074 at a subnormal hi.
     """
     allowed = hi - lo
     lo_moved = True
@@ -501,7 +508,7 @@ def _secant_search(ring, lo: float, m_lo: float, hi: float, m_hi: float,
             # Clamped in this order, a NaN estimate becomes lo + w/4.
             r = min(max(lo + 0.25 * w, r), hi - 0.25 * w)
         else:
-            r = 0.5 * (lo + hi)
+            r = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
         allowed *= math.sqrt(0.5)
         m, ang = ring(r)
         if m > 0.0:
@@ -519,43 +526,33 @@ def _secant_search(ring, lo: float, m_lo: float, hi: float, m_hi: float,
     return lo, hi, hi_ang
 
 
-def _coefficient_radius(a: AnalyticSeries, b: AnalyticSeries,
-                        kind: RadiusKind, below: float) -> float:
+def _coefficient_radius(weights, bound: float, below: float) -> float:
     """Goodman's radius r_c: the largest r < ``below`` with
-    sum_{n>=2} n^m (|a_n| + |b_n|) r^(n-1) <= |a_1| - |b_1| in floating
-    point, m = 1 for STARLIKE and 2 for CONVEX, or 0 when none is found;
-    a is normalized and |b_1| <= COEFF_TOL, as _certify's callers check.
+    g(r) = sum_{j>=1} w_j r^j <= ``bound`` in floating point, w_j =
+    ``weights[j-1]``, or 0 when none is found.
 
     A normalized analytic F with sum_{n>=2} n |c_n| <= 1 is starlike
     (Goodman, Proc. AMS 8, 1957), and F is convex when z F' is starlike
-    (Alexander's theorem).  Divided by its linear coefficient
-    a_1 + zeta b_1, of modulus at least |a_1| - |b_1|, and taken as
-    F(r z) / r, each section h + zeta g meets that hypothesis for every
-    r < r_c, so every ring below r_c passes in exact arithmetic.  r_c is
-    where the search starts, not a proof: only a ring that passes is
-    reported.
+    (Alexander's theorem).  _section_rings passes w_j = U_{j+s}
+    and bound = |p_s| - |q_s|, s the zero count it allows (1 STARLIKE, 0
+    CONVEX): D or z D (D = F' for CONVEX) has p_k + zeta q_k at z^n,
+    n = k + 1 - s, and u_k = n p_k, so over its linear coefficient and
+    taken as F(r z) / r, each section meets Goodman's hypothesis wherever
+    sum_{k>s} U_k r^(k-s) <= |p_s| - |q_s|: every ring below r_c passes
+    in exact arithmetic, but r_c is a ring to test, not a proof.
 
-    The sum g(r) of the weights w_n r^(n-1) is read from the coefficients
-    times 2^s (_range_shift at order m), where every w_n and their sum
-    stay finite at any lam; both sides scale alike.  log g is convex in
-    x = log r, so Newton's method on it from the right, started at
-    ``below``, stays right of the root, up to rounding, and converges;
-    its slope is g's mean power, sum (n - 1) w_n r^(n-1) / g, at least 1.
-    Each step costs one O(degree) pass, and r is multiplied by e^step,
-    step the move in x, which keeps r's relative accuracy down to a
-    subnormal r_c.  After a step of at most 2^-30, or 64 steps, r goes
-    down by 1, 2, 4, ... ulps until g(r) reads at most the bound.
+    log g is convex in x = log r, so Newton's method on it from the right,
+    started at ``below``, stays right of the root, up to rounding, and
+    converges; its slope is g's mean power, sum j w_j r^j / g, at least 1.
+    Each step costs one O(degree) pass, and r is multiplied by e^step, step
+    the move in x, which keeps r's relative accuracy down to a subnormal
+    r_c.  After a step of at most 2^-30, or 64 steps, r goes down by 1, 2,
+    4, ... ulps until g(r) reads at most the bound.
     """
-    m = 2 if kind is RadiusKind.CONVEX else 1
-    _, A, B = _range_shift(m, a, b)
-    cols = np.abs(coefficient_columns(A, B))
-    bound = float(cols[1, 0] - cols[1, 1])
-    powers = np.arange(1, len(cols) - 1)
-    weights = (powers + 1.0) ** m * (cols[2:, 0] + cols[2:, 1])
-    # Rows w_n and (n - 1) w_n / d, d the top power: times r^(n-1) they
-    # give g and g's mean power times g / d, at most g, where the sum of
-    # (n - 1) w_n r^(n-1) could overflow.
-    d = len(powers)
+    # Rows w_j and j w_j / d, d the top power: times r^j they give g and
+    # g's mean power times g / d <= g, where sum j w_j r^j could overflow.
+    d = len(weights)
+    powers = np.arange(1, d + 1)
     rows = np.stack([weights, powers / d * weights])
 
     r = below
@@ -581,22 +578,22 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
 
     Below a failing probe ring at 1 - tol, one ring is tested at Goodman's
     radius r_c (_coefficient_radius), which the sections meet from their
-    coefficients alone.  When it passes, one _secant_search runs from it;
-    otherwise, from the untested origin, halving the probe until a ring
+    coefficients alone, and narrows the bracket [0, 1 - tol] from either
+    side: a pass becomes lo, a failure (<= 0 or -inf) hi with its angle,
+    and a NaN leaves it.  One _secant_search then closes it to
+    min(tol, hi / 128), halving hi from the untested origin until a ring
     passes, however small the radius (a member at a huge lam passes only
-    near 1/lam).  Either closes the bracket to min(tol, hi / 128).  Its lo
-    is always the last ring to pass, whose minimum is reported as
-    inner_margin.  ConsistencyError is raised when no ring above 2^-1072
-    passes, and at a NaN minimum of the search before any ring passed:
-    _section_rings returns one when the powers r^k lost the precision the
-    test needs, and smaller rings keep fewer of them.  A NaN at r_c only
-    leaves the search to start from the origin.  A tol below 2^-50 raises
-    ParameterError, as the search could not shrink a bracket near 1 to
-    it.
+    near 1/lam), and bisecting geometrically above lo.  lo is always the
+    last ring to pass, whose minimum is reported as inner_margin.
+    ConsistencyError is raised when no ring above 2^-1072 passes, and at a
+    NaN minimum before any ring passed: _section_rings returns one when the
+    powers r^k lost the precision the test needs, and smaller rings keep
+    fewer of them.  A tol below 2^-50 raises ParameterError, as the search
+    could not shrink a bracket near 1 to it.
     """
     if not 2.0 ** -50 <= tol < 0.5:
         raise ParameterError("tol must lie in [2**-50, 0.5)")
-    section_rings = _section_rings(a, b, kind)
+    section_rings, coefficient_radius = _section_rings(a, b, kind)
     rings = 0
     passed = math.nan
 
@@ -621,12 +618,14 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
             outer_witness=None, rings=rings,
         )
     lo, m_lo = 0.0, math.nan
-    r_c = _coefficient_radius(a, b, kind, hi)
+    r_c = coefficient_radius(hi)
     if r_c > 0.0:
         rings += 1
-        m, _ = section_rings(r_c)
+        m, ang = section_rings(r_c)
         if m > 0.0:
             lo, m_lo, passed = r_c, m, m
+        elif m <= 0.0:
+            hi, m_hi, hi_ang = r_c, m, ang
     lo, hi, ang = _secant_search(ring, lo, m_lo, hi, m_hi, hi_ang, tol)
     if lo == 0.0:
         raise ConsistencyError("functional not positive near the origin")

@@ -460,9 +460,9 @@ class TestRadiusCertify:
         # lie on the grid of their ring at the angle pi.
         F = AnalyticSeries((0, 1, 1))
         for kind, radius in ((RadiusKind.STARLIKE, 1.0), (RadiusKind.CONVEX, 0.5)):
-            ring = _section_rings(F, ZERO, kind)
+            ring, _ = _section_rings(F, ZERO, kind)
             assert ring(radius) == (-math.inf, math.pi)
-        value, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE)(0.5)
+        value, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE)[0](0.5)
         assert math.isfinite(value)
 
     def test_ring_minimum_is_polished_off_grid(self, polished):
@@ -476,7 +476,7 @@ class TestRadiusCertify:
         # for it, so the grid minimum is polished.
         phi = 2 * math.pi / 256 / 3
         F = AnalyticSeries((0, 1, np.exp(1j * phi)))
-        ring = _section_rings(F, ZERO, RadiusKind.STARLIKE)
+        ring, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE)
         assert ring(0.45)[0] > 0.0 and polished == []
         r = 0.4999
         value, angle = ring(r)
@@ -491,7 +491,7 @@ class TestRadiusCertify:
         # N / S0(P)^2 unpolished.
         r, phi = 0.3, 2 * math.pi / 256 / 3
         F = AnalyticSeries((0, 1, np.exp(1j * phi)))
-        value, angle = _section_rings(F, ZERO, RadiusKind.STARLIKE)(r)
+        value, angle = _section_rings(F, ZERO, RadiusKind.STARLIKE)[0](r)
         assert polished == []
         z = r * np.exp(2j * math.pi * np.arange(256) / 256)
         wz = np.exp(1j * phi) * z
@@ -515,7 +515,8 @@ class TestRadiusCertify:
             kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
             cert = harmonic_radius_certify(f, params, kind, tol)
             r = 1.0 - tol if cert.radius == 1.0 else cert.radius
-            assert cert.inner_margin == _section_rings(f.h, f.g, kind)(r)[0]
+            ring, _ = _section_rings(f.h, f.g, kind)
+            assert cert.inner_margin == ring(r)[0]
             assert cert.inner_margin > 0.0
             capped += cert.radius == 1.0
             below_one += cert.radius < 1.0
@@ -560,29 +561,44 @@ class TestRadiusCertify:
         # normal range, so the quadratic term, which sets the radius, is
         # lost: the ring says so with a NaN minimum, not a failed count.
         F = AnalyticSeries((0, 1, 1e200))
-        value, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE)(1e-160)
+        value, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE)[0](1e-160)
         assert math.isnan(value)
         with pytest.raises(ConsistencyError, match="lost precision"):
             radius_certify(F, RadiusKind.STARLIKE)
 
     @pytest.mark.parametrize("tol", [1e-4, 1e-10])
-    @pytest.mark.parametrize("name", sorted(SYNTHETIC_RINGS))
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_RINGS) + ["far below"])
     def test_secant_search_on_synthetic_rings(self, name, tol):
-        fn = SYNTHETIC_RINGS[name]
+        # "far below": a ring that passes at lo = 1e-302 under a radius of
+        # 1e-300, fails with a finite minimum up to twice that and by its
+        # zero count beyond, as convex z + lam z^2 does at lam = 2.5e299.
+        # Bisections at the geometric mean close [1e-302, 1 - 1e-4] in 13
+        # rings; halving hi took 999.
+        fn, lo = SYNTHETIC_RINGS.get(name), 0.05
+        if fn is None:
+            fn, lo = (lambda r: (1.0 - r / 1e-300, 0.5) if r < 2e-300
+                      else (-math.inf, 0.5)), 1e-302
         calls = []
 
         def ring(r):
             calls.append(r)
             return fn(r)
 
-        lo, hi = 0.05, 1.0 - 1e-4
-        width = hi - lo
+        hi = 1.0 - 1e-4
+        width, ratio = hi - lo, hi / lo
         (m_lo, _), (m_hi, hi_ang) = fn(lo), fn(hi)
         lo, hi, hi_ang = _secant_search(ring, lo, m_lo, hi, m_hi, hi_ang, tol)
         assert fn(lo)[0] > 0.0
         assert not fn(hi)[0] > 0.0 and hi_ang == fn(hi)[1]
-        assert 0.0 < hi - lo <= tol
-        assert len(calls) <= 2 * math.ceil(math.log2(width / tol)) + 2
+        w = max(min(tol, hi / 128), 2.0 ** -1072)
+        assert 0.0 < hi - lo <= w
+        # The docstring's bound: bisections at hi / lo above
+        # (1 + sqrt(2))^2, at most g of them, add one ring each.
+        g = max(0, math.ceil(math.log2(
+            math.log(ratio) / (2 * math.log(1 + math.sqrt(2))))))
+        assert len(calls) <= 2 * math.ceil(math.log2(width / w)) + 1 + g
+        if name == "far below":
+            assert len(calls) <= 16
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC_RINGS) + ["below tol"])
     def test_search_from_the_origin_halves_then_searches(self, name):
@@ -665,7 +681,7 @@ class TestZeroCountOnce:
             d = int(rng.integers(3, 65))
             f = random_member(d, ClassParams(8.0), rng)
             kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
-            ring = _section_rings(f.h, f.g, kind)
+            ring, radius = _section_rings(f.h, f.g, kind)
             rings, counted = [], 0.0
 
             def logged(r):
@@ -675,7 +691,7 @@ class TestZeroCountOnce:
                 return out
 
             monkeypatch.setattr(geometry, "_section_rings",
-                                lambda *args: logged)
+                                lambda *args: (logged, radius))
             cert = harmonic_radius_certify(f, ClassParams(8.0), kind)
             assert cert.rings == len(rings) >= 5
             assert cert.radius < 1.0
@@ -697,10 +713,10 @@ class TestZeroCountOnce:
             kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
             cert = harmonic_radius_certify(f, params, kind)
             outer = min(cert.radius, 1.0 - 1e-4)
-            warm = _section_rings(f.h, f.g, kind)
+            warm, _ = _section_rings(f.h, f.g, kind)
             assert warm(outer)[0] > 0.0
             for r in outer * rng.uniform(0.05, 1.0, 4):
-                fresh = _section_rings(f.h, f.g, kind)(float(r))
+                fresh = _section_rings(f.h, f.g, kind)[0](float(r))
                 again = warm(float(r))
                 assert [x.hex() for x in again] == [x.hex() for x in fresh]
 
@@ -720,7 +736,7 @@ class TestZeroCountOnce:
             # (1 - x) = k (1 + 2 x) + m eps (1 + x), each side over r = 1/2.
             x = (1 - k - m * eps) / (1 + 2 * k + m * eps)
             F = AnalyticSeries((0, 1, 2 * x))
-            return _section_rings(F, ZERO, RadiusKind.STARLIKE)(0.5)
+            return _section_rings(F, ZERO, RadiusKind.STARLIKE)[0](0.5)
 
         for m in (0.25, 0.5, 0.75):
             assert ring_at(m) == (-math.inf, math.pi)
@@ -750,7 +766,7 @@ class TestCoarseRingGrid:
                                   fill=float(rng.uniform(0.5, 0.95)))
                 edge = harmonic_radius_certify(f, params, kind).radius
                 p, q, offset = ring_parts(f, kind)
-                ring = _section_rings(f.h, f.g, kind)
+                ring, _ = _section_rings(f.h, f.g, kind)
                 levels = _ring_levels(d)
                 n = levels[-1]
                 dense = 2 * math.pi * np.arange(8 * n) / (8 * n)
@@ -823,7 +839,7 @@ class TestChordBound:
             f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
             kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
             p, q, offset = ring_parts(f, kind)
-            ring = _section_rings(f.h, f.g, kind)
+            ring, _ = _section_rings(f.h, f.g, kind)
             lo, hi = 0.01, 0.999
             for _ in range(40):
                 mid = 0.5 * (lo + hi)
@@ -868,11 +884,10 @@ class TestChordBound:
         # The S2 rows are (k/d)^2 P_k and (k/d)^2 U_k, never above the
         # scaled P_k and U_k; rows k^2 P_k overflow here.  The starlike
         # rings run out of precision near 1/(2 lam).  The convex search
-        # halves the probe ring 1 - tol this many times until a ring
-        # passes, then closes the bracket to 1/128 of the witness, a few
-        # rings more, at or above the class floor less that width.
-        halvings = {16: 1013, 64: 1009, 200: 1005, 1000: 1001}[d] + {
-            1e306: 0, 1e307: 3, 1.7e308: 7}[lam]
+        # narrows [0, 1 - tol] by the ring at Goodman's radius and closes
+        # it to 1/128 of the witness by geometric bisection, at or above
+        # the class floor less that width, in 4-13 rings (1007-1027 when
+        # bisection halved the bracket).
         params = ClassParams(lam)
         f = random_member(d, params, np.random.default_rng(d))
         with pytest.raises(ConsistencyError, match="lost precision"):
@@ -882,18 +897,16 @@ class TestChordBound:
         width = witness - cert.radius
         assert 0.0 < width <= witness / 128
         assert cert.radius >= 1.0 / (4.0 * lam) - width
-        assert halvings < cert.rings <= halvings + 16
+        assert cert.rings <= 16
         assert cert.inner_margin > 0.0
 
 
 class TestRadiusBelowTol:
-    # The rings z + lam z^2 took when a halving loop ran before the search
-    # and every radius below tol came from halving alone, 0.57-0.89 of the
-    # sharp one.
-    HALVED_RINGS = {(1e4, "Starlike"): 16, (1e4, "Convex"): 17,
-                    (1e100, "Starlike"): 335, (1e100, "Convex"): 336,
-                    (1e307, "Convex"): 1023}
-
+    # z + lam z^2 took 16-1023 rings when a halving loop ran before the
+    # search and every radius below tol came from halving alone, 0.57-0.89
+    # of the sharp one; 24-1030 when the search halved from the origin
+    # after its ring at Goodman's radius failed by rounding.  Narrowed by
+    # that ring and bisected geometrically it takes 4.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lam, kind", [
         (1e4, RadiusKind.STARLIKE), (1e4, RadiusKind.CONVEX),
@@ -906,7 +919,7 @@ class TestRadiusBelowTol:
         assert (1 - 2**-7) * sharp <= cert.radius <= sharp
         witness, _ = cert.outer_witness
         assert witness - cert.radius <= witness / 128
-        assert cert.rings <= self.HALVED_RINGS[lam, kind.value] + 16
+        assert cert.rings <= 16
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_starlike_at_1e307_still_loses_precision(self):
@@ -925,8 +938,9 @@ class TestRadiusBelowTol:
         section_rings = geometry._section_rings
 
         def mutant(a, b, kind):
-            ring = section_rings(a, b, kind)
-            return lambda r: (-math.inf, 0.0) if r > 0.98 * floor else ring(r)
+            ring, radius = section_rings(a, b, kind)
+            return (lambda r: (-math.inf, 0.0) if r > 0.98 * floor
+                    else ring(r)), radius
 
         monkeypatch.setattr(geometry, "_section_rings", mutant)
         f = make_example(CatalogParams(name="f3", lam=lam))
@@ -935,10 +949,10 @@ class TestRadiusBelowTol:
 
 
 class TestCoefficientRadius:
-    """Goodman's coefficient radius r_c (_coefficient_radius) against the
-    ring search: every section meets the coefficient condition inside r_c,
-    so no ring below it can fail, and the search's failing ring lies at or
-    beyond it."""
+    """Goodman's coefficient radius r_c (_coefficient_radius, read from the
+    ring rows by _section_rings) against the ring search: every section
+    meets the coefficient condition inside r_c, so no ring below it can
+    fail, and the search's failing ring lies at or beyond it."""
 
     @staticmethod
     def outer(cert):
@@ -955,7 +969,7 @@ class TestCoefficientRadius:
             params = ClassParams(lam=float(rng.uniform(0.25, 3.0)))
             f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
             kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
-            r_c = geometry._coefficient_radius(f.h, f.g, kind, 1.0 - tol)
+            r_c = _section_rings(f.h, f.g, kind)[1](1.0 - tol)
             cert = harmonic_radius_certify(f, params, kind, tol)
             assert 0.0 < r_c < 1.0 - tol
             assert r_c <= self.outer(cert), (j, r_c, cert)
@@ -965,21 +979,44 @@ class TestCoefficientRadius:
         # (159 of 160 here).
         assert below_one >= 150 and at_least >= below_one - 5
 
-    @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 3.0, 1e4, 1e100, 1e300])
     @pytest.mark.parametrize("name", ["f3", "eq13", "f_a", "f_b"])
     def test_never_beyond_the_failing_ring_of_catalog_maps(self, name, lam):
+        # Every certificate takes at most 16 rings (up to 1007 when a
+        # failing ring at r_c was dropped, or a passing one far below the
+        # probe was closed by halving), and the dense oracle reads the
+        # functional down to 0 on its failing ring: no passing ring, the
+        # old search's included, lies more than the search width above the
+        # radius.  The starlike rings lose precision from lam = 1e155 on.
         tol = 1e-4
         f = make_example(CatalogParams(name=name, lam=lam))
         for kind, per_lam in ((RadiusKind.STARLIKE, 2.0),
                               (RadiusKind.CONVEX, 4.0)):
-            r_c = geometry._coefficient_radius(f.h, f.g, kind, 1.0 - tol)
+            ring, coefficient_radius = _section_rings(f.h, f.g, kind)
+            r_c = coefficient_radius(1.0 - tol)
+            if kind is RadiusKind.STARLIKE and lam > 1e155:
+                with pytest.raises(ConsistencyError, match="lost precision"):
+                    harmonic_radius_certify(f, ClassParams(lam), kind, tol)
+                continue
             cert = harmonic_radius_certify(f, ClassParams(lam), kind, tol)
             assert 0.0 < r_c <= self.outer(cert)
+            assert cert.rings <= 16
+            if cert.outer_witness:
+                witness, _ = cert.outer_witness
+                assert least_section_functional(f, kind, witness) <= 1e-12
             if name == "f3":
                 # z + lam z^2 meets the condition with equality at its
                 # sharp radius; at or past the probe r_c lies just below it.
                 sharp = min(1.0 / (per_lam * lam), 1.0 - tol)
                 assert r_c == pytest.approx(sharp, rel=1e-15, abs=0.0)
+                # There the ring fails by rounding, and stays the witness,
+                # or passes, and is the radius.
+                m, angle = ring(r_c)
+                if cert.radius < 1.0 and m > 0.0:
+                    assert cert.radius == r_c
+                elif cert.radius < 1.0:
+                    assert cert.outer_witness == (r_c, angle)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lam", [1e100, 1e300, 1.7e308])
@@ -989,7 +1026,7 @@ class TestCoefficientRadius:
         f = make_example(CatalogParams(name="f3", lam=lam))
         for kind, per_lam in ((RadiusKind.STARLIKE, 2.0),
                               (RadiusKind.CONVEX, 4.0)):
-            r_c = geometry._coefficient_radius(f.h, f.g, kind, 1.0 - 1e-4)
+            r_c = _section_rings(f.h, f.g, kind)[1](1.0 - 1e-4)
             assert r_c == pytest.approx(1.0 / (per_lam * lam), rel=1e-14)
 
 
@@ -1089,7 +1126,7 @@ class TestHarmonicRadius:
             f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
             kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
             p, q, offset = ring_parts(f, kind)
-            ring = _section_rings(f.h, f.g, kind)
+            ring, _ = _section_rings(f.h, f.g, kind)
             n = 64 * scan_angles(d)
             # Random radii, plus the edge of the rings that pass: there the
             # grid minimum is small and the grid alone would accept rings
@@ -1119,7 +1156,7 @@ class TestHarmonicRadius:
         # scale, take 79 rings and polish 10, where N / (|p| + |q|)^2
         # took 81 and polished 12.  Rings on the fourfold grid ladder,
         # searched from a passing ring at Goodman's coefficient radius,
-        # take 72 and polish 10.
+        # take 72 and polish 10; bisected at the geometric mean, 71 and 10.
         rng = np.random.default_rng(41)
         rings = 0
         for d in (3, 6, 12, 24, 48):
@@ -1127,7 +1164,7 @@ class TestHarmonicRadius:
                 params = ClassParams(lam=float(rng.uniform(0.5, 3.0)))
                 f = random_member(d, params, rng, fill=0.9)
                 rings += harmonic_radius_certify(f, params, kind).rings
-        assert rings == 72 < 145
+        assert rings == 71 < 145
         assert len(polished) == 10 < 57
 
     def test_ring_polish_stops_at_its_rounding_error(self, monkeypatch):
@@ -1180,7 +1217,8 @@ class TestHarmonicRadius:
             f = random_member(d, params, rng, fill=float(rng.uniform(0.5, 0.95)))
             kind = (RadiusKind.STARLIKE, RadiusKind.CONVEX)[j % 2]
             cert = harmonic_radius_certify(f, params, kind, tol)
-            radius, rings = bisection_radius(_section_rings(f.h, f.g, kind), tol)
+            ring, _ = _section_rings(f.h, f.g, kind)
+            radius, rings = bisection_radius(ring, tol)
             assert abs(cert.radius - radius) <= tol
             searched += cert.rings
             bisected += rings
@@ -1266,7 +1304,7 @@ class TestHarmonicRadius:
             p, q, offset = ring_parts(f, kind)
             P = np.abs(coefficient_columns(p, q)).sum(axis=1)
             k = np.arange(len(P))
-            ring = _section_rings(f.h, f.g, kind)
+            ring, _ = _section_rings(f.h, f.g, kind)
             lo, hi = 0.01, 0.999
             for _ in range(30):
                 mid = 0.5 * (lo + hi)
