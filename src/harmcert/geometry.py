@@ -49,6 +49,8 @@ from .series import (
 )
 
 _TWO_PI = 2.0 * math.pi
+# _secant_search takes a secant step only while hi / lo is at most this.
+_SECANT_RATIO = 2.0 ** 16
 
 
 class RadiusKind(Enum):
@@ -345,17 +347,17 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
     lam; N / S0(P)^2 cancels that power, so rings compare on one scale.
     The columns of a and b are first shifted by _range_shift (order
     2 for CONVEX, 1 for STARLIKE), which keeps every row value finite; a
-    coefficient that loses bits to the shift raises ConsistencyError.  A
-    ring whose largest term is itself below the normal range returns a
-    NaN minimum, which marks lost precision apart from the -inf of a zero
-    count.  An r^k below the normal range, before or after the scaling,
-    keeps only an absolute accuracy; summed over such k its errors,
-    lost_p next to S0(P) and lost_u next to S0(U), join grid_floor's err
-    as lost_u S0(P) + S0(U) lost_p.  A ring where either loss exceeds its
-    transform error, eps S0(P) or eps S0(U), returns NaN too: its zero
-    count and polish would rest on terms the powers no longer carry, as
-    for the quadratic term at a starlike radius near 1/(2 lam) from
-    lam = 1e155 on.
+    coefficient that loses bits to the shift raises ConsistencyError.  An
+    r^k below the normal range, before or after the scaling, keeps only an
+    absolute accuracy; summed over such k its errors, lost_p next to S0(P)
+    and lost_u next to S0(U), join grid_floor's err as
+    lost_u S0(P) + S0(U) lost_p.  Where either loss exceeds its transform
+    error, eps S0(P) or eps S0(U), or the largest term is itself below the
+    normal range, ``ring(r)`` raises ConsistencyError ("ring test lost
+    precision at radius r"): its zero count and polish would rest on terms
+    the powers no longer carry, as for the quadratic term at a starlike
+    radius near 1/(2 lam) from lam = 1e155 on.  So a ring passes (a
+    positive minimum), fails (a minimum <= 0, -inf for the count) or raises.
 
     The polish stops at err, a bound on the rounding error of one value
     of N from the same sums, to first order in u (Higham,
@@ -407,9 +409,9 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
         nonlocal counted
         raw = r ** powers
         top = float(np.max(top_terms * raw))
-        if not top >= tiny:
-            return math.nan, 0.0
-        e = -math.frexp(top)[1]
+        # A largest term below the normal range is scaled as tiny would be,
+        # which keeps every scaled term finite, and refused below.
+        e = -math.frexp(max(top, tiny))[1]
         rk = np.ldexp(raw, e)
         scaled = coeffs * rk[:, None]
         s0p, s1p, s0u, s1u, s2p, s2u = (sums @ rk).tolist()
@@ -423,8 +425,10 @@ def _section_rings(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind):
             step_err = math.ldexp(1.0, max(e, 0) - 1073)
             lost_p = step_err * float(P[under].sum())
             lost_u = step_err * float(U[under].sum())
-            if not (lost_p <= eps * s0p and lost_u <= eps * s0u):
-                return math.nan, 0.0
+        if not (top >= tiny and lost_p <= eps * s0p and lost_u <= eps * s0u):
+            raise ConsistencyError(
+                f"ring test lost precision at radius {r!r}: its powers "
+                "r^k fell below the normal range")
         for n, step, eps_n in levels:
             vals = circle_values(scaled, n).T
             if r > counted:
@@ -473,39 +477,41 @@ def _secant_search(ring, lo: float, m_lo: float, hi: float, m_hi: float,
     """Shrink [lo, hi] to w = max(min(tol, hi / 128), 2^-1072) at most;
     return lo, hi and hi's angle.
 
-    ``ring(r)`` returns a ring's minimum and angle; a ring passes when its
-    minimum is positive.  hi failed with m_hi at hi_ang; lo passed with
-    m_lo, or is the untested origin, 0 with a NaN m_lo.  Each step tests
-    one ring strictly inside the bracket and moves lo to it if it passes,
-    else hi: the secant root of the stored minima, moved w/2 away from the
-    end that moved last and kept w/4 inside.  When the same end moves twice
-    running, the other end's stored minimum is halved (the Illinois rule of
-    Dowell and Jarratt, BIT 11, 1971), so a strongly curved minimum cannot
-    pin one end.  A non-finite m_lo - m_hi (the origin, a failed zero
-    count, lost precision) gives no secant, and the step bisects: at hi / 2
-    from the origin, so hi is halved until a ring passes, then at
-    sqrt(lo) sqrt(hi), the square root of hi / lo.  From the first ring to
-    pass, the step also bisects while the bracket is wider than its width
-    w0 there times 2^(-n/2) after n steps.  A bisection shrinks the width
-    by 1/sqrt(2) at least while hi / lo <= K = (1 + sqrt(2))^2, and as no
-    step raises hi / lo, at most g = max(0, ceil(log2(ln(hi0 / lo0) /
-    ln K))) do not, [lo0, hi0] the bracket at the first pass: the width
-    stays within sqrt(2)^(1 + g) of w0 2^(-n/2), and the search ends within
-    2 ceil(log2(w0 / w)) + 1 + g rings.  Bisections neither halve a stored
-    minimum nor count as an end's move, which would keep the Illinois rule
-    from firing.  w is tol down to a radius of 128 tol, relative below, and
-    w/4 exceeds the spacing of the floats in the bracket, so each step,
-    rounded, lies strictly inside: hi / 512 and tol/4 >= 2^-52 do in the
-    normal range (hi < 1), 2^-1074 at a subnormal hi.
+    ``ring(r)`` returns a ring's minimum and angle: a pass when positive,
+    a failed zero count when not finite.  hi failed with m_hi at hi_ang; lo
+    passed with m_lo, or is the untested origin, 0, with m_lo unread.
+    Each step tests one ring strictly inside the bracket and moves lo to
+    it if it passes, else hi: the secant root of the stored minima, moved
+    w/2 away from the end that moved last and kept w/4 inside.  When the
+    same end moves twice running, the other end's stored minimum is halved
+    (the Illinois rule of Dowell and Jarratt, BIT 11, 1971), so a strongly
+    curved minimum cannot pin one end.  The step bisects instead, at
+    sqrt(lo) sqrt(hi), or hi / 2 from the origin, while hi / lo exceeds
+    _SECANT_RATIO = 2^16, the origin's bracket included, when m_lo - m_hi
+    is not finite, and while the bracket is wider than w0 2^(-n/2), w0 its
+    width at the first pass and n the steps since.  So hi is halved until
+    a ring passes, and a lo far below hi takes ceil(log2(log2(hi / lo) /
+    16)) bisections to come within the ratio.  A bisection shrinks the
+    width by 1/sqrt(2) at least while hi / lo <= K = (1 + sqrt(2))^2, and
+    as no step raises hi / lo, at most g = max(0, ceil(log2(ln(hi0 / lo0)
+    / ln K))) do not, the ratio rule's among them, [lo0, hi0] the bracket
+    at the first pass: the width stays within sqrt(2)^(1 + g) of
+    w0 2^(-n/2), and the search ends within 2 ceil(log2(w0 / w)) + 1 + g
+    rings.  Bisections neither halve a stored minimum nor count as an
+    end's move, which would keep the Illinois rule from firing.  w is tol
+    down to a radius of 128 tol, relative below, and w/4 exceeds the
+    spacing of the floats in the bracket, so each step, rounded, lies
+    strictly inside: hi / 512 and tol/4 >= 2^-52 do in the normal range
+    (hi < 1), 2^-1074 at a subnormal hi.
     """
     allowed = hi - lo
     lo_moved = True
     while hi - lo > (w := max(min(tol, hi / 128), 2.0 ** -1072)):
-        secant = hi - lo <= allowed and math.isfinite(m_lo - m_hi)
+        secant = (hi - lo <= allowed and hi <= _SECANT_RATIO * lo
+                  and math.isfinite(m_lo - m_hi))
         if secant:
             r = lo + (hi - lo) * m_lo / (m_lo - m_hi)
             r += 0.5 * w if lo_moved else -0.5 * w
-            # Clamped in this order, a NaN estimate becomes lo + w/4.
             r = min(max(lo + 0.25 * w, r), hi - 0.25 * w)
         else:
             r = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
@@ -514,7 +520,7 @@ def _secant_search(ring, lo: float, m_lo: float, hi: float, m_hi: float,
         if m > 0.0:
             if secant and lo_moved:
                 m_hi *= 0.5
-            if math.isnan(m_lo):
+            if lo == 0.0:
                 allowed = hi - r
             lo, m_lo = r, m
         else:
@@ -579,23 +585,22 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
     Below a failing probe ring at 1 - tol, one ring is tested at Goodman's
     radius r_c (_coefficient_radius), which the sections meet from their
     coefficients alone, and narrows the bracket [0, 1 - tol] from either
-    side: a pass becomes lo, a failure (<= 0 or -inf) hi with its angle,
-    and a NaN leaves it.  One _secant_search then closes it to
-    min(tol, hi / 128), halving hi from the untested origin until a ring
-    passes, however small the radius (a member at a huge lam passes only
-    near 1/lam), and bisecting geometrically above lo.  lo is always the
-    last ring to pass, whose minimum is reported as inner_margin.
-    ConsistencyError is raised when no ring above 2^-1072 passes, and at a
-    NaN minimum before any ring passed: _section_rings returns one when the
-    powers r^k lost the precision the test needs, and smaller rings keep
-    fewer of them.  A tol below 2^-50 raises ParameterError, as the search
-    could not shrink a bracket near 1 to it.
+    side: a pass becomes lo, a failure (<= 0 or -inf) hi with its angle.
+    One _secant_search then closes it to min(tol, hi / 128), halving hi
+    from the untested origin until a ring passes, however small the radius
+    (a member at a huge lam passes only near 1/lam), and bisecting
+    geometrically above lo.  lo is always the last ring to pass, whose
+    minimum is reported as inner_margin.  ConsistencyError is raised when
+    no ring above 2^-1072 passes, and by the first ring whose powers r^k
+    lost the precision the test needs (_section_rings).  A tol below 2^-50
+    raises ParameterError, as the search could not shrink a bracket near 1
+    to it.
     """
     if not 2.0 ** -50 <= tol < 0.5:
         raise ParameterError("tol must lie in [2**-50, 0.5)")
     section_rings, coefficient_radius = _section_rings(a, b, kind)
     rings = 0
-    passed = math.nan
+    passed = 0.0
 
     def ring(r: float) -> tuple[float, float]:
         nonlocal rings, passed
@@ -603,11 +608,6 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
         m, ang = section_rings(r)
         if m > 0.0:
             passed = m
-        elif math.isnan(m) and math.isnan(passed):
-            raise ConsistencyError(
-                f"ring test lost precision at radius {r!r}: its powers "
-                "r^k fell below the normal range"
-            )
         return m, ang
 
     hi = 1.0 - tol
@@ -617,14 +617,13 @@ def _certify(a: AnalyticSeries, b: AnalyticSeries, kind: RadiusKind,
             kind=kind, radius=1.0, inner_margin=m_hi,
             outer_witness=None, rings=rings,
         )
-    lo, m_lo = 0.0, math.nan
+    lo, m_lo = 0.0, 0.0
     r_c = coefficient_radius(hi)
     if r_c > 0.0:
-        rings += 1
-        m, ang = section_rings(r_c)
+        m, ang = ring(r_c)
         if m > 0.0:
-            lo, m_lo, passed = r_c, m, m
-        elif m <= 0.0:
+            lo, m_lo = r_c, m
+        else:
             hi, m_hi, hi_ang = r_c, m, ang
     lo, hi, ang = _secant_search(ring, lo, m_lo, hi, m_hi, hi_ang, tol)
     if lo == 0.0:

@@ -559,25 +559,72 @@ class TestRadiusCertify:
     def test_lost_precision_is_named(self):
         # At lam = 1e200 the starlike radius 1/(2 lam) has r^2 below the
         # normal range, so the quadratic term, which sets the radius, is
-        # lost: the ring says so with a NaN minimum, not a failed count.
+        # lost: the ring raises, where a failed count would return -inf.
         F = AnalyticSeries((0, 1, 1e200))
-        value, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE)[0](1e-160)
-        assert math.isnan(value)
+        ring, _ = _section_rings(F, ZERO, RadiusKind.STARLIKE)
+        with pytest.raises(ConsistencyError, match="lost precision"):
+            ring(1e-160)
         with pytest.raises(ConsistencyError, match="lost precision"):
             radius_certify(F, RadiusKind.STARLIKE)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("name", ["f3", "eq13", "f_a", "f_b"])
+    def test_lost_precision_is_refused_at_goodmans_radius(self, name, lam,
+                                                          monkeypatch):
+        # The probe at 1 - tol fails and the ring at Goodman's radius r_c,
+        # near 1/(2 lam), raises: 2 rings, where halving hi from the origin
+        # until a ring lost precision took 512-518.
+        f = make_example(CatalogParams(name=name, lam=lam))
+        section_rings = geometry._section_rings
+        radii = []
+
+        def logged(a, b, kind):
+            ring, coefficient_radius = section_rings(a, b, kind)
+
+            def counted(r):
+                radii.append(r)
+                return ring(r)
+
+            return counted, coefficient_radius
+
+        monkeypatch.setattr(geometry, "_section_rings", logged)
+        with pytest.raises(ConsistencyError, match="lost precision") as info:
+            harmonic_radius_certify(f, ClassParams(lam), RadiusKind.STARLIKE)
+        r_c = section_rings(f.h, f.g, RadiusKind.STARLIKE)[1](1.0 - 1e-4)
+        assert len(radii) <= 2 and radii[-1] == r_c
+        assert f"at radius {r_c!r}:" in str(info.value)
+
+    def test_rings_that_never_pass_are_refused(self, monkeypatch):
+        # Every ring fails, by its minimum or by its zero count: hi is
+        # halved from the origin down to 2^-1072, and no radius is found.
+        for m in (-1.0, -math.inf):
+            monkeypatch.setattr(
+                geometry, "_section_rings",
+                lambda a, b, kind, m=m: (lambda r: (m, 0.5),
+                                         lambda below: 0.5 * below))
+            with pytest.raises(ConsistencyError,
+                               match="functional not positive near the "
+                                     "origin"):
+                radius_certify(AnalyticSeries((0, 1, 1)), RadiusKind.STARLIKE)
+
     @pytest.mark.parametrize("tol", [1e-4, 1e-10])
-    @pytest.mark.parametrize("name", sorted(SYNTHETIC_RINGS) + ["far below"])
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_RINGS)
+                             + ["far below", "finite far below"])
     def test_secant_search_on_synthetic_rings(self, name, tol):
         # "far below": a ring that passes at lo = 1e-302 under a radius of
         # 1e-300, fails with a finite minimum up to twice that and by its
         # zero count beyond, as convex z + lam z^2 does at lam = 2.5e299.
         # Bisections at the geometric mean close [1e-302, 1 - 1e-4] in 13
-        # rings; halving hi took 999.
+        # rings; halving hi took 999.  "finite far below": the same minimum
+        # everywhere, finite, so only the ratio rule keeps the secant,
+        # clamped to lo + w/4, from closing the bracket by about 512 per
+        # ring: 12 rings, where it took 115.
         fn, lo = SYNTHETIC_RINGS.get(name), 0.05
         if fn is None:
-            fn, lo = (lambda r: (1.0 - r / 1e-300, 0.5) if r < 2e-300
-                      else (-math.inf, 0.5)), 1e-302
+            finite = name == "finite far below"
+            fn, lo = (lambda r: (1.0 - r / 1e-300, 0.5)
+                      if finite or r < 2e-300 else (-math.inf, 0.5)), 1e-302
         calls = []
 
         def ring(r):
@@ -597,16 +644,17 @@ class TestRadiusCertify:
         g = max(0, math.ceil(math.log2(
             math.log(ratio) / (2 * math.log(1 + math.sqrt(2))))))
         assert len(calls) <= 2 * math.ceil(math.log2(width / w)) + 1 + g
-        if name == "far below":
+        if name.endswith("far below"):
             assert len(calls) <= 16
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC_RINGS) + ["below tol"])
     def test_search_from_the_origin_halves_then_searches(self, name):
-        # From the untested origin, lo = 0 with a NaN minimum, every step
-        # bisects, and 0.5 * (0 + hi) is hi / 2 exactly: the rings are the
-        # probe halved until one passes, bit for bit, then the rings of the
-        # search started from that bracket.  Below tol the search goes on
-        # to a width of hi / 128.
+        # From the untested origin, lo = 0 with its minimum unread, hi / lo
+        # exceeds the secant's ratio, so every step bisects, and
+        # 0.5 * (0 + hi) is hi / 2 exactly: the rings are the probe halved
+        # until one passes, bit for bit, then the rings of the search
+        # started from that bracket.  Below tol the search goes on to a
+        # width of hi / 128.
         fn = SYNTHETIC_RINGS.get(name, lambda r: (3e-9 - r, 0.5))
         tol = 1e-4
         calls, rest = [], []
@@ -616,7 +664,7 @@ class TestRadiusCertify:
             return fn(r)
 
         hi = 1.0 - tol
-        out = _secant_search(ring, 0.0, math.nan, hi, *fn(hi), tol)
+        out = _secant_search(ring, 0.0, 0.0, hi, *fn(hi), tol)
         halved = [hi / 2.0]
         while not fn(halved[-1])[0] > 0.0:
             halved.append(halved[-1] / 2.0)
